@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,51 @@ class TestExtrude:
         ext = extrude_layers(refine_radial(mesh))
         dets = corner_dets(ext.nodes, ext.elements)
         assert (dets > 0).all()
+
+
+def _canon(x):
+    """Numbers as floats rounded to 1e-12, so int/float and numpy/Python
+    scalar types do not change the digest; strings and tuples as they are."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (tuple, list)):
+        return tuple(_canon(v) for v in x)
+    return round(float(x), 12) + 0.0
+
+
+def mesh_digest(mesh) -> str:
+    """sha256 of everything a downstream reader sees in a final mesh."""
+    h = hashlib.sha256()
+    h.update((np.round(mesh.nodes, 12) + 0.0).astype("<f8").tobytes())
+    h.update(np.asarray(mesh.elements, dtype="<i8").tobytes())
+    h.update(np.asarray(mesh.elem_cell, dtype="<i8").tobytes())
+    h.update(repr([str(l) for l in mesh.elem_layer]).encode())
+    rows = sorted(
+        (_canon(k), mesh.face_tags[k], _canon(mesh.surface_assoc[k]), _canon(mesh.face_loops[k]))
+        for k in mesh.face_tags
+    )
+    assert set(mesh.face_tags) == set(mesh.surface_assoc) == set(mesh.face_loops)
+    h.update(repr(rows).encode())
+    cols = [sorted((int(t), sorted((r, int(n)) for r, n in roles.items()))
+                   for t, roles in c.items()) for c in mesh.columns]
+    h.update(repr(cols).encode())
+    h.update(repr(sorted((int(a), int(b)) for a, b in mesh.wall_outer.items())).encode())
+    return h.hexdigest()
+
+
+# Digests of the final meshes (sweep, refine_radial, extrude_layers) of the
+# two fixtures. A change to hexgen that keeps behaviour keeps these.
+GOLDEN = {
+    "cube_raw": "ed67a5b7338b962ee33b7de033c4fc44927f75d620b927cc02a11d017d3232f2",
+    "cylinder_repaired": "c136c0ab9afd4d4a4e31b578dffb8728802b1119e1c4f2202089687935a73942",
+}
+
+
+class TestGoldenDigest:
+    def test_cube_raw(self, cube_swept):
+        _, _, mesh = cube_swept
+        assert mesh_digest(extrude_layers(refine_radial(mesh))) == GOLDEN["cube_raw"]
+
+    def test_cylinder_repaired(self, extruded):
+        _, _, ext = extruded
+        assert mesh_digest(ext) == GOLDEN["cylinder_repaired"]
