@@ -387,11 +387,8 @@ def rescale(bed: SphereBed, profile: SeparationProfile) -> SphereBed:
         source_label=bed.source_label,
     )
     if len(out.centers) > 1:
-        dmin = np.linalg.norm(
-            out.centers[delaunay_pairs(out.centers)[:, 0]]
-            - out.centers[delaunay_pairs(out.centers)[:, 1]],
-            axis=1,
-        ).min()
+        pairs = delaunay_pairs(out.centers)
+        dmin = np.linalg.norm(out.centers[pairs[:, 0]] - out.centers[pairs[:, 1]], axis=1).min()
         if dmin < 2.0 * 0.95:
             log.warning("closest center pair at %.4f R after rescale (overlap > 5%%)", dmin)
     return out

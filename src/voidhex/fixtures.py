@@ -141,5 +141,5 @@ def write_xyz(bed: SphereBed, path) -> None:
     """Dump centers as whitespace x y z rows (full float64 precision)."""
     with open(path, "w") as fh:
         fh.write(f"# {bed.source_label}: {bed.n_spheres} sphere centers\n")
-        for x, y, z in bed.centers:
-            fh.write(f"{x!r} {y!r} {z!r}\n")
+        for row in bed.centers.tolist():
+            fh.write(" ".join(repr(v) for v in row) + "\n")

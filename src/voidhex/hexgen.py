@@ -33,6 +33,7 @@ FACES_OUT = (
     (2, 3, 7, 6),
     (3, 0, 4, 7),
 )
+_FACES = np.array(FACES_OUT)
 
 
 @dataclass
@@ -56,7 +57,6 @@ class HexMesh:
     domain: object
     columns: list = field(default_factory=list)   # per cell: tess node -> {role: node}
     wall_outer: dict = field(default_factory=dict)  # interface node -> extruded node
-    duct_parent: dict = field(default_factory=dict)  # duct node -> surface ancestor
 
     @property
     def n_elements(self) -> int:
@@ -74,9 +74,8 @@ class HexMesh:
             sphere_centers=self.sphere_centers.copy(),
             sphere_radius=self.sphere_radius,
             domain=self.domain,
-            columns=[dict(c) for c in self.columns],
+            columns=[{t: dict(roles) for t, roles in c.items()} for c in self.columns],
             wall_outer=dict(self.wall_outer),
-            duct_parent=dict(self.duct_parent),
         )
 
 
@@ -127,6 +126,90 @@ def classify_boundary_facet(facet, domain, R: float):
     return "wall", ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each bit-identical to np.linalg.norm of
+    that one vector (which takes the BLAS dot product)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _first_seen(values: np.ndarray):
+    """Number the distinct entries of a 1-D array in order of first use.
+
+    Returns (ids, first): ids[k] is the number of values[k], and first[j]
+    is the position where the value numbered j first appears.
+    """
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return rank[inverse], first[seen]
+
+
+def _face_table(elements: np.ndarray):
+    """The sorted face table of a hex mesh.
+
+    Row r is local face r % 6 of element r // 6, its node ids sorted into a
+    key. Returns (keys, order, starts, counts): the (E*6, 4) keys; the row
+    order in which equal keys are adjacent; and, per distinct face, where
+    its rows start in that order and how many there are (its owners).
+    """
+    keys = elements[:, _FACES].reshape(-1, 4)
+    keys.sort(axis=1)
+    # two exact int64 codes per key, (k0, k1) and (k2, k3), sort as the key does
+    n = int(keys.max(initial=0)) + 1
+    hi = keys[:, 0] * n + keys[:, 1]
+    lo = keys[:, 2] * n + keys[:, 3]
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    starts = np.flatnonzero(new)
+    return keys, order, starts, np.diff(starts, append=len(order))
+
+
+def _loops(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Outward node loops of face-table rows."""
+    return elements[(rows // 6)[:, None], _FACES[rows % 6]]
+
+
+def _rotate_to_min(loops: np.ndarray) -> np.ndarray:
+    """Each loop rotated to start at its smallest node id."""
+    shift = loops.argmin(axis=1)[:, None] + np.arange(4)
+    return np.take_along_axis(loops, shift % 4, axis=1)
+
+
+def _retag(mesh: HexMesh, old_keys, loops: np.ndarray, tags, descs, face=None) -> None:
+    """Untag old_keys, then tag each row of loops with tags[r], descs[r].
+
+    Rows are entered in stable order of `face` (row order if None), so the
+    dicts keep the face-by-face order that a per-face build would give.
+    """
+    for k in old_keys:
+        for d in (mesh.face_tags, mesh.surface_assoc, mesh.face_loops):
+            d.pop(k, None)
+    order = np.arange(len(loops)) if face is None else np.argsort(face, kind="stable")
+    rows = loops[order]
+    for r, loop, key in zip(order.tolist(), rows.tolist(), np.sort(rows, axis=1).tolist()):
+        key = tuple(key)
+        mesh.face_tags[key] = tags[r]
+        mesh.surface_assoc[key] = descs[r]
+        mesh.face_loops[key] = tuple(loop)
+
+
+def _tagged(mesh: HexMesh, keep):
+    """Sorted keys and (F, 4) loops of the tagged faces whose tag and
+    descriptor pass keep(tag, desc)."""
+    keys = sorted(k for k, tag in mesh.face_tags.items() if keep(tag, mesh.surface_assoc[k]))
+    return keys, np.array([mesh.face_loops[k] for k in keys], dtype=np.int64).reshape(-1, 4)
+
+
+def _grow(mesh: HexMesh, nodes, elements, cells, layers) -> None:
+    mesh.nodes = np.vstack([mesh.nodes, nodes])
+    mesh.elements = np.vstack([mesh.elements, elements])
+    mesh.elem_cell = np.concatenate([mesh.elem_cell, cells])
+    mesh.elem_layer = mesh.elem_layer + layers
+
+
 def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     """Sweep every facet quad onto its cell sphere and merge the cells.
 
@@ -139,135 +222,112 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
     guard_floor = R0 * R
-    used_tess = sorted({n for i in range(cs.n_real) for _, q in patches.cell_quads(i) for n in q})
-    tess_id = {t: k for k, t in enumerate(used_tess)}
-    nodes = [patches.nodes[t] for t in used_tess]
-    inner_id: dict = {}
+    facet_info = {fid: classify_boundary_facet(f, cs.bed.domain, R)
+                  for fid, f in enumerate(cs.facets) if not f.deleted and f.boundary is not None}
+    listed = [(i, fid, q) for i in range(cs.n_real) for fid, q in patches.cell_quads(i)]
+    cell = np.array([i for i, _, _ in listed], dtype=np.int64)
+    quads = np.array([q for _, _, q in listed], dtype=np.int64).reshape(-1, 4)
+    used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
+
+    # one inner node per (cell, tess node), numbered in order of first use
+    ids, first = _first_seen(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel())
+    ci, t = cell[first // 4], quads.ravel()[first]
+    ray = patches.nodes[t] - centers[ci]
+    d = _norms(ray)
+    low = np.flatnonzero(d < guard_floor)
+    if len(low):
+        k = low[0]
+        raise GeometryError(
+            f"cell {ci[k]}: tessellation node {t[k]} at {d[k]:.4f} is inside "
+            f"the sweep radius {guard_floor:.4f}"
+        )
+    s = np.sort(quads, axis=1)
+    degenerate = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+    if len(degenerate):
+        i, fid, _ = listed[degenerate[0]]
+        raise GeometryError(f"degenerate hex in cell {i}, facet {fid}")
     columns = [dict() for _ in range(cs.n_real)]
-
-    facet_info = {}
-    for fid, f in enumerate(cs.facets):
-        if f.deleted or f.boundary is None:
-            continue
-        facet_info[fid] = classify_boundary_facet(f, cs.bed.domain, R)
-
-    elements = []
-    elem_cell = []
-    elem_layer = []
-    face_tags: dict = {}
-    surface_assoc: dict = {}
-    face_loops: dict = {}
-
-    for i in range(cs.n_real):
-        c = centers[i]
-        for fid, quad in patches.cell_quads(i):
-            inner = []
-            for t in quad:
-                key = (i, t)
-                if key not in inner_id:
-                    ray = patches.nodes[t] - c
-                    d = float(np.linalg.norm(ray))
-                    if d < guard_floor:
-                        raise GeometryError(
-                            f"cell {i}: tessellation node {t} at {d:.4f} is inside "
-                            f"the sweep radius {guard_floor:.4f}"
-                        )
-                    nid = len(nodes)
-                    nodes.append(c + ray * (guard_floor / d))
-                    inner_id[key] = nid
-                    columns[i][t] = {"q": tess_id[t], "p": nid}
-                inner.append(inner_id[key])
-            outer = [tess_id[t] for t in quad]
-            el = inner + outer
-            if len(set(el)) != 8:
-                raise GeometryError(f"degenerate hex in cell {i}, facet {fid}")
-            eid = len(elements)
-            elements.append(el)
-            elem_cell.append(i)
-            elem_layer.append(0)
-            # tag the sphere-side face
-            sph = tuple(el[k] for k in FACES_OUT[0])
-            face_tags[face_key(sph)] = f"sphere:{i}"
-            surface_assoc[face_key(sph)] = ("sphere", i)
-            face_loops[face_key(sph)] = sph
-            if fid in facet_info:
-                tag, desc = facet_info[fid]
-                top = tuple(el[k] for k in FACES_OUT[1])
-                face_tags[face_key(top)] = tag
-                surface_assoc[face_key(top)] = desc
-                face_loops[face_key(top)] = top
+    for i, tn, q, p in zip(ci.tolist(), t.tolist(), outer[first].tolist(),
+                           range(len(used_tess), len(used_tess) + len(first))):
+        columns[i][tn] = {"q": q, "p": p}
+    elements = np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)])
 
     mesh = HexMesh(
-        nodes=np.array(nodes),
-        elements=np.array(elements, dtype=np.int64),
-        face_tags=face_tags,
-        surface_assoc=surface_assoc,
-        face_loops=face_loops,
-        elem_cell=np.array(elem_cell, dtype=np.int64),
-        elem_layer=elem_layer,
+        nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (guard_floor / d)[:, None]]),
+        elements=elements,
+        face_tags={},
+        surface_assoc={},
+        face_loops={},
+        elem_cell=cell,
+        elem_layer=[0] * len(listed),
         sphere_centers=centers.copy(),
         sphere_radius=guard_floor,
         domain=cs.bed.domain,
         columns=columns,
     )
+    # each element's sphere-side face, then its facet face if on the container
+    on_wall = np.array([fid in facet_info for _, fid, _ in listed], dtype=bool)
+    walls = [facet_info[fid] for _, fid, _ in listed if fid in facet_info]
+    _retag(mesh, (), np.vstack([elements[:, _FACES[0]], elements[on_wall][:, _FACES[1]]]),
+           [f"sphere:{i}" for i, _, _ in listed] + [tag for tag, _ in walls],
+           [("sphere", i) for i, _, _ in listed] + [desc for _, desc in walls],
+           face=np.concatenate([np.arange(len(listed)), np.flatnonzero(on_wall)]))
     audit_conformal(mesh)
     return mesh
 
 
 def audit_conformal(mesh: HexMesh) -> dict:
-    """Exact hash-count conformality audit.
+    """Conformality audit over the sorted face table.
 
-    Every interior quad face must be shared by exactly two elements with
-    opposite orientation; every boundary face by exactly one, carrying
-    exactly one tag. Raises TopologyError on any violation.
+    Sorting the node ids of every element face, and then the faces, brings
+    the copies of each face together, so a face's owner count is the length
+    of its run. Every interior face must be shared by exactly two elements
+    with opposite orientation (the loops agree once one is reversed and
+    both start at their smallest node); every boundary face by exactly one,
+    carrying exactly one tag. No other face may carry a tag, and every node
+    must belong to an element. Raises TopologyError on any violation.
     """
-    counts: dict = {}
-    owners: dict = {}
-    for eid, el in enumerate(mesh.elements):
-        for lf in FACES_OUT:
-            loop = tuple(int(el[k]) for k in lf)
-            key = face_key(loop)
-            counts[key] = counts.get(key, 0) + 1
-            owners.setdefault(key, []).append(loop)
-    n_boundary = 0
-    for key, cnt in counts.items():
-        if cnt == 1:
-            n_boundary += 1
-            if key not in mesh.face_tags:
-                raise TopologyError(f"untagged boundary face {key}")
-        elif cnt == 2:
-            if key in mesh.face_tags:
-                raise TopologyError(f"interior face {key} carries tag {mesh.face_tags[key]}")
-            a, b = owners[key]
-            ra = min(range(4), key=lambda k: a[k])
-            rb = min(range(4), key=lambda k: b[k])
-            fa = a[ra:] + a[:ra]
-            fb = tuple(reversed(b))
-            rb = min(range(4), key=lambda k: fb[k])
-            fb = fb[rb:] + fb[:rb]
-            if fa != fb:
-                raise TopologyError(f"face {key} not oppositely oriented in its two owners")
-        else:
-            raise TopologyError(f"face {key} shared by {cnt} elements")
-    for key in mesh.face_tags:
-        if counts.get(key, 0) != 1:
-            raise TopologyError(f"tagged face {key} is not a boundary face")
-    referenced = set(int(v) for el in mesh.elements for v in el)
-    if referenced != set(range(len(mesh.nodes))):
+    keys, order, starts, counts = _face_table(mesh.elements)
+    over = np.flatnonzero(counts > 2)
+    if len(over):
+        key = tuple(keys[order[starts[over[0]]]].tolist())
+        raise TopologyError(f"face {key} shared by {counts[over[0]]} elements")
+    boundary = set(map(tuple, keys[order[starts[counts == 1]]].tolist()))
+    untagged = sorted(boundary.difference(mesh.face_tags))
+    if untagged:
+        raise TopologyError(f"untagged boundary face {untagged[0]}")
+    stray = sorted(set(mesh.face_tags) - boundary)
+    if stray:
+        key = stray[0]
+        if (keys == key).all(axis=1).any():
+            raise TopologyError(f"interior face {key} carries tag {mesh.face_tags[key]}")
+        raise TopologyError(f"tagged face {key} is not a boundary face")
+    del keys
+    pair = starts[counts == 2]
+    a = _loops(mesh.elements, order[pair])
+    b = _loops(mesh.elements, order[pair + 1])[:, ::-1]
+    flipped = np.flatnonzero((_rotate_to_min(a) != _rotate_to_min(b)).any(axis=1))
+    if len(flipped):
+        key = tuple(sorted(a[flipped[0]].tolist()))
+        raise TopologyError(f"face {key} not oppositely oriented in its two owners")
+    used = np.bincount(mesh.elements.ravel(), minlength=len(mesh.nodes))
+    if len(used) > len(mesh.nodes) or not used.all():
         raise TopologyError(
-            f"orphan nodes: {len(mesh.nodes) - len(referenced)} unreferenced"
+            f"orphan nodes: {int((used[:len(mesh.nodes)] == 0).sum())} unreferenced"
         )
-    return {"boundary_faces": n_boundary, "interior_faces": sum(c == 2 for c in counts.values())}
+    return {"boundary_faces": len(boundary), "interior_faces": len(pair)}
 
 
 def boundary_faces(mesh: HexMesh):
-    """face key -> (loop, owner element id) for 1-valent faces."""
-    counts: dict = {}
-    for eid, el in enumerate(mesh.elements):
-        for lf in FACES_OUT:
-            loop = tuple(int(el[k]) for k in lf)
-            counts.setdefault(face_key(loop), []).append((loop, eid))
-    return {k: v[0] for k, v in counts.items() if len(v) == 1}
+    """face key -> (loop, owner element id) for every face of the sorted
+    face table that has one owner."""
+    keys, order, starts, counts = _face_table(mesh.elements)
+    rows = order[starts[counts == 1]]
+    single = keys[rows].tolist()
+    del keys
+    loops = _loops(mesh.elements, rows).tolist()
+    return {tuple(k): (tuple(loop), e)
+            for k, loop, e in zip(single, loops, (rows // 6).tolist())}
 
 
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
@@ -282,80 +342,91 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
         raise ValidationError("split must lie in (0, 1)")
     if any(layer != 0 for layer in mesh.elem_layer):
         raise ValidationError("refine_radial supports exactly one split; mesh already refined")
-    nodes = [p for p in mesh.nodes]
-    mid_id: dict = {}
-    elements = []
-    elem_cell = []
-    elem_layer = []
-
-    def midnode(p, q):
-        key = (int(p), int(q))
-        if key not in mid_id:
-            mid_id[key] = len(nodes)
-            nodes.append(mesh.nodes[q] + split * (mesh.nodes[p] - mesh.nodes[q]))
-        return mid_id[key]
-
-    face_tags = dict(mesh.face_tags)
-    surface_assoc = dict(mesh.surface_assoc)
-    face_loops = dict(mesh.face_loops)
-    for eid, el in enumerate(mesh.elements):
-        p = [int(v) for v in el[:4]]
-        q = [int(v) for v in el[4:]]
-        m = [midnode(a, b) for a, b in zip(p, q)]
-        child_facet = m + q
-        child_sphere = p + m
-        elements.append(child_facet)
-        elem_cell.append(mesh.elem_cell[eid])
-        elem_layer.append(0)
-        elements.append(child_sphere)
-        elem_cell.append(mesh.elem_cell[eid])
-        elem_layer.append(1)
-        # a tag on a lateral face splits onto the two child halves
-        for fi in range(2, 6):
-            loop = tuple(int(el[k]) for k in FACES_OUT[fi])
-            key = face_key(loop)
-            if key in face_tags:
-                tag = face_tags.pop(key)
-                desc = surface_assoc.pop(key)
-                face_loops.pop(key)
-                for child in (child_facet, child_sphere):
-                    cl = tuple(child[k] for k in FACES_OUT[fi])
-                    face_tags[face_key(cl)] = tag
-                    surface_assoc[face_key(cl)] = desc
-                    face_loops[face_key(cl)] = cl
-
+    n = len(mesh.nodes)
+    p, q = mesh.elements[:, :4], mesh.elements[:, 4:]
+    # one mid node per sweep edge (p, q), numbered in order of first use
+    ids, first = _first_seen(p.ravel() * n + q.ravel())
+    pu, qu = p.ravel()[first], q.ravel()[first]
+    m = n + ids.reshape(-1, 4)
+    elements = np.empty((2 * len(p), 8), dtype=np.int64)
+    elements[0::2] = np.hstack([m, q])  # facet-side child, layer 0
+    elements[1::2] = np.hstack([p, m])  # sphere-side child, layer 1
     out = HexMesh(
-        nodes=np.array(nodes),
-        elements=np.array(elements, dtype=np.int64),
-        face_tags=face_tags,
-        surface_assoc=surface_assoc,
-        face_loops=face_loops,
-        elem_cell=np.array(elem_cell, dtype=np.int64),
-        elem_layer=elem_layer,
+        nodes=np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])]),
+        elements=elements,
+        face_tags=dict(mesh.face_tags),
+        surface_assoc=dict(mesh.surface_assoc),
+        face_loops=dict(mesh.face_loops),
+        elem_cell=np.repeat(mesh.elem_cell, 2),
+        elem_layer=[0, 1] * len(p),
         sphere_centers=mesh.sphere_centers,
         sphere_radius=mesh.sphere_radius,
         domain=mesh.domain,
-        columns=[dict(c) for c in mesh.columns],
+        columns=[{t: dict(roles) for t, roles in c.items()} for c in mesh.columns],
         wall_outer=dict(mesh.wall_outer),
-        duct_parent=dict(mesh.duct_parent),
     )
-    for i, cols in enumerate(out.columns):
-        for t, roles in cols.items():
-            key = (roles["p"], roles["q"])
-            if key in mid_id:
-                roles["m"] = mid_id[key]
+    mid = dict(zip(zip(pu.tolist(), qu.tolist()), range(n, n + len(first))))
+    for cols in out.columns:
+        for roles in cols.values():
+            if (roles["p"], roles["q"]) in mid:
+                roles["m"] = mid[roles["p"], roles["q"]]
+
+    # a tag on a lateral face splits onto the two child halves
+    if mesh.face_tags:
+        tagged = np.array(list(mesh.face_tags), dtype=np.int64)
+        lateral = np.sort(mesh.elements[:, _FACES[2:]], axis=2).reshape(-1, 4)
+        _, inv = np.unique(np.vstack([tagged, lateral]), axis=0, return_inverse=True)
+        hit = np.flatnonzero(np.isin(inv[len(tagged):], inv[:len(tagged)]))
+        child, fi = 2 * (hit // 4), hit % 4 + 2  # facet-side child; sphere-side is child + 1
+        old = [tuple(k) for k in lateral[hit].tolist()]
+        halves = np.stack([_loops(elements, 6 * child + fi), _loops(elements, 6 * child + 6 + fi)],
+                          axis=1)
+        _retag(out, old, halves.reshape(-1, 4), [mesh.face_tags[k] for k in old for _ in range(2)],
+               [mesh.surface_assoc[k] for k in old for _ in range(2)])
     audit_conformal(out)
     return out
 
 
-def _retag(mesh, old_key, new_loop, tag, desc):
-    mesh.face_tags.pop(old_key, None)
-    mesh.surface_assoc.pop(old_key, None)
-    mesh.face_loops.pop(old_key, None)
-    k = face_key(new_loop)
-    mesh.face_tags[k] = tag
-    mesh.surface_assoc[k] = desc
-    mesh.face_loops[k] = tuple(int(v) for v in new_loop)
+def _side_donors(mesh: HexMesh, keys, loops: np.ndarray, what: str):
+    """Donor faces for the sides of a face set that is being extruded.
+
+    Side s of loops[j] runs from corner s to corner s + 1. A side shared by
+    two faces of the set stays inside the new layer and gets -1. Any other
+    side becomes an exposed face that copies the tags of its donor: the
+    first face in face_loops order, outside the set, that has the same
+    edge. Returns the (F, 4) donor positions and the keys they index.
+    """
+    n = len(mesh.nodes)
+
+    def edges(lp):
+        b = np.roll(lp, -1, axis=1)
+        return np.minimum(lp, b) * n + np.maximum(lp, b)
+
+    inside = set(keys)
+    others = [k for k in mesh.face_loops if k not in inside]
+    mine = edges(loops)
+    _, at, count = np.unique(mine, return_inverse=True, return_counts=True)
+    exposed = count[at].reshape(mine.shape) != 2
+    theirs = edges(np.array([mesh.face_loops[k] for k in others], dtype=np.int64).reshape(-1, 4))
+    by = np.argsort(theirs.ravel(), kind="stable")
+    srt = theirs.ravel()[by]
+    pos = np.searchsorted(srt, mine)
+    found = np.zeros(mine.shape, dtype=bool)
+    valid = pos < len(srt)
+    found[valid] = srt[pos[valid]] == mine[valid]
+    missing = np.argwhere(exposed & ~found)
+    if len(missing):
+        e = int(mine[tuple(missing[0])])
+        raise TopologyError(f"exposed {what} side at edge {(e // n, e % n)} has no donor tag")
+    donor = np.full(mine.shape, -1)
+    donor[exposed] = by[pos[exposed]] // 4
+    return donor, others
+
+
+def _sides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(F, 4, 4) outward side faces (lo[s], lo[s+1], hi[s+1], hi[s]) of the
+    layer between face loops lo and hi."""
+    return np.stack([lo, np.roll(lo, -1, axis=1), np.roll(hi, -1, axis=1), hi], axis=2)
 
 
 def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
@@ -371,121 +442,66 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     if 1 not in set(mesh.elem_layer):
         raise ValidationError("extrude_layers expects a radially refined mesh")
     out = mesh.copy()
-    nodes = [p for p in out.nodes]
-
-    col_of_p = {}
-    for i, cols in enumerate(out.columns):
-        for t, roles in cols.items():
-            col_of_p[roles["p"]] = (i, t)
 
     # --- sphere boundary layers -------------------------------------------
-    sphere_faces = [(k, out.face_loops[k], out.surface_assoc[k])
-                    for k, tag in sorted(out.face_tags.items())
-                    if tag.startswith("sphere:")]
-    new_inner: dict = {}
-    new_elements = []
-    new_cell = []
-    new_layer = []
-    for key, loop, desc in sphere_faces:
-        i = desc[1]
-        c = out.sphere_centers[i]
-        rev = tuple(reversed(loop))
-        b = []
-        for p in rev:
-            if p not in new_inner:
-                ci, t = col_of_p[p]
-                m = out.columns[ci][t]["m"]
-                thick = float(np.linalg.norm(out.nodes[p] - nodes[m]))
-                ray = out.nodes[p] - c
-                rho = float(np.linalg.norm(ray))
-                target = rho - spec.t_bl * thick
-                if target <= 0.5:
-                    raise GeometryError(
-                        f"sphere {i}: boundary-layer extrusion reaches {target:.3f}R"
-                    )
-                nid = len(nodes)
-                nodes.append(c + ray * (target / rho))
-                new_inner[p] = nid
-                out.columns[ci][t]["b"] = nid
-            b.append(new_inner[p])
-        el = b + list(rev)
-        new_elements.append(el)
-        new_cell.append(i)
-        new_layer.append("bl")
-        bottom = tuple(el[k] for k in FACES_OUT[0])
-        _retag(out, key, bottom, f"sphere:{i}", desc)
+    keys, loops = _tagged(out, lambda tag, desc: tag.startswith("sphere:"))
+    descs = [out.surface_assoc[k] for k in keys]
+    cell = np.array([desc[1] for desc in descs], dtype=np.int64)
+    rev = loops[:, ::-1]
+    ids, first = _first_seen(rev.ravel())
+    p, ci = rev.ravel()[first], cell[first // 4]
+    roles_of = {roles["p"]: roles for cols in out.columns for roles in cols.values()}
+    m = np.array([roles_of[v]["m"] for v in p.tolist()], dtype=np.int64)
+    ray = out.nodes[p] - out.sphere_centers[ci]
+    rho = _norms(ray)
+    target = rho - spec.t_bl * _norms(out.nodes[p] - out.nodes[m])
+    low = np.flatnonzero(target <= 0.5)
+    if len(low):
+        raise GeometryError(
+            f"sphere {ci[low[0]]}: boundary-layer extrusion reaches {target[low[0]]:.3f}R"
+        )
+    n = len(out.nodes)
+    for v, nid in zip(p.tolist(), range(n, n + len(p))):
+        roles_of[v]["b"] = nid
+    bl = np.hstack([n + ids.reshape(-1, 4), rev])
+    tags = [out.face_tags[k] for k in keys]
+    _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None], bl, cell, ["bl"] * len(bl))
+    _retag(out, keys, bl[:, _FACES[0]], tags, descs)
     out.sphere_radius = None  # surface is no longer a single sphere
 
     # --- curved-wall layers -------------------------------------------------
-    wall_faces = [(k, out.face_loops[k], out.surface_assoc[k], out.face_tags[k])
-                  for k, tag in sorted(out.face_tags.items())
-                  if tag in ("wall", "inner_wall") and out.surface_assoc[k][0] == "cylinder"]
-    if wall_faces:
+    keys, loops = _tagged(out, lambda tag, desc: tag in ("wall", "inner_wall")
+                          and desc[0] == "cylinder")
+    if keys:
+        owner = boundary_faces(out)
+        eid = np.array([owner[k][1] for k in keys], dtype=np.int64)
+        el = out.elements[eid]
         # uniform thickness from the mean sweep thickness of the wall hexes
-        heights = []
-        face_owner = boundary_faces(out)
-        for key, loop, desc, tag in wall_faces:
-            _, eid = face_owner[key]
-            el = out.elements[eid]
-            heights.extend(
-                float(np.linalg.norm(out.nodes[el[k]] - out.nodes[el[k + 4]])) for k in range(4)
-            )
-        t_w = spec.t_bl * float(np.mean(heights))
-        normals: dict = {}
-        for key, loop, desc, tag in wall_faces:
-            pts = np.array([nodes[v] for v in loop])
-            n = np.cross(pts[1] - pts[0], pts[3] - pts[0])
-            n /= np.linalg.norm(n)
-            for v in loop:
-                normals.setdefault(v, []).append(n)
-        wall_new: dict = {}
-        for v in sorted(normals):
-            n = np.mean(normals[v], axis=0)
-            n /= np.linalg.norm(n)
-            nid = len(nodes)
-            nodes.append(nodes[v] + t_w * n)
-            wall_new[v] = nid
-            out.wall_outer[v] = nid
-        edge_count: dict = {}
-        for key, loop, desc, tag in wall_faces:
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                ek = (a, b) if a < b else (b, a)
-                edge_count[ek] = edge_count.get(ek, 0) + 1
-        tagged_edges: dict = {}
-        for k2, loop2 in out.face_loops.items():
-            for a, b in zip(loop2, loop2[1:] + loop2[:1]):
-                ek = (a, b) if a < b else (b, a)
-                tagged_edges.setdefault(ek, []).append(k2)
-        for key, loop, desc, tag in wall_faces:
-            _, eid = face_owner[key]
-            w = [wall_new[v] for v in loop]
-            el = list(loop) + w
-            new_elements.append(el)
-            new_cell.append(out.elem_cell[eid])
-            new_layer.append("wall")
-            top = tuple(el[k] for k in FACES_OUT[1])
-            _retag(out, key, top, tag, desc)
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                ek = (a, b) if a < b else (b, a)
-                if edge_count[ek] == 2:
-                    continue
-                side_tags = [k2 for k2 in tagged_edges.get(ek, []) if k2 != key
-                             and k2 in out.face_tags]
-                if not side_tags:
-                    raise TopologyError(f"exposed wall-layer side at edge {ek} has no donor tag")
-                donor = side_tags[0]
-                side = (a, b, wall_new[b], wall_new[a])  # outward-CCW side face
-                sk = face_key(side)
-                out.face_tags[sk] = out.face_tags[donor]
-                out.surface_assoc[sk] = out.surface_assoc[donor]
-                out.face_loops[sk] = side
+        t_w = spec.t_bl * float(np.mean(_norms(out.nodes[el[:, :4]] - out.nodes[el[:, 4:]]).ravel()))
+        pts = out.nodes[loops]
+        normal = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
+        normal /= _norms(normal)[:, None]
+        # per node, the mean of its faces' normals summed in face order
+        v, at = np.unique(loops.ravel(), return_inverse=True)
+        mean = np.zeros((len(v), 3))
+        np.add.at(mean, at, np.repeat(normal, 4, axis=0))
+        mean /= np.bincount(at)[:, None]
+        mean /= _norms(mean)[:, None]
+        w = len(out.nodes) + at.reshape(-1, 4)
+        out.wall_outer.update(zip(v.tolist(), range(len(out.nodes), len(out.nodes) + len(v))))
+        tags = [out.face_tags[k] for k in keys]
+        descs = [out.surface_assoc[k] for k in keys]
+        _grow(out, out.nodes[v] + t_w * mean, np.hstack([loops, w]), out.elem_cell[eid],
+              ["wall"] * len(keys))
+        donor, others = _side_donors(out, keys, loops, "wall-layer")
+        exposed = donor >= 0
+        donors = [others[j] for j in donor[exposed].tolist()]
+        _retag(out, keys, np.vstack([w, _sides(loops, w)[exposed]]),
+               tags + [out.face_tags[k] for k in donors],
+               descs + [out.surface_assoc[k] for k in donors],
+               face=np.concatenate([np.arange(len(keys)), np.nonzero(exposed)[0]]))
 
     # --- inlet / outlet ducts ------------------------------------------------
-    out.nodes = np.array(nodes)
-    if new_elements:
-        out.elements = np.vstack([out.elements, np.array(new_elements, dtype=np.int64)])
-        out.elem_cell = np.concatenate([out.elem_cell, np.array(new_cell, dtype=np.int64)])
-        out.elem_layer = out.elem_layer + new_layer
     for kind, zdir, nlayers in (("inlet", -1.0, spec.inlet_layers),
                                 ("outlet", 1.0, spec.outlet_layers)):
         if nlayers <= 0:
@@ -496,79 +512,33 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
 
 
 def _extrude_duct(mesh: HexMesh, kind: str, zdir: float, nlayers: int) -> None:
-    faces = [(k, mesh.face_loops[k], mesh.surface_assoc[k])
-             for k, tag in sorted(mesh.face_tags.items()) if tag == kind]
-    if not faces:
+    keys, loops = _tagged(mesh, lambda tag, desc: tag == kind)
+    if not keys:
         return
-    face_owner = boundary_faces(mesh)
-    heights = []
-    for key, loop, desc in faces:
-        _, eid = face_owner[key]
-        el = mesh.elements[eid]
-        heights.extend(
-            float(np.linalg.norm(mesh.nodes[el[k]] - mesh.nodes[el[k + 4]])) for k in range(4)
-        )
-    t = float(np.mean(heights))
-    nodes = [p for p in mesh.nodes]
-    stacks: dict = {}
-    for key, loop, desc in faces:
-        for v in loop:
-            if v not in stacks:
-                col = []
-                for k in range(1, nlayers + 1):
-                    nid = len(nodes)
-                    p = nodes[v].copy()
-                    p[2] += zdir * k * t
-                    nodes.append(p)
-                    mesh.duct_parent[nid] = int(v)
-                    col.append(nid)
-                stacks[v] = col
-    edge_count: dict = {}
-    for key, loop, desc in faces:
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            ek = (a, b) if a < b else (b, a)
-            edge_count[ek] = edge_count.get(ek, 0) + 1
-    tagged_edges: dict = {}
-    for k2, loop2 in mesh.face_loops.items():
-        for a, b in zip(loop2, loop2[1:] + loop2[:1]):
-            ek = (a, b) if a < b else (b, a)
-            tagged_edges.setdefault(ek, []).append(k2)
-    new_elements = []
-    for key, loop, desc in faces:
-        _, eid = face_owner[key]
-        prev = list(loop)
-        for k in range(nlayers):
-            cur = [stacks[v][k] for v in loop]
-            el = prev + cur
-            new_elements.append((el, mesh.elem_cell[eid], f"{kind}{k + 1}"))
-            for a_i in range(4):
-                a, b = loop[a_i], loop[(a_i + 1) % 4]
-                ek = (a, b) if a < b else (b, a)
-                if edge_count[ek] == 2:
-                    continue
-                donors = [k2 for k2 in tagged_edges.get(ek, []) if k2 != key
-                          and k2 in mesh.face_tags]
-                if not donors:
-                    raise TopologyError(f"exposed duct side at edge {ek} has no donor tag")
-                donor = donors[0]
-                pa = prev[a_i]
-                pb = prev[(a_i + 1) % 4]
-                side = (pa, pb, cur[(a_i + 1) % 4], cur[a_i])  # outward-CCW
-                sk = face_key(side)
-                mesh.face_tags[sk] = mesh.face_tags[donor]
-                mesh.surface_assoc[sk] = mesh.surface_assoc[donor]
-                mesh.face_loops[sk] = side
-            prev = cur
-        axis, value, sense = desc[1], desc[2], desc[3]
-        new_value = value + zdir * nlayers * t
-        _retag(mesh, key, tuple(prev), kind, ("plane", axis, new_value, sense))
-    mesh.nodes = np.array(nodes)
-    els = np.array([e for e, _, _ in new_elements], dtype=np.int64)
-    mesh.elements = np.vstack([mesh.elements, els])
-    mesh.elem_cell = np.concatenate(
-        [mesh.elem_cell, np.array([c for _, c, _ in new_elements], dtype=np.int64)]
-    )
-    mesh.elem_layer = mesh.elem_layer + [lbl for _, _, lbl in new_elements]
+    owner = boundary_faces(mesh)
+    eid = np.array([owner[k][1] for k in keys], dtype=np.int64)
+    el = mesh.elements[eid]
+    t = float(np.mean(_norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]]).ravel()))
+    # a column of nlayers nodes above each surface node, in order of first use
+    ids, first = _first_seen(loops.ravel())
+    column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
+    column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
+    ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]
+    donor, others = _side_donors(mesh, keys, loops, "duct")
+    descs = [mesh.surface_assoc[k] for k in keys]
+    _grow(mesh, column.reshape(-1, 3),
+          np.stack([np.hstack(ring[k:k + 2]) for k in range(nlayers)], axis=1).reshape(-1, 8),
+          np.repeat(mesh.elem_cell[eid], nlayers),
+          [f"{kind}{k + 1}" for k in range(nlayers)] * len(keys))
+    # per face: its exposed sides layer by layer, then its moved surface face
+    exposed = donor >= 0
+    donors = [others[j] for j in donor[exposed].tolist()] * nlayers
+    sides = [_sides(lo, hi)[exposed] for lo, hi in zip(ring, ring[1:])]
+    _retag(mesh, keys, np.vstack(sides + [ring[-1]]),
+           [mesh.face_tags[k] for k in donors] + [kind] * len(keys),
+           [mesh.surface_assoc[k] for k in donors]
+           + [("plane", d[1], d[2] + zdir * nlayers * t, d[3]) for d in descs],
+           face=np.concatenate([np.tile(np.nonzero(exposed)[0], nlayers), np.arange(len(keys))]))
 
 
 def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -51,6 +51,15 @@ class TestLoadCenters:
         with pytest.raises(ParseError, match="line 1"):
             load_centers(p)
 
+    @pytest.mark.parametrize("bed", [
+        fixtures.simple_cubic(2),
+        fixtures.random_cylinder_bed(n=10, R_c=2.0, H=4.0, seed=1),
+    ], ids=["simple_cubic", "random_cylinder"])
+    def test_write_xyz_round_trip(self, tmp_path, bed):
+        p = tmp_path / "centers.xyz"
+        fixtures.write_xyz(bed, p)
+        assert np.array_equal(load_centers(p).centers, bed.centers)
+
     def test_duplicate_rejected(self, tmp_path):
         p = write(tmp_path, "1 1 1\n1 1 1\n")
         with pytest.raises(ValidationError, match="duplicate"):

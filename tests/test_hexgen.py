@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from voidhex import fixtures
-from voidhex.errors import ValidationError
+from voidhex.errors import TopologyError, ValidationError
 from voidhex.hexgen import (
+    FACES_OUT,
     ExtrusionSpec,
+    HexMesh,
     audit_conformal,
+    boundary_faces,
     corner_dets,
     corner_jacobians,
     extrude_layers,
@@ -61,6 +64,75 @@ class TestCornerJacobians:
         assert (dets < 0).all()
 
 
+def hand_mesh(nodes, elements):
+    """A mesh of hand-built hexes whose one-owner faces all carry a tag."""
+    elements = np.array(elements, dtype=np.int64)
+    loops: dict = {}
+    for el in elements.tolist():
+        for lf in FACES_OUT:
+            loop = tuple(el[k] for k in lf)
+            loops.setdefault(face_key(loop), []).append(loop)
+    single = {k: v[0] for k, v in loops.items() if len(v) == 1}
+    return HexMesh(
+        nodes=np.asarray(nodes, dtype=float), elements=elements,
+        face_tags={k: "wall" for k in single},
+        surface_assoc={k: ("facet_plane", 0, 0, 0, 0, 0, 1) for k in single},
+        face_loops=single,
+        elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=[0] * len(elements),
+        sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
+    )
+
+
+# three unit cubes stacked in z: nodes 4k .. 4k+3 form the square at z = k
+STACK = np.array([(x, y, z) for z in range(4) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))],
+                 dtype=float)
+LOWER = list(range(8))
+UPPER = list(range(4, 12))
+
+
+class TestAuditConformal:
+    """Each branch of audit_conformal on a one- to three-hex mesh."""
+
+    def test_valid_two_hexes(self):
+        stats = audit_conformal(hand_mesh(STACK[:12], [LOWER, UPPER]))
+        assert stats == {"boundary_faces": 10, "interior_faces": 1}
+
+    def test_untagged_boundary_face(self):
+        mesh = hand_mesh(UNIT_CUBE, [LOWER])
+        del mesh.face_tags[(4, 5, 6, 7)]
+        with pytest.raises(TopologyError, match=r"untagged boundary face \(4, 5, 6, 7\)"):
+            audit_conformal(mesh)
+
+    def test_tagged_interior_face(self):
+        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
+        mesh.face_tags[(4, 5, 6, 7)] = "wall"
+        with pytest.raises(TopologyError, match=r"interior face \(4, 5, 6, 7\) carries tag wall"):
+            audit_conformal(mesh)
+
+    def test_same_orientation_in_both_owners(self):
+        # the upper hex mirrored, so its bottom face runs the same way as
+        # the lower hex's top face
+        mesh = hand_mesh(STACK[:12], [LOWER, [4, 7, 6, 5, 8, 11, 10, 9]])
+        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) not oppositely oriented"):
+            audit_conformal(mesh)
+
+    def test_face_with_three_owners(self):
+        mesh = hand_mesh(STACK, [LOWER, UPPER, [4, 5, 6, 7, 12, 13, 14, 15]])
+        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) shared by 3 elements"):
+            audit_conformal(mesh)
+
+    def test_tagged_face_off_the_boundary(self):
+        mesh = hand_mesh(UNIT_CUBE, [LOWER])
+        mesh.face_tags[(0, 1, 6, 7)] = "wall"  # a diagonal plane, no face at all
+        with pytest.raises(TopologyError, match=r"tagged face \(0, 1, 6, 7\) is not a boundary"):
+            audit_conformal(mesh)
+
+    def test_orphan_node(self):
+        mesh = hand_mesh(STACK[:9], [LOWER])
+        with pytest.raises(TopologyError, match="orphan nodes: 1 unreferenced"):
+            audit_conformal(mesh)
+
+
 class TestSweep:
     def test_cube_cell_24_hexes(self, cube_swept):
         bed, cs, mesh = cube_swept
@@ -99,8 +171,6 @@ class TestSweep:
 
     def test_boundary_tag_partition(self, random_swept):
         _, _, mesh = random_swept
-        from voidhex.hexgen import boundary_faces
-
         bf = boundary_faces(mesh)
         assert set(bf) == set(mesh.face_tags)
         tags = set(mesh.face_tags.values())
@@ -130,8 +200,6 @@ class TestRefine:
 
     def test_symmetric_split_congruent_children(self):
         # a prismatic element split at 0.5 yields two congruent children
-        from voidhex.hexgen import HexMesh
-
         prism = HexMesh(
             nodes=UNIT_CUBE.copy(),
             elements=np.arange(8, dtype=np.int64)[None, :],
@@ -140,8 +208,6 @@ class TestRefine:
             sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
             columns=[{}],
         )
-        from voidhex.hexgen import FACES_OUT, face_key
-
         for lf in FACES_OUT:
             loop = tuple(int(prism.elements[0][k]) for k in lf)
             prism.face_tags[face_key(loop)] = "wall"
