@@ -302,7 +302,7 @@ def audit_conformal(mesh: HexMesh) -> dict:
         if (keys == key).all(axis=1).any():
             raise TopologyError(f"interior face {key} carries tag {mesh.face_tags[key]}")
         raise TopologyError(f"tagged face {key} is not a boundary face")
-    del keys
+    del keys  # keep at most one (E*6, 4) array alive
     pair = starts[counts == 2]
     a = _loops(mesh.elements, order[pair])
     b = _loops(mesh.elements, order[pair + 1])[:, ::-1]

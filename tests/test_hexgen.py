@@ -224,6 +224,11 @@ class TestRefine:
         with pytest.raises(ValidationError, match="already refined"):
             refine_radial(ref)
 
+    def test_source_mesh_columns_untouched(self):
+        _, _, mesh = cube_mesh_raw()
+        extrude_layers(refine_radial(mesh))
+        assert all(set(roles) == {"q", "p"} for c in mesh.columns for roles in c.values())
+
     def test_conformal_after_refine(self, random_swept):
         _, _, mesh = random_swept
         audit_conformal(refine_radial(mesh))
