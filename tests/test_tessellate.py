@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -229,3 +230,40 @@ class TestTessellateCells:
             mine = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_a) if x == fid}
             theirs = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_b) if x == fid}
             assert mine == theirs and mine
+
+
+def quadmesh_digest(qm: FacetQuadMesh) -> str:
+    """sha256 of a tessellation: exact node bytes, each patch's quads and
+    interior nodes, and the node owners and edge midpoints, sorted."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(qm.nodes, dtype="<f8").tobytes())
+    patches = [(fid, [tuple(int(n) for n in q) for q in p.quads],
+                [int(n) for n in p.interior_nodes])
+               for fid, p in sorted(qm.patches.items())]
+    h.update(repr(patches).encode())
+    owners = sorted((int(n), sorted(int(c) for c in cs)) for n, cs in qm.node_owners.items())
+    h.update(repr(owners).encode())
+    mids = sorted(((int(a), int(b)), int(n)) for (a, b), n in qm.edge_midpoint.items())
+    h.update(repr(mids).encode())
+    return h.hexdigest()
+
+
+# Digests of the tessellations of two fixtures. A change to tessellate that
+# keeps behaviour keeps these; node coordinates are compared bit for bit.
+GOLDEN = {
+    "cube_raw": "7e329dd29c8fbada3fa8bf68efa3d609acd05e4c87b0971226d837588828c66f",
+    "cylinder_repaired": "2e77d0ad32fd1aa10420bed28edf0333fefdd6a217c5e1d41af9e724e5cfa61f",
+}
+
+
+class TestGoldenDigest:
+    def test_cube_raw(self):
+        bed = fixtures.simple_cubic(3)
+        cs = build_cells(bed, generate_ghosts(bed))
+        assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["cube_raw"]
+
+    def test_cylinder_repaired(self):
+        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+        cs = build_cells(bed, generate_ghosts(bed))
+        repair(cs, RepairConfig())
+        assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["cylinder_repaired"]
