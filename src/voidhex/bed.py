@@ -196,11 +196,6 @@ def attach_domain(bed: SphereBed, domain: DomainShape, fitted: bool = False) -> 
     return replace(bed, domain=domain)
 
 
-def translate(bed: SphereBed, shift) -> SphereBed:
-    """Rigidly translate the centers (domain, if any, is left untouched)."""
-    return replace(bed, centers=bed.centers + np.asarray(shift, dtype=float))
-
-
 def load_centers(path, fmt: str = "xyz_whitespace") -> SphereBed:
     """Read one sphere center per line; '#' starts a comment.
 

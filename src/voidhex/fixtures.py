@@ -42,13 +42,6 @@ def hcp_patch(ni: int = 4, nj: int = 4, nk: int = 3, spacing: float = 2.0) -> np
     return np.array(pts)
 
 
-def two_sphere_contact() -> SphereBed:
-    """Two unit spheres in nominal contact inside a snug box."""
-    centers = np.array([[1.0, 1.0, 1.0], [3.0, 1.0, 1.0]])
-    bed = SphereBed(centers=centers, source_label="contact2")
-    return attach_domain(bed, Box((0.0, 0.0, 0.0), (4.0, 2.0, 2.0)))
-
-
 def solid_fraction_bed(n: int = 100, fraction: float = 0.641) -> SphereBed:
     """Bed whose box volume realizes an exact solid fraction at r = R.
 

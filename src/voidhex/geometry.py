@@ -1,8 +1,19 @@
-"""Small planar-geometry helpers shared by repair and tessellation."""
+"""Small planar-geometry helpers shared by voronoi, repair and tessellation.
+
+`plane_basis` takes a numpy normal. The polygon helpers take a plain
+sequence of (x, y) pairs: a list of tuples, or an (m, 2) array, which they
+turn into Python floats once. They loop in plain floats, because they are
+meant for small polygons (a Voronoi facet has 3 to about 16 vertices),
+where one numpy call costs more than the arithmetic it does.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+TWO_PI = 2.0 * math.pi
 
 
 def plane_basis(normal: np.ndarray):
@@ -14,23 +25,20 @@ def plane_basis(normal: np.ndarray):
     return e1, e2
 
 
-def project_to_plane(pts: np.ndarray, origin: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    e1, e2 = plane_basis(normal)
-    rel = np.atleast_2d(pts) - origin
-    return np.column_stack([rel @ e1, rel @ e2])
+def as_pairs(uv) -> list:
+    """The polygon as a list of (x, y) pairs of Python floats."""
+    return uv.tolist() if isinstance(uv, np.ndarray) else uv
 
 
-def lift_from_plane(uv: np.ndarray, origin: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    e1, e2 = plane_basis(normal)
-    uv = np.atleast_2d(uv)
-    return origin + uv[:, :1] * e1 + uv[:, 1:2] * e2
-
-
-def polygon_area(uv: np.ndarray) -> float:
+def polygon_area(uv) -> float:
     """Signed area of a 2D polygon (positive for CCW)."""
-    x = uv[:, 0]
-    y = uv[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    uv = as_pairs(uv)
+    px, py = uv[-1]
+    s = 0.0
+    for x, y in uv:
+        s += px * y - py * x
+        px, py = x, y
+    return 0.5 * s
 
 
 def segments_intersect(p, q, r, s) -> bool:
@@ -46,43 +54,48 @@ def segments_intersect(p, q, r, s) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-def loop_is_simple(uv: np.ndarray) -> bool:
+def loop_is_simple(uv) -> bool:
     """True if no two non-adjacent polygon edges cross."""
+    uv = as_pairs(uv)
     m = len(uv)
     for i in range(m):
         a, b = uv[i], uv[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
+        for j in range(i + 2, m):
+            if (j + 1) % m == i:
                 continue
             if segments_intersect(a, b, uv[j], uv[(j + 1) % m]):
                 return False
     return True
 
 
-def interior_angles(uv: np.ndarray) -> np.ndarray:
+def interior_angles(uv) -> list:
     """Interior angle (radians) at each vertex of a CCW polygon."""
-    prev = np.roll(uv, 1, axis=0)
-    nxt = np.roll(uv, -1, axis=0)
-    v1 = prev - uv
-    v2 = nxt - uv
-    ang = np.arctan2(
-        v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0],
-        (v1 * v2).sum(axis=1),
-    )
-    # interior angle = CCW sweep from the outgoing to the incoming edge
-    return np.mod(-ang, 2.0 * np.pi)
+    uv = as_pairs(uv)
+    out = []
+    px, py = uv[-1]
+    m = len(uv)
+    for k in range(m):
+        x, y = uv[k]
+        nx, ny = uv[(k + 1) % m]
+        v1x, v1y = px - x, py - y
+        v2x, v2y = nx - x, ny - y
+        ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
+        # interior angle = CCW sweep from the outgoing to the incoming edge
+        out.append(-ang % TWO_PI)
+        px, py = x, y
+    return out
 
 
-def point_in_polygon(pt, uv: np.ndarray) -> bool:
+def point_in_polygon(pt, uv) -> bool:
     """Winding-free even-odd test; boundary points are unspecified."""
     x, y = pt
     inside = False
-    m = len(uv)
-    for i in range(m):
-        x1, y1 = uv[i]
-        x2, y2 = uv[(i + 1) % m]
+    uv = as_pairs(uv)
+    x1, y1 = uv[-1]
+    for x2, y2 in uv:
         if (y1 > y) != (y2 > y):
             xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             if x < xi:
                 inside = not inside
+        x1, y1 = x2, y2
     return inside

@@ -145,6 +145,18 @@ def _first_seen(values: np.ndarray):
     return rank[inverse], first[seen]
 
 
+_CODE = np.dtype([("hi", np.int64), ("lo", np.int64)])
+
+
+def _codes(keys: np.ndarray, n: int) -> np.ndarray:
+    """Two exact int64 codes per sorted key of node ids below n, (k0, k1)
+    and (k2, k3), as one record each; records order as their keys do."""
+    codes = np.empty(len(keys), dtype=_CODE)
+    codes["hi"] = keys[:, 0] * n + keys[:, 1]
+    codes["lo"] = keys[:, 2] * n + keys[:, 3]
+    return codes
+
+
 def _face_table(elements: np.ndarray):
     """The sorted face table of a hex mesh.
 
@@ -155,12 +167,10 @@ def _face_table(elements: np.ndarray):
     """
     keys = elements[:, _FACES].reshape(-1, 4)
     keys.sort(axis=1)
-    # two exact int64 codes per key, (k0, k1) and (k2, k3), sort as the key does
-    n = int(keys.max(initial=0)) + 1
-    hi = keys[:, 0] * n + keys[:, 1]
-    lo = keys[:, 2] * n + keys[:, 3]
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
+    codes = _codes(keys, int(keys.max(initial=0)) + 1)
+    order = np.lexsort((codes["lo"], codes["hi"]))
+    hi, lo = codes["hi"][order], codes["lo"][order]
+    del codes
     new = np.ones(len(order), dtype=bool)
     new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
     starts = np.flatnonzero(new)
@@ -330,6 +340,23 @@ def boundary_faces(mesh: HexMesh):
             for k, loop, e in zip(single, loops, (rows // 6).tolist())}
 
 
+def _owners(mesh: HexMesh, loops: np.ndarray) -> np.ndarray:
+    """Owner element of each one-owner face in loops (F, 4), found by a
+    binary search of the face table's sorted one-owner keys."""
+    keys, order, starts, counts = _face_table(mesh.elements)
+    rows = order[starts[counts == 1]]
+    n = int(keys.max(initial=0)) + 1
+    table = _codes(keys[rows], n)
+    del keys
+    want = _codes(np.sort(loops, axis=1), n)
+    at = np.minimum(np.searchsorted(table, want), len(table) - 1)
+    missing = np.flatnonzero(table[at] != want)
+    if len(missing):
+        key = tuple(sorted(loops[missing[0]].tolist()))
+        raise TopologyError(f"face {key} is not a boundary face")
+    return rows[at] // 6
+
+
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     """Split each swept hex in two along the sweep direction.
 
@@ -473,8 +500,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     keys, loops = _tagged(out, lambda tag, desc: tag in ("wall", "inner_wall")
                           and desc[0] == "cylinder")
     if keys:
-        owner = boundary_faces(out)
-        eid = np.array([owner[k][1] for k in keys], dtype=np.int64)
+        eid = _owners(out, loops)
         el = out.elements[eid]
         # uniform thickness from the mean sweep thickness of the wall hexes
         t_w = spec.t_bl * float(np.mean(_norms(out.nodes[el[:, :4]] - out.nodes[el[:, 4:]]).ravel()))
@@ -515,8 +541,7 @@ def _extrude_duct(mesh: HexMesh, kind: str, zdir: float, nlayers: int) -> None:
     keys, loops = _tagged(mesh, lambda tag, desc: tag == kind)
     if not keys:
         return
-    owner = boundary_faces(mesh)
-    eid = np.array([owner[k][1] for k in keys], dtype=np.int64)
+    eid = _owners(mesh, loops)
     el = mesh.elements[eid]
     t = float(np.mean(_norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]]).ravel()))
     # a column of nlayers nodes above each surface node, in order of first use

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import (
+    as_pairs,
     interior_angles,
-    lift_from_plane,
     loop_is_simple,
     plane_basis,
     point_in_polygon,
     polygon_area,
-    project_to_plane,
 )
 from .voronoi import VoronoiCellSet
 
@@ -47,7 +46,6 @@ class TessellateConfig:
 class FacetPatch:
     facet_id: int
     quads: list                # (4,) global node id tuples, CCW about plane normal
-    boundary_nodes: set        # node ids fixed during smoothing
     interior_nodes: list
 
 
@@ -75,20 +73,19 @@ class FacetQuadMesh:
         return out
 
 
-def group_edges(uv: np.ndarray, threshold: float = ANGLE_THRESHOLD) -> list:
+def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
     """Partition boundary vertex indices into runs of near-straight vertices.
 
     Maximal circular runs of vertices whose interior angle exceeds the
     threshold form one group each; every other vertex is its own group.
     The partition is returned in boundary order.
     """
-    n = len(uv)
-    ang = interior_angles(uv)
-    flagged = ang > threshold
-    if flagged.all():
+    flagged = [a > threshold for a in interior_angles(uv)]
+    n = len(flagged)
+    if all(flagged):
         return [list(range(n))]
     # start at an unflagged vertex so runs never wrap the seam
-    start = int(np.flatnonzero(~flagged)[0])
+    start = flagged.index(False)
     order = [(start + k) % n for k in range(n)]
     groups = []
     run = []
@@ -108,42 +105,31 @@ def group_edges(uv: np.ndarray, threshold: float = ANGLE_THRESHOLD) -> list:
 
 def _piece_score(pts: list, is_quad: bool, quad_bias: float) -> float:
     m = len(pts)
-    edges = []
-    max_angle = 0.0
-    for k in range(m):
-        ax, ay = pts[k]
-        bx, by = pts[(k + 1) % m]
-        cx, cy = pts[(k - 1) % m]
-        edges.append(math.hypot(bx - ax, by - ay))
-        v1 = (cx - ax, cy - ay)
-        v2 = (bx - ax, by - ay)
-        ang = math.atan2(v1[0] * v2[1] - v1[1] * v2[0], v1[0] * v2[0] + v1[1] * v2[1])
-        max_angle = max(max_angle, (-ang) % (2.0 * math.pi))
+    edges = [math.hypot(bx - ax, by - ay)
+             for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    max_angle = max(interior_angles(pts))
     mean = sum(edges) / m
     cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
     score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
     return score * (quad_bias if is_quad else 1.0)
 
 
-def _piece_valid(poly_uv: np.ndarray, piece: list, poly_convex: bool) -> bool:
+def _piece_valid(poly_uv: list, piece: list, poly_convex: bool) -> bool:
     """Is the candidate quad/triangle a valid peel from the polygon?"""
-    pts = poly_uv[piece]
+    pts = [poly_uv[k] for k in piece]
     if polygon_area(pts) <= 1e-14:
         return False
     # piece must be convex (tolerating slight flatness)
-    ang = interior_angles(pts)
-    if (ang > math.pi - 1e-9).any():
+    if max(interior_angles(pts)) > math.pi - 1e-9:
         return False
     if poly_convex:
         return True
     # no other polygon vertex may sit inside the piece
-    others = [k for k in range(len(poly_uv)) if k not in piece]
-    for k in others:
-        if point_in_polygon(poly_uv[k], pts):
+    for k in range(len(poly_uv)):
+        if k not in piece and point_in_polygon(poly_uv[k], pts):
             return False
-    remainder = [k for k in range(len(poly_uv)) if k not in piece[1:-1]]
-    rem_pts = poly_uv[remainder]
-    if len(remainder) >= 3:
+    rem_pts = [p for k, p in enumerate(poly_uv) if k not in piece[1:-1]]
+    if len(rem_pts) >= 3:
         if polygon_area(rem_pts) <= 1e-14:
             return False
         if not loop_is_simple(rem_pts):
@@ -151,72 +137,79 @@ def _piece_valid(poly_uv: np.ndarray, piece: list, poly_convex: bool) -> bool:
     return True
 
 
-def _is_convex(uv: np.ndarray) -> bool:
-    ang = interior_angles(uv)
-    return bool((ang <= math.pi + 1e-12).all())
+def _is_convex(uv: list) -> bool:
+    return max(interior_angles(uv)) <= math.pi + 1e-12
 
 
-def split_facet(uv: np.ndarray, groups: list, cfg: TessellateConfig | None = None,
+def _centroid(pts: list) -> tuple:
+    """Mean of (x, y) pairs, summed left to right and then divided by the
+    count: the same bits as numpy's mean over the stacked rows."""
+    sx, sy = pts[0]
+    for x, y in pts[1:]:
+        sx += x
+        sy += y
+    m = len(pts)
+    return sx / m, sy / m
+
+
+def split_facet(uv, groups: list, cfg: TessellateConfig | None = None,
                 facet_id: int = -1) -> list:
     """Divide a polygon into quads and triangles.
 
     Phase one inserts a barycenter on large facets and connects one
     near-bisector vertex from every near-straight group, splitting the
     polygon into wedges. Phase two recursively peels the best-scoring quad
-    or triangle from each piece. Returns a list of (points, is_barycenter
-    flags) polygons; points are rows of uv plus possibly the barycenter.
+    or triangle from each piece. Returns a list of (points, labels)
+    polygons: points are (x, y) pairs, labels their indices into uv, or
+    'bc' for the barycenter.
     """
     cfg = cfg or TessellateConfig()
+    uv = as_pairs(uv)
     n = len(uv)
     pieces_idx: list = []
-    extra_point = None
+    bc = None
 
     def connectors():
-        bc = uv.mean(axis=0)
+        bx, by = bc
         picks = []
         ang = interior_angles(uv)
         for g in groups:
             cand = [k for k in g if ang[k] > ANGLE_THRESHOLD]
             if not cand:
                 continue
-            best, best_bias = None, np.inf
+            best, best_bias = None, math.inf
             for k in cand:
-                v = uv[k]
-                to_bc = bc - v
-                v1 = uv[(k - 1) % n] - v
-                v2 = uv[(k + 1) % n] - v
-                a1 = _angle_between(v1, to_bc)
-                a2 = _angle_between(to_bc, v2)
+                x, y = uv[k]
+                to_bc = (bx - x, by - y)
+                (ax, ay), (cx, cy) = uv[(k - 1) % n], uv[(k + 1) % n]
+                a1 = _angle_between((ax - x, ay - y), to_bc)
+                a2 = _angle_between(to_bc, (cx - x, cy - y))
                 bias = abs(a1 - a2)
                 if bias < best_bias:
                     best, best_bias = k, bias
             picks.append(best)
-        return sorted(set(picks)), bc
+        return sorted(set(picks))
 
-    big = n >= cfg.big_vertices or polygon_area(uv) >= cfg.big_area
-    if big:
-        picks, bc = connectors()
+    if n >= cfg.big_vertices or polygon_area(uv) >= cfg.big_area:
+        bc = _centroid(uv)
+        picks = connectors()
         if len(picks) >= 2:
             wedges = []
-            ok = True
             for a, b in zip(picks, picks[1:] + [picks[0] + n]):
                 arc = [(k % n) for k in range(a, b + 1)]
-                pts = np.vstack([bc[None, :], uv[arc]])
+                pts = [bc] + [uv[k] for k in arc]
                 if polygon_area(pts) <= 1e-14 or not loop_is_simple(pts):
-                    ok = False
                     break
                 wedges.append(["bc"] + arc)
-            if ok:
-                extra_point = bc
+            else:
                 pieces_idx = wedges
     if not pieces_idx:
         pieces_idx = [list(range(n))]
 
     out = []
     for piece in pieces_idx:
-        pts = np.array([extra_point if k == "bc" else uv[k] for k in piece])
-        labels = list(piece)
-        out.extend(_peel(pts, labels, cfg, facet_id))
+        pts = [bc if k == "bc" else uv[k] for k in piece]
+        out.extend(_peel(pts, list(piece), cfg, facet_id))
     return out
 
 
@@ -224,14 +217,14 @@ def _angle_between(a, b) -> float:
     return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1])
 
 
-def _peel(pts: np.ndarray, labels: list, cfg: TessellateConfig, facet_id: int) -> list:
+def _peel(pts: list, labels: list, cfg: TessellateConfig, facet_id: int) -> list:
     """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces."""
     out = []
     while len(pts) > 4:
         m = len(pts)
         convex = _is_convex(pts)
         best = None
-        best_score = np.inf
+        best_score = math.inf
         for size in (4, 3):
             for s in range(m):
                 piece = [(s + t) % m for t in range(size)]
@@ -245,10 +238,10 @@ def _peel(pts: np.ndarray, labels: list, cfg: TessellateConfig, facet_id: int) -
                 f"facet {facet_id}: no viable quad or triangle peel "
                 "(projected loop may self-intersect)"
             )
-        out.append((pts[best], [labels[k] for k in best]))
+        out.append(([pts[k] for k in best], [labels[k] for k in best]))
         drop = set(best[1:-1])
         keep = [k for k in range(m) if k not in drop]
-        pts = pts[keep]
+        pts = [pts[k] for k in keep]
         labels = [labels[k] for k in keep]
     out.append((pts, labels))
     return out
@@ -274,9 +267,10 @@ def subdivide_to_quads(pieces: list, get_node) -> list:
         corners = [get_node("corner", lab, pts[k]) for k, lab in enumerate(labels)]
         mids = []
         for k in range(m):
+            (ax, ay), (bx, by) = pts[k], pts[(k + 1) % m]
             key = _edge_key(labels[k], labels[(k + 1) % m])
-            mids.append(get_node("mid", key, 0.5 * (pts[k] + pts[(k + 1) % m])))
-        g = get_node("centroid", pi, pts.mean(axis=0))
+            mids.append(get_node("mid", key, (0.5 * (ax + bx), 0.5 * (ay + by))))
+        g = get_node("centroid", pi, _centroid(pts))
         if m == 4:
             quads.extend([
                 (corners[0], mids[0], g, mids[3]),
@@ -298,9 +292,10 @@ def subdivide_to_quads(pieces: list, get_node) -> list:
 def smooth_facet(uv_nodes: dict, quads: list, interior: list, iters: int = 20):
     """In-plane Laplacian smoothing of the interior patch nodes.
 
-    Each interior node moves to the mean of its edge-connected neighbors;
-    boundary nodes stay fixed; if any quad inverts, the patch reverts.
-    Returns (smoothed uv dict, reverted flag).
+    Each Jacobi sweep moves every interior node to the mean of its
+    edge-connected neighbors, taken in node id order; boundary nodes stay
+    fixed. If any quad inverts, the patch reverts. Returns (node id ->
+    (x, y) dict, reverted flag); a reverted patch keeps its input positions.
     """
     neigh = {}
     for q in quads:
@@ -308,28 +303,30 @@ def smooth_facet(uv_nodes: dict, quads: list, interior: list, iters: int = 20):
             a, b = q[k], q[(k + 1) % 4]
             neigh.setdefault(a, set()).add(b)
             neigh.setdefault(b, set()).add(a)
-    before = {n: np.array(uv_nodes[n]) for n in uv_nodes}
-    cur = dict(before)
+    cur = dict(uv_nodes)
     interior = [n for n in interior if n in neigh]
+    around = [sorted(neigh[n]) for n in interior]
     for _ in range(iters):
-        new = dict(cur)
-        for node in interior:
-            nb = sorted(neigh[node])
-            new[node] = np.mean([cur[b] for b in nb], axis=0)
-        cur = new
+        moved = [_centroid([cur[b] for b in nb]) for nb in around]
+        cur.update(zip(interior, moved))
     for q in quads:
-        pts = np.array([cur[n] for n in q])
-        if polygon_area(pts) <= 0:
+        if polygon_area([cur[n] for n in q]) <= 0:
             log.warning("facet patch smoothing inverted a quad; reverting")
-            return before, True
+            return dict(uv_nodes), True
     return cur, False
 
 
 def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) -> FacetQuadMesh:
-    """Tessellate every live facet into a conformal all-quad patch."""
+    """Tessellate every live facet into a conformal all-quad patch.
+
+    Each facet is projected onto its bisecting plane once; the patch is
+    built and smoothed there on plain floats, and its interior nodes are
+    lifted back to 3D once, after smoothing.
+    """
     cfg = cfg or TessellateConfig()
     R = cs.bed.radius_nominal
-    nodes = [p for p in cs.points]
+    n_points = len(cs.points)
+    new_nodes: list = []       # rows of the nodes made here, ids from n_points
     node_owners: dict = {}
     edge_midpoint: dict = {}
     patches = {}
@@ -339,7 +336,9 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
             continue
         loop = f.loop
         owners = [f.site_a] + ([f.site_b] if f.site_b < cs.n_real else [])
-        uv = project_to_plane(cs.points[loop], f.plane_point, f.plane_normal)
+        e1, e2 = plane_basis(f.plane_normal)
+        rel = cs.points[loop] - f.plane_point
+        uv = list(zip((rel @ e1).tolist(), (rel @ e2).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
         groups = group_edges(uv)
@@ -348,22 +347,22 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
         local_uv: dict = {}
         local_mid: dict = {}
         local_centroid: dict = {}
-        boundary_nodes = set()
         interior_nodes = []
 
+        def new_interior():
+            nid = n_points + len(new_nodes)
+            new_nodes.append(None)  # lifted after smoothing
+            interior_nodes.append(nid)
+            return nid
+
         def get_node(kind, key, uv_pt):
-            nonlocal nodes
             if kind == "corner":
                 if key == "bc":
                     if "bc" not in local_centroid:
-                        nid = len(nodes)
-                        nodes.append(lift_from_plane(uv_pt, f.plane_point, f.plane_normal)[0])
-                        local_centroid["bc"] = nid
-                        interior_nodes.append(nid)
+                        local_centroid["bc"] = new_interior()
                     nid = local_centroid["bc"]
                 else:
                     nid = loop[key]
-                    boundary_nodes.add(nid)
             elif kind == "mid":
                 a, b = key
                 if isinstance(a, int) and isinstance(b, int):
@@ -373,27 +372,19 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
                     if adjacent:
                         # midpoint of an original facet edge: global registry
                         if gkey not in edge_midpoint:
-                            nid = len(nodes)
-                            nodes.append(0.5 * (cs.points[ga] + cs.points[gb]))
-                            edge_midpoint[gkey] = nid
+                            edge_midpoint[gkey] = n_points + len(new_nodes)
+                            new_nodes.append(0.5 * (cs.points[ga] + cs.points[gb]))
                         nid = edge_midpoint[gkey]
-                        boundary_nodes.add(nid)
                         local_uv[nid] = uv_pt
                         node_owners.setdefault(nid, set()).update(owners)
                         return nid
                 # interior cut edge: shared within this facet only
                 if key not in local_mid:
-                    nid = len(nodes)
-                    nodes.append(lift_from_plane(uv_pt, f.plane_point, f.plane_normal)[0])
-                    local_mid[key] = nid
-                    interior_nodes.append(nid)
+                    local_mid[key] = new_interior()
                 nid = local_mid[key]
             else:  # centroid
                 if key not in local_centroid:
-                    nid = len(nodes)
-                    nodes.append(lift_from_plane(uv_pt, f.plane_point, f.plane_normal)[0])
-                    local_centroid[key] = nid
-                    interior_nodes.append(nid)
+                    local_centroid[key] = new_interior()
                 nid = local_centroid[key]
             local_uv[nid] = uv_pt
             node_owners.setdefault(nid, set()).update(owners)
@@ -401,19 +392,20 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
 
         quads = subdivide_to_quads(pieces, get_node)
         smoothed, _reverted = smooth_facet(local_uv, quads, interior_nodes, cfg.smooth_iters)
-        for nid in interior_nodes:
-            nodes[nid] = lift_from_plane(smoothed[nid], f.plane_point, f.plane_normal)[0]
+        U = np.array([smoothed[nid] for nid in interior_nodes])
+        lifted = f.plane_point + U[:, :1] * e1 + U[:, 1:2] * e2
+        for nid, row in zip(interior_nodes, lifted):
+            new_nodes[nid - n_points] = row
         patches[fid] = FacetPatch(
             facet_id=fid,
             quads=[tuple(int(x) for x in q) for q in quads],
-            boundary_nodes=boundary_nodes,
             interior_nodes=list(interior_nodes),
         )
         for v in loop:
             node_owners.setdefault(v, set()).update(owners)
 
     mesh = FacetQuadMesh(
-        nodes=np.array(nodes),
+        nodes=np.vstack([cs.points, np.array(new_nodes).reshape(-1, 3)]),
         patches=patches,
         edge_midpoint=edge_midpoint,
         cellset=cs,
@@ -424,9 +416,17 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
 
 
 def _guard_nodes(mesh: FacetQuadMesh, guard: float) -> None:
-    """Push tessellation nodes outside every owning cell's guard sphere."""
+    """Push tessellation nodes outside every owning cell's guard sphere.
+
+    One array pass finds the nodes that sit inside some owner's guard
+    sphere; only those are pushed, one sphere at a time.
+    """
     centers = mesh.cellset.bed.centers
-    for nid in sorted(mesh.node_owners):
+    pairs = np.array([(nid, c) for nid, owners in mesh.node_owners.items() for c in owners],
+                     dtype=np.int64).reshape(-1, 2)
+    ray = mesh.nodes[pairs[:, 0]] - centers[pairs[:, 1]]
+    inside = np.unique(pairs[np.sqrt(np.vecdot(ray, ray)) < guard, 0])
+    for nid in inside.tolist():
         for _ in range(10):
             worst, dworst = None, guard
             for c in sorted(mesh.node_owners[nid]):

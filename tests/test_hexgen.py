@@ -9,6 +9,7 @@ from voidhex.hexgen import (
     FACES_OUT,
     ExtrusionSpec,
     HexMesh,
+    _owners,
     audit_conformal,
     boundary_faces,
     corner_dets,
@@ -88,6 +89,27 @@ STACK = np.array([(x, y, z) for z in range(4) for x, y in ((0, 0), (1, 0), (1, 1
                  dtype=float)
 LOWER = list(range(8))
 UPPER = list(range(4, 12))
+
+
+class TestOwners:
+    """The owner element of given boundary faces, from the face table."""
+
+    def test_owner_of_each_boundary_face(self):
+        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
+        keys = [(0, 1, 2, 3), (8, 9, 10, 11), (0, 1, 4, 5), (5, 6, 9, 10)]
+        loops = np.array([mesh.face_loops[k] for k in keys])
+        assert _owners(mesh, loops).tolist() == [0, 1, 0, 1]
+
+    def test_interior_face_is_refused(self):
+        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
+        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) is not a boundary face"):
+            _owners(mesh, np.array([[4, 5, 6, 7]]))
+
+    def test_matches_boundary_faces(self, random_swept):
+        _, _, mesh = random_swept
+        bf = boundary_faces(mesh)
+        loops = np.array([loop for loop, _ in bf.values()])
+        assert _owners(mesh, loops).tolist() == [e for _, e in bf.values()]
 
 
 class TestAuditConformal:

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voidhex import fixtures
+from voidhex.geometry import interior_angles, polygon_area
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
     FacetQuadMesh,
@@ -39,9 +42,7 @@ class TestGroupEdges:
             (0.0, 0.0), (1.0, 0.001), (2.0, 0.0), (3.0, 0.001),
             (4.0, 0.0), (4.0, 4.0), (0.0, 4.0),
         ])
-        ang = np.degrees(
-            __import__("voidhex.geometry", fromlist=["interior_angles"]).interior_angles(poly)
-        )
+        ang = np.degrees(interior_angles(poly))
         assert (ang[1:4] > 155).all()
         groups = group_edges(poly)
         assert [1, 2, 3] in groups
@@ -68,8 +69,6 @@ class TestSplitFacet:
         assert sizes == [3, 4]
 
     def test_pieces_have_positive_area_and_cover(self):
-        from voidhex.geometry import polygon_area
-
         rng = np.random.default_rng(0)
         for n in (5, 6, 7, 9, 12):
             base = regular_polygon(n)
@@ -155,8 +154,6 @@ class TestSmoothFacet:
         assert np.allclose(out[8], (0.5, 0.5))
 
     def test_skewed_patch_improves_min_angle_quality(self):
-        from voidhex.geometry import polygon_area
-
         uv = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
               4: (0.5, 0.0), 5: (1.0, 0.5), 6: (0.5, 1.0), 7: (0.0, 0.5),
               8: (0.9, 0.9)}
@@ -170,6 +167,58 @@ class TestSmoothFacet:
         out, reverted = smooth_facet(uv, quads, [8])
         assert not reverted
         assert min_area(out) > before
+
+
+    def test_inverting_patch_reverts_to_its_input(self):
+        # corner 0 pulled up past node 7: smoothing moves the center node 8
+        # to the mean of the edge midpoints, (2, 2), which turns quad
+        # (0, 4, 8, 7) inside out, so the whole patch keeps its input
+        uv = {0: (-1.0, 6.0), 1: (4.0, 0.0), 2: (4.0, 4.0), 3: (0.0, 4.0),
+              4: (2.0, 0.0), 5: (4.0, 2.0), 6: (2.0, 4.0), 7: (0.0, 2.0),
+              8: (1.0, 4.5)}
+        quads = [(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)]
+        assert min(polygon_area([uv[n] for n in q]) for q in quads) > 0
+        out, reverted = smooth_facet(uv, quads, [8])
+        assert reverted
+        assert out == uv
+        assert all(np.float64(a).tobytes() == np.float64(b).tobytes()
+                   for n in uv for a, b in zip(out[n], uv[n]))
+
+
+def old_polygon_area(uv):
+    """The former numpy shoelace formula, kept as a reference."""
+    x, y = uv[:, 0], uv[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def old_interior_angles(uv):
+    """The former numpy interior-angle formula, kept as a reference."""
+    v1 = np.roll(uv, 1, axis=0) - uv
+    v2 = np.roll(uv, -1, axis=0) - uv
+    ang = np.arctan2(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0], (v1 * v2).sum(axis=1))
+    return np.mod(-ang, 2.0 * np.pi)
+
+
+@st.composite
+def star_polygons(draw):
+    """CCW polygons of 3-16 vertices, star-shaped about the origin; every
+    angular gap is under pi, so no vertex is a spike."""
+    n = draw(st.integers(3, 16))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.05, 10.0), min_size=n, max_size=n)))
+    theta = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    return np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+
+
+class TestPolygonHelpers:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(star_polygons())
+    def test_match_numpy_formulas(self, uv):
+        area = old_polygon_area(uv)
+        assert area > 0
+        for pts in (uv, [tuple(p) for p in uv.tolist()]):
+            assert polygon_area(pts) == pytest.approx(area, rel=1e-12, abs=1e-12)
+            assert np.allclose(interior_angles(pts), old_interior_angles(uv), rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
