@@ -1,10 +1,10 @@
 """Small planar-geometry helpers shared by voronoi, repair and tessellation.
 
-`plane_basis` takes a numpy normal. The polygon helpers take a plain
-sequence of (x, y) pairs: a list of tuples, or an (m, 2) array, which they
-turn into Python floats once. They loop in plain floats, because they are
-meant for small polygons (a Voronoi facet has 3 to about 16 vertices),
-where one numpy call costs more than the arithmetic it does.
+`plane_basis` takes a numpy normal. The polygon helpers take plain
+(x, y) pairs: a list of float pairs, or an (m, 2) array, which they turn
+into such a list once. They loop in plain floats, because they are meant
+for small polygons (a Voronoi facet has 3 to about 16 vertices), where one
+numpy call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 
 def plane_basis(normal: np.ndarray):
@@ -26,7 +24,7 @@ def plane_basis(normal: np.ndarray):
 
 
 def as_pairs(uv) -> list:
-    """The polygon as a list of (x, y) pairs of Python floats."""
+    """The polygon as a list of (x, y) float pairs; a list passes as it is."""
     return uv.tolist() if isinstance(uv, np.ndarray) else uv
 
 
@@ -81,7 +79,7 @@ def interior_angles(uv) -> list:
         v2x, v2y = nx - x, ny - y
         ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
         # interior angle = CCW sweep from the outgoing to the incoming edge
-        out.append(-ang % TWO_PI)
+        out.append(-ang % (2.0 * math.pi))
         px, py = x, y
     return out
 
