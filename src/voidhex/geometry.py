@@ -1,10 +1,15 @@
-"""Small planar-geometry helpers shared by voronoi, repair and tessellation.
+"""Small geometry helpers shared by voronoi, repair and tessellation.
 
-`plane_basis` takes a numpy normal. The polygon helpers take plain
-(x, y) pairs: a list of float pairs, or an (m, 2) array, which they turn
-into such a list once. They loop in plain floats, because they are meant
-for small polygons (a Voronoi facet has 3 to about 16 vertices), where one
-numpy call costs more than the arithmetic it does.
+`plane_basis` takes a numpy normal; each `voronoi.Facet` calls it once,
+when it is built. The polygon helpers take plain (x, y) pairs: a list of
+float pairs, or an (m, 2) array, which they turn into such a list once.
+They loop in plain floats, because they are meant for small polygons (a
+Voronoi facet has 3 to about 16 vertices), where one numpy call costs more
+than the arithmetic it does.
+
+`push_outside` is the one guard push: repair applies it to facet vertices
+and tessellation to its nodes, both with the guard sphere radius
+`GUARD_RADIUS`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import GeometryError
+
+GUARD_RADIUS = 0.93  # guard sphere radius, units of R; just above the sweep radius
 
 
 def plane_basis(normal: np.ndarray):
@@ -97,3 +106,43 @@ def point_in_polygon(pt, uv) -> bool:
                 inside = not inside
         x1, y1 = x2, y2
     return inside
+
+
+def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -> list:
+    """Push points out of their owner spheres' guard spheres, in place.
+
+    ``pairs`` holds (point, owner sphere) rows. One array pass finds the
+    points inside some owner's guard sphere of radius ``guard``; only those
+    are pushed, in point order, one sphere at a time: the nearest owner
+    whose guard sphere holds the point moves it radially onto that guard
+    sphere. Returns the (point, sphere, distance before the push) pushes.
+    Raises GeometryError if a point is still inside after 10 pushes.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n = len(centers)
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    pts, owner = keys // n, keys % n
+    ray = points[pts] - centers[owner]
+    inside = np.unique(pts[np.sqrt(np.vecdot(ray, ray)) < guard])
+    lo = np.searchsorted(pts, inside, side="left").tolist()
+    hi = np.searchsorted(pts, inside, side="right").tolist()
+    pushes = []
+    for p, a, b in zip(inside.tolist(), lo, hi):
+        cells = owner[a:b].tolist()
+        for _ in range(10):
+            worst, dworst = None, guard
+            for c in cells:
+                d = float(np.linalg.norm(points[p] - centers[c]))
+                if d < dworst:
+                    worst, dworst = c, d
+            if worst is None:
+                break
+            center = centers[worst]
+            points[p] = center + (points[p] - center) * (guard / dworst)
+            pushes.append((p, worst, dworst))
+        else:
+            raise GeometryError(
+                f"point {p} cannot clear the guard spheres of cells {cells}; "
+                "packing too tight for the guard radius"
+            )
+    return pushes

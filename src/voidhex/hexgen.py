@@ -231,7 +231,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     cs = patches.cellset
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
-    guard_floor = R0 * R
+    r_sweep = R0 * R
     facet_info = {fid: classify_boundary_facet(f, cs.bed.domain, R)
                   for fid, f in enumerate(cs.facets) if not f.deleted and f.boundary is not None}
     listed = [(i, fid, q) for i in range(cs.n_real) for fid, q in patches.cell_quads(i)]
@@ -244,12 +244,12 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     ci, t = cell[first // 4], quads.ravel()[first]
     ray = patches.nodes[t] - centers[ci]
     d = _norms(ray)
-    low = np.flatnonzero(d < guard_floor)
+    low = np.flatnonzero(d < r_sweep)
     if len(low):
         k = low[0]
         raise GeometryError(
             f"cell {ci[k]}: tessellation node {t[k]} at {d[k]:.4f} is inside "
-            f"the sweep radius {guard_floor:.4f}"
+            f"the sweep radius {r_sweep:.4f}"
         )
     s = np.sort(quads, axis=1)
     degenerate = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
@@ -263,7 +263,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     elements = np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)])
 
     mesh = HexMesh(
-        nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (guard_floor / d)[:, None]]),
+        nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (r_sweep / d)[:, None]]),
         elements=elements,
         face_tags={},
         surface_assoc={},
@@ -271,7 +271,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
         elem_cell=cell,
         elem_layer=[0] * len(listed),
         sphere_centers=centers.copy(),
-        sphere_radius=guard_floor,
+        sphere_radius=r_sweep,
         domain=cs.bed.domain,
         columns=columns,
     )
@@ -378,20 +378,11 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     elements = np.empty((2 * len(p), 8), dtype=np.int64)
     elements[0::2] = np.hstack([m, q])  # facet-side child, layer 0
     elements[1::2] = np.hstack([p, m])  # sphere-side child, layer 1
-    out = HexMesh(
-        nodes=np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])]),
-        elements=elements,
-        face_tags=dict(mesh.face_tags),
-        surface_assoc=dict(mesh.surface_assoc),
-        face_loops=dict(mesh.face_loops),
-        elem_cell=np.repeat(mesh.elem_cell, 2),
-        elem_layer=[0, 1] * len(p),
-        sphere_centers=mesh.sphere_centers,
-        sphere_radius=mesh.sphere_radius,
-        domain=mesh.domain,
-        columns=[{t: dict(roles) for t, roles in c.items()} for c in mesh.columns],
-        wall_outer=dict(mesh.wall_outer),
-    )
+    out = mesh.copy()
+    out.nodes = np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])])
+    out.elements = elements
+    out.elem_cell = np.repeat(mesh.elem_cell, 2)
+    out.elem_layer = [0, 1] * len(p)
     mid = dict(zip(zip(pu.tolist(), qu.tolist()), range(n, n + len(first))))
     for cols in out.columns:
         for roles in cols.values():

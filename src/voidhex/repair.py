@@ -13,11 +13,12 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import GeometryError
-from .geometry import loop_is_simple, plane_basis
+from .geometry import GUARD_RADIUS, loop_is_simple, polygon_area, push_outside
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -29,7 +30,7 @@ class RepairConfig:
     tol_boundary: float = 0.25  # collapse tolerance within 2R of the boundary
     passes: int = 10
     max_edge: float = 0.8       # vertex-insertion threshold, units of R
-    guard_radius: float = 0.93  # protected sphere radius, > sweep radius
+    guard_radius: ClassVar[float] = GUARD_RADIUS  # fixed, shared with tessellation
 
     def __post_init__(self):
         if not (0 < self.tol_inf < self.max_edge):
@@ -89,15 +90,9 @@ def _collapse_ok(cs: VoronoiCellSet, u: int, v: int, mid, touched_fids) -> bool:
             continue  # facet degenerates and will be deleted: allowed
         if len(set(loop)) != len(loop):
             return False  # pinched loop
-        pts = np.array([mid if w == u else cs.points[w] for w in loop])
-        e1, e2 = plane_basis(f.plane_normal)
-        rel = pts - f.plane_point
-        pts2 = np.column_stack([rel @ e1, rel @ e2])
-        area = 0.5 * abs(
-            np.dot(pts2[:, 0], np.roll(pts2[:, 1], -1))
-            - np.dot(pts2[:, 1], np.roll(pts2[:, 0], -1))
-        )
-        if area < 1e-16:
+        rel = np.array([mid if w == u else cs.points[w] for w in loop]) - f.plane_point
+        pts2 = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
+        if abs(polygon_area(pts2)) < 1e-16:
             return False
         if not loop_is_simple(pts2):
             return False
@@ -233,38 +228,22 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
 
 
 def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
-    """Push any vertex inside a cell's guard sphere out to the guard radius."""
-    R = cs.bed.radius_nominal
-    guard = cfg.guard_radius * R
-    owners = defaultdict(set)
-    for fid, f in enumerate(cs.facets):
-        if f.deleted:
-            continue
-        holders = [f.site_a] + ([f.site_b] if f.site_b < cs.n_real else [])
-        for v in f.loop:
-            for c in holders:
-                owners[v].add(c)
-    for v in sorted(owners):
-        cells = sorted(owners[v])
-        for _attempt in range(10):
-            worst, dworst = None, guard
-            for c in cells:
-                d = float(np.linalg.norm(cs.points[v] - cs.bed.centers[c]))
-                if d < dworst:
-                    worst, dworst = c, d
-            if worst is None:
-                break
-            center = cs.bed.centers[worst]
-            ray = cs.points[v] - center
-            cs.points[v] = center + ray * (guard / dworst)
-            if oplog is not None:
-                oplog.append({"op": "guard_push", "vertex": int(v), "cell": int(worst),
-                              "from_distance": dworst})
-        else:
-            raise GeometryError(
-                f"vertex {v} cannot clear the guard spheres of cells {cells}; "
-                "packing too tight for the configured tolerances"
-            )
+    """Push any vertex inside the guard sphere of a real cell it bounds out
+    to the guard radius (see `geometry.push_outside`)."""
+    live = [f for f in cs.facets if not f.deleted]
+    lens = [len(f.loop) for f in live]
+    verts = np.fromiter(chain.from_iterable(f.loop for f in live), dtype=np.int64,
+                        count=sum(lens))
+    site_a = np.repeat(np.array([f.site_a for f in live], dtype=np.int64), lens)
+    site_b = np.repeat(np.array([f.site_b for f in live], dtype=np.int64), lens)
+    real = site_b < cs.n_real
+    pairs = np.vstack([np.column_stack([verts, site_a]),
+                       np.column_stack([verts[real], site_b[real]])])
+    guard = cfg.guard_radius * cs.bed.radius_nominal
+    pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
+    if oplog is not None:
+        oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
+                     for v, c, d in pushes)
     return cs
 
 
@@ -282,9 +261,10 @@ def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -
     return cs
 
 
-def edge_lengths(cs: VoronoiCellSet):
-    """(length, base tolerance flag) per unique live edge; for audits."""
-    cfg = RepairConfig()
+def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
+    """(length, base tolerance) per unique live edge, with the base
+    tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
+    cfg = cfg or RepairConfig()
     zone = boundary_zone(cs)
     out = []
     for (u, v), fids in sorted(_edge_map(cs).items()):

@@ -19,27 +19,23 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import (
+    GUARD_RADIUS,
     as_pairs,
     interior_angles,
     loop_is_simple,
-    plane_basis,
     point_in_polygon,
     polygon_area,
+    push_outside,
 )
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
 
 ANGLE_THRESHOLD = math.radians(155.0)
-
-
-@dataclass
-class TessellateConfig:
-    big_vertices: int = 7      # barycenter trigger: vertex count
-    big_area: float = 1.0      # barycenter trigger: area, units of R^2
-    smooth_iters: int = 20
-    quad_bias: float = 0.9     # multiplicative score bias toward quads
-    guard_radius: float = 0.93
+BIG_VERTICES = 7     # barycenter trigger: vertex count
+BIG_AREA = 1.0       # barycenter trigger: facet area, in the bed's length units squared
+SMOOTH_ITERS = 20    # Jacobi sweeps of in-plane Laplacian smoothing
+QUAD_BIAS = 0.9      # multiplicative score bias toward quads
 
 
 @dataclass
@@ -103,7 +99,7 @@ def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
     return groups
 
 
-def _piece_score(pts: list, is_quad: bool, quad_bias: float) -> float:
+def _piece_score(pts: list, is_quad: bool) -> float:
     m = len(pts)
     edges = [math.hypot(bx - ax, by - ay)
              for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
@@ -111,7 +107,7 @@ def _piece_score(pts: list, is_quad: bool, quad_bias: float) -> float:
     mean = sum(edges) / m
     cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
     score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
-    return score * (quad_bias if is_quad else 1.0)
+    return score * (QUAD_BIAS if is_quad else 1.0)
 
 
 def _piece_valid(poly_uv: list, piece: list, poly_convex: bool) -> bool:
@@ -152,8 +148,7 @@ def _centroid(pts: list) -> tuple:
     return sx / m, sy / m
 
 
-def split_facet(uv, groups: list, cfg: TessellateConfig | None = None,
-                facet_id: int = -1) -> list:
+def split_facet(uv, groups: list, facet_id: int = -1) -> list:
     """Divide a polygon into quads and triangles.
 
     Phase one inserts a barycenter on large facets and connects one
@@ -163,7 +158,6 @@ def split_facet(uv, groups: list, cfg: TessellateConfig | None = None,
     polygons: points are (x, y) pairs, labels their indices into uv, or
     'bc' for the barycenter.
     """
-    cfg = cfg or TessellateConfig()
     uv = as_pairs(uv)
     n = len(uv)
     pieces_idx: list = []
@@ -190,7 +184,7 @@ def split_facet(uv, groups: list, cfg: TessellateConfig | None = None,
             picks.append(best)
         return sorted(set(picks))
 
-    if n >= cfg.big_vertices or polygon_area(uv) >= cfg.big_area:
+    if n >= BIG_VERTICES or polygon_area(uv) >= BIG_AREA:
         bc = _centroid(uv)
         picks = connectors()
         if len(picks) >= 2:
@@ -209,7 +203,7 @@ def split_facet(uv, groups: list, cfg: TessellateConfig | None = None,
     out = []
     for piece in pieces_idx:
         pts = [bc if k == "bc" else uv[k] for k in piece]
-        out.extend(_peel(pts, list(piece), cfg, facet_id))
+        out.extend(_peel(pts, list(piece), facet_id))
     return out
 
 
@@ -217,7 +211,7 @@ def _angle_between(a, b) -> float:
     return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1])
 
 
-def _peel(pts: list, labels: list, cfg: TessellateConfig, facet_id: int) -> list:
+def _peel(pts: list, labels: list, facet_id: int) -> list:
     """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces."""
     out = []
     while len(pts) > 4:
@@ -230,7 +224,7 @@ def _peel(pts: list, labels: list, cfg: TessellateConfig, facet_id: int) -> list
                 piece = [(s + t) % m for t in range(size)]
                 if not _piece_valid(pts, piece, convex):
                     continue
-                score = _piece_score([pts[k] for k in piece], size == 4, cfg.quad_bias)
+                score = _piece_score([pts[k] for k in piece], size == 4)
                 if score < best_score:
                     best, best_score = piece, score
         if best is None:
@@ -289,12 +283,12 @@ def subdivide_to_quads(pieces: list, get_node) -> list:
     return quads
 
 
-def smooth_facet(uv_nodes: dict, quads: list, interior: list, iters: int = 20):
+def smooth_facet(uv_nodes: dict, quads: list, interior: list):
     """In-plane Laplacian smoothing of the interior patch nodes.
 
-    Each Jacobi sweep moves every interior node to the mean of its
-    edge-connected neighbors, taken in node id order; boundary nodes stay
-    fixed. If any quad inverts, the patch reverts. Returns (node id ->
+    Each of the SMOOTH_ITERS Jacobi sweeps moves every interior node to
+    the mean of its edge-connected neighbors, taken in node id order;
+    boundary nodes stay fixed. If any quad inverts, the patch reverts. Returns (node id ->
     (x, y) dict, reverted flag); a reverted patch keeps its input positions.
     """
     neigh = {}
@@ -306,7 +300,7 @@ def smooth_facet(uv_nodes: dict, quads: list, interior: list, iters: int = 20):
     cur = dict(uv_nodes)
     interior = [n for n in interior if n in neigh]
     around = [sorted(neigh[n]) for n in interior]
-    for _ in range(iters):
+    for _ in range(SMOOTH_ITERS):
         moved = [_centroid([cur[b] for b in nb]) for nb in around]
         cur.update(zip(interior, moved))
     for q in quads:
@@ -316,15 +310,14 @@ def smooth_facet(uv_nodes: dict, quads: list, interior: list, iters: int = 20):
     return cur, False
 
 
-def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) -> FacetQuadMesh:
+def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """Tessellate every live facet into a conformal all-quad patch.
 
     Each facet is projected onto its bisecting plane once; the patch is
     built and smoothed there on plain floats, and its interior nodes are
-    lifted back to 3D once, after smoothing.
+    lifted back to 3D once, after smoothing. Every node is then pushed out
+    of its owner cells' guard spheres.
     """
-    cfg = cfg or TessellateConfig()
-    R = cs.bed.radius_nominal
     n_points = len(cs.points)
     new_nodes: list = []       # rows of the nodes made here, ids from n_points
     node_owners: dict = {}
@@ -336,13 +329,12 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
             continue
         loop = f.loop
         owners = [f.site_a] + ([f.site_b] if f.site_b < cs.n_real else [])
-        e1, e2 = plane_basis(f.plane_normal)
         rel = cs.points[loop] - f.plane_point
-        uv = list(zip((rel @ e1).tolist(), (rel @ e2).tolist()))
+        uv = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
         groups = group_edges(uv)
-        pieces = split_facet(uv, groups, cfg, facet_id=fid)
+        pieces = split_facet(uv, groups, facet_id=fid)
 
         local_uv: dict = {}
         local_mid: dict = {}
@@ -391,9 +383,9 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
             return nid
 
         quads = subdivide_to_quads(pieces, get_node)
-        smoothed, _reverted = smooth_facet(local_uv, quads, interior_nodes, cfg.smooth_iters)
+        smoothed, _reverted = smooth_facet(local_uv, quads, interior_nodes)
         U = np.array([smoothed[nid] for nid in interior_nodes])
-        lifted = f.plane_point + U[:, :1] * e1 + U[:, 1:2] * e2
+        lifted = f.plane_point + U[:, :1] * f.e1 + U[:, 1:2] * f.e2
         for nid, row in zip(interior_nodes, lifted):
             new_nodes[nid - n_points] = row
         patches[fid] = FacetPatch(
@@ -411,31 +403,6 @@ def tessellate_cells(cs: VoronoiCellSet, cfg: TessellateConfig | None = None) ->
         cellset=cs,
         node_owners=node_owners,
     )
-    _guard_nodes(mesh, cfg.guard_radius * R)
+    pairs = [(nid, c) for nid, owners in node_owners.items() for c in owners]
+    push_outside(mesh.nodes, pairs, cs.bed.centers, GUARD_RADIUS * cs.bed.radius_nominal)
     return mesh
-
-
-def _guard_nodes(mesh: FacetQuadMesh, guard: float) -> None:
-    """Push tessellation nodes outside every owning cell's guard sphere.
-
-    One array pass finds the nodes that sit inside some owner's guard
-    sphere; only those are pushed, one sphere at a time.
-    """
-    centers = mesh.cellset.bed.centers
-    pairs = np.array([(nid, c) for nid, owners in mesh.node_owners.items() for c in owners],
-                     dtype=np.int64).reshape(-1, 2)
-    ray = mesh.nodes[pairs[:, 0]] - centers[pairs[:, 1]]
-    inside = np.unique(pairs[np.sqrt(np.vecdot(ray, ray)) < guard, 0])
-    for nid in inside.tolist():
-        for _ in range(10):
-            worst, dworst = None, guard
-            for c in sorted(mesh.node_owners[nid]):
-                d = float(np.linalg.norm(mesh.nodes[nid] - centers[c]))
-                if d < dworst:
-                    worst, dworst = c, d
-            if worst is None:
-                break
-            ray = mesh.nodes[nid] - centers[worst]
-            mesh.nodes[nid] = centers[worst] + ray * (guard / dworst)
-        else:
-            raise GeometryError(f"tessellation node {nid} cannot clear the guard spheres")

@@ -55,6 +55,9 @@ class Facet:
     The loop is ordered counterclockwise about ``plane_normal``, which
     points from site_a toward site_b; cell site_a therefore sees the loop
     CCW from its exterior, and the opposite cell uses it reversed.
+    ``(e1, e2)`` is the right-handed in-plane basis of ``plane_normal``
+    (e1 x e2 = plane_normal), computed once when the facet is built; the
+    normal never changes afterwards.
     """
 
     loop: list
@@ -64,6 +67,11 @@ class Facet:
     plane_normal: np.ndarray
     boundary: str | None = None
     deleted: bool = False
+    e1: np.ndarray = field(init=False, repr=False, compare=False)
+    e2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.e1, self.e2 = plane_basis(self.plane_normal)
 
 
 @dataclass
@@ -194,11 +202,10 @@ def _dedup_vertices(verts: np.ndarray, tol: float):
     return verts[keep].copy(), remap[root]
 
 
-def _order_loop(verts: np.ndarray, ids, normal: np.ndarray) -> list:
-    """Order polygon vertex ids CCW about the given normal."""
+def _order_loop(verts: np.ndarray, ids, e1: np.ndarray, e2: np.ndarray) -> list:
+    """Order polygon vertex ids CCW about the normal e1 x e2."""
     pts = verts[ids]
     centroid = pts.mean(axis=0)
-    e1, e2 = plane_basis(normal)  # right-handed: e1 x e2 = normal
     rel = pts - centroid
     ang = np.arctan2(rel @ e2, rel @ e1)
     order = sorted(range(len(ids)), key=lambda k: (ang[k], ids[k]))
@@ -258,15 +265,13 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
             continue  # ridge degenerated to a point/segment after dedup
         normal = sites[b] - sites[a]
         nn = np.linalg.norm(normal)
-        normal = normal / nn
-        loop = _order_loop(verts, ids, normal)
-        plane_point = 0.5 * (sites[a] + sites[b])
+        f = Facet(loop=ids, site_a=a, site_b=b, plane_point=0.5 * (sites[a] + sites[b]),
+                  plane_normal=normal / nn, boundary=boundary)
+        f.loop = _order_loop(verts, ids, f.e1, f.e2)
         # degenerate-area ridges (collinear after dedup) carry no volume
-        area2 = np.linalg.norm(_polygon_area_vec(verts[loop]))
+        area2 = np.linalg.norm(_polygon_area_vec(verts[f.loop]))
         if area2 < 1e-20 * R * R:
             continue
-        f = Facet(loop=loop, site_a=a, site_b=b, plane_point=plane_point,
-                  plane_normal=normal, boundary=boundary)
         fid = len(facets)
         facets.append(f)
         cells[a].append(fid)

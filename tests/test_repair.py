@@ -3,6 +3,8 @@ import pytest
 
 from voidhex import fixtures
 from voidhex.bed import Box, SphereBed, attach_domain
+from voidhex.errors import GeometryError
+from voidhex.geometry import GUARD_RADIUS, push_outside
 from voidhex.repair import (
     RepairConfig,
     boundary_zone,
@@ -153,6 +155,19 @@ class TestGuardProjection:
         guard_projection(cs, RepairConfig())
         assert np.array_equal(cs.points, before)
 
+    def test_guard_radius_is_fixed(self):
+        assert RepairConfig().guard_radius == GUARD_RADIUS
+        with pytest.raises(TypeError):
+            RepairConfig(guard_radius=0.9)
+
+    def test_deadlock_raises(self):
+        # one point owned by two spheres 1.0 R apart, between them: a push
+        # along the axis out of one guard sphere lands it inside the other
+        centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        points = np.array([[0.4, 0.0, 0.0]])
+        with pytest.raises(GeometryError, match=r"point 0 .* cells \[0, 1\]"):
+            push_outside(points, [(0, 0), (0, 1)], centers, GUARD_RADIUS)
+
     def test_tangent_edge_midpoint_pushed(self):
         # edge grazing the sphere: midpoint dips to 0.91 < guard
         a = np.array([0.91, -1.0, 0.0])
@@ -185,6 +200,12 @@ class TestFullRepair:
             assert L >= base_tol - 1e-12
             assert L <= 0.8 + 1e-12
 
+    def test_edge_lengths_use_given_config(self, repaired):
+        cs, _ = repaired
+        tols = {t for _, t in edge_lengths(cs, RepairConfig(tol_boundary=0.2))}
+        assert 0.2 in tols
+        assert 0.25 not in tols
+
     def test_edge_ratio_bound(self, repaired):
         cs, _ = repaired
         interior = [L for L, t in edge_lengths(cs) if t == 0.35]
@@ -196,7 +217,7 @@ class TestFullRepair:
         for i in range(cs.n_real):
             vids = sorted(set(v for f in cs.cell_facets(i) for v in f.loop))
             d = np.linalg.norm(cs.points[vids] - cs.bed.centers[i], axis=1)
-            assert d.min() >= 0.93 - 1e-12
+            assert d.min() >= GUARD_RADIUS - 1e-12
 
     def test_one_move_per_vertex_per_pass(self, repaired):
         _, oplog = repaired

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voidhex import fixtures
-from voidhex.geometry import interior_angles, polygon_area
+from voidhex.geometry import GUARD_RADIUS, interior_angles, polygon_area
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
     FacetQuadMesh,
-    TessellateConfig,
     group_edges,
     smooth_facet,
     split_facet,
@@ -261,7 +260,7 @@ class TestTessellateCells:
         for nid, owners in tessellated.node_owners.items():
             for c in owners:
                 d = np.linalg.norm(tessellated.nodes[nid] - centers[c])
-                assert d >= 0.93 - 1e-9
+                assert d >= GUARD_RADIUS - 1e-9
 
     def test_interior_nodes_on_bisecting_plane(self, tessellated):
         cs = tessellated.cellset

@@ -98,6 +98,14 @@ class TestBuildCells:
         tags = sorted(f.boundary for f in cs.cell_facets(corner) if f.boundary)
         assert tags == ["inlet", "wall", "wall"]
 
+    def test_facet_basis_orthonormal(self):
+        bed = fixtures.simple_cubic(3)
+        cs = build_cells(bed, generate_ghosts(bed))
+        for f in cs.facets:
+            basis = np.array([f.e1, f.e2])
+            assert np.allclose(basis @ basis.T, np.eye(2), rtol=0.0, atol=1e-12)
+            assert np.allclose(np.cross(f.e1, f.e2), f.plane_normal, rtol=0.0, atol=1e-12)
+
     def test_facet_tags_symmetric(self):
         bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=3)
         cs = build_cells(bed, generate_ghosts(bed))
