@@ -9,7 +9,7 @@ than the arithmetic it does.
 
 `push_outside` is the one guard push: repair applies it to facet vertices
 and tessellation to its nodes, both with the guard sphere radius
-`GUARD_RADIUS`.
+`GUARD_RADIUS`. `norms` is the one array norm, for rows of vectors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import GeometryError
 
 GUARD_RADIUS = 0.93  # guard sphere radius, units of R; just above the sweep radius
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each bit-identical to np.linalg.norm of
+    that one vector (which takes the BLAS dot product)."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def plane_basis(normal: np.ndarray):
@@ -123,7 +129,7 @@ def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -
     keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
     pts, owner = keys // n, keys % n
     ray = points[pts] - centers[owner]
-    inside = np.unique(pts[np.sqrt(np.vecdot(ray, ray)) < guard])
+    inside = np.unique(pts[norms(ray) < guard])
     lo = np.searchsorted(pts, inside, side="left").tolist()
     hi = np.searchsorted(pts, inside, side="right").tolist()
     pushes = []

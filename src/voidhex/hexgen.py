@@ -6,34 +6,38 @@ shared tessellation node pool. The layer is then split 55/45 along the
 sweep direction, and extra layers are extruded: one inward on every
 sphere, one outward on curved container walls, and inlet/outlet duct
 layers on the z planes.
+
+The boundary faces are rows of the face table: row 6 * e + f is local face
+f of element e, whose outward loop `_loops` reads off the element. Each
+tagged row carries the descriptor of the surface it lies on, and
+`surface_tag` names that surface. Every new face that a step makes is a
+known local face of a new element, so its row is plain arithmetic.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bed import Annulus, Box, Cylinder
 from .errors import GeometryError, TopologyError, ValidationError
+from .geometry import norms
 from .tessellate import FacetQuadMesh
-
-log = logging.getLogger(__name__)
 
 R0_DEFAULT = 0.8889  # sweep target radius, fraction of R
 
 # local faces of a hex [b0 b1 b2 b3 t0 t1 t2 t3], each ordered so the loop
-# is CCW seen from outside the element
-FACES_OUT = (
+# is CCW seen from outside the element: 0 is the base, 1 the top and
+# 2 + s the side from corner s to corner s + 1
+_FACES = np.array([
     (0, 3, 2, 1),
     (4, 5, 6, 7),
     (0, 1, 5, 4),
     (1, 2, 6, 5),
     (2, 3, 7, 6),
     (3, 0, 4, 7),
-)
-_FACES = np.array(FACES_OUT)
+])
 
 
 @dataclass
@@ -47,9 +51,8 @@ class ExtrusionSpec:
 class HexMesh:
     nodes: np.ndarray                  # (P, 3)
     elements: np.ndarray               # (E, 8) int64
-    face_tags: dict                    # face key -> tag string
-    surface_assoc: dict                # face key -> descriptor tuple
-    face_loops: dict                   # face key -> outward-CCW node tuple
+    faces: np.ndarray                  # (F,) int64 face-table rows 6 * element + local face
+    surfaces: list                     # (F,) descriptor tuple of each row's surface
     elem_cell: np.ndarray              # (E,) owning sphere per element
     elem_layer: list                   # (E,) layer label: 0, 1, 'bl', 'wall', ...
     sphere_centers: np.ndarray
@@ -62,13 +65,19 @@ class HexMesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
+    @property
+    def face_tags(self) -> dict:
+        """{sorted node key: tag} of the tagged faces, in row order; built
+        on each call, for readers that key faces by their nodes."""
+        keys = np.sort(_loops(self.elements, self.faces), axis=1).tolist()
+        return {tuple(k): surface_tag(d) for k, d in zip(keys, self.surfaces)}
+
     def copy(self) -> "HexMesh":
         return HexMesh(
             nodes=self.nodes.copy(),
             elements=self.elements.copy(),
-            face_tags=dict(self.face_tags),
-            surface_assoc=dict(self.surface_assoc),
-            face_loops=dict(self.face_loops),
+            faces=self.faces.copy(),
+            surfaces=list(self.surfaces),
             elem_cell=self.elem_cell.copy(),
             elem_layer=list(self.elem_layer),
             sphere_centers=self.sphere_centers.copy(),
@@ -79,16 +88,25 @@ class HexMesh:
         )
 
 
-def face_key(loop) -> tuple:
-    return tuple(sorted(int(v) for v in loop))
+def surface_tag(desc) -> str:
+    """The tag of a surface descriptor: 'sphere:i' on sphere i, 'inlet' or
+    'outlet' on a z plane by its outward sign, 'inner_wall' on an inward
+    facing cylinder, and 'wall' on any other container surface."""
+    if desc[0] == "sphere":
+        return f"sphere:{desc[1]}"
+    if desc[0] == "plane" and desc[1] == 2:
+        return "inlet" if desc[3] < 0 else "outlet"
+    if desc[0] == "cylinder" and desc[4] < 0:
+        return "inner_wall"
+    return "wall"
 
 
 def classify_boundary_facet(facet, domain, R: float):
-    """Map a ghost-tagged facet to (tag, descriptor) from its actual plane.
+    """The surface descriptor of a ghost-tagged facet, from its actual plane.
 
     Curved-wall reflections give tangent planes; z reflections give exact
     z planes; chained corner reflections give slanted chamfer planes that
-    stay planar, tagged as wall.
+    stay planar, described by the facet plane itself.
     """
     n = facet.plane_normal
     p = facet.plane_point
@@ -97,39 +115,31 @@ def classify_boundary_facet(facet, domain, R: float):
         cx, cy = domain.center_xy
         if abs(abs(n[2]) - 1.0) < 1e-9:
             if abs(p[2]) < tol:
-                return "inlet", ("plane", 2, 0.0, -1)
+                return ("plane", 2, 0.0, -1)
             if abs(p[2] - domain.H) < tol:
-                return "outlet", ("plane", 2, domain.H, 1)
+                return ("plane", 2, domain.H, 1)
         rad = np.hypot(p[0] - cx, p[1] - cy)
         radial = np.array([(p[0] - cx) / max(rad, 1e-300), (p[1] - cy) / max(rad, 1e-300), 0.0])
         align = float(n @ radial)
         if isinstance(domain, Cylinder):
             if abs(align - 1.0) < 1e-9 and abs(rad - domain.R_c) < tol:
-                return "wall", ("cylinder", cx, cy, domain.R_c, 1)
+                return ("cylinder", cx, cy, domain.R_c, 1)
         else:
             if abs(align - 1.0) < 1e-9 and abs(rad - domain.R_o) < tol:
-                return "wall", ("cylinder", cx, cy, domain.R_o, 1)
+                return ("cylinder", cx, cy, domain.R_o, 1)
             if abs(align + 1.0) < 1e-9 and abs(rad - domain.R_i) < tol:
-                return "inner_wall", ("cylinder", cx, cy, domain.R_i, -1)
+                return ("cylinder", cx, cy, domain.R_i, -1)
     elif isinstance(domain, Box):
         lo = domain.lo
         hi = domain.hi
         for axis in range(3):
             if abs(abs(n[axis]) - 1.0) < 1e-9:
                 if abs(p[axis] - lo[axis]) < tol:
-                    tag = "inlet" if axis == 2 else "wall"
-                    return tag, ("plane", axis, lo[axis], -1)
+                    return ("plane", axis, lo[axis], -1)
                 if abs(p[axis] - hi[axis]) < tol:
-                    tag = "outlet" if axis == 2 else "wall"
-                    return tag, ("plane", axis, hi[axis], 1)
-    # chained (corner) reflection: keep the facet plane, call it wall
-    return "wall", ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, each bit-identical to np.linalg.norm of
-    that one vector (which takes the BLAS dot product)."""
-    return np.sqrt(np.vecdot(v, v))
+                    return ("plane", axis, hi[axis], 1)
+    # chained (corner) reflection: keep the facet plane
+    return ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
 
 
 def _first_seen(values: np.ndarray):
@@ -145,32 +155,22 @@ def _first_seen(values: np.ndarray):
     return rank[inverse], first[seen]
 
 
-_CODE = np.dtype([("hi", np.int64), ("lo", np.int64)])
-
-
-def _codes(keys: np.ndarray, n: int) -> np.ndarray:
-    """Two exact int64 codes per sorted key of node ids below n, (k0, k1)
-    and (k2, k3), as one record each; records order as their keys do."""
-    codes = np.empty(len(keys), dtype=_CODE)
-    codes["hi"] = keys[:, 0] * n + keys[:, 1]
-    codes["lo"] = keys[:, 2] * n + keys[:, 3]
-    return codes
-
-
 def _face_table(elements: np.ndarray):
     """The sorted face table of a hex mesh.
 
     Row r is local face r % 6 of element r // 6, its node ids sorted into a
     key. Returns (keys, order, starts, counts): the (E*6, 4) keys; the row
-    order in which equal keys are adjacent; and, per distinct face, where
-    its rows start in that order and how many there are (its owners).
+    order in which equal keys are adjacent, distinct keys in ascending
+    order; and, per distinct face, where its rows start in that order and
+    how many there are (its owners).
     """
     keys = elements[:, _FACES].reshape(-1, 4)
     keys.sort(axis=1)
-    codes = _codes(keys, int(keys.max(initial=0)) + 1)
-    order = np.lexsort((codes["lo"], codes["hi"]))
-    hi, lo = codes["hi"][order], codes["lo"][order]
-    del codes
+    # two exact int64 codes per key, (k0, k1) and (k2, k3), sort as the keys do
+    n = int(keys.max(initial=0)) + 1
+    hi, lo = keys[:, 0] * n + keys[:, 1], keys[:, 2] * n + keys[:, 3]
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
     starts = np.flatnonzero(new)
@@ -188,29 +188,20 @@ def _rotate_to_min(loops: np.ndarray) -> np.ndarray:
     return np.take_along_axis(loops, shift % 4, axis=1)
 
 
-def _retag(mesh: HexMesh, old_keys, loops: np.ndarray, tags, descs, face=None) -> None:
-    """Untag old_keys, then tag each row of loops with tags[r], descs[r].
-
-    Rows are entered in stable order of `face` (row order if None), so the
-    dicts keep the face-by-face order that a per-face build would give.
-    """
-    for k in old_keys:
-        for d in (mesh.face_tags, mesh.surface_assoc, mesh.face_loops):
-            d.pop(k, None)
-    order = np.arange(len(loops)) if face is None else np.argsort(face, kind="stable")
-    rows = loops[order]
-    for r, loop, key in zip(order.tolist(), rows.tolist(), np.sort(rows, axis=1).tolist()):
-        key = tuple(key)
-        mesh.face_tags[key] = tags[r]
-        mesh.surface_assoc[key] = descs[r]
-        mesh.face_loops[key] = tuple(loop)
+def _select(mesh: HexMesh, keep) -> np.ndarray:
+    """Positions in the tag table of the rows whose descriptor passes keep,
+    in the order of their sorted node keys."""
+    at = np.array([j for j, d in enumerate(mesh.surfaces) if keep(d)], dtype=np.int64)
+    keys = np.sort(_loops(mesh.elements, mesh.faces[at]), axis=1)
+    return at[np.lexsort(keys.T[::-1])]
 
 
-def _tagged(mesh: HexMesh, keep):
-    """Sorted keys and (F, 4) loops of the tagged faces whose tag and
-    descriptor pass keep(tag, desc)."""
-    keys = sorted(k for k, tag in mesh.face_tags.items() if keep(tag, mesh.surface_assoc[k]))
-    return keys, np.array([mesh.face_loops[k] for k in keys], dtype=np.int64).reshape(-1, 4)
+def _replace(mesh: HexMesh, at: np.ndarray, rows: np.ndarray, surfaces: list) -> None:
+    """Drop the tag-table positions at, then append rows with surfaces."""
+    keep = np.ones(len(mesh.faces), dtype=bool)
+    keep[at] = False
+    mesh.faces = np.concatenate([mesh.faces[keep], rows])
+    mesh.surfaces = [d for d, k in zip(mesh.surfaces, keep.tolist()) if k] + surfaces
 
 
 def _grow(mesh: HexMesh, nodes, elements, cells, layers) -> None:
@@ -232,7 +223,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
     r_sweep = R0 * R
-    facet_info = {fid: classify_boundary_facet(f, cs.bed.domain, R)
+    facet_desc = {fid: classify_boundary_facet(f, cs.bed.domain, R)
                   for fid, f in enumerate(cs.facets) if not f.deleted and f.boundary is not None}
     listed = [(i, fid, q) for i in range(cs.n_real) for fid, q in patches.cell_quads(i)]
     cell = np.array([i for i, _, _ in listed], dtype=np.int64)
@@ -243,7 +234,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     ids, first = _first_seen(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel())
     ci, t = cell[first // 4], quads.ravel()[first]
     ray = patches.nodes[t] - centers[ci]
-    d = _norms(ray)
+    d = norms(ray)
     low = np.flatnonzero(d < r_sweep)
     if len(low):
         k = low[0]
@@ -260,14 +251,21 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     for i, tn, q, p in zip(ci.tolist(), t.tolist(), outer[first].tolist(),
                            range(len(used_tess), len(used_tess) + len(first))):
         columns[i][tn] = {"q": q, "p": p}
-    elements = np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)])
 
+    # each element's sphere face (0), then its facet face (1) if that lies
+    # on the container
+    on_wall = np.array([fid in facet_desc for _, fid, _ in listed], dtype=bool)
+    faces = np.sort(np.concatenate([6 * np.arange(len(listed)), 6 * np.flatnonzero(on_wall) + 1]))
+    surfaces = []
+    for i, fid, _ in listed:
+        surfaces.append(("sphere", i))
+        if fid in facet_desc:
+            surfaces.append(facet_desc[fid])
     mesh = HexMesh(
         nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (r_sweep / d)[:, None]]),
-        elements=elements,
-        face_tags={},
-        surface_assoc={},
-        face_loops={},
+        elements=np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)]),
+        faces=faces,
+        surfaces=surfaces,
         elem_cell=cell,
         elem_layer=[0] * len(listed),
         sphere_centers=centers.copy(),
@@ -275,13 +273,6 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
         domain=cs.bed.domain,
         columns=columns,
     )
-    # each element's sphere-side face, then its facet face if on the container
-    on_wall = np.array([fid in facet_info for _, fid, _ in listed], dtype=bool)
-    walls = [facet_info[fid] for _, fid, _ in listed if fid in facet_info]
-    _retag(mesh, (), np.vstack([elements[:, _FACES[0]], elements[on_wall][:, _FACES[1]]]),
-           [f"sphere:{i}" for i, _, _ in listed] + [tag for tag, _ in walls],
-           [("sphere", i) for i, _, _ in listed] + [desc for _, desc in walls],
-           face=np.concatenate([np.arange(len(listed)), np.flatnonzero(on_wall)]))
     audit_conformal(mesh)
     return mesh
 
@@ -293,68 +284,46 @@ def audit_conformal(mesh: HexMesh) -> dict:
     the copies of each face together, so a face's owner count is the length
     of its run. Every interior face must be shared by exactly two elements
     with opposite orientation (the loops agree once one is reversed and
-    both start at their smallest node); every boundary face by exactly one,
-    carrying exactly one tag. No other face may carry a tag, and every node
-    must belong to an element. Raises TopologyError on any violation.
+    both start at their smallest node) and carry no tag; every boundary
+    face by exactly one, carrying exactly one tag; and every node must
+    belong to an element. Raises TopologyError on any violation.
     """
     keys, order, starts, counts = _face_table(mesh.elements)
+
+    def key(f):
+        return tuple(keys[order[starts[f]]].tolist())
+
     over = np.flatnonzero(counts > 2)
     if len(over):
-        key = tuple(keys[order[starts[over[0]]]].tolist())
-        raise TopologyError(f"face {key} shared by {counts[over[0]]} elements")
-    boundary = set(map(tuple, keys[order[starts[counts == 1]]].tolist()))
-    untagged = sorted(boundary.difference(mesh.face_tags))
-    if untagged:
-        raise TopologyError(f"untagged boundary face {untagged[0]}")
-    stray = sorted(set(mesh.face_tags) - boundary)
-    if stray:
-        key = stray[0]
-        if (keys == key).all(axis=1).any():
-            raise TopologyError(f"interior face {key} carries tag {mesh.face_tags[key]}")
-        raise TopologyError(f"tagged face {key} is not a boundary face")
-    del keys  # keep at most one (E*6, 4) array alive
+        raise TopologyError(f"face {key(over[0])} shared by {counts[over[0]]} elements")
+    face = np.empty(len(order), dtype=np.int64)  # distinct face of each row
+    face[order] = np.repeat(np.arange(len(starts)), counts)
+    tagged = face[mesh.faces]
+    tags = np.bincount(tagged, minlength=len(starts))
+    untagged = np.flatnonzero((counts == 1) & (tags == 0))
+    if len(untagged):
+        raise TopologyError(f"untagged boundary face {key(untagged[0])}")
+    stray = np.flatnonzero((counts == 2) & (tags > 0))
+    if len(stray):
+        desc = mesh.surfaces[np.flatnonzero(tagged == stray[0])[0]]
+        raise TopologyError(f"interior face {key(stray[0])} carries tag {surface_tag(desc)}")
+    twice = np.flatnonzero(tags > 1)
+    if len(twice):
+        raise TopologyError(f"face {key(twice[0])} tagged {tags[twice[0]]} times")
+    del keys, face, tagged  # keep at most one (E*6, 4) array alive
     pair = starts[counts == 2]
     a = _loops(mesh.elements, order[pair])
     b = _loops(mesh.elements, order[pair + 1])[:, ::-1]
     flipped = np.flatnonzero((_rotate_to_min(a) != _rotate_to_min(b)).any(axis=1))
     if len(flipped):
-        key = tuple(sorted(a[flipped[0]].tolist()))
-        raise TopologyError(f"face {key} not oppositely oriented in its two owners")
+        k = tuple(sorted(a[flipped[0]].tolist()))
+        raise TopologyError(f"face {k} not oppositely oriented in its two owners")
     used = np.bincount(mesh.elements.ravel(), minlength=len(mesh.nodes))
     if len(used) > len(mesh.nodes) or not used.all():
         raise TopologyError(
             f"orphan nodes: {int((used[:len(mesh.nodes)] == 0).sum())} unreferenced"
         )
-    return {"boundary_faces": len(boundary), "interior_faces": len(pair)}
-
-
-def boundary_faces(mesh: HexMesh):
-    """face key -> (loop, owner element id) for every face of the sorted
-    face table that has one owner."""
-    keys, order, starts, counts = _face_table(mesh.elements)
-    rows = order[starts[counts == 1]]
-    single = keys[rows].tolist()
-    del keys
-    loops = _loops(mesh.elements, rows).tolist()
-    return {tuple(k): (tuple(loop), e)
-            for k, loop, e in zip(single, loops, (rows // 6).tolist())}
-
-
-def _owners(mesh: HexMesh, loops: np.ndarray) -> np.ndarray:
-    """Owner element of each one-owner face in loops (F, 4), found by a
-    binary search of the face table's sorted one-owner keys."""
-    keys, order, starts, counts = _face_table(mesh.elements)
-    rows = order[starts[counts == 1]]
-    n = int(keys.max(initial=0)) + 1
-    table = _codes(keys[rows], n)
-    del keys
-    want = _codes(np.sort(loops, axis=1), n)
-    at = np.minimum(np.searchsorted(table, want), len(table) - 1)
-    missing = np.flatnonzero(table[at] != want)
-    if len(missing):
-        key = tuple(sorted(loops[missing[0]].tolist()))
-        raise TopologyError(f"face {key} is not a boundary face")
-    return rows[at] // 6
+    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": len(pair)}
 
 
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
@@ -389,30 +358,28 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
             if (roles["p"], roles["q"]) in mid:
                 roles["m"] = mid[roles["p"], roles["q"]]
 
-    # a tag on a lateral face splits onto the two child halves
-    if mesh.face_tags:
-        tagged = np.array(list(mesh.face_tags), dtype=np.int64)
-        lateral = np.sort(mesh.elements[:, _FACES[2:]], axis=2).reshape(-1, 4)
-        _, inv = np.unique(np.vstack([tagged, lateral]), axis=0, return_inverse=True)
-        hit = np.flatnonzero(np.isin(inv[len(tagged):], inv[:len(tagged)]))
-        child, fi = 2 * (hit // 4), hit % 4 + 2  # facet-side child; sphere-side is child + 1
-        old = [tuple(k) for k in lateral[hit].tolist()]
-        halves = np.stack([_loops(elements, 6 * child + fi), _loops(elements, 6 * child + 6 + fi)],
-                          axis=1)
-        _retag(out, old, halves.reshape(-1, 4), [mesh.face_tags[k] for k in old for _ in range(2)],
-               [mesh.surface_assoc[k] for k in old for _ in range(2)])
+    # a tagged face passes to the child that holds it: the sphere face to
+    # the sphere-side child 2e + 1, the facet face to the facet-side child
+    # 2e, and a lateral face splits onto both, facet side first
+    e, f = np.divmod(mesh.faces, 6)
+    src = np.repeat(np.arange(len(f)), 1 + (f >= 2))
+    second = np.zeros(len(src), dtype=bool)
+    second[1:] = src[1:] == src[:-1]
+    out.faces = 6 * (2 * e[src] + (f[src] == 0) + second) + f[src]
+    out.surfaces = [mesh.surfaces[j] for j in src.tolist()]
     audit_conformal(out)
     return out
 
 
-def _side_donors(mesh: HexMesh, keys, loops: np.ndarray, what: str):
-    """Donor faces for the sides of a face set that is being extruded.
+def _side_donors(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, what: str) -> np.ndarray:
+    """Donor faces for the sides of the tagged faces at positions `at`,
+    which are being extruded.
 
     Side s of loops[j] runs from corner s to corner s + 1. A side shared by
     two faces of the set stays inside the new layer and gets -1. Any other
-    side becomes an exposed face that copies the tags of its donor: the
-    first face in face_loops order, outside the set, that has the same
-    edge. Returns the (F, 4) donor positions and the keys they index.
+    side becomes an exposed face that copies the surface of its donor: the
+    first tagged face in table order, outside the set, that has the same
+    edge. Returns the (F, 4) donor positions in the tag table.
     """
     n = len(mesh.nodes)
 
@@ -420,12 +387,13 @@ def _side_donors(mesh: HexMesh, keys, loops: np.ndarray, what: str):
         b = np.roll(lp, -1, axis=1)
         return np.minimum(lp, b) * n + np.maximum(lp, b)
 
-    inside = set(keys)
-    others = [k for k in mesh.face_loops if k not in inside]
+    others = np.ones(len(mesh.faces), dtype=bool)
+    others[at] = False
+    others = np.flatnonzero(others)
     mine = edges(loops)
-    _, at, count = np.unique(mine, return_inverse=True, return_counts=True)
-    exposed = count[at].reshape(mine.shape) != 2
-    theirs = edges(np.array([mesh.face_loops[k] for k in others], dtype=np.int64).reshape(-1, 4))
+    _, inv, count = np.unique(mine, return_inverse=True, return_counts=True)
+    exposed = count[inv].reshape(mine.shape) != 2
+    theirs = edges(_loops(mesh.elements, mesh.faces[others]))
     by = np.argsort(theirs.ravel(), kind="stable")
     srt = theirs.ravel()[by]
     pos = np.searchsorted(srt, mine)
@@ -437,14 +405,19 @@ def _side_donors(mesh: HexMesh, keys, loops: np.ndarray, what: str):
         e = int(mine[tuple(missing[0])])
         raise TopologyError(f"exposed {what} side at edge {(e // n, e % n)} has no donor tag")
     donor = np.full(mine.shape, -1)
-    donor[exposed] = by[pos[exposed]] // 4
-    return donor, others
+    donor[exposed] = others[by[pos[exposed]] // 4]
+    return donor
 
 
-def _sides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(F, 4, 4) outward side faces (lo[s], lo[s+1], hi[s+1], hi[s]) of the
-    layer between face loops lo and hi."""
-    return np.stack([lo, np.roll(lo, -1, axis=1), np.roll(hi, -1, axis=1), hi], axis=2)
+def _side_rows(first: int, nlayers: int, donor: np.ndarray):
+    """Rows of the side faces of layers grown from an extruded face set.
+
+    Face j grows elements first + j * nlayers + k, k < nlayers, whose side
+    s is local face 2 + s. Returns their (F, nlayers * 4) rows, layer by
+    layer, and the donor of each (-1 for a side inside the layer).
+    """
+    e = first + np.arange(len(donor))[:, None] * nlayers + np.arange(nlayers)
+    return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(donor), -1), np.tile(donor, nlayers)
 
 
 def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
@@ -462,8 +435,9 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     out = mesh.copy()
 
     # --- sphere boundary layers -------------------------------------------
-    keys, loops = _tagged(out, lambda tag, desc: tag.startswith("sphere:"))
-    descs = [out.surface_assoc[k] for k in keys]
+    at = _select(out, lambda d: d[0] == "sphere")
+    loops = _loops(out.elements, out.faces[at])
+    descs = [out.surfaces[j] for j in at.tolist()]
     cell = np.array([desc[1] for desc in descs], dtype=np.int64)
     rev = loops[:, ::-1]
     ids, first = _first_seen(rev.ravel())
@@ -471,8 +445,8 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     roles_of = {roles["p"]: roles for cols in out.columns for roles in cols.values()}
     m = np.array([roles_of[v]["m"] for v in p.tolist()], dtype=np.int64)
     ray = out.nodes[p] - out.sphere_centers[ci]
-    rho = _norms(ray)
-    target = rho - spec.t_bl * _norms(out.nodes[p] - out.nodes[m])
+    rho = norms(ray)
+    target = rho - spec.t_bl * norms(out.nodes[p] - out.nodes[m])
     low = np.flatnonzero(target <= 0.5)
     if len(low):
         raise GeometryError(
@@ -481,80 +455,78 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     n = len(out.nodes)
     for v, nid in zip(p.tolist(), range(n, n + len(p))):
         roles_of[v]["b"] = nid
-    bl = np.hstack([n + ids.reshape(-1, 4), rev])
-    tags = [out.face_tags[k] for k in keys]
-    _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None], bl, cell, ["bl"] * len(bl))
-    _retag(out, keys, bl[:, _FACES[0]], tags, descs)
+    e = len(out.elements) + np.arange(len(at))
+    _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None],
+          np.hstack([n + ids.reshape(-1, 4), rev]), cell, ["bl"] * len(at))
+    _replace(out, at, 6 * e, descs)  # the base of each new element faces the sphere
     out.sphere_radius = None  # surface is no longer a single sphere
 
     # --- curved-wall layers -------------------------------------------------
-    keys, loops = _tagged(out, lambda tag, desc: tag in ("wall", "inner_wall")
-                          and desc[0] == "cylinder")
-    if keys:
-        eid = _owners(out, loops)
+    at = _select(out, lambda d: d[0] == "cylinder")
+    if len(at):
+        loops = _loops(out.elements, out.faces[at])
+        eid = out.faces[at] // 6
         el = out.elements[eid]
         # uniform thickness from the mean sweep thickness of the wall hexes
-        t_w = spec.t_bl * float(np.mean(_norms(out.nodes[el[:, :4]] - out.nodes[el[:, 4:]]).ravel()))
+        t_w = spec.t_bl * float(np.mean(norms(out.nodes[el[:, :4]] - out.nodes[el[:, 4:]]).ravel()))
         pts = out.nodes[loops]
         normal = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
-        normal /= _norms(normal)[:, None]
+        normal /= norms(normal)[:, None]
         # per node, the mean of its faces' normals summed in face order
-        v, at = np.unique(loops.ravel(), return_inverse=True)
+        v, inv = np.unique(loops.ravel(), return_inverse=True)
         mean = np.zeros((len(v), 3))
-        np.add.at(mean, at, np.repeat(normal, 4, axis=0))
-        mean /= np.bincount(at)[:, None]
-        mean /= _norms(mean)[:, None]
-        w = len(out.nodes) + at.reshape(-1, 4)
+        np.add.at(mean, inv, np.repeat(normal, 4, axis=0))
+        mean /= np.bincount(inv)[:, None]
+        mean /= norms(mean)[:, None]
+        w = len(out.nodes) + inv.reshape(-1, 4)
         out.wall_outer.update(zip(v.tolist(), range(len(out.nodes), len(out.nodes) + len(v))))
-        tags = [out.face_tags[k] for k in keys]
-        descs = [out.surface_assoc[k] for k in keys]
+        e = len(out.elements)
         _grow(out, out.nodes[v] + t_w * mean, np.hstack([loops, w]), out.elem_cell[eid],
-              ["wall"] * len(keys))
-        donor, others = _side_donors(out, keys, loops, "wall-layer")
-        exposed = donor >= 0
-        donors = [others[j] for j in donor[exposed].tolist()]
-        _retag(out, keys, np.vstack([w, _sides(loops, w)[exposed]]),
-               tags + [out.face_tags[k] for k in donors],
-               descs + [out.surface_assoc[k] for k in donors],
-               face=np.concatenate([np.arange(len(keys)), np.nonzero(exposed)[0]]))
+              ["wall"] * len(at))
+        # per face: its top (1), on the wall, then its exposed sides
+        sides, donor = _side_rows(e, 1, _side_donors(out, at, loops, "wall-layer"))
+        rows = np.hstack([6 * (e + np.arange(len(at)))[:, None] + 1, sides])
+        src = np.hstack([at[:, None], donor])
+        _replace(out, at, rows[src >= 0], [out.surfaces[j] for j in src[src >= 0].tolist()])
 
     # --- inlet / outlet ducts ------------------------------------------------
-    for kind, zdir, nlayers in (("inlet", -1.0, spec.inlet_layers),
-                                ("outlet", 1.0, spec.outlet_layers)):
-        if nlayers <= 0:
-            continue
-        _extrude_duct(out, kind, zdir, nlayers)
+    for zdir, nlayers in ((-1.0, spec.inlet_layers), (1.0, spec.outlet_layers)):
+        if nlayers > 0:
+            _extrude_duct(out, zdir, nlayers)
     audit_conformal(out)
     return out
 
 
-def _extrude_duct(mesh: HexMesh, kind: str, zdir: float, nlayers: int) -> None:
-    keys, loops = _tagged(mesh, lambda tag, desc: tag == kind)
-    if not keys:
+def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
+    """Grow nlayers duct layers along z from the z plane that faces zdir."""
+    at = _select(mesh, lambda d: d[0] == "plane" and d[1] == 2 and d[3] == zdir)
+    if not len(at):
         return
-    eid = _owners(mesh, loops)
+    loops = _loops(mesh.elements, mesh.faces[at])
+    eid = mesh.faces[at] // 6
     el = mesh.elements[eid]
-    t = float(np.mean(_norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]]).ravel()))
+    t = float(np.mean(norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]]).ravel()))
     # a column of nlayers nodes above each surface node, in order of first use
     ids, first = _first_seen(loops.ravel())
     column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
     column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
     ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]
-    donor, others = _side_donors(mesh, keys, loops, "duct")
-    descs = [mesh.surface_assoc[k] for k in keys]
+    donor = _side_donors(mesh, at, loops, "duct")
+    kind = surface_tag(mesh.surfaces[at[0]])
+    moved = [("plane", d[1], d[2] + zdir * nlayers * t, d[3])
+             for d in (mesh.surfaces[j] for j in at.tolist())]
+    e = len(mesh.elements)
     _grow(mesh, column.reshape(-1, 3),
           np.stack([np.hstack(ring[k:k + 2]) for k in range(nlayers)], axis=1).reshape(-1, 8),
           np.repeat(mesh.elem_cell[eid], nlayers),
-          [f"{kind}{k + 1}" for k in range(nlayers)] * len(keys))
-    # per face: its exposed sides layer by layer, then its moved surface face
-    exposed = donor >= 0
-    donors = [others[j] for j in donor[exposed].tolist()] * nlayers
-    sides = [_sides(lo, hi)[exposed] for lo, hi in zip(ring, ring[1:])]
-    _retag(mesh, keys, np.vstack(sides + [ring[-1]]),
-           [mesh.face_tags[k] for k in donors] + [kind] * len(keys),
-           [mesh.surface_assoc[k] for k in donors]
-           + [("plane", d[1], d[2] + zdir * nlayers * t, d[3]) for d in descs],
-           face=np.concatenate([np.tile(np.nonzero(exposed)[0], nlayers), np.arange(len(keys))]))
+          [f"{kind}{k + 1}" for k in range(nlayers)] * len(at))
+    # per face: its exposed sides layer by layer, then the top (1) of its
+    # last layer, on the moved plane
+    sides, donor = _side_rows(e, nlayers, donor)
+    rows = np.hstack([sides, 6 * (e + np.arange(len(at)) * nlayers + nlayers - 1)[:, None] + 1])
+    src = np.hstack([donor, len(mesh.surfaces) + np.arange(len(at))[:, None]])
+    pool = mesh.surfaces + moved
+    _replace(mesh, at, rows[src >= 0], [pool[j] for j in src[src >= 0].tolist()])
 
 
 def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

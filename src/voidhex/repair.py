@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import GUARD_RADIUS, loop_is_simple, polygon_area, push_outside
+from .geometry import GUARD_RADIUS, loop_is_simple, norms, polygon_area, push_outside
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -53,6 +53,12 @@ def _edge_map(cs: VoronoiCellSet):
         for u, v in zip(loop, loop[1:] + loop[:1]):
             edges[(u, v) if u < v else (v, u)].append(fid)
     return edges
+
+
+def _lengths(cs: VoronoiCellSet, edges) -> list:
+    """Length of each edge of an edge map, in its order, from one array pass."""
+    uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return norms(cs.points[uv[:, 0]] - cs.points[uv[:, 1]]).tolist()
 
 
 def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
@@ -136,8 +142,7 @@ def _collapse_pass(cs, cfg, zone, factor, pass_no, R, oplog) -> int:
             for w in f.loop:
                 incidence[w].add(fid)
     candidates = []
-    for (u, v), fids in edges.items():
-        L = float(np.linalg.norm(cs.points[u] - cs.points[v]))
+    for ((u, v), fids), L in zip(edges.items(), _lengths(cs, edges)):
         tol = _edge_base_tol(cs, zone, fids, cfg) * factor * R
         if L < tol:
             candidates.append((L, u, v, tol))
@@ -188,8 +193,7 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
     for _round in range(10):
         edges = _edge_map(cs)
         long_edges = []
-        for (u, v), fids in edges.items():
-            L = float(np.linalg.norm(cs.points[u] - cs.points[v]))
+        for ((u, v), fids), L in zip(edges.items(), _lengths(cs, edges)):
             if L > limit:
                 long_edges.append((u, v, L, fids))
         if not long_edges:
@@ -266,8 +270,6 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
     zone = boundary_zone(cs)
-    out = []
-    for (u, v), fids in sorted(_edge_map(cs).items()):
-        L = float(np.linalg.norm(cs.points[u] - cs.points[v]))
-        out.append((L, _edge_base_tol(cs, zone, fids, cfg)))
-    return out
+    edges = dict(sorted(_edge_map(cs).items()))
+    return [(L, _edge_base_tol(cs, zone, fids, cfg))
+            for fids, L in zip(edges.values(), _lengths(cs, edges))]

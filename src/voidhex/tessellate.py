@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 
 ANGLE_THRESHOLD = math.radians(155.0)
 BIG_VERTICES = 7     # barycenter trigger: vertex count
-BIG_AREA = 1.0       # barycenter trigger: facet area, in the bed's length units squared
+BIG_AREA = 1.0       # barycenter trigger: facet area, units of R^2
 SMOOTH_ITERS = 20    # Jacobi sweeps of in-plane Laplacian smoothing
 QUAD_BIAS = 0.9      # multiplicative score bias toward quads
 
@@ -148,13 +148,15 @@ def _centroid(pts: list) -> tuple:
     return sx / m, sy / m
 
 
-def split_facet(uv, groups: list, facet_id: int = -1) -> list:
+def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
     """Divide a polygon into quads and triangles.
 
     Phase one inserts a barycenter on large facets and connects one
     near-bisector vertex from every near-straight group, splitting the
-    polygon into wedges. Phase two recursively peels the best-scoring quad
-    or triangle from each piece. Returns a list of (points, labels)
+    polygon into wedges; a facet is large from BIG_VERTICES vertices or
+    BIG_AREA * R^2 area on, with R the bed's sphere radius. Phase two
+    recursively peels the best-scoring quad or triangle from each piece.
+    Returns a list of (points, labels)
     polygons: points are (x, y) pairs, labels their indices into uv, or
     'bc' for the barycenter.
     """
@@ -184,7 +186,7 @@ def split_facet(uv, groups: list, facet_id: int = -1) -> list:
             picks.append(best)
         return sorted(set(picks))
 
-    if n >= BIG_VERTICES or polygon_area(uv) >= BIG_AREA:
+    if n >= BIG_VERTICES or polygon_area(uv) >= BIG_AREA * R * R:
         bc = _centroid(uv)
         picks = connectors()
         if len(picks) >= 2:
@@ -334,7 +336,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
         groups = group_edges(uv)
-        pieces = split_facet(uv, groups, facet_id=fid)
+        pieces = split_facet(uv, groups, facet_id=fid, R=cs.bed.radius_nominal)
 
         local_uv: dict = {}
         local_mid: dict = {}

@@ -6,17 +6,17 @@ import pytest
 from voidhex import fixtures
 from voidhex.errors import TopologyError, ValidationError
 from voidhex.hexgen import (
-    FACES_OUT,
+    _FACES,
     ExtrusionSpec,
     HexMesh,
-    _owners,
+    _loops,
     audit_conformal,
-    boundary_faces,
+    classify_boundary_facet,
     corner_dets,
     corner_jacobians,
     extrude_layers,
-    face_key,
     refine_radial,
+    surface_tag,
     sweep,
 )
 from voidhex.repair import RepairConfig, repair
@@ -65,23 +65,32 @@ class TestCornerJacobians:
         assert (dets < 0).all()
 
 
+PLANE = ("facet_plane", 0, 0, 0, 0, 0, 1)  # a descriptor tagged wall
+
+
+def face_rows(elements, key):
+    """Face-table rows (6 * element + local face) whose sorted nodes are key."""
+    keys = np.sort(np.asarray(elements)[:, _FACES], axis=2).reshape(-1, 4)
+    return np.flatnonzero((keys == key).all(axis=1))
+
+
 def hand_mesh(nodes, elements):
     """A mesh of hand-built hexes whose one-owner faces all carry a tag."""
     elements = np.array(elements, dtype=np.int64)
-    loops: dict = {}
-    for el in elements.tolist():
-        for lf in FACES_OUT:
-            loop = tuple(el[k] for k in lf)
-            loops.setdefault(face_key(loop), []).append(loop)
-    single = {k: v[0] for k, v in loops.items() if len(v) == 1}
+    keys = np.sort(elements[:, _FACES], axis=2).reshape(-1, 4)
+    _, inv, count = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    faces = np.flatnonzero(count[inv.ravel()] == 1)
     return HexMesh(
         nodes=np.asarray(nodes, dtype=float), elements=elements,
-        face_tags={k: "wall" for k in single},
-        surface_assoc={k: ("facet_plane", 0, 0, 0, 0, 0, 1) for k in single},
-        face_loops=single,
+        faces=faces, surfaces=[PLANE] * len(faces),
         elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=[0] * len(elements),
         sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
     )
+
+
+def tag_row(mesh, row, desc=PLANE):
+    mesh.faces = np.append(mesh.faces, row)
+    mesh.surfaces.append(desc)
 
 
 # three unit cubes stacked in z: nodes 4k .. 4k+3 form the square at z = k
@@ -89,27 +98,6 @@ STACK = np.array([(x, y, z) for z in range(4) for x, y in ((0, 0), (1, 0), (1, 1
                  dtype=float)
 LOWER = list(range(8))
 UPPER = list(range(4, 12))
-
-
-class TestOwners:
-    """The owner element of given boundary faces, from the face table."""
-
-    def test_owner_of_each_boundary_face(self):
-        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
-        keys = [(0, 1, 2, 3), (8, 9, 10, 11), (0, 1, 4, 5), (5, 6, 9, 10)]
-        loops = np.array([mesh.face_loops[k] for k in keys])
-        assert _owners(mesh, loops).tolist() == [0, 1, 0, 1]
-
-    def test_interior_face_is_refused(self):
-        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
-        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) is not a boundary face"):
-            _owners(mesh, np.array([[4, 5, 6, 7]]))
-
-    def test_matches_boundary_faces(self, random_swept):
-        _, _, mesh = random_swept
-        bf = boundary_faces(mesh)
-        loops = np.array([loop for loop, _ in bf.values()])
-        assert _owners(mesh, loops).tolist() == [e for _, e in bf.values()]
 
 
 class TestAuditConformal:
@@ -121,13 +109,15 @@ class TestAuditConformal:
 
     def test_untagged_boundary_face(self):
         mesh = hand_mesh(UNIT_CUBE, [LOWER])
-        del mesh.face_tags[(4, 5, 6, 7)]
+        keep = mesh.faces != face_rows(mesh.elements, (4, 5, 6, 7))[0]
+        mesh.faces = mesh.faces[keep]
+        mesh.surfaces = [d for d, k in zip(mesh.surfaces, keep) if k]
         with pytest.raises(TopologyError, match=r"untagged boundary face \(4, 5, 6, 7\)"):
             audit_conformal(mesh)
 
     def test_tagged_interior_face(self):
         mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
-        mesh.face_tags[(4, 5, 6, 7)] = "wall"
+        tag_row(mesh, face_rows(mesh.elements, (4, 5, 6, 7))[0])
         with pytest.raises(TopologyError, match=r"interior face \(4, 5, 6, 7\) carries tag wall"):
             audit_conformal(mesh)
 
@@ -143,16 +133,33 @@ class TestAuditConformal:
         with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) shared by 3 elements"):
             audit_conformal(mesh)
 
-    def test_tagged_face_off_the_boundary(self):
+    def test_boundary_face_tagged_twice(self):
         mesh = hand_mesh(UNIT_CUBE, [LOWER])
-        mesh.face_tags[(0, 1, 6, 7)] = "wall"  # a diagonal plane, no face at all
-        with pytest.raises(TopologyError, match=r"tagged face \(0, 1, 6, 7\) is not a boundary"):
+        tag_row(mesh, face_rows(mesh.elements, (4, 5, 6, 7))[0], ("plane", 2, 1.0, 1))
+        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) tagged 2 times"):
             audit_conformal(mesh)
 
     def test_orphan_node(self):
         mesh = hand_mesh(STACK[:9], [LOWER])
         with pytest.raises(TopologyError, match="orphan nodes: 1 unreferenced"):
             audit_conformal(mesh)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.simple_cubic(3),
+    lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
+    lambda: fixtures.random_annulus_bed(100),
+], ids=["cube", "cylinder", "annulus"])
+def test_surface_tag_matches_ghost_provenance(make):
+    """Each container plane or cylinder a facet is classified onto names the
+    same tag as the ghost that made the facet."""
+    bed = make()
+    cs = build_cells(bed, generate_ghosts(bed))
+    pairs = [(classify_boundary_facet(f, bed.domain, bed.radius_nominal), f.boundary)
+             for f in cs.facets if f.boundary is not None]
+    on_surface = [(d, b) for d, b in pairs if d[0] in ("plane", "cylinder")]
+    assert on_surface
+    assert [surface_tag(d) for d, _ in on_surface] == [b for _, b in on_surface]
 
 
 class TestSweep:
@@ -193,8 +200,6 @@ class TestSweep:
 
     def test_boundary_tag_partition(self, random_swept):
         _, _, mesh = random_swept
-        bf = boundary_faces(mesh)
-        assert set(bf) == set(mesh.face_tags)
         tags = set(mesh.face_tags.values())
         assert any(t.startswith("sphere:") for t in tags)
         assert "wall" in tags
@@ -225,16 +230,11 @@ class TestRefine:
         prism = HexMesh(
             nodes=UNIT_CUBE.copy(),
             elements=np.arange(8, dtype=np.int64)[None, :],
-            face_tags={}, surface_assoc={}, face_loops={},
+            faces=np.arange(6), surfaces=[PLANE] * 6,
             elem_cell=np.zeros(1, dtype=np.int64), elem_layer=[0],
             sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
             columns=[{}],
         )
-        for lf in FACES_OUT:
-            loop = tuple(int(prism.elements[0][k]) for k in lf)
-            prism.face_tags[face_key(loop)] = "wall"
-            prism.surface_assoc[face_key(loop)] = ("facet_plane", 0, 0, 0, 0, 0, 1)
-            prism.face_loops[face_key(loop)] = loop
         ref = refine_radial(prism, 0.5)
         d = corner_dets(ref.nodes, ref.elements)
         assert np.allclose(d[0], d[1])
@@ -308,7 +308,7 @@ class TestExtrude:
     def test_duct_columns_uniform(self, extruded):
         _, _, ext = extruded
         # inlet floor is a constant-z plane below zero
-        floors = [ext.surface_assoc[k] for k, t in ext.face_tags.items() if t == "inlet"]
+        floors = [d for d in ext.surfaces if surface_tag(d) == "inlet"]
         assert all(d[0] == "plane" and d[1] == 2 for d in floors)
         zs = {round(d[2], 12) for d in floors}
         assert len(zs) == 1
@@ -356,11 +356,9 @@ def mesh_digest(mesh) -> str:
     h.update(np.asarray(mesh.elements, dtype="<i8").tobytes())
     h.update(np.asarray(mesh.elem_cell, dtype="<i8").tobytes())
     h.update(repr([str(l) for l in mesh.elem_layer]).encode())
-    rows = sorted(
-        (_canon(k), mesh.face_tags[k], _canon(mesh.surface_assoc[k]), _canon(mesh.face_loops[k]))
-        for k in mesh.face_tags
-    )
-    assert set(mesh.face_tags) == set(mesh.surface_assoc) == set(mesh.face_loops)
+    loops = _loops(mesh.elements, mesh.faces).tolist()
+    rows = sorted((_canon(sorted(loop)), surface_tag(d), _canon(d), _canon(loop))
+                  for loop, d in zip(loops, mesh.surfaces))
     h.update(repr(rows).encode())
     cols = [sorted((int(t), sorted((r, int(n)) for r, n in roles.items()))
                    for t, roles in c.items()) for c in mesh.columns]

@@ -7,6 +7,7 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import GUARD_RADIUS, push_outside
 from voidhex.repair import (
     RepairConfig,
+    _edge_map,
     boundary_zone,
     collapse_edges,
     edge_lengths,
@@ -205,6 +206,14 @@ class TestFullRepair:
         tols = {t for _, t in edge_lengths(cs, RepairConfig(tol_boundary=0.2))}
         assert 0.2 in tols
         assert 0.25 not in tols
+
+    def test_edge_lengths_match_per_edge_norm(self, repaired):
+        # the one array pass gives each length bit for bit as np.linalg.norm
+        # of that one edge, so the collapse order and the oplog do not move
+        cs, _ = repaired
+        ref = [float(np.linalg.norm(cs.points[u] - cs.points[v]))
+               for u, v in sorted(_edge_map(cs))]
+        assert [L for L, _ in edge_lengths(cs)] == ref
 
     def test_edge_ratio_bound(self, repaired):
         cs, _ = repaired

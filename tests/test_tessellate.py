@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voidhex import fixtures
+from voidhex.bed import SphereBed
 from voidhex.geometry import GUARD_RADIUS, interior_angles, polygon_area
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
@@ -278,6 +278,17 @@ class TestTessellateCells:
             mine = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_a) if x == fid}
             theirs = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_b) if x == fid}
             assert mine == theirs and mine
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_quad_count_independent_of_scale(k):
+    """The same bed at sphere radius k tessellates into the same quads:
+    every length threshold of the tessellator is in units of R."""
+    bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+    bed = SphereBed(centers=bed.centers * k, radius_nominal=k, domain=bed.domain.scaled(k))
+    cs = build_cells(bed, generate_ghosts(bed))
+    repair(cs, RepairConfig())
+    assert sum(len(p.quads) for p in tessellate_cells(cs).patches.values()) == 5474
 
 
 def quadmesh_digest(qm: FacetQuadMesh) -> str:
