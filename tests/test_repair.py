@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from voidhex import fixtures
-from voidhex.bed import Box, SphereBed, attach_domain
+from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError
 from voidhex.geometry import GUARD_RADIUS, push_outside
 from voidhex.repair import (
@@ -252,8 +255,6 @@ class TestFullRepair:
         cs = build_cells(bed, generate_ghosts(bed))
         p = tmp_path / "ops.jsonl"
         repair(cs, RepairConfig(), log_path=p)
-        import json
-
         recs = [json.loads(line) for line in p.read_text().splitlines()]
         assert all("op" in r for r in recs)
 
@@ -265,3 +266,44 @@ class TestBoundaryZone:
         zone = boundary_zone(cs)
         clear = bed.domain.wall_clearance(bed.centers)
         assert np.array_equal(zone, clear < 2.0)
+
+
+def cells_digest(cs, oplog: bytes = b"") -> str:
+    """sha256 of a cell set, bit for bit: the exact point bytes; per facet
+    its loop, sites, boundary tag, deleted flag and the plane_point,
+    plane_normal, e1 and e2 bytes; the cells; and the JSONL repair oplog."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(cs.points, dtype="<f8").tobytes())
+    for f in cs.facets:
+        h.update(repr(([int(v) for v in f.loop], int(f.site_a), int(f.site_b),
+                       f.boundary, bool(f.deleted))).encode())
+        for a in (f.plane_point, f.plane_normal, f.e1, f.e2):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(repr([[int(fid) for fid in c] for c in cs.cells]).encode())
+    h.update(oplog)
+    return h.hexdigest()
+
+
+# Digests of the front half (build_cells, then repair) on two fixtures. A
+# change to voronoi, repair or geometry that keeps behaviour keeps these.
+GOLDEN = {
+    "cube_raw": "46fb04a6b56e833a962b09f4b592a9d162db13e92cc04f4bddb9974811abba96",
+    "cylinder_repaired": "0f88f948fe44601929f98e0e86fefec20a4f8468d65e34d36db195880c3802e7",
+}
+
+
+class TestGoldenDigest:
+    def test_cube_raw(self):
+        bed = fixtures.simple_cubic(3)
+        cs = build_cells(bed, generate_ghosts(bed))
+        assert cells_digest(cs) == GOLDEN["cube_raw"]
+
+    def test_cylinder_repaired(self, tmp_path):
+        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+        bed = rescale(bed, separation_profile(bed))
+        cs = build_cells(bed, generate_ghosts(bed))
+        path = tmp_path / "ops.jsonl"
+        repair(cs, RepairConfig(), log_path=path)
+        oplog = path.read_bytes()
+        assert any(json.loads(line)["op"] == "collapse" for line in oplog.splitlines())
+        assert cells_digest(cs, oplog) == GOLDEN["cylinder_repaired"]
