@@ -1,11 +1,12 @@
 """Small geometry helpers shared by voronoi, repair and tessellation.
 
-`plane_basis` takes a numpy normal; each `voronoi.Facet` calls it once,
-when it is built. The polygon helpers take plain (x, y) pairs: a list of
-float pairs, or an (m, 2) array, which they turn into such a list once.
-They loop in plain floats, because they are meant for small polygons (a
-Voronoi facet has 3 to about 16 vertices), where one numpy call costs more
-than the arithmetic it does.
+`plane_basis` works row by row: `voronoi.build_cells` calls it once on the
+(n, 3) array of all its facet normals, and a `voronoi.Facet` made without
+a basis calls it on its own normal. The polygon helpers take plain (x, y)
+pairs: a list of float pairs, or an (m, 2) array, which they turn into
+such a list once. They loop in plain floats, because they are meant for
+small polygons (a Voronoi facet has 3 to about 16 vertices), where one
+numpy call costs more than the arithmetic it does.
 
 `push_outside` is the one guard push: repair applies it to facet vertices
 and tessellation to its nodes, both with the guard sphere radius
@@ -29,12 +30,17 @@ def norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def plane_basis(normal: np.ndarray):
-    """Right-handed in-plane basis (e1, e2) with e1 x e2 = normal."""
-    a = np.array([1.0, 0.0, 0.0]) if abs(normal[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(normal, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
+def plane_basis(normals: np.ndarray):
+    """Right-handed in-plane basis (e1, e2) with e1 x e2 = normal, row by
+    row for an (n, 3) array of unit normals, or for a single normal."""
+    normals = np.asarray(normals, dtype=float)
+    x_ok = np.abs(normals[..., 0]) <= 0.9
+    axis = np.zeros(normals.shape)
+    axis[..., 0] = x_ok
+    axis[..., 1] = ~x_ok
+    e1 = np.cross(normals, axis)
+    e1 /= norms(e1)[..., None]
+    e2 = np.cross(normals, e1)
     return e1, e2
 
 
@@ -54,30 +60,25 @@ def polygon_area(uv) -> float:
     return 0.5 * s
 
 
-def segments_intersect(p, q, r, s) -> bool:
-    """Proper intersection of open segments pq and rs."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p, q, r)
-    d2 = orient(p, q, s)
-    d3 = orient(r, s, p)
-    d4 = orient(r, s, q)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 def loop_is_simple(uv) -> bool:
-    """True if no two non-adjacent polygon edges cross."""
+    """True if no two non-adjacent polygon edges properly cross (touching
+    and collinear overlap do not count)."""
     uv = as_pairs(uv)
     m = len(uv)
     for i in range(m):
-        a, b = uv[i], uv[(i + 1) % m]
+        px, py = uv[i]
+        qx, qy = uv[(i + 1) % m]
+        dx, dy = qx - px, qy - py
         for j in range(i + 2, m):
             if (j + 1) % m == i:
                 continue
-            if segments_intersect(a, b, uv[j], uv[(j + 1) % m]):
-                return False
+            rx, ry = uv[j]
+            sx, sy = uv[(j + 1) % m]
+            # orientations of r and s about pq, then of p and q about rs
+            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0:
+                ex, ey = sx - rx, sy - ry
+                if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0:
+                    return False
     return True
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
 from .bed import Annulus, Box, Cylinder, SphereBed
 from .errors import GeometryError, ValidationError
-from .geometry import plane_basis
+from .geometry import norms, plane_basis, polygon_area
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +57,10 @@ class Facet:
     points from site_a toward site_b; cell site_a therefore sees the loop
     CCW from its exterior, and the opposite cell uses it reversed.
     ``(e1, e2)`` is the right-handed in-plane basis of ``plane_normal``
-    (e1 x e2 = plane_normal), computed once when the facet is built; the
-    normal never changes afterwards.
+    (e1 x e2 = plane_normal). `build_cells` passes in the facet's row of
+    one `geometry.plane_basis` call over all its facet normals; a facet
+    made without a basis computes its own. The normal never changes
+    afterwards.
     """
 
     loop: list
@@ -67,11 +70,12 @@ class Facet:
     plane_normal: np.ndarray
     boundary: str | None = None
     deleted: bool = False
-    e1: np.ndarray = field(init=False, repr=False, compare=False)
-    e2: np.ndarray = field(init=False, repr=False, compare=False)
+    e1: np.ndarray | None = field(default=None, repr=False, compare=False)
+    e2: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.e1, self.e2 = plane_basis(self.plane_normal)
+        if self.e1 is None:
+            self.e1, self.e2 = plane_basis(self.plane_normal)
 
 
 @dataclass
@@ -202,16 +206,6 @@ def _dedup_vertices(verts: np.ndarray, tol: float):
     return verts[keep].copy(), remap[root]
 
 
-def _order_loop(verts: np.ndarray, ids, e1: np.ndarray, e2: np.ndarray) -> list:
-    """Order polygon vertex ids CCW about the normal e1 x e2."""
-    pts = verts[ids]
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
-    ang = np.arctan2(rel @ e2, rel @ e1)
-    order = sorted(range(len(ids)), key=lambda k: (ang[k], ids[k]))
-    return [ids[k] for k in order]
-
-
 def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellSet:
     """Assemble bounded Voronoi cells for the real spheres.
 
@@ -244,10 +238,10 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
 
     verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
 
-    facets = []
-    cells = [[] for _ in range(n)]
-    for (pa, pb), rv in zip(vor.ridge_points, vor.ridge_vertices):
-        pa, pb = int(pa), int(pb)
+    # the kept ridges: (a, b, boundary tag, sorted vertex ids)
+    ridges = []
+    remap = remap.tolist()
+    for (pa, pb), rv in zip(vor.ridge_points.tolist(), vor.ridge_vertices):
         if pa >= n and pb >= n:
             continue
         if pa < n and pb < n:
@@ -260,20 +254,45 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
             raise GeometryError(
                 f"unbounded Voronoi cell for sphere {a}; ghost coverage is insufficient"
             )
-        ids = sorted(set(int(remap[v]) for v in rv))
+        ids = sorted({remap[v] for v in rv})
         if len(ids) < 3:
             continue  # ridge degenerated to a point/segment after dedup
-        normal = sites[b] - sites[a]
-        nn = np.linalg.norm(normal)
-        f = Facet(loop=ids, site_a=a, site_b=b, plane_point=0.5 * (sites[a] + sites[b]),
-                  plane_normal=normal / nn, boundary=boundary)
-        f.loop = _order_loop(verts, ids, f.e1, f.e2)
+        ridges.append((a, b, boundary, ids))
+
+    # the planes of all ridges in one array pass; the normal points a -> b
+    sa = np.array([r[0] for r in ridges], dtype=np.int64)
+    sb = np.array([r[1] for r in ridges], dtype=np.int64)
+    normals = sites[sb] - sites[sa]
+    normals /= norms(normals)[:, None]
+    plane_points = 0.5 * (sites[sa] + sites[sb])
+    e1, e2 = plane_basis(normals)
+
+    # each loop ordered CCW about its normal: by the angle about the
+    # vertex centroid in the (e1, e2) plane, then by vertex id
+    counts = np.array([len(r[3]) for r in ridges], dtype=np.int64)
+    ends = np.cumsum(counts)
+    vids = np.fromiter(chain.from_iterable(r[3] for r in ridges), dtype=np.int64,
+                       count=int(counts.sum()))
+    ridge = np.repeat(np.arange(len(ridges)), counts)
+    pts = verts[vids]
+    rel = pts - (np.add.reduceat(pts, ends - counts, axis=0) / counts[:, None])[ridge]
+    x, y = np.vecdot(rel, e1[ridge]), np.vecdot(rel, e2[ridge])
+    order = np.lexsort((vids, np.arctan2(y, x), ridge))
+    loops = vids[order].tolist()
+    xy = np.column_stack([x[order], y[order]]).tolist()
+
+    facets = []
+    cells = [[] for _ in range(n)]
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    for k, (a, b, boundary, _) in enumerate(ridges):
+        lo, hi = starts[k], ends[k]
         # degenerate-area ridges (collinear after dedup) carry no volume
-        area2 = np.linalg.norm(_polygon_area_vec(verts[f.loop]))
-        if area2 < 1e-20 * R * R:
+        if 2.0 * abs(polygon_area(xy[lo:hi])) < 1e-20 * R * R:
             continue
         fid = len(facets)
-        facets.append(f)
+        facets.append(Facet(loop=loops[lo:hi], site_a=a, site_b=b,
+                            plane_point=plane_points[k], plane_normal=normals[k],
+                            boundary=boundary, e1=e1[k], e2=e2[k]))
         cells[a].append(fid)
         if b < n:
             cells[b].append(fid)
@@ -282,12 +301,6 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
                         n_real=n, bed=bed, ghosts=ghosts)
     _validate_cells(cs)
     return cs
-
-
-def _polygon_area_vec(pts: np.ndarray) -> np.ndarray:
-    """Vector area of a 3D polygon (Newell); norm = 2x enclosed area."""
-    shifted = np.roll(pts, -1, axis=0)
-    return np.cross(pts, shifted).sum(axis=0)
 
 
 def _validate_cells(cs: VoronoiCellSet) -> None:

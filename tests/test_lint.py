@@ -1,12 +1,18 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name a
+`voidhex` module defines is used somewhere.
 
-The check reads each source and test file with `ast`: a name bound by an
-import must appear as a name somewhere else in the module, or in its
-`__all__`. Package `__init__.py` files, which import to re-export, are
-exempt, and so are `from __future__` imports.
+The checks read the files with `ast`. A name bound by an import must
+appear as a name somewhere else in the module, or in its `__all__`.
+Package `__init__.py` files, which import to re-export, are exempt, and so
+are `from __future__` imports. A top-level function, class or constant of a
+module in `src/voidhex/` must be referenced by name (as a name, an
+attribute or an import, such as a re-export in `__init__.py`) in `src/`,
+`tests/` or `bench/`, outside its own definition; the definitions in
+`__init__.py` and dunder names are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/voidhex", "tests") for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
+READERS = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -47,3 +54,57 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == [], f"unused imports in {path.name}"
+
+
+def _defined(stmt) -> list:
+    """Names a top-level statement defines: a function, a class or constants."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced(stmt) -> set:
+    """Names a statement uses, as a name, an attribute or an import."""
+    refs = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name)
+    return refs
+
+
+def dead_names(modules: dict, readers: dict) -> list:
+    """(module, name) of each top-level definition in ``modules`` that no
+    top-level statement of ``readers`` references, apart from the
+    definition itself; both map a file name to its source."""
+    refs = Counter()
+    for source in readers.values():
+        for stmt in ast.parse(source).body:
+            refs.update(_referenced(stmt))
+    dead = []
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            own = _referenced(stmt)
+            dead += [(module, name) for name in _defined(stmt)
+                     if not (name.startswith("__") and name.endswith("__"))
+                     and refs[name] - (name in own) == 0]
+    return sorted(dead)
+
+
+def test_finds_a_dead_name():
+    src = "X = 1\ndef f():\n    return f()\ndef g():\n    return X\nclass C: pass\n"
+    assert dead_names({"m": src}, {"m": src, "t": "g(); m.C\n"}) == [("m", "f")]
+
+
+def test_no_dead_names():
+    modules = {p.name: p.read_text() for p in ROOT.glob("src/voidhex/*.py")
+               if p.name != "__init__.py"}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert dead_names(modules, readers) == []

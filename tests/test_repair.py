@@ -10,7 +10,6 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import GUARD_RADIUS, push_outside
 from voidhex.repair import (
     RepairConfig,
-    _edge_map,
     boundary_zone,
     collapse_edges,
     edge_lengths,
@@ -51,6 +50,19 @@ def make_synthetic(points, loops, n_centers=1):
         bed=bed,
         ghosts=ghosts,
     )
+
+
+class TestRepairConfig:
+    @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.8, 0.9])
+    def test_bad_tol_boundary_raises(self, tol):
+        # tol <= L <= max_edge cannot hold unless 0 < tol_boundary < max_edge
+        with pytest.raises(ValueError, match="tol_boundary"):
+            RepairConfig(tol_boundary=tol)
+
+    @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.9])
+    def test_bad_tol_inf_raises(self, tol):
+        with pytest.raises(ValueError, match="tol_inf"):
+            RepairConfig(tol_inf=tol)
 
 
 class TestToleranceSchedule:
@@ -214,9 +226,26 @@ class TestFullRepair:
         # the one array pass gives each length bit for bit as np.linalg.norm
         # of that one edge, so the collapse order and the oplog do not move
         cs, _ = repaired
-        ref = [float(np.linalg.norm(cs.points[u] - cs.points[v]))
-               for u, v in sorted(_edge_map(cs))]
+        keys = {(min(u, v), max(u, v)) for f in cs.facets if not f.deleted
+                for u, v in zip(f.loop, f.loop[1:] + f.loop[:1])}
+        ref = [float(np.linalg.norm(cs.points[u] - cs.points[v])) for u, v in sorted(keys)]
         assert [L for L, _ in edge_lengths(cs)] == ref
+
+    def test_edge_tolerances_match_per_edge_rule(self, repaired):
+        # reference: an edge takes tol_boundary if any live facet on it
+        # bounds a real cell of the boundary zone
+        cs, _ = repaired
+        zone = boundary_zone(cs)
+        on_edge = {}
+        for f in cs.facets:
+            if not f.deleted:
+                for u, v in zip(f.loop, f.loop[1:] + f.loop[:1]):
+                    on_edge.setdefault((min(u, v), max(u, v)), []).append(f)
+        ref = [0.25 if any(zone[f.site_a] or (f.site_b < cs.n_real and zone[f.site_b])
+                           for f in on_edge[key]) else 0.35
+               for key in sorted(on_edge)]
+        assert [t for _, t in edge_lengths(cs)] == ref
+        assert 0.25 in ref and 0.35 in ref
 
     def test_edge_ratio_bound(self, repaired):
         cs, _ = repaired

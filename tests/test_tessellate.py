@@ -2,12 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voidhex import fixtures
 from voidhex.bed import SphereBed
-from voidhex.geometry import GUARD_RADIUS, interior_angles, polygon_area
+from voidhex.geometry import GUARD_RADIUS, interior_angles, loop_is_simple, polygon_area
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
     FacetQuadMesh,
@@ -198,6 +198,39 @@ def old_interior_angles(uv):
     return np.mod(-ang, 2.0 * np.pi)
 
 
+def old_loop_is_simple(uv):
+    """The former loop_is_simple, one orient closure per segment test, kept
+    as a reference."""
+
+    def segments_intersect(p, q, r, s):
+        def orient(a, b, c):
+            return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+        d1 = orient(p, q, r)
+        d2 = orient(p, q, s)
+        d3 = orient(r, s, p)
+        d4 = orient(r, s, q)
+        return d1 * d2 < 0 and d3 * d4 < 0
+
+    m = len(uv)
+    for i in range(m):
+        a, b = uv[i], uv[(i + 1) % m]
+        for j in range(i + 2, m):
+            if (j + 1) % m == i:
+                continue
+            if segments_intersect(a, b, uv[j], uv[(j + 1) % m]):
+                return False
+    return True
+
+
+@st.composite
+def grid_loops(draw):
+    """Loops of 3-9 vertices on a 4 x 4 grid, or anywhere in a 10 x 10
+    square: on the grid, collinear, touching and crossing edges are common."""
+    coord = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(0.0, 10.0)]))
+    return draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=9))
+
+
 @st.composite
 def star_polygons(draw):
     """CCW polygons of 3-16 vertices, star-shaped about the origin; every
@@ -218,6 +251,22 @@ class TestPolygonHelpers:
         for pts in (uv, [tuple(p) for p in uv.tolist()]):
             assert polygon_area(pts) == pytest.approx(area, rel=1e-12, abs=1e-12)
             assert np.allclose(interior_angles(pts), old_interior_angles(uv), rtol=0, atol=1e-12)
+            assert loop_is_simple(pts)
+        assert old_loop_is_simple(uv.tolist())
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(grid_loops())
+    @example([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    @example([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 0.0), (0.0, 2.0)])
+    @example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+    def test_loop_is_simple_matches_reference(self, loop):
+        assert loop_is_simple(loop) == old_loop_is_simple(loop)
+        assert loop_is_simple(np.array(loop)) == old_loop_is_simple(loop)
+
+    def test_loop_is_simple_cases(self):
+        assert not loop_is_simple([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # crossing
+        assert loop_is_simple([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 0.0), (0.0, 2.0)])  # touching
+        assert loop_is_simple([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])  # collinear
 
 
 @pytest.fixture(scope="module")
