@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from voidhex import fixtures
 from voidhex.bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 from voidhex.errors import GeometryError
 from voidhex.voronoi import (
     GhostSet,
+    _dedup_vertices,
     build_cells,
     cell_volume,
     dump_off,
@@ -170,3 +174,46 @@ class TestBuildCells:
         nv, nf, _ = map(int, head[1].split())
         assert nv == len(cs.points)
         assert nf == sum(not f.deleted for f in cs.facets)
+
+
+def union_find_dedup(verts, tol):
+    """The union-find merge _dedup_vertices first had, kept as the reference."""
+    parent = np.arange(len(verts))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in sorted(cKDTree(verts).query_pairs(tol)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    root = np.array([find(i) for i in range(len(verts))])
+    keep = np.flatnonzero(root == np.arange(len(verts)))
+    remap = np.full(len(verts), -1)
+    remap[keep] = np.arange(len(keep))
+    return verts[keep].copy(), remap[root]
+
+
+coords = st.floats(0.0, 2.0, allow_nan=False)
+
+
+class TestDedupVertices:
+    def test_transitive_chain(self):
+        # a-b and b-c lie within tol, a-c does not: all three merge into a
+        verts = np.array([(0.0, 0, 0), (5, 5, 5), (0.6, 0, 0), (1.2, 0, 0)])
+        kept, remap = _dedup_vertices(verts, 1.0)
+        assert kept.tolist() == [[0.0, 0, 0], [5, 5, 5]]
+        assert remap.tolist() == [0, 1, 0, 0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=60),
+           st.sampled_from([1e-10, 0.05, 0.3, 0.8]))
+    def test_matches_union_find(self, points, tol):
+        verts = np.array(points)
+        kept, remap = _dedup_vertices(verts, tol)
+        ref_kept, ref_remap = union_find_dedup(verts, tol)
+        assert kept.tobytes() == ref_kept.tobytes()
+        assert remap.tolist() == ref_remap.tolist()
