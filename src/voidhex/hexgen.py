@@ -7,6 +7,11 @@ sweep direction, and extra layers are extruded: one inward on every
 sphere, one outward on curved container walls, and inlet/outlet duct
 layers on the z planes.
 
+The elements are the one record of the sweep lines: corners k + 4 -> k of
+a hex in layer 0, 1 or 'bl' step inward along one line, from the facet
+node q through the split node m and the swept node p to the sphere-layer
+node b. `HexMesh.columns` reads the lines off those elements.
+
 The boundary faces are rows of the face table: row 6 * e + f is local face
 f of element e, whose outward loop `_loops` reads off the element. Each
 tagged row carries the descriptor of the surface it lies on, and
@@ -16,7 +21,7 @@ known local face of a new element, so its row is plain arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +61,32 @@ class HexMesh:
     elem_cell: np.ndarray              # (E,) owning sphere per element
     elem_layer: list                   # (E,) layer label: 0, 1, 'bl', 'wall', ...
     sphere_centers: np.ndarray
-    sphere_radius: float | None        # current radius of sphere surfaces
-    domain: object
-    columns: list = field(default_factory=list)   # per cell: tess node -> {role: node}
-    wall_outer: dict = field(default_factory=dict)  # interface node -> extruded node
 
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    @property
+    def columns(self) -> list:
+        """Per cell, {q: {role: node}} of its sweep lines: roles q, p after
+        `sweep`, q, m, p after `refine_radial` and q, m, p, b after
+        `extrude_layers`. A read-only view of the layer 0, 1 and 'bl'
+        elements, built on each call."""
+        layer = np.array([str(v) for v in self.elem_layer])
+        el, cell = self.elements[layer == "0"], np.repeat(self.elem_cell[layer == "0"], 4)
+        # a facet node q is shared by the cells of its facet, no node below it is
+        _, first = np.unique(cell * len(self.nodes) + el[:, 4:].ravel(), return_index=True)
+        line = [el[:, 4:].ravel()[first], el[:, :4].ravel()[first]]
+        for step in (self.elements[layer == "1"], self.elements[layer == "bl"]):
+            if len(step):
+                down = np.full(len(self.nodes), -1)
+                down[step[:, 4:]] = step[:, :4]
+                line.append(down[line[-1]])
+        roles = {2: "qp", 3: "qmp", 4: "qmpb"}[len(line)]
+        columns = [{} for _ in self.sphere_centers]
+        for i, *nodes in zip(cell[first].tolist(), *(n.tolist() for n in line)):
+            columns[i][nodes[0]] = dict(zip(roles, nodes))
+        return columns
 
     @property
     def face_tags(self) -> dict:
@@ -81,10 +104,6 @@ class HexMesh:
             elem_cell=self.elem_cell.copy(),
             elem_layer=list(self.elem_layer),
             sphere_centers=self.sphere_centers.copy(),
-            sphere_radius=self.sphere_radius,
-            domain=self.domain,
-            columns=[{t: dict(roles) for t, roles in c.items()} for c in self.columns],
-            wall_outer=dict(self.wall_outer),
         )
 
 
@@ -247,10 +266,6 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     if len(degenerate):
         i, fid, _ = listed[degenerate[0]]
         raise GeometryError(f"degenerate hex in cell {i}, facet {fid}")
-    columns = [dict() for _ in range(cs.n_real)]
-    for i, tn, q, p in zip(ci.tolist(), t.tolist(), outer[first].tolist(),
-                           range(len(used_tess), len(used_tess) + len(first))):
-        columns[i][tn] = {"q": q, "p": p}
 
     # each element's sphere face (0), then its facet face (1) if that lies
     # on the container
@@ -269,9 +284,6 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
         elem_cell=cell,
         elem_layer=[0] * len(listed),
         sphere_centers=centers.copy(),
-        sphere_radius=r_sweep,
-        domain=cs.bed.domain,
-        columns=columns,
     )
     audit_conformal(mesh)
     return mesh
@@ -352,11 +364,6 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     out.elements = elements
     out.elem_cell = np.repeat(mesh.elem_cell, 2)
     out.elem_layer = [0, 1] * len(p)
-    mid = dict(zip(zip(pu.tolist(), qu.tolist()), range(n, n + len(first))))
-    for cols in out.columns:
-        for roles in cols.values():
-            if (roles["p"], roles["q"]) in mid:
-                roles["m"] = mid[roles["p"], roles["q"]]
 
     # a tagged face passes to the child that holds it: the sphere face to
     # the sphere-side child 2e + 1, the facet face to the facet-side child
@@ -420,6 +427,12 @@ def _side_rows(first: int, nlayers: int, donor: np.ndarray):
     return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(donor), -1), np.tile(donor, nlayers)
 
 
+def _line_lengths(mesh: HexMesh, eid: np.ndarray) -> np.ndarray:
+    """(len(eid), 4) lengths of the sweep-line edges (corner k, k + 4) of elements eid."""
+    el = mesh.elements[eid]
+    return norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]])
+
+
 def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     """Add boundary layers: spheres inward, curved walls outward, z ducts.
 
@@ -435,40 +448,38 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     out = mesh.copy()
 
     # --- sphere boundary layers -------------------------------------------
+    # a sphere face is face 0 of its element: the reversed loop runs over
+    # corners (1, 2, 3, 0), the p nodes, and corner k + 4 above each is m
     at = _select(out, lambda d: d[0] == "sphere")
-    loops = _loops(out.elements, out.faces[at])
+    eid = out.faces[at] // 6
+    corner = _FACES[0][::-1]
+    rev = out.elements[eid[:, None], corner]
     descs = [out.surfaces[j] for j in at.tolist()]
     cell = np.array([desc[1] for desc in descs], dtype=np.int64)
-    rev = loops[:, ::-1]
     ids, first = _first_seen(rev.ravel())
     p, ci = rev.ravel()[first], cell[first // 4]
-    roles_of = {roles["p"]: roles for cols in out.columns for roles in cols.values()}
-    m = np.array([roles_of[v]["m"] for v in p.tolist()], dtype=np.int64)
+    thick = _line_lengths(out, eid)[:, corner].ravel()[first]
     ray = out.nodes[p] - out.sphere_centers[ci]
     rho = norms(ray)
-    target = rho - spec.t_bl * norms(out.nodes[p] - out.nodes[m])
+    target = rho - spec.t_bl * thick
     low = np.flatnonzero(target <= 0.5)
     if len(low):
         raise GeometryError(
             f"sphere {ci[low[0]]}: boundary-layer extrusion reaches {target[low[0]]:.3f}R"
         )
     n = len(out.nodes)
-    for v, nid in zip(p.tolist(), range(n, n + len(p))):
-        roles_of[v]["b"] = nid
     e = len(out.elements) + np.arange(len(at))
     _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None],
           np.hstack([n + ids.reshape(-1, 4), rev]), cell, ["bl"] * len(at))
     _replace(out, at, 6 * e, descs)  # the base of each new element faces the sphere
-    out.sphere_radius = None  # surface is no longer a single sphere
 
     # --- curved-wall layers -------------------------------------------------
     at = _select(out, lambda d: d[0] == "cylinder")
     if len(at):
         loops = _loops(out.elements, out.faces[at])
         eid = out.faces[at] // 6
-        el = out.elements[eid]
         # uniform thickness from the mean sweep thickness of the wall hexes
-        t_w = spec.t_bl * float(np.mean(norms(out.nodes[el[:, :4]] - out.nodes[el[:, 4:]]).ravel()))
+        t_w = spec.t_bl * float(np.mean(_line_lengths(out, eid).ravel()))
         pts = out.nodes[loops]
         normal = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
         normal /= norms(normal)[:, None]
@@ -479,7 +490,6 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
         mean /= np.bincount(inv)[:, None]
         mean /= norms(mean)[:, None]
         w = len(out.nodes) + inv.reshape(-1, 4)
-        out.wall_outer.update(zip(v.tolist(), range(len(out.nodes), len(out.nodes) + len(v))))
         e = len(out.elements)
         _grow(out, out.nodes[v] + t_w * mean, np.hstack([loops, w]), out.elem_cell[eid],
               ["wall"] * len(at))
@@ -504,8 +514,7 @@ def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
         return
     loops = _loops(mesh.elements, mesh.faces[at])
     eid = mesh.faces[at] // 6
-    el = mesh.elements[eid]
-    t = float(np.mean(norms(mesh.nodes[el[:, :4]] - mesh.nodes[el[:, 4:]]).ravel()))
+    t = float(np.mean(_line_lengths(mesh, eid).ravel()))
     # a column of nlayers nodes above each surface node, in order of first use
     ids, first = _first_seen(loops.ravel())
     column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)

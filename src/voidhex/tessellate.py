@@ -40,7 +40,6 @@ QUAD_BIAS = 0.9      # multiplicative score bias toward quads
 
 @dataclass
 class FacetPatch:
-    facet_id: int
     quads: list                # (4,) global node id tuples, CCW about plane normal
     interior_nodes: list
 
@@ -391,7 +390,6 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
         for nid, row in zip(interior_nodes, lifted):
             new_nodes[nid - n_points] = row
         patches[fid] = FacetPatch(
-            facet_id=fid,
             quads=[tuple(int(x) for x in q) for q in quads],
             interior_nodes=list(interior_nodes),
         )

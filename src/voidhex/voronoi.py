@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
 from .bed import Annulus, Box, Cylinder, SphereBed
@@ -185,25 +187,14 @@ def generate_ghosts(bed: SphereBed) -> GhostSet:
 
 
 def _dedup_vertices(verts: np.ndarray, tol: float):
-    """Union-find merge of vertices closer than tol; keeps lowest index."""
-    parent = np.arange(len(verts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if len(verts):
-        for i, j in sorted(cKDTree(verts).query_pairs(tol)):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    root = np.array([find(i) for i in range(len(verts))])
-    keep = np.flatnonzero(root == np.arange(len(verts)))
-    remap = np.full(len(verts), -1)
-    remap[keep] = np.arange(len(keep))
-    return verts[keep].copy(), remap[root]
+    """Merge the vertices chained by distances within tol. The connected
+    components of the within-tol pairs are labelled in order of their
+    lowest index, so the labels are the remap and each keeps its lowest."""
+    i, j = cKDTree(verts).query_pairs(tol, output_type="ndarray").T
+    graph = coo_array((np.ones(len(i)), (i, j)), shape=(len(verts), len(verts)))
+    _, remap = connected_components(graph, directed=False)
+    _, keep = np.unique(remap, return_index=True)
+    return verts[keep].copy(), remap
 
 
 def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellSet:
@@ -360,7 +351,7 @@ def dump_off(cs: VoronoiCellSet, path) -> None:
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(cs.points)} {len(live)} 0\n")
-        for p in cs.points:
-            fh.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
+        for x, y, z in cs.points.tolist():
+            fh.write(f"{x!r} {y!r} {z!r}\n")
         for f in live:
             fh.write(" ".join([str(len(f.loop))] + [str(v) for v in f.loop]) + "\n")

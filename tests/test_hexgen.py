@@ -84,7 +84,7 @@ def hand_mesh(nodes, elements):
         nodes=np.asarray(nodes, dtype=float), elements=elements,
         faces=faces, surfaces=[PLANE] * len(faces),
         elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=[0] * len(elements),
-        sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
+        sphere_centers=np.zeros((1, 3)),
     )
 
 
@@ -232,8 +232,7 @@ class TestRefine:
             elements=np.arange(8, dtype=np.int64)[None, :],
             faces=np.arange(6), surfaces=[PLANE] * 6,
             elem_cell=np.zeros(1, dtype=np.int64), elem_layer=[0],
-            sphere_centers=np.zeros((1, 3)), sphere_radius=None, domain=None,
-            columns=[{}],
+            sphere_centers=np.zeros((1, 3)),
         )
         ref = refine_radial(prism, 0.5)
         d = corner_dets(ref.nodes, ref.elements)
@@ -322,7 +321,24 @@ class TestExtrude:
     def test_wall_layer_present(self, extruded):
         _, _, ext = extruded
         assert any(l == "wall" for l in ext.elem_layer)
-        assert len(ext.wall_outer) > 0
+
+    def test_hand_built_shell(self):
+        # one cell swept by hand: six hexes from a cube about the sphere
+        # center (face 0, on the sphere) out to a cube twice its size; the
+        # sphere layer reads its lines off the elements alone
+        corners = 2.0 * UNIT_CUBE - 1.0
+        mesh = hand_mesh(np.vstack([0.5 * corners, corners]), np.hstack([_FACES, _FACES + 8]))
+        mesh.surfaces = [("sphere", 0) if r % 6 == 0 else PLANE for r in mesh.faces.tolist()]
+        ext = extrude_layers(refine_radial(mesh))
+        assert ext.elem_layer == [0, 1] * 6 + ["bl"] * 6
+        (cols,) = ext.columns
+        assert sorted(cols) == list(range(8, 16))
+        for q, roles in cols.items():
+            assert set(roles) == {"q", "m", "p", "b"} and roles["q"] == q
+            r = {k: np.linalg.norm(ext.nodes[v]) for k, v in roles.items()}
+            assert r["b"] < r["p"] < r["m"] < r["q"]
+            thick = np.linalg.norm(ext.nodes[roles["p"]] - ext.nodes[roles["m"]])
+            assert r["p"] - r["b"] == pytest.approx(0.25 * thick, rel=1e-12)
 
     def test_box_domain_skips_wall_layer(self, cube_swept):
         _, _, mesh = cube_swept

@@ -174,6 +174,8 @@ class TestBuildCells:
         nv, nf, _ = map(int, head[1].split())
         assert nv == len(cs.points)
         assert nf == sum(not f.deleted for f in cs.facets)
+        verts = np.array([[float(v) for v in line.split()] for line in head[2:2 + nv]])
+        assert verts.tobytes() == cs.points.tobytes()
 
 
 def union_find_dedup(verts, tol):
