@@ -74,7 +74,7 @@ class HexMesh:
         elements, built on each call."""
         layer = np.array([str(v) for v in self.elem_layer])
         el, cell = self.elements[layer == "0"], np.repeat(self.elem_cell[layer == "0"], 4)
-        # a facet node q is shared by the cells of its facet, no node below it is
+        # a facet node q is shared by the cells of its facet; no node below it is
         _, first = np.unique(cell * len(self.nodes) + el[:, 4:].ravel(), return_index=True)
         line = [el[:, 4:].ravel()[first], el[:, :4].ravel()[first]]
         for step in (self.elements[layer == "1"], self.elements[layer == "bl"]):
