@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,19 @@ from hypothesis import strategies as st
 
 from voidhex import fixtures
 from voidhex.bed import SphereBed
-from voidhex.geometry import GUARD_RADIUS, interior_angles, loop_is_simple, polygon_area
+from voidhex.errors import GeometryError
+from voidhex.geometry import (
+    GUARD_RADIUS,
+    interior_angles,
+    loop_is_simple,
+    point_in_polygon,
+    polygon_area,
+)
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
+    QUAD_BIAS,
     FacetQuadMesh,
+    _peel,
     group_edges,
     smooth_facet,
     split_facet,
@@ -269,6 +279,121 @@ class TestPolygonHelpers:
         assert loop_is_simple([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])  # collinear
 
 
+def ref_piece_score(pts, is_quad):
+    """The former score of a candidate piece, kept as a reference."""
+    m = len(pts)
+    edges = [math.hypot(bx - ax, by - ay)
+             for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+    max_angle = max(interior_angles(pts))
+    mean = sum(edges) / m
+    cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
+    score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
+    return score * (QUAD_BIAS if is_quad else 1.0)
+
+
+def ref_piece_valid(poly_uv, piece, poly_convex):
+    """The former validity test of a candidate piece, kept as a reference."""
+    pts = [poly_uv[k] for k in piece]
+    if polygon_area(pts) <= 1e-14:
+        return False
+    if max(interior_angles(pts)) > math.pi - 1e-9:
+        return False
+    if poly_convex:
+        return True
+    for k in range(len(poly_uv)):
+        if k not in piece and point_in_polygon(poly_uv[k], pts):
+            return False
+    rem_pts = [p for k, p in enumerate(poly_uv) if k not in piece[1:-1]]
+    if len(rem_pts) >= 3:
+        if polygon_area(rem_pts) <= 1e-14:
+            return False
+        if not loop_is_simple(rem_pts):
+            return False
+    return True
+
+
+def ref_peel(pts, labels, facet_id):
+    """The former peel, which recomputed every candidate's geometry, kept
+    as a reference."""
+    out = []
+    while len(pts) > 4:
+        m = len(pts)
+        convex = max(interior_angles(pts)) <= math.pi + 1e-12
+        best = None
+        best_score = math.inf
+        for size in (4, 3):
+            for s in range(m):
+                piece = [(s + t) % m for t in range(size)]
+                if not ref_piece_valid(pts, piece, convex):
+                    continue
+                score = ref_piece_score([pts[k] for k in piece], size == 4)
+                if score < best_score:
+                    best, best_score = piece, score
+        if best is None:
+            raise GeometryError(
+                f"facet {facet_id}: no viable quad or triangle peel "
+                "(projected loop may self-intersect)"
+            )
+        out.append(([pts[k] for k in best], [labels[k] for k in best]))
+        drop = set(best[1:-1])
+        keep = [k for k in range(m) if k not in drop]
+        pts = [pts[k] for k in keep]
+        labels = [labels[k] for k in keep]
+    out.append((pts, labels))
+    return out
+
+
+@st.composite
+def peel_polygons(draw):
+    """CCW polygons of 3-32 vertices for the peel: regular (equal scores
+    tie), star-shaped and often non-convex, or either with extra points on
+    some edges, at the midpoint or anywhere along it, as repair's inserted
+    points are. Some polygons get a barycenter label at their first
+    vertex, as the wedges of a large facet do."""
+    kind = draw(st.sampled_from(["regular", "star"]))
+    if kind == "regular":
+        n = draw(st.integers(3, 12))
+        radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        phase = draw(st.sampled_from([0.0, 0.3]))
+        theta = phase + 2.0 * np.pi * np.arange(n) / n
+        uv = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]).tolist()
+    else:
+        uv = draw(star_polygons()).tolist()
+    split = draw(st.lists(st.booleans(), min_size=len(uv), max_size=len(uv)))
+    at = draw(st.sampled_from([0.5, None]))
+    pts = []
+    for k, p in enumerate(uv):
+        pts.append(tuple(p))
+        if split[k]:
+            q = uv[(k + 1) % len(uv)]
+            t = at if at is not None else draw(st.floats(0.1, 0.9))
+            pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    labels = list(range(len(pts)))
+    if draw(st.booleans()):
+        labels[0] = "bc"
+    return pts, labels
+
+
+def peel_outcome(peel, pts, labels):
+    """Pieces as (point bytes, labels), or the error message."""
+    try:
+        pieces = peel(list(pts), list(labels), 7)
+    except GeometryError as exc:
+        return str(exc)
+    return [(np.array(p, dtype=float).tobytes(), lab) for p, lab in pieces]
+
+
+class TestPeel:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(peel_polygons())
+    @example(([tuple(p) for p in regular_polygon(8).tolist()], list(range(8))))
+    @example(([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)],
+              list(range(6))))
+    def test_matches_reference(self, poly):
+        pts, labels = poly
+        assert peel_outcome(_peel, pts, labels) == peel_outcome(ref_peel, pts, labels)
+
+
 @pytest.fixture(scope="module")
 def tessellated():
     bed = fixtures.random_cylinder_bed(n=40, R_c=3.2, H=10.0, seed=4)
@@ -361,6 +486,7 @@ def quadmesh_digest(qm: FacetQuadMesh) -> str:
 GOLDEN = {
     "cube_raw": "7e329dd29c8fbada3fa8bf68efa3d609acd05e4c87b0971226d837588828c66f",
     "cylinder_repaired": "2e77d0ad32fd1aa10420bed28edf0333fefdd6a217c5e1d41af9e724e5cfa61f",
+    "lattice_repaired": "9daca8bfe07abf0bd48ce06aab49887d258e0a549b6d172e244a5fab7a479dac",
 }
 
 
@@ -375,3 +501,11 @@ class TestGoldenDigest:
         cs = build_cells(bed, generate_ghosts(bed))
         repair(cs, RepairConfig())
         assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["cylinder_repaired"]
+
+    def test_lattice_repaired(self):
+        # the lattice_box bed: congruent facets with repair's collinear
+        # inserted points, whose peel candidates tie exactly on score
+        bed = fixtures.simple_cubic(4)
+        cs = build_cells(bed, generate_ghosts(bed))
+        repair(cs, RepairConfig())
+        assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["lattice_repaired"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from voidhex import fixtures
 from voidhex.bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 from voidhex.errors import GeometryError
 from voidhex.voronoi import (
+    PLANARITY_TOL,
     GhostSet,
     _dedup_vertices,
+    _validate_cells,
     build_cells,
     cell_volume,
     dump_off,
@@ -219,3 +223,105 @@ class TestDedupVertices:
         ref_kept, ref_remap = union_find_dedup(verts, tol)
         assert kept.tobytes() == ref_kept.tobytes()
         assert remap.tolist() == ref_remap.tolist()
+
+
+def reference_validate_cells(cs) -> None:
+    """The per-cell loop _validate_cells first had, kept as the reference."""
+    R = cs.bed.radius_nominal
+    for i in range(cs.n_real):
+        fl = cs.cell_facets(i)
+        if len(fl) < 4:
+            raise GeometryError(f"cell {i} has only {len(fl)} facets")
+        vids = sorted(set(v for f in fl for v in f.loop))
+        pts = cs.points[vids]
+        center = cs.sites[i]
+        for f in fl:
+            out = cs.outward_normal(f, i)
+            d = (pts - f.plane_point) @ out
+            if d.max() > PLANARITY_TOL * R * 10:
+                raise GeometryError(
+                    f"cell {i} is not convex: vertex {d.max():.3g} outside a facet plane"
+                )
+            if (center - f.plane_point) @ out >= 0:
+                raise GeometryError(f"site {i} is not strictly inside its cell")
+        edges = {}
+        for f in fl:
+            loop = cs.facet_loop_for_cell(f, i)
+            for u, v in zip(loop, loop[1:] + loop[:1]):
+                edges[(u, v)] = edges.get((u, v), 0) + 1
+        for (u, v), cnt in edges.items():
+            if cnt != 1 or edges.get((v, u), 0) != 1:
+                raise GeometryError(f"cell {i} facet shell is not watertight at edge {u}-{v}")
+
+
+def _few_facets(cs):
+    cs.cells[2] = cs.cells[2][:3]
+
+
+def _vertex_outside(cs):
+    # the box corner (4, 4, 4) belongs to cell 7 alone
+    cs.points[cs.points.tolist().index([4.0, 4.0, 4.0])] = (4.5, 4.0, 4.0)
+
+
+def _site_outside(cs):
+    cs.sites[5] = (3.0, -1.0, 3.0)  # below the y = 0 wall of cell 5
+
+
+def _not_watertight(cs):
+    del cs.cells[3][1]
+
+
+def _facet_deleted(cs):
+    # a live facet marked deleted leaves a hole in both of its cells
+    cs.facets[cs.cells[6][2]].deleted = True
+
+
+def _all(cs):
+    for breaker in (_vertex_outside, _site_outside, _not_watertight):
+        breaker(cs)
+
+
+def _site_and_vertex(cs):
+    # cell 5's first facet is its y = 0 wall, which the site fails; the
+    # vertex fails a later facet, the z = 4 plane
+    _site_outside(cs)
+    cs.points[cs.points.tolist().index([4.0, 0.0, 4.0])] = (4.0, 0.0, 4.5)
+
+
+def _vertex_and_site(cs):
+    # the other way round: the vertex fails the y = 0 wall, the site z = 4
+    cs.sites[5] = (3.0, 1.0, 5.0)
+    cs.points[cs.points.tolist().index([4.0, 0.0, 4.0])] = (4.0, -0.5, 4.0)
+
+
+class TestValidateCells:
+    """Each raise branch of _validate_cells on a hand-broken simple_cubic(2)
+    cell set: the lowest-numbered failing cell is reported, with the same
+    message as the reference loop."""
+
+    @pytest.mark.parametrize("breaker, message", [
+        (_few_facets, "cell 2 has only 3 facets"),
+        (_vertex_outside, "cell 7 is not convex: vertex 0.5 outside a facet plane"),
+        (_site_outside, "site 5 is not strictly inside its cell"),
+        (_not_watertight, r"cell 3 facet shell is not watertight at edge \d+-\d+"),
+        (_facet_deleted, r"cell \d facet shell is not watertight at edge \d+-\d+"),
+        (_all, r"cell 3 facet shell is not watertight"),
+        (_site_and_vertex, "site 5 is not strictly inside its cell"),
+        (_vertex_and_site, "cell 5 is not convex: vertex 0.5 outside a facet plane"),
+    ])
+    def test_raise_branch(self, breaker, message):
+        bed = fixtures.simple_cubic(2)
+        cs = build_cells(bed, generate_ghosts(bed))
+        breaker(cs)
+        with pytest.raises(GeometryError) as got:
+            _validate_cells(cs)
+        with pytest.raises(GeometryError) as ref:
+            reference_validate_cells(cs)
+        assert str(got.value) == str(ref.value)
+        assert re.match(message, str(got.value))
+
+    def test_valid_cells_pass(self):
+        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+        cs = build_cells(bed, generate_ghosts(bed))
+        reference_validate_cells(cs)
+        _validate_cells(cs)
