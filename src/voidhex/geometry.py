@@ -82,22 +82,21 @@ def loop_is_simple(uv) -> bool:
     return True
 
 
+def corner_angle(prev, corner, nxt) -> float:
+    """Interior angle (radians) at ``corner`` of a CCW polygon whose
+    neighbouring vertices are ``prev`` and ``nxt``."""
+    (px, py), (x, y), (nx, ny) = prev, corner, nxt
+    v1x, v1y = px - x, py - y
+    v2x, v2y = nx - x, ny - y
+    ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
+    # interior angle = CCW sweep from the outgoing to the incoming edge
+    return -ang % (2.0 * math.pi)
+
+
 def interior_angles(uv) -> list:
     """Interior angle (radians) at each vertex of a CCW polygon."""
     uv = as_pairs(uv)
-    out = []
-    px, py = uv[-1]
-    m = len(uv)
-    for k in range(m):
-        x, y = uv[k]
-        nx, ny = uv[(k + 1) % m]
-        v1x, v1y = px - x, py - y
-        v2x, v2y = nx - x, ny - y
-        ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
-        # interior angle = CCW sweep from the outgoing to the incoming edge
-        out.append(-ang % (2.0 * math.pi))
-        px, py = x, y
-    return out
+    return [corner_angle(p, c, n) for p, c, n in zip(uv[-1:] + uv[:-1], uv, uv[1:] + uv[:1])]
 
 
 def point_in_polygon(pt, uv) -> bool:

@@ -7,6 +7,13 @@ final midside subdivision (quad to 4 quads, triangle to 3) makes the patch
 all-quad, with edge midpoints registered globally so patches stay conformal
 across facets and cells. Interior points live on the facet's original
 bisecting plane and are Laplacian-smoothed there.
+
+The smoothing is one array pass over every patch at once. That does what
+one pass per patch would: a patch's interior nodes are its own (no other
+patch uses them), and its boundary nodes, which patches share, never
+move, so no patch reads a node another patch writes. Each patch node is a
+slot holding its position in its own facet's plane, and a shared boundary
+node gets one slot per patch.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .errors import GeometryError
 from .geometry import (
     GUARD_RADIUS,
     as_pairs,
+    corner_angle,
     interior_angles,
     loop_is_simple,
     point_in_polygon,
@@ -98,28 +106,20 @@ def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
     return groups
 
 
-def _piece_score(pts: list, is_quad: bool) -> float:
-    m = len(pts)
-    edges = [math.hypot(bx - ax, by - ay)
-             for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
-    max_angle = max(interior_angles(pts))
+def _piece_score(edges: list, max_angle: float, is_quad: bool) -> float:
+    """Quality score of a candidate piece from its edge lengths, in boundary
+    order, and its largest interior angle; lower is better."""
+    m = len(edges)
     mean = sum(edges) / m
     cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
     score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
     return score * (QUAD_BIAS if is_quad else 1.0)
 
 
-def _piece_valid(poly_uv: list, piece: list, poly_convex: bool) -> bool:
-    """Is the candidate quad/triangle a valid peel from the polygon?"""
-    pts = [poly_uv[k] for k in piece]
-    if polygon_area(pts) <= 1e-14:
-        return False
-    # piece must be convex (tolerating slight flatness)
-    if max(interior_angles(pts)) > math.pi - 1e-9:
-        return False
-    if poly_convex:
-        return True
-    # no other polygon vertex may sit inside the piece
+def _fits_concave(poly_uv: list, piece: list, pts: list) -> bool:
+    """Can the piece (indices ``piece``, points ``pts``) be cut off a
+    non-convex polygon? No other polygon vertex may lie inside it, and what
+    is left must be a simple loop of positive area."""
     for k in range(len(poly_uv)):
         if k not in piece and point_in_polygon(poly_uv[k], pts):
             return False
@@ -130,10 +130,6 @@ def _piece_valid(poly_uv: list, piece: list, poly_convex: bool) -> bool:
         if not loop_is_simple(rem_pts):
             return False
     return True
-
-
-def _is_convex(uv: list) -> bool:
-    return max(interior_angles(uv)) <= math.pi + 1e-12
 
 
 def _centroid(pts: list) -> tuple:
@@ -213,19 +209,42 @@ def _angle_between(a, b) -> float:
 
 
 def _peel(pts: list, labels: list, facet_id: int) -> list:
-    """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces."""
+    """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces.
+
+    Each step computes the polygon's interior angles and edge lengths once.
+    A candidate piece of consecutive vertices shares its inner corners and
+    all but one edge with the polygon, so it computes only its two end
+    angles and its closing chord. A piece is valid when it has positive
+    area, every angle is under 180 degrees and, on a non-convex polygon,
+    it fits (`_fits_concave`); the valid piece of lowest `_piece_score`
+    wins, quads before triangles on a tie.
+    """
     out = []
     while len(pts) > 4:
         m = len(pts)
-        convex = _is_convex(pts)
+        ang = interior_angles(pts)
+        edge = [math.hypot(bx - ax, by - ay)
+                for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        convex = max(ang) <= math.pi + 1e-12
         best = None
         best_score = math.inf
         for size in (4, 3):
             for s in range(m):
                 piece = [(s + t) % m for t in range(size)]
-                if not _piece_valid(pts, piece, convex):
+                corners = [pts[k] for k in piece]
+                if polygon_area(corners) <= 1e-14:
                     continue
-                score = _piece_score([pts[k] for k in piece], size == 4)
+                first, last = corners[0], corners[-1]
+                max_angle = max(corner_angle(last, first, corners[1]),
+                                corner_angle(corners[-2], last, first),
+                                *(ang[k] for k in piece[1:-1]))
+                if max_angle > math.pi - 1e-9:
+                    continue
+                if not convex and not _fits_concave(pts, piece, corners):
+                    continue
+                edges = [edge[k] for k in piece[:-1]]
+                edges.append(math.hypot(first[0] - last[0], first[1] - last[1]))
+                score = _piece_score(edges, max_angle, size == 4)
                 if score < best_score:
                     best, best_score = piece, score
         if best is None:
@@ -284,46 +303,78 @@ def subdivide_to_quads(pieces: list, get_node) -> list:
     return quads
 
 
-def smooth_facet(uv_nodes: dict, quads: list, interior: list):
-    """In-plane Laplacian smoothing of the interior patch nodes.
+def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
+                   moving: np.ndarray):
+    """In-plane Laplacian smoothing of many quad patches in one pass.
 
-    Each of the SMOOTH_ITERS Jacobi sweeps moves every interior node to
-    the mean of its edge-connected neighbors, taken in node id order;
-    boundary nodes stay fixed. If any quad inverts, the patch reverts. Returns (node id ->
-    (x, y) dict, reverted flag); a reverted patch keeps its input positions.
+    ``xy`` holds the (S, 2) slot positions, each slot one node of one patch
+    in that patch's plane; ``quads`` the (Q, 4) quads as slot ids and
+    ``quad_patch`` the patch id of each quad; ``moving`` marks the slots of
+    interior nodes. Each of the SMOOTH_ITERS Jacobi sweeps moves every
+    moving slot to the mean of its edge-connected neighbors, summed in slot
+    order (node id order when a patch's slots are numbered so) and then
+    divided by their count; the other slots stay fixed. A patch in which a
+    quad inverts keeps its input positions. Returns the new (S, 2)
+    positions and the sorted ids of the patches that reverted.
     """
-    neigh = {}
-    for q in quads:
-        for k in range(4):
-            a, b = q[k], q[(k + 1) % 4]
-            neigh.setdefault(a, set()).add(b)
-            neigh.setdefault(b, set()).add(a)
-    cur = dict(uv_nodes)
-    interior = [n for n in interior if n in neigh]
-    around = [sorted(neigh[n]) for n in interior]
+    xy = np.asarray(xy, dtype=float)
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    quad_patch = np.asarray(quad_patch)
+    n = len(xy)
+    a, b = quads.ravel(), np.roll(quads, -1, axis=1).ravel()
+    # the (slot, neighbor) pairs, sorted by slot and then by neighbor
+    pair = np.unique(np.concatenate([a * n + b, b * n + a]))
+    src, dst = pair // n, pair % n
+    deg = np.bincount(src, minlength=n)
+    start = np.concatenate([[0], np.cumsum(deg)[:-1]])
+    moving = np.flatnonzero(np.asarray(moving, dtype=bool) & (deg > 0))
+    groups = []    # (slots, (k, d) neighbor slots) per degree d
+    for d in np.unique(deg[moving]).tolist():
+        rows = moving[deg[moving] == d]
+        groups.append((rows, dst[start[rows, None] + np.arange(d)]))
+    cur = xy.copy()
     for _ in range(SMOOTH_ITERS):
-        moved = [_centroid([cur[b] for b in nb]) for nb in around]
-        cur.update(zip(interior, moved))
-    for q in quads:
-        if polygon_area([cur[n] for n in q]) <= 0:
-            log.warning("facet patch smoothing inverted a quad; reverting")
-            return dict(uv_nodes), True
-    return cur, False
+        moved = []
+        for rows, nb in groups:
+            acc = cur[nb[:, 0]]
+            for c in range(1, nb.shape[1]):
+                acc += cur[nb[:, c]]
+            moved.append(acc / nb.shape[1])
+        for (rows, _), new in zip(groups, moved):
+            cur[rows] = new
+    # signed quad areas, summed as polygon_area sums them
+    x, y = cur[quads, 0], cur[quads, 1]
+    twice = x[:, 3] * y[:, 0] - y[:, 3] * x[:, 0]
+    for k in range(3):
+        twice = twice + (x[:, k] * y[:, k + 1] - y[:, k] * x[:, k + 1])
+    reverted = np.unique(quad_patch[0.5 * twice <= 0]).tolist()
+    for pid in reverted:
+        log.warning("facet %s: patch smoothing inverted a quad; reverting", pid)
+    back = quads[np.isin(quad_patch, reverted)].ravel()
+    cur[back] = xy[back]
+    return cur, reverted
 
 
 def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """Tessellate every live facet into a conformal all-quad patch.
 
-    Each facet is projected onto its bisecting plane once; the patch is
-    built and smoothed there on plain floats, and its interior nodes are
-    lifted back to 3D once, after smoothing. Every node is then pushed out
-    of its owner cells' guard spheres.
+    Each facet is projected onto its bisecting plane once, and its patch is
+    built there on plain floats. Every patch is then smoothed in one
+    `smooth_patches` pass, keyed by facet id, with each patch's slots in
+    node id order, and the interior nodes are lifted back to 3D in one
+    array expression. Every node is then pushed out of its owner cells'
+    guard spheres.
     """
     n_points = len(cs.points)
     new_nodes: list = []       # rows of the nodes made here, ids from n_points
     node_owners: dict = {}
     edge_midpoint: dict = {}
     patches = {}
+    slot_node: list = []       # node id per (patch, node) slot
+    slot_xy: list = []         # (x, y) per slot, in its patch's plane
+    slot_facet: list = []      # facet id per slot
+    quad_slots: list = []      # four slot ids per quad
+    quad_facet: list = []      # facet id per quad
 
     for fid, f in enumerate(cs.facets):
         if f.deleted:
@@ -384,20 +435,36 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
             return nid
 
         quads = subdivide_to_quads(pieces, get_node)
-        smoothed, _reverted = smooth_facet(local_uv, quads, interior_nodes)
-        U = np.array([smoothed[nid] for nid in interior_nodes])
-        lifted = f.plane_point + U[:, :1] * f.e1 + U[:, 1:2] * f.e2
-        for nid, row in zip(interior_nodes, lifted):
-            new_nodes[nid - n_points] = row
-        patches[fid] = FacetPatch(
-            quads=[tuple(int(x) for x in q) for q in quads],
-            interior_nodes=list(interior_nodes),
-        )
+        ids = sorted(local_uv)
+        slot = dict(zip(ids, range(len(slot_node), len(slot_node) + len(ids))))
+        slot_node.extend(ids)
+        slot_xy.extend(local_uv[nid] for nid in ids)
+        slot_facet.extend([fid] * len(ids))
+        quad_slots.extend([slot[a], slot[b], slot[c], slot[d]] for a, b, c, d in quads)
+        quad_facet.extend([fid] * len(quads))
+        patches[fid] = FacetPatch(quads=quads, interior_nodes=interior_nodes)
         for v in loop:
             node_owners.setdefault(v, set()).update(owners)
 
+    slot_node = np.array(slot_node, dtype=np.int64)
+    is_interior = np.zeros(n_points + len(new_nodes), dtype=bool)
+    is_interior[n_points:] = [row is None for row in new_nodes]
+    moving = is_interior[slot_node]
+    smoothed, _reverted = smooth_patches(np.array(slot_xy, dtype=float).reshape(-1, 2),
+                                         quad_slots, quad_facet, moving)
+    rows = np.empty((len(new_nodes), 3))
+    rows[~is_interior[n_points:]] = np.array(
+        [row for row in new_nodes if row is not None]).reshape(-1, 3)
+    # the lift, plane_point + u e1 + v e2, of every interior node at once
+    facet = np.array(slot_facet, dtype=np.int64)[moving]
+    plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
+    e1 = np.array([f.e1 for f in cs.facets]).reshape(-1, 3)
+    e2 = np.array([f.e2 for f in cs.facets]).reshape(-1, 3)
+    u, v = smoothed[moving, :1], smoothed[moving, 1:]
+    rows[slot_node[moving] - n_points] = plane[facet] + u * e1[facet] + v * e2[facet]
+
     mesh = FacetQuadMesh(
-        nodes=np.vstack([cs.points, np.array(new_nodes).reshape(-1, 3)]),
+        nodes=np.vstack([cs.points, rows]),
         patches=patches,
         edge_midpoint=edge_midpoint,
         cellset=cs,

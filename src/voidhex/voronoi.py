@@ -295,32 +295,85 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
 
 
 def _validate_cells(cs: VoronoiCellSet) -> None:
+    """Check every real cell: at least 4 live facets, no cell vertex
+    outside a facet plane, the site strictly inside, and a watertight
+    shell (each directed facet edge once, its reverse once). Raises
+    GeometryError for the lowest-numbered failing cell; within a cell the
+    checks run in that order, facet by facet for the plane checks.
+
+    The checks are array passes over (cell, facet) rows, over (cell,
+    facet, cell vertex) rows and over (cell, directed edge) rows.
+    """
     R = cs.bed.radius_nominal
-    for i in range(cs.n_real):
-        fl = cs.cell_facets(i)
-        if len(fl) < 4:
-            raise GeometryError(f"cell {i} has only {len(fl)} facets")
-        vids = sorted(set(v for f in fl for v in f.loop))
-        pts = cs.points[vids]
-        center = cs.sites[i]
-        for f in fl:
-            out = cs.outward_normal(f, i)
-            d = (pts - f.plane_point) @ out
-            if d.max() > PLANARITY_TOL * R * 10:
-                raise GeometryError(
-                    f"cell {i} is not convex: vertex {d.max():.3g} outside a facet plane"
-                )
-            if (center - f.plane_point) @ out >= 0:
-                raise GeometryError(f"site {i} is not strictly inside its cell")
-        # watertight: each directed facet edge must appear exactly once
-        edges = {}
-        for f in fl:
-            loop = cs.facet_loop_for_cell(f, i)
-            for u, v in zip(loop, loop[1:] + loop[:1]):
-                edges[(u, v)] = edges.get((u, v), 0) + 1
-        for (u, v), cnt in edges.items():
-            if cnt != 1 or edges.get((v, u), 0) != 1:
-                raise GeometryError(f"cell {i} facet shell is not watertight at edge {u}-{v}")
+    n = cs.n_real
+    live = np.array([not f.deleted for f in cs.facets], dtype=bool)
+    # (cell, facet) rows of the live facets, in each cell's facet order
+    per_cell = np.array([len(c) for c in cs.cells[:n]], dtype=np.int64)
+    cf_fid = np.fromiter(chain.from_iterable(cs.cells[:n]), dtype=np.int64,
+                         count=int(per_cell.sum()))
+    cf_cell = np.repeat(np.arange(n), per_cell)
+    keep = live[cf_fid]
+    cf_fid, cf_cell = cf_fid[keep], cf_cell[keep]
+    n_facets = np.bincount(cf_cell, minlength=n)
+    bad_cell = n_facets < 4
+
+    site_a = np.array([f.site_a for f in cs.facets], dtype=np.int64)
+    plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
+    normal = np.array([f.plane_normal for f in cs.facets]).reshape(-1, 3)
+    forward = site_a[cf_fid] == cf_cell
+    out = np.where(forward[:, None], normal[cf_fid], -normal[cf_fid])
+    site_bad = np.vecdot(cs.sites[cf_cell] - plane[cf_fid], out) >= 0
+
+    # each (cell, facet) row's loop, ordered for the cell: (row, vertex) rows
+    sizes = np.array([len(f.loop) for f in cs.facets], dtype=np.int64)
+    loop_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    flat = np.fromiter(chain.from_iterable(f.loop for f in cs.facets), dtype=np.int64,
+                       count=int(sizes.sum()))
+    m = sizes[cf_fid]
+    row = np.repeat(np.arange(len(cf_fid)), m)
+    first = np.repeat(np.cumsum(m) - m, m)
+    k = np.arange(len(row)) - first
+    u = flat[loop_start[cf_fid][row] + np.where(forward[row], k, m[row] - 1 - k)]
+    nxt = first + (k + 1) % m[row]     # the directed edge is (u, u[nxt])
+
+    # every vertex of the cell against every facet plane of the cell
+    n_pts = len(cs.points)
+    cell_vert, a = np.unique(cf_cell[row] * n_pts + u, return_inverse=True)
+    n_verts = np.bincount(cell_vert // n_pts, minlength=n)
+    reps = n_verts[cf_cell]
+    cfv = np.repeat(np.arange(len(cf_fid)), reps)
+    cfv_first = np.cumsum(reps) - reps
+    at = (np.cumsum(n_verts) - n_verts)[cf_cell][cfv] + np.arange(len(cfv)) - cfv_first[cfv]
+    d = np.vecdot(cs.points[cell_vert[at] % n_pts] - plane[cf_fid][cfv], out[cfv])
+    d_max = np.maximum.reduceat(d, cfv_first)
+    plane_bad = d_max > PLANARITY_TOL * R * 10
+    bad_cell[cf_cell[plane_bad | site_bad]] = True
+
+    # watertight: each directed edge of a cell once, and its reverse once;
+    # an edge's ends as rows of cell_vert carry the cell in them
+    b = a[nxt]
+    key, rkey = a * len(cell_vert) + b, b * len(cell_vert) + a
+    uniq, inv, count = np.unique(key, return_inverse=True, return_counts=True)
+    pos = np.searchsorted(uniq, rkey)
+    rcount = np.where(np.append(uniq, -1)[pos] == rkey, np.append(count, 0)[pos], 0)
+    edge_bad = (count[inv] != 1) | (rcount != 1)
+    bad_cell[cf_cell[row[edge_bad]]] = True
+
+    if not bad_cell.any():
+        return
+    i = int(np.argmax(bad_cell))
+    if n_facets[i] < 4:
+        raise GeometryError(f"cell {i} has only {n_facets[i]} facets")
+    rows = np.flatnonzero((cf_cell == i) & (plane_bad | site_bad))
+    if len(rows):
+        r = rows[0]
+        if plane_bad[r]:
+            raise GeometryError(
+                f"cell {i} is not convex: vertex {d_max[r]:.3g} outside a facet plane"
+            )
+        raise GeometryError(f"site {i} is not strictly inside its cell")
+    e = np.flatnonzero(edge_bad & (cf_cell[row] == i))[0]
+    raise GeometryError(f"cell {i} facet shell is not watertight at edge {u[e]}-{u[nxt[e]]}")
 
 
 def cell_volume(cs: VoronoiCellSet, i: int) -> float:

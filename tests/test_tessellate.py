@@ -22,7 +22,7 @@ from voidhex.tessellate import (
     FacetQuadMesh,
     _peel,
     group_edges,
-    smooth_facet,
+    smooth_patches,
     split_facet,
     subdivide_to_quads,
     tessellate_cells,
@@ -151,14 +151,52 @@ class TestSubdivide:
         assert len(coords) == 18 - 3
 
 
-class TestSmoothFacet:
+def smooth_one(uv_nodes, quads, interior):
+    """smooth_patches on one patch given as a {node id: (x, y)} dict, with
+    its slots in node id order; returns the same kind of dict and the
+    reverted flag."""
+    ids = sorted(uv_nodes)
+    slot = {n: k for k, n in enumerate(ids)}
+    out, reverted = smooth_patches(
+        np.array([uv_nodes[n] for n in ids], dtype=float),
+        [[slot[n] for n in q] for q in quads], np.zeros(len(quads), dtype=int),
+        np.isin(ids, interior))
+    return {n: tuple(p) for n, p in zip(ids, out.tolist())}, reverted == [0]
+
+
+def facet_patch(uv):
+    """A polygon's quad patch as split_facet and subdivide_to_quads make it:
+    ({node: (x, y)}, quads, interior nodes). Interior nodes are the
+    barycenter, the midpoints of cut edges and the piece centroids."""
+    n = len(uv)
+    nodes, interior = {}, []
+
+    def get_node(kind, key, xy):
+        if kind == "corner" and key != "bc":
+            name = key
+        else:
+            name = (kind, str(key))
+            a, b = key if kind == "mid" else (None, None)
+            if not (kind == "mid" and "bc" not in key and (b - a) % n in (1, n - 1)):
+                if name not in nodes:
+                    interior.append(name)
+        nodes.setdefault(name, tuple(xy))
+        return name
+
+    quads = subdivide_to_quads(split_facet(uv, group_edges(uv)), get_node)
+    ids = {name: k for k, name in enumerate(nodes)}
+    return ({ids[m]: xy for m, xy in nodes.items()},
+            [tuple(ids[m] for m in q) for q in quads], [ids[m] for m in interior])
+
+
+class TestSmoothPatches:
     def test_symmetric_patch_fixed_point(self):
         uv = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
               4: (0.5, 0.0), 5: (1.0, 0.5), 6: (0.5, 1.0), 7: (0.0, 0.5),
               8: (0.5, 0.5)}
         uv = {k: np.array(v) for k, v in uv.items()}
         quads = [(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)]
-        out, reverted = smooth_facet(uv, quads, [8])
+        out, reverted = smooth_one(uv, quads, [8])
         assert not reverted
         assert np.allclose(out[8], (0.5, 0.5))
 
@@ -173,7 +211,7 @@ class TestSmoothFacet:
             return min(polygon_area(np.array([positions[n] for n in q])) for q in quads)
 
         before = min_area(uv)
-        out, reverted = smooth_facet(uv, quads, [8])
+        out, reverted = smooth_one(uv, quads, [8])
         assert not reverted
         assert min_area(out) > before
 
@@ -187,11 +225,50 @@ class TestSmoothFacet:
               8: (1.0, 4.5)}
         quads = [(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)]
         assert min(polygon_area([uv[n] for n in q]) for q in quads) > 0
-        out, reverted = smooth_facet(uv, quads, [8])
+        out, reverted = smooth_one(uv, quads, [8])
         assert reverted
         assert out == uv
         assert all(np.float64(a).tobytes() == np.float64(b).tobytes()
                    for n in uv for a, b in zip(out[n], uv[n]))
+
+    def test_batch_equals_each_patch_alone(self, caplog):
+        square = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
+                  4: (0.5, 0.0), 5: (1.0, 0.5), 6: (0.5, 1.0), 7: (0.0, 0.5)}
+        grid = [(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)]
+        inverting = {0: (-1.0, 6.0), 1: (4.0, 0.0), 2: (4.0, 4.0), 3: (0.0, 4.0),
+                     4: (2.0, 0.0), 5: (4.0, 2.0), 6: (2.0, 4.0), 7: (0.0, 2.0),
+                     8: (1.0, 4.5)}
+        rng = np.random.default_rng(3)
+        hexa = regular_polygon(6) * (1.0 + 0.2 * rng.random((6, 1)))
+        dodeca = np.array([p for k in range(6)
+                           for p in (hexa[k], 0.5 * (hexa[k] + hexa[(k + 1) % 6]))])
+        patches = {
+            41: ({**square, 8: (0.9, 0.9)}, grid, [8]),
+            3: facet_patch(dodeca),
+            17: (inverting, grid, [8]),
+            8: facet_patch(regular_polygon(7) + 5.0),
+        }
+        alone = {pid: smooth_one(*patch)[0] for pid, patch in patches.items()}
+
+        xy, quads, quad_patch, moving, where = [], [], [], [], {}
+        for pid, (uv, qs, interior) in patches.items():
+            ids = sorted(uv)
+            slot = {n: len(xy) + k for k, n in enumerate(ids)}
+            where[pid] = slot
+            xy += [uv[n] for n in ids]
+            moving += [n in interior for n in ids]
+            quads += [[slot[n] for n in q] for q in qs]
+            quad_patch += [pid] * len(qs)
+        caplog.clear()
+        out, reverted = smooth_patches(np.array(xy), quads, quad_patch, moving)
+        assert reverted == [17]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["facet 17: patch smoothing inverted a quad; reverting"]
+        for pid, slot in where.items():
+            got = np.array([out[slot[n]] for n in sorted(slot)])
+            assert got.tobytes() == np.array([alone[pid][n] for n in sorted(slot)]).tobytes()
+        assert out[list(where[17].values())].tobytes() == np.array(
+            [inverting[n] for n in sorted(inverting)]).tobytes()
 
 
 def old_polygon_area(uv):

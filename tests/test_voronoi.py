@@ -1,4 +1,6 @@
+import copy
 import re
+from functools import cache
 
 import numpy as np
 import pytest
@@ -276,6 +278,12 @@ def _facet_deleted(cs):
     cs.facets[cs.cells[6][2]].deleted = True
 
 
+def _one_facet_both(cs):
+    # the y = 0 wall of cell 5 fails both: the vertex check comes first
+    _site_outside(cs)
+    cs.points[cs.points.tolist().index([4.0, 0.0, 4.0])] = (4.0, -0.5, 4.0)
+
+
 def _all(cs):
     for breaker in (_vertex_outside, _site_outside, _not_watertight):
         breaker(cs)
@@ -308,6 +316,7 @@ class TestValidateCells:
         (_all, r"cell 3 facet shell is not watertight"),
         (_site_and_vertex, "site 5 is not strictly inside its cell"),
         (_vertex_and_site, "cell 5 is not convex: vertex 0.5 outside a facet plane"),
+        (_one_facet_both, "cell 5 is not convex: vertex 0.5 outside a facet plane"),
     ])
     def test_raise_branch(self, breaker, message):
         bed = fixtures.simple_cubic(2)
@@ -325,3 +334,44 @@ class TestValidateCells:
         cs = build_cells(bed, generate_ghosts(bed))
         reference_validate_cells(cs)
         _validate_cells(cs)
+
+
+@cache
+def _lattice_cells():
+    bed = fixtures.simple_cubic(3)
+    return build_cells(bed, generate_ghosts(bed))
+
+
+def _outcome(check, cs):
+    try:
+        check(cs)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+edits = st.lists(st.tuples(st.sampled_from(["drop", "delete", "vertex", "site"]),
+                           st.integers(0, 10**6), st.integers(0, 2),
+                           st.sampled_from([-0.5, -1e-7, 1e-7, 0.5])),
+                 min_size=1, max_size=3)
+
+
+class TestValidateCellsProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(edits)
+    def test_matches_reference(self, changes):
+        """Random breaks of a simple_cubic(3) cell set: a facet dropped from
+        a cell's list or marked deleted, a vertex or a site moved along an
+        axis. _validate_cells reports what the reference loop reports."""
+        cs = copy.deepcopy(_lattice_cells())
+        for kind, pick, axis, step in changes:
+            cell = cs.cells[pick % cs.n_real]
+            if kind == "drop" and cell:
+                del cell[pick % len(cell)]
+            elif kind == "delete":
+                cs.facets[pick % len(cs.facets)].deleted = True
+            elif kind == "vertex":
+                cs.points[pick % len(cs.points), axis] += step
+            elif kind == "site":
+                cs.sites[pick % cs.n_real, axis] += 3 * step
+        assert _outcome(_validate_cells, cs) == _outcome(reference_validate_cells, cs)
