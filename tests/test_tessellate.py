@@ -189,7 +189,7 @@ def facet_patch(uv):
             [tuple(ids[m] for m in q) for q in quads], [ids[m] for m in interior])
 
 
-class TestSmoothPatches:
+class TestSmoothFacet:
     def test_symmetric_patch_fixed_point(self):
         uv = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
               4: (0.5, 0.0), 5: (1.0, 0.5), 6: (0.5, 1.0), 7: (0.0, 0.5),
