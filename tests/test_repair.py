@@ -313,11 +313,12 @@ def cells_digest(cs, oplog: bytes = b"") -> str:
     return h.hexdigest()
 
 
-# Digests of the front half (build_cells, then repair) on two fixtures. A
+# Digests of the front half (build_cells, then repair) on three fixtures. A
 # change to voronoi, repair or geometry that keeps behaviour keeps these.
 GOLDEN = {
     "cube_raw": "46fb04a6b56e833a962b09f4b592a9d162db13e92cc04f4bddb9974811abba96",
     "cylinder_repaired": "0f88f948fe44601929f98e0e86fefec20a4f8468d65e34d36db195880c3802e7",
+    "cylinder300_repaired": "4884239c737d05cc28f22c1c2fb887c9fc3d448be848b7c573ba4ca831838319",
 }
 
 
@@ -336,3 +337,12 @@ class TestGoldenDigest:
         oplog = path.read_bytes()
         assert any(json.loads(line)["op"] == "collapse" for line in oplog.splitlines())
         assert cells_digest(cs, oplog) == GOLDEN["cylinder_repaired"]
+
+    def test_cylinder300_repaired(self, tmp_path):
+        # 786 collapses over 10 passes and 2,204 insertions
+        bed = fixtures.random_cylinder_bed(300, 6.0, 20.0, seed=1)
+        bed = rescale(bed, separation_profile(bed))
+        cs = build_cells(bed, generate_ghosts(bed))
+        path = tmp_path / "ops.jsonl"
+        repair(cs, RepairConfig(), log_path=path)
+        assert cells_digest(cs, path.read_bytes()) == GOLDEN["cylinder300_repaired"]
