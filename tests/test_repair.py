@@ -1,15 +1,23 @@
+import copy
 import hashlib
 import json
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voidhex import fixtures
 from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError
-from voidhex.geometry import GUARD_RADIUS, push_outside
+from voidhex.geometry import GUARD_RADIUS, loop_is_simple, polygon_area, push_outside
 from voidhex.repair import (
     RepairConfig,
+    _base_tolerance,
+    _edge_table,
+    _facet_zone,
+    _squeeze,
     boundary_zone,
     collapse_edges,
     edge_lengths,
@@ -106,6 +114,184 @@ class TestToleranceSchedule:
         cs = make_synthetic(pts, [[0, 1, 2]])
         collapse_edges(cs, RepairConfig())
         assert cs.facets[0].deleted
+
+
+def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
+    """The former per-candidate check: would fusing v into u (at mid) keep
+    every touched facet loop valid? Kept as the reference for the batched
+    check of `_collapse_pass`."""
+    for fid in touched_fids:
+        f = cs.facets[fid]
+        loop = _squeeze([u if w == v else w for w in f.loop])
+        if len(loop) < 3:
+            continue  # facet degenerates and will be deleted: allowed
+        if len(set(loop)) != len(loop):
+            return False  # pinched loop
+        rel = np.array([mid if w == u else cs.points[w] for w in loop]) - f.plane_point
+        pts2 = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
+        if abs(polygon_area(pts2)) < 1e-16:
+            return False
+        if not loop_is_simple(pts2):
+            return False
+    return True
+
+
+def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> int:
+    """The former collapse pass: candidates checked and applied one by one."""
+    edges = _edge_table(cs)
+    tol = _base_tolerance(edges, facet_zone, cfg) * factor * R
+    cand = np.flatnonzero(edges.length < tol)
+    cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
+    incidence = {}
+    for f_id, w in zip(edges.fid.tolist(), edges.vertex.tolist()):
+        incidence.setdefault(w, []).append(f_id)
+    moved = set()
+    n_done = 0
+    for u, v, L, tol_uv in zip(edges.u[cand].tolist(), edges.v[cand].tolist(),
+                               edges.length[cand].tolist(), tol[cand].tolist()):
+        if u in moved or v in moved:
+            continue
+        touched = sorted(fid for fid in {*incidence[u], *incidence[v]}
+                         if not cs.facets[fid].deleted)
+        mid = 0.5 * (cs.points[u] + cs.points[v])
+        if not reference_collapse_ok(cs, u, v, mid, touched):
+            oplog.append({"op": "collapse_skipped", "pass": pass_no, "edge": [u, v], "length": L})
+            continue
+        cs.points[u] = mid
+        for fid in touched:
+            f = cs.facets[fid]
+            f.loop = _squeeze([u if w == v else w for w in f.loop])
+            if len(f.loop) < 3:
+                f.deleted = True
+        moved.add(u)
+        moved.add(v)
+        n_done += 1
+        oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
+                      "length": L, "tolerance": tol_uv, "facets": touched})
+    return n_done
+
+
+def reference_collapse_edges(cs, cfg, oplog):
+    """The former `collapse_edges`: sequential passes, and a full guard
+    projection after each one."""
+    facet_zone = _facet_zone(cs)
+    k = extra = 0
+    while True:
+        k += 1
+        if k > cfg.passes:
+            extra += 1
+            if extra > 40:
+                break
+        factor = cfg.pass_tolerance(min(k, 9))
+        changed = reference_collapse_pass(cs, cfg, facet_zone, factor, k,
+                                          cs.bed.radius_nominal, oplog)
+        if k >= cfg.passes and not changed:
+            break
+        guard_projection(cs, cfg, oplog=oplog)
+    return cs
+
+
+def pass_records(oplog, pass_no):
+    return [(r["op"], r["edge"]) for r in oplog if r.get("pass") == pass_no]
+
+
+class TestCollapseSkipped:
+    """Hand-built cell sets whose collapse would break a facet loop. The
+    facets lie in the plane x = 2 (or 2.5), whose (e1, e2) basis is (z, -y),
+    so the projections are exact."""
+
+    def test_pinch(self):
+        # hourglass hexagon with a 0.1-wide waist between vertices 0 and 3;
+        # the triangle [0, 3, 6] makes (0, 3) an edge, and fusing it would
+        # visit vertex 0 twice in the hexagon
+        pts = [(2.0, -0.05, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.05, 0.0),
+               (2.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.5, 0.0, 0.3)]
+        cs = make_synthetic(pts, [[0, 1, 2, 3, 4, 5], [0, 3, 6]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        # skipped in pass 6, the first whose tolerance passes 0.1, and again
+        # in every later pass, since a skip moves nothing
+        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 3], "length": 0.1}
+                         for k in range(6, 11)]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4, 5], [0, 3, 6]]
+        assert not any(f.deleted for f in cs.facets)
+        assert np.array_equal(cs.points, np.array(pts))
+
+    def test_self_intersection(self):
+        # vertex 0 is a reflex vertex 0.05 below the top edge (2, 3) of the
+        # pentagon; fusing the 0.2-long edge (0, 5) moves it 0.1 up, across
+        # that edge
+        pts = [(2.0, 0.0, 0.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.05), (2.0, -2.0, 0.05),
+               (2.0, -2.0, -1.0), (2.0, 0.0, 0.2), (2.5, 0.0, 0.1)]
+        cs = make_synthetic(pts, [[0, 1, 2, 3, 4], [0, 5, 6]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 5], "length": 0.2}
+                         for k in range(7, 11)]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 5, 6]]
+        assert np.array_equal(cs.points, np.array(pts))
+
+    def test_flattened_facet(self):
+        # fusing (0, 3) puts vertex 0 on the line through 1 and 2: the
+        # triangle [0, 1, 2] would have zero area
+        pts = [(2.0, 0.0, 0.1), (2.0, -1.0, 0.0), (2.0, 1.0, 0.0), (2.0, 0.0, -0.1),
+               (2.5, 0.0, 0.0)]
+        cs = make_synthetic(pts, [[0, 1, 2], [0, 3, 4]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 3], "length": 0.2}
+                         for k in range(7, 11)]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2], [0, 3, 4]]
+
+    def test_later_candidate_on_a_skipped_endpoint(self):
+        # the pinch of test_pinch, plus a 0.11-long edge (0, 7) out of the
+        # hexagon's plane: (0, 3) is skipped first, and (0, 7) still
+        # collapses in the same pass, because a skipped edge moves neither end
+        pts = [(2.0, -0.05, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.05, 0.0),
+               (2.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.5, 0.0, 0.3), (2.11, -0.05, 0.0),
+               (2.5, -0.6, -0.3)]
+        cs = make_synthetic(pts, [[0, 1, 2, 3, 4, 5], [0, 3, 6], [0, 7, 8]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert pass_records(oplog, 6) == [("collapse_skipped", [0, 3]), ("collapse", [0, 7])]
+        done = [r for r in oplog if r["op"] == "collapse"]
+        assert len(done) == 1 and done[0]["facets"] == [0, 1, 2]
+        assert all(r["edge"] == [0, 3] for r in oplog if r["op"] == "collapse_skipped")
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4, 5], [0, 3, 6], [0, 8]]
+        assert [f.deleted for f in cs.facets] == [False, False, True]
+        assert np.array_equal(cs.points[0], 0.5 * (np.array(pts[0]) + np.array(pts[7])))
+        assert np.array_equal(cs.points[7], np.array(pts[7]))
+
+
+@cache
+def _small_bed_cells(seed):
+    bed = fixtures.random_cylinder_bed(n=12, R_c=2.6, H=6.0, seed=seed)
+    return build_cells(bed, generate_ghosts(bed))
+
+
+def _collapse_outcome(fn, cs, cfg):
+    oplog = []
+    try:
+        fn(cs, cfg, oplog=oplog)
+    except GeometryError as exc:
+        return str(exc), oplog
+    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets]), oplog
+
+
+class TestCollapseProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.floats(0.0, 0.25), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.75), st.floats(0.05, 0.75))
+    def test_matches_reference(self, seed, jitter, jitter_seed, tol_inf, tol_boundary):
+        """Small cylinder beds, their vertices jittered out of their facet
+        planes so that some collapses would break a loop, and random
+        tolerances: `collapse_edges` gives the same points, loops and oplog,
+        bit for bit, as the sequential reference."""
+        cs = copy.deepcopy(_small_bed_cells(seed))
+        cs.points += np.random.default_rng(jitter_seed).normal(scale=jitter, size=cs.points.shape)
+        cfg = RepairConfig(tol_inf=tol_inf, tol_boundary=tol_boundary)
+        ref = _collapse_outcome(reference_collapse_edges, copy.deepcopy(cs), cfg)
+        assert _collapse_outcome(collapse_edges, cs, cfg) == ref
 
 
 class TestInsertVertices:
