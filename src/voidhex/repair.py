@@ -9,10 +9,19 @@ Each collapse pass and each insertion round starts from one edge table
 (`_edge_table`): the live facet loops flattened into (facet, vertex, next
 vertex) rows, and one `np.unique` over their sorted endpoint keys, which
 gives every edge once, in (u, v) order, with its length. The zone
-tolerances and the collapse candidates are array passes over that table;
-only the candidates are visited one by one, and the vertex-to-facet
-incidence is read from the rows for their endpoints only. Guard projection
-reads the same rows.
+tolerances and the collapse candidates are array passes over that table.
+
+A collapse pass walks its sorted candidates speculatively (`_walk`): it
+assumes every collapse succeeds, rewrites the loops of the facets each one
+touches in plain lists, and records each (collapse, touched facet) loop
+state. Every state is then projected onto its facet's (e1, e2) plane and
+checked for a flat or self-intersecting polygon in one array pass per loop
+size (`_breaks`). The collapses before the first one that would break a loop
+are applied, that one is skipped, and the walk resumes after it.
+
+Guard projection checks every vertex the first time in a repair, and after
+that only the vertices moved since: collapse survivors, inserted vertices
+and pushed ones, each against the facets that may hold it (`_Repair`).
 """
 
 from __future__ import annotations
@@ -21,12 +30,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import chain
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import GUARD_RADIUS, loop_is_simple, norms, polygon_area, push_outside
+from .geometry import GUARD_RADIUS, norms, push_outside
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -103,10 +113,9 @@ def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
     return clear < 2.0 * R
 
 
-def _facet_zone(cs: VoronoiCellSet) -> np.ndarray:
+def _facet_zone(cs: VoronoiCellSet, site_a, site_b) -> np.ndarray:
     """Per facet, deleted ones included: does it bound a real cell of the
-    boundary zone?"""
-    site_a, site_b = _facet_sites(cs)
+    boundary zone? ``site_a`` and ``site_b`` are from `_facet_sites`."""
     in_zone = np.append(boundary_zone(cs), False)  # every ghost site maps to the last entry
     return in_zone[site_a] | in_zone[np.minimum(site_b, cs.n_real)]
 
@@ -130,22 +139,278 @@ def _squeeze(loop):
     return out
 
 
-def _collapse_ok(cs: VoronoiCellSet, u: int, v: int, mid, touched_fids) -> bool:
-    """Would fusing v into u (at mid) keep every touched facet loop valid?"""
-    for fid in touched_fids:
-        f = cs.facets[fid]
-        loop = _squeeze([u if w == v else w for w in f.loop])
-        if len(loop) < 3:
-            continue  # facet degenerates and will be deleted: allowed
-        if len(set(loop)) != len(loop):
-            return False  # pinched loop
-        rel = np.array([mid if w == u else cs.points[w] for w in loop]) - f.plane_point
-        pts2 = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
-        if abs(polygon_area(pts2)) < 1e-16:
-            return False
-        if not loop_is_simple(pts2):
-            return False
-    return True
+def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
+    """Walk candidates lo..hi-1 of a pass as if every collapse succeeds.
+
+    Candidate i fuses vs[i] into us[i] at row P + i of the position table
+    (P = len(cs.points)). Returns the collapses walked, as (candidate,
+    touched facets, their new loops); the loop states to check, as
+    (candidate, facet, position-table rows), one per touched facet left
+    with 3 or more vertices; and the first candidate that would pinch a
+    loop, or hi if none would.
+    """
+    P = len(cs.points)
+    moved = set(moved)
+    loops = {}  # facet -> its loop after the collapses walked so far
+    at = {}     # vertex moved by the walk -> its row in the position table
+    walked, states = [], []
+    for i in range(lo, hi):
+        u, v = us[i], vs[i]
+        if u in moved or v in moved:
+            continue
+        touched, new = [], []
+        for fid in sorted({*incidence[u], *incidence[v]}):
+            loop = loops.get(fid)
+            if loop is None:
+                if cs.facets[fid].deleted:
+                    continue
+                loop = cs.facets[fid].loop
+            elif len(loop) < 3:
+                continue  # deleted by an earlier collapse of the walk
+            touched.append(fid)
+            new.append(_squeeze([u if w == v else w for w in loop]))
+        rows = []
+        for fid, loop in zip(touched, new):
+            if len(loop) < 3:
+                continue  # facet degenerates and will be deleted: allowed
+            if len(set(loop)) != len(loop):
+                return walked, states, i  # pinched loop
+            rows.append((i, fid, [P + i if w == u else at.get(w, w) for w in loop]))
+        states += rows
+        loops.update(zip(touched, new))
+        at[u] = P + i
+        moved |= {u, v}
+        walked.append((i, touched, new))
+    return walked, states, hi
+
+
+@cache
+def _edge_pairs(m: int):
+    """Index arrays (i, i + 1, j, j + 1), all mod m, over the pairs of
+    non-adjacent edges (i, j) of an m-gon, i < j."""
+    ij = [(i, j) for i in range(m) for j in range(i + 2, m) if (j + 1) % m != i]
+    i, j = np.array(ij, dtype=np.int64).reshape(-1, 2).T
+    return i, (i + 1) % m, j, (j + 1) % m
+
+
+def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Per loop state: is its polygon flat or self-intersecting?
+
+    ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
+    facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
+    projection is one `matmul` per loop, as ``rel @ e1`` of that loop alone,
+    so each coordinate has the bits a single-loop projection gives; the
+    shoelace sum runs over the columns in loop order, as
+    `geometry.polygon_area` adds them, and the crossing test is
+    `geometry.loop_is_simple`'s over every non-adjacent edge pair at once.
+    """
+    x = (rel @ e1[:, :, None])[..., 0]
+    y = (rel @ e2[:, :, None])[..., 0]
+    s = np.zeros(len(x))
+    px, py = x[:, -1], y[:, -1]
+    for k in range(x.shape[1]):
+        s += px * y[:, k] - py * x[:, k]
+        px, py = x[:, k], y[:, k]
+    i, i1, j, j1 = _edge_pairs(x.shape[1])
+    px, py, qx, qy = x[:, i], y[:, i], x[:, i1], y[:, i1]
+    rx, ry, sx, sy = x[:, j], y[:, j], x[:, j1], y[:, j1]
+    dx, dy = qx - px, qy - py
+    ex, ey = sx - rx, sy - ry
+    # orientations of r and s about pq, then of p and q about rs
+    cross = (((dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0)
+             & ((ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0))
+    return (np.abs(0.5 * s) < 1e-16) | cross.any(axis=1)
+
+
+class _Repair:
+    """One repair of a cell set: its oplog, the facet arrays it gathers
+    once, and the vertices its next guard projection checks.
+
+    ``pending`` lists a (vertex, facet) row for each vertex moved since the
+    last guard projection and each facet that holds it; it is None until
+    the first projection, which checks every vertex. A vertex that has not
+    moved keeps its position and can only lose facets, so it stays outside
+    its guards.
+    """
+
+    def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
+        self.cs, self.cfg = cs, cfg
+        self.oplog = [] if oplog is None else oplog
+        self.site_a, self.site_b = _facet_sites(cs)
+        self.pending: list | None = None
+
+    @cached_property
+    def frames(self):
+        """Plane point, e1 and e2 of every facet, as (F, 3) arrays."""
+        facets = self.cs.facets
+        return (np.array([f.plane_point for f in facets]).reshape(-1, 3),
+                np.array([f.e1 for f in facets]).reshape(-1, 3),
+                np.array([f.e2 for f in facets]).reshape(-1, 3))
+
+    def recheck(self, vertices, fids) -> None:
+        """Each of ``vertices`` moved, and each of ``fids`` holds it: the
+        next guard projection checks them."""
+        if self.pending is not None:
+            self.pending += [(v, f) for v in vertices for f in fids]
+
+    def collapse_edges(self) -> None:
+        cs, cfg = self.cs, self.cfg
+        facet_zone = _facet_zone(cs, self.site_a, self.site_b)
+        k = 0
+        extra = 0
+        while True:
+            k += 1
+            if k > cfg.passes:
+                extra += 1
+                if extra > 40:
+                    log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
+                    break
+            factor = cfg.pass_tolerance(min(k, 9))
+            changed = self.collapse_pass(facet_zone, factor, k)
+            if k >= cfg.passes and not changed:
+                break
+            self.guard_projection()
+
+    def collapse_pass(self, facet_zone, factor, pass_no) -> int:
+        cs = self.cs
+        edges = _edge_table(cs)
+        tol = _base_tolerance(edges, facet_zone, self.cfg) * factor * cs.bed.radius_nominal
+        cand = np.flatnonzero(edges.length < tol)
+        if not len(cand):
+            return 0
+        cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
+        # vertex -> live facets, for the candidates' endpoints only
+        endpoints = np.unique(np.concatenate([edges.u[cand], edges.v[cand]]))
+        by_vertex = np.argsort(edges.vertex, kind="stable")
+        rows = edges.vertex[by_vertex]
+        lo = np.searchsorted(rows, endpoints, side="left").tolist()
+        hi = np.searchsorted(rows, endpoints, side="right").tolist()
+        fids = edges.fid[by_vertex].tolist()
+        incidence = {w: fids[a:b] for w, a, b in zip(endpoints.tolist(), lo, hi)}
+        # a candidate is tried only while neither end has moved in this
+        # pass, so its midpoint is that of the pass-start positions
+        mids = 0.5 * (cs.points[edges.u[cand]] + cs.points[edges.v[cand]])
+        us, vs = edges.u[cand].tolist(), edges.v[cand].tolist()
+        lengths, tols = edges.length[cand].tolist(), tol[cand].tolist()
+        moved = set()
+        n_done = 0
+        start, width = 0, len(cand)
+        while start < len(cand):
+            end = min(len(cand), start + width)
+            walked, states, fail = _walk(cs, us, vs, start, end, moved, incidence)
+            fail = min(fail, self._first_break(states, np.vstack([cs.points, mids]), end))
+            for i, touched, new in walked:
+                if i >= fail:
+                    break
+                u, v = us[i], vs[i]
+                cs.points[u] = mids[i]
+                for fid, loop in zip(touched, new):
+                    f = cs.facets[fid]
+                    f.loop = loop
+                    if len(loop) < 3:
+                        f.deleted = True
+                moved |= {u, v}
+                n_done += 1
+                self.recheck((u,), touched)
+                self.oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
+                                   "length": lengths[i], "tolerance": tols[i], "facets": touched})
+            if fail < end:
+                self.oplog.append({"op": "collapse_skipped", "pass": pass_no,
+                                   "edge": [us[fail], vs[fail]], "length": lengths[fail]})
+                log.debug("skipped collapse of edge (%d, %d): would invalidate a loop",
+                          us[fail], vs[fail])
+                # where skips are dense, speculate over fewer candidates
+                start, width = fail + 1, 2 * (fail - start) + 16
+            else:
+                start, width = end, 2 * width
+        return n_done
+
+    def _first_break(self, states, table, default: int) -> int:
+        """The first candidate with a loop state that `_breaks`, else
+        ``default``; ``table`` holds the positions the states' rows index."""
+        if not states:
+            return default
+        plane, e1, e2 = self.frames
+        cand = np.array([c for c, _, _ in states], dtype=np.int64)
+        fid = np.array([f for _, f, _ in states], dtype=np.int64)
+        size = np.array([len(r) for _, _, r in states], dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(r for _, _, r in states), dtype=np.int64,
+                           count=int(size.sum()))
+        first = np.cumsum(size) - size
+        broken = np.zeros(len(states), dtype=bool)
+        for m in np.unique(size).tolist():
+            sel = np.flatnonzero(size == m)
+            f = fid[sel]
+            rel = table[flat[first[sel, None] + np.arange(m)]] - plane[f][:, None, :]
+            broken[sel] = _breaks(rel, e1[f], e2[f])
+        return int(cand[broken].min()) if broken.any() else default
+
+    def insert_vertices(self) -> None:
+        cs = self.cs
+        limit = self.cfg.max_edge * cs.bed.radius_nominal
+        for _round in range(10):
+            edges = _edge_table(cs)
+            long_edges = np.flatnonzero(edges.length > limit)
+            if not len(long_edges):
+                break
+            # new point k is (1 - t[k]) * points[ends[k][0]] + t[k] * points[ends[k][1]]
+            ends, t = [], []
+            splits = {}
+            base = len(cs.points)
+            for u, v, L in zip(edges.u[long_edges].tolist(), edges.v[long_edges].tolist(),
+                               edges.length[long_edges].tolist()):
+                m = max(1, math.ceil(math.log2(L / limit)))
+                ids = list(range(base + len(t), base + len(t) + 2**m - 1))
+                ends += [(u, v)] * len(ids)
+                t += [i / 2**m for i in range(1, 2**m)]
+                splits[(u, v)] = ids
+                self.oplog.append({"op": "insert", "edge": [u, v], "length": L,
+                                   "pieces": 2**m, "new_vertices": ids})
+            t = np.array(t)[:, None]
+            ends = np.array(ends, dtype=np.int64)
+            cs.points = np.vstack([cs.points,
+                                   (1 - t) * cs.points[ends[:, 0]] + t * cs.points[ends[:, 1]]])
+            is_long = np.zeros(len(edges.u), dtype=bool)
+            is_long[long_edges] = True
+            for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
+                f = cs.facets[fid]
+                out = []
+                loop = f.loop
+                for a, b in zip(loop, loop[1:] + loop[:1]):
+                    out.append(a)
+                    key = (a, b) if a < b else (b, a)
+                    if key in splits:
+                        ids = splits[key]
+                        out.extend(ids if a < b else list(reversed(ids)))
+                        self.recheck(ids, (fid,))
+                f.loop = out
+            self.guard_projection()
+        else:
+            log.warning("vertex insertion did not settle after 10 rounds")
+
+    def guard_projection(self) -> None:
+        cs = self.cs
+        if self.pending is None:
+            fid, verts, _ = _loop_rows(cs)
+        else:
+            # a moved vertex stays in the facets that held it, unless a
+            # later collapse deleted one; a pushed vertex that a collapse
+            # fused away keeps stale rows, but it has not moved since it
+            # was pushed clear of those very owners
+            verts, fid = np.array(self.pending, dtype=np.int64).reshape(-1, 2).T
+            live = [not cs.facets[f].deleted for f in fid.tolist()]
+            verts, fid = verts[live], fid[live]
+        site_a, site_b = self.site_a[fid], self.site_b[fid]
+        real = site_b < cs.n_real
+        pairs = np.vstack([np.column_stack([verts, site_a]),
+                           np.column_stack([verts[real], site_b[real]])])
+        guard = self.cfg.guard_radius * cs.bed.radius_nominal
+        pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
+        self.oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
+                          for v, c, d in pushes)
+        self.pending = []
+        for v in {v for v, _, _ in pushes}:
+            self.recheck((v,), fid[verts == v].tolist())
 
 
 def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -153,73 +418,13 @@ def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = N
 
     Shortest edges go first; a collapse fuses both endpoints at the edge
     midpoint across every facet that shares the edge; facets left with
-    fewer than 3 edges are deleted. A collapse that would pinch or
+    fewer than 3 edges are deleted. A collapse that would pinch, flatten or
     self-intersect a facet loop is skipped and logged. Cleanup passes at
     the full tolerance run after the schedule until no edge is left
-    below it.
+    below it. A guard projection follows each pass but the last.
     """
-    facet_zone = _facet_zone(cs)
-    R = cs.bed.radius_nominal
-    k = 0
-    extra = 0
-    while True:
-        k += 1
-        if k > cfg.passes:
-            extra += 1
-            if extra > 40:
-                log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
-                break
-        factor = cfg.pass_tolerance(min(k, 9))
-        changed = _collapse_pass(cs, cfg, facet_zone, factor, k, R, oplog)
-        if k >= cfg.passes and not changed:
-            break
-        guard_projection(cs, cfg, oplog=oplog)
+    _Repair(cs, cfg, oplog).collapse_edges()
     return cs
-
-
-def _collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> int:
-    edges = _edge_table(cs)
-    tol = _base_tolerance(edges, facet_zone, cfg) * factor * R
-    cand = np.flatnonzero(edges.length < tol)
-    cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
-    # vertex -> live facets, for the candidates' endpoints only
-    endpoints = np.unique(np.concatenate([edges.u[cand], edges.v[cand]]))
-    by_vertex = np.argsort(edges.vertex, kind="stable")
-    rows = edges.vertex[by_vertex]
-    lo = np.searchsorted(rows, endpoints, side="left").tolist()
-    hi = np.searchsorted(rows, endpoints, side="right").tolist()
-    fids = edges.fid[by_vertex].tolist()
-    incidence = {w: fids[a:b] for w, a, b in zip(endpoints.tolist(), lo, hi)}
-    moved = set()
-    n_done = 0
-    for u, v, L, tol_uv in zip(edges.u[cand].tolist(), edges.v[cand].tolist(),
-                               edges.length[cand].tolist(), tol[cand].tolist()):
-        if u in moved or v in moved:
-            continue
-        # neither end has moved in this pass, so each keeps its facets,
-        # but a facet may have been deleted by another collapse
-        touched = sorted(fid for fid in {*incidence[u], *incidence[v]}
-                         if not cs.facets[fid].deleted)
-        mid = 0.5 * (cs.points[u] + cs.points[v])
-        if not _collapse_ok(cs, u, v, mid, touched):
-            if oplog is not None:
-                oplog.append({"op": "collapse_skipped", "pass": pass_no,
-                              "edge": [u, v], "length": L})
-            log.debug("skipped collapse of edge (%d, %d): would invalidate a loop", u, v)
-            continue
-        cs.points[u] = mid
-        for fid in touched:
-            f = cs.facets[fid]
-            f.loop = _squeeze([u if w == v else w for w in f.loop])
-            if len(f.loop) < 3:
-                f.deleted = True
-        moved.add(u)
-        moved.add(v)
-        n_done += 1
-        if oplog is not None:
-            oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
-                          "length": L, "tolerance": tol_uv, "facets": touched})
-    return n_done
 
 
 def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -227,73 +432,30 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
 
     Splitting is recursive: an edge of length L gets 2^m - 1 equally spaced
     points with m = ceil(log2(L / max_edge)), which is what repeated
-    midpoint bisection produces for a straight edge.
+    midpoint bisection produces for a straight edge. A guard projection
+    follows each round.
     """
-    R = cs.bed.radius_nominal
-    limit = cfg.max_edge * R
-    for _round in range(10):
-        edges = _edge_table(cs)
-        long_edges = np.flatnonzero(edges.length > limit)
-        if not len(long_edges):
-            break
-        new_points = []
-        splits = {}
-        base = len(cs.points)
-        for u, v, L in zip(edges.u[long_edges].tolist(), edges.v[long_edges].tolist(),
-                           edges.length[long_edges].tolist()):
-            m = max(1, math.ceil(math.log2(L / limit)))
-            params = [i / 2**m for i in range(1, 2**m)]
-            ids = list(range(base + len(new_points), base + len(new_points) + len(params)))
-            for t in params:
-                new_points.append((1 - t) * cs.points[u] + t * cs.points[v])
-            splits[(u, v)] = ids
-            if oplog is not None:
-                oplog.append({"op": "insert", "edge": [u, v], "length": L,
-                              "pieces": 2**m, "new_vertices": ids})
-        cs.points = np.vstack([cs.points, np.array(new_points)])
-        is_long = np.zeros(len(edges.u), dtype=bool)
-        is_long[long_edges] = True
-        for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
-            f = cs.facets[fid]
-            out = []
-            loop = f.loop
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                out.append(a)
-                key = (a, b) if a < b else (b, a)
-                if key in splits:
-                    ids = splits[key]
-                    out.extend(ids if a < b else list(reversed(ids)))
-            f.loop = out
-        guard_projection(cs, cfg, oplog=oplog)
-    else:
-        log.warning("vertex insertion did not settle after 10 rounds")
+    _Repair(cs, cfg, oplog).insert_vertices()
     return cs
 
 
 def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
     """Push any vertex inside the guard sphere of a real cell it bounds out
     to the guard radius (see `geometry.push_outside`)."""
-    fid, verts, _ = _loop_rows(cs)
-    site_a, site_b = _facet_sites(cs)
-    site_a, site_b = site_a[fid], site_b[fid]
-    real = site_b < cs.n_real
-    pairs = np.vstack([np.column_stack([verts, site_a]),
-                       np.column_stack([verts[real], site_b[real]])])
-    guard = cfg.guard_radius * cs.bed.radius_nominal
-    pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
-    if oplog is not None:
-        oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
-                     for v, c, d in pushes)
+    _Repair(cs, cfg, oplog).guard_projection()
     return cs
 
 
 def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -> VoronoiCellSet:
-    """Full repair: collapse passes, guard projection, vertex insertion."""
+    """Full repair: collapse passes, guard projection, vertex insertion.
+    After the first guard projection, each one checks only the vertices
+    moved since the one before."""
     cfg = cfg or RepairConfig()
     oplog: list = []
-    collapse_edges(cs, cfg, oplog=oplog)
-    guard_projection(cs, cfg, oplog=oplog)
-    insert_vertices(cs, cfg, oplog=oplog)
+    run = _Repair(cs, cfg, oplog)
+    run.collapse_edges()
+    run.guard_projection()
+    run.insert_vertices()
     if log_path is not None:
         with open(log_path, "w") as fh:
             for rec in oplog:
@@ -306,5 +468,5 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
     edges = _edge_table(cs)
-    tol = _base_tolerance(edges, _facet_zone(cs), cfg)
+    tol = _base_tolerance(edges, _facet_zone(cs, *_facet_sites(cs)), cfg)
     return list(zip(edges.length.tolist(), tol.tolist()))

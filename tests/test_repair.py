@@ -14,8 +14,10 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import GUARD_RADIUS, loop_is_simple, polygon_area, push_outside
 from voidhex.repair import (
     RepairConfig,
+    _Repair,
     _base_tolerance,
     _edge_table,
+    _facet_sites,
     _facet_zone,
     _squeeze,
     boundary_zone,
@@ -174,7 +176,7 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> i
 def reference_collapse_edges(cs, cfg, oplog):
     """The former `collapse_edges`: sequential passes, and a full guard
     projection after each one."""
-    facet_zone = _facet_zone(cs)
+    facet_zone = _facet_zone(cs, *_facet_sites(cs))
     k = extra = 0
     while True:
         k += 1
@@ -380,6 +382,74 @@ class TestGuardProjection:
         R = 1.0
         for i, p in enumerate(cs.points):
             assert np.linalg.norm(p) >= 0.93 * R - 1e-12, f"vertex {i} inside guard"
+
+
+class TestMovedOnlyGuard:
+    """After its first full pass, a repair's guard projection checks only
+    the vertices moved since the last one."""
+
+    def test_collapse_midpoint_pushed(self):
+        # both ends of the 0.3-long edge (0, 1) clear the 0.93 guard, but
+        # the midpoint (0.92, 0, 0) it collapses to in pass 8 does not
+        pts = [(0.92, -0.15, 0.0), (0.92, 0.15, 0.0), (2.0, 0.0, 1.5), (2.0, 0.0, -1.5)]
+        cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert [(r["op"], r.get("pass")) for r in oplog] == [("collapse", 8), ("guard_push", None)]
+        assert oplog[1] == {"op": "guard_push", "vertex": 0, "cell": 0,
+                            "from_distance": pytest.approx(0.92)}
+        assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
+
+    def test_pushed_vertex_checked_again(self):
+        pts = [(0.9, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
+        cs = make_synthetic(pts, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 2, 3]])
+        oplog = []
+        run = _Repair(cs, RepairConfig(), oplog)
+        run.guard_projection()  # the first pass is full
+        assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9)]
+        assert sorted(run.pending) == [(0, 0), (0, 1), (0, 2)]
+        cs.points[0] = (0.8, 0.0, 0.0)  # back inside, unseen by the repair
+        run.guard_projection()
+        assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9), (0, 0.8)]
+        assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
+        run.guard_projection()
+        assert len(oplog) == 2 and run.pending == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.8, 0.99)),
+                                       min_size=1, max_size=12))
+    def test_matches_full_projection(self, seed, moves):
+        """An already projected cell set; some vertices moved toward one of
+        their spheres and passed to `recheck`. The moved-only projection
+        pushes what a full one pushes, in the same order, to the same bits,
+        or raises the same error."""
+        cs = copy.deepcopy(_small_bed_cells(seed))
+        run = _Repair(cs, RepairConfig(), [])
+        run.guard_projection()
+        holders = {}
+        for fid, f in enumerate(cs.facets):
+            for v in f.loop:
+                holders.setdefault(v, []).append(fid)
+        for pick, r in moves:
+            v = sorted(holders)[pick % len(holders)]
+            center = cs.bed.centers[cs.facets[holders[v][0]].site_a]
+            ray = cs.points[v] - center
+            cs.points[v] = center + ray * (r * GUARD_RADIUS / np.linalg.norm(ray))
+            run.recheck((v,), holders[v])
+        full = copy.deepcopy(cs)
+        full_log = []
+        run.oplog = []
+        outcomes = []
+        for project, cells in ((lambda: guard_projection(full, RepairConfig(), full_log), full),
+                               (run.guard_projection, cs)):
+            try:
+                project()
+                outcomes.append(cells.points.tobytes())
+            except GeometryError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert full_log == run.oplog
+        assert full_log or isinstance(outcomes[0], str)
 
 
 @pytest.fixture(scope="module")
