@@ -356,22 +356,37 @@ edits = st.lists(st.tuples(st.sampled_from(["drop", "delete", "vertex", "site"])
                  min_size=1, max_size=3)
 
 
+def _broken_lattice(changes):
+    """A simple_cubic(3) cell set with the given edits: a facet dropped from
+    a cell's list or marked deleted, a vertex or a site moved along an axis."""
+    cs = copy.deepcopy(_lattice_cells())
+    for kind, pick, axis, step in changes:
+        cell = cs.cells[pick % cs.n_real]
+        if kind == "drop" and cell:
+            del cell[pick % len(cell)]
+        elif kind == "delete":
+            cs.facets[pick % len(cs.facets)].deleted = True
+        elif kind == "vertex":
+            cs.points[pick % len(cs.points), axis] += step
+        elif kind == "site":
+            cs.sites[pick % cs.n_real, axis] += 3 * step
+    return cs
+
+
 class TestValidateCellsProperty:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(edits)
     def test_matches_reference(self, changes):
-        """Random breaks of a simple_cubic(3) cell set: a facet dropped from
-        a cell's list or marked deleted, a vertex or a site moved along an
-        axis. _validate_cells reports what the reference loop reports."""
-        cs = copy.deepcopy(_lattice_cells())
-        for kind, pick, axis, step in changes:
-            cell = cs.cells[pick % cs.n_real]
-            if kind == "drop" and cell:
-                del cell[pick % len(cell)]
-            elif kind == "delete":
-                cs.facets[pick % len(cs.facets)].deleted = True
-            elif kind == "vertex":
-                cs.points[pick % len(cs.points), axis] += step
-            elif kind == "site":
-                cs.sites[pick % cs.n_real, axis] += 3 * step
+        """Random breaks of a simple_cubic(3) cell set: _validate_cells
+        reports what the reference loop reports."""
+        cs = _broken_lattice(changes)
         assert _outcome(_validate_cells, cs) == _outcome(reference_validate_cells, cs)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(edits, st.integers(1, 28))
+    def test_blocks_match_reference(self, changes, block):
+        """The same, checked `block` cells at a time: the failing cell the
+        reference reports may sit in any block, not only the first."""
+        cs = _broken_lattice(changes)
+        got = _outcome(lambda c: _validate_cells(c, block=block), cs)
+        assert got == _outcome(reference_validate_cells, cs)
