@@ -245,6 +245,21 @@ class TestCollapseSkipped:
                          for k in range(7, 11)]
         assert [f.loop for f in cs.facets] == [[0, 1, 2], [0, 3, 4]]
 
+    def test_check_sees_earlier_moves_of_the_pass(self):
+        # vertex 0 is a reflex vertex 0.05 below the top edge (2, 3); the
+        # 0.08-long edge (0, 5) lifts it to 0.04, then the 0.1-long edge
+        # (3, 7) lowers the top edge to 0.025 above it: each alone keeps
+        # the pentagon simple, but not both, so (3, 7) is skipped
+        pts = [(2.0, 0.0, 0.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.05), (2.0, -2.0, 0.05),
+               (2.0, -2.0, -1.0), (2.0, 0.0, 0.08), (2.5, 0.0, 0.04), (2.0, -2.0, -0.05),
+               (2.5, -2.0, 0.0)]
+        cs = make_synthetic(pts, [[0, 1, 2, 3, 4], [0, 5, 6], [3, 7, 8]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert pass_records(oplog, 6) == [("collapse", [0, 5]), ("collapse_skipped", [3, 7])]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 6], [3, 7, 8]]
+        assert np.array_equal(cs.points[3], np.array(pts[3]))
+
     def test_later_candidate_on_a_skipped_endpoint(self):
         # the pinch of test_pinch, plus a 0.11-long edge (0, 7) out of the
         # hexagon's plane: (0, 3) is skipped first, and (0, 7) still
@@ -399,6 +414,32 @@ class TestMovedOnlyGuard:
         assert oplog[1] == {"op": "guard_push", "vertex": 0, "cell": 0,
                             "from_distance": pytest.approx(0.92)}
         assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
+
+    def test_deleted_facet_owner_ignored(self):
+        # the triangle [0, 1, 2] also bounds cell 1; collapsing its 0.3-long
+        # edge (0, 1) deletes it and puts vertex 0 at 0.92 R from sphere 1,
+        # whose guard no longer applies: vertex 0 now bounds cell 0 alone
+        pts = [(0.0, -0.15, 3.08), (0.0, 0.15, 3.08), (2.0, 0.0, 4.5), (2.0, 0.0, 1.5)]
+        cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]], n_centers=2)
+        cs.facets[0].site_b = 1
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert [(r["op"], r["facets"]) for r in oplog] == [("collapse", [0, 1, 2, 3])]
+        assert [f.deleted for f in cs.facets] == [True, True, False, False]
+        assert np.array_equal(cs.points[0], (0.0, 0.0, 3.08))
+
+    def test_inserted_midpoint_pushed_in_repair(self, tmp_path):
+        # the edge (0, 1) grazes sphere 0: its inserted midpoint lands at
+        # 0.91 R, inside the guard, after the repair's first full projection
+        pts = [(0.91, -1.0, 0.0), (0.91, 1.0, 0.0), (2.0, 0.0, 1.5), (2.0, 0.0, -1.5)]
+        cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
+        path = tmp_path / "ops.jsonl"
+        repair(cs, RepairConfig(), log_path=path)
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert recs[0]["edge"] == [0, 1] and recs[0]["new_vertices"] == [4, 5, 6]
+        pushes = [(r["vertex"], r["from_distance"]) for r in recs if r["op"] == "guard_push"]
+        assert pushes[0] == (5, 0.91) and {v for v, _ in pushes} == {5}
+        assert np.allclose(cs.points[5], (0.93, 0.0, 0.0))
 
     def test_pushed_vertex_checked_again(self):
         pts = [(0.9, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
