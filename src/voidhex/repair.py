@@ -243,9 +243,9 @@ class _Repair:
     def frames(self):
         """Plane point, e1 and e2 of every facet, as (F, 3) arrays."""
         facets = self.cs.facets
-        return (np.array([f.plane_point for f in facets]).reshape(-1, 3),
-                np.array([f.e1 for f in facets]).reshape(-1, 3),
-                np.array([f.e2 for f in facets]).reshape(-1, 3))
+        return (np.array([f.plane_point for f in facets]),
+                np.array([f.e1 for f in facets]),
+                np.array([f.e2 for f in facets]))
 
     def recheck(self, vertices, fids) -> None:
         """Each of ``vertices`` moved, and each of ``fids`` holds it: the
