@@ -158,7 +158,7 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
         u, v = us[i], vs[i]
         if u in moved or v in moved:
             continue
-        touched, new = [], []
+        touched, new, rows = [], [], []
         for fid in sorted({*incidence[u], *incidence[v]}):
             loop = loops.get(fid)
             if loop is None:
@@ -167,10 +167,9 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
                 loop = cs.facets[fid].loop
             elif len(loop) < 3:
                 continue  # deleted by an earlier collapse of the walk
+            loop = _squeeze([u if w == v else w for w in loop])
             touched.append(fid)
-            new.append(_squeeze([u if w == v else w for w in loop]))
-        rows = []
-        for fid, loop in zip(touched, new):
+            new.append(loop)
             if len(loop) < 3:
                 continue  # facet degenerates and will be deleted: allowed
             if len(set(loop)) != len(loop):
