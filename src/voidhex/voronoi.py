@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 VERTEX_DEDUP_TOL = 1e-10
 PLANARITY_TOL = 1e-9
+VALIDATE_BLOCK = 64  # cells per array pass of _validate_cells
 
 # boundary kind carried on facets whose opposite site is a ghost
 KIND_TO_TAG = {
@@ -294,7 +295,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
     return cs
 
 
-def _validate_cells(cs: VoronoiCellSet, block: int = 64) -> None:
+def _validate_cells(cs: VoronoiCellSet) -> None:
     """Check every real cell: at least 4 live facets, no cell vertex
     outside a facet plane, the site strictly inside, and a watertight
     shell (each directed facet edge once, its reverse once). Raises
@@ -303,7 +304,7 @@ def _validate_cells(cs: VoronoiCellSet, block: int = 64) -> None:
 
     The checks are array passes over (cell, facet) rows, over (cell,
     facet, cell vertex) rows and over (cell, directed edge) rows, for
-    ``block`` cells at a time, which bounds the transient rows.
+    VALIDATE_BLOCK cells at a time, which bounds the transient rows.
     """
     R = cs.bed.radius_nominal
     live = np.array([not f.deleted for f in cs.facets], dtype=bool)
@@ -315,8 +316,8 @@ def _validate_cells(cs: VoronoiCellSet, block: int = 64) -> None:
     flat = np.fromiter(chain.from_iterable(f.loop for f in cs.facets), dtype=np.int64,
                        count=int(sizes.sum()))
     n_pts = len(cs.points)
-    for lo in range(0, cs.n_real, block):
-        cells = cs.cells[lo:min(cs.n_real, lo + block)]
+    for lo in range(0, cs.n_real, VALIDATE_BLOCK):
+        cells = cs.cells[lo:min(cs.n_real, lo + VALIDATE_BLOCK)]
         n = len(cells)  # cell c of the block is cell lo + c
         # (cell, facet) rows of the live facets, in each cell's facet order
         per_cell = np.array([len(c) for c in cells], dtype=np.int64)

@@ -4,7 +4,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -13,6 +13,7 @@ from voidhex.bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 from voidhex.errors import GeometryError
 from voidhex.voronoi import (
     PLANARITY_TOL,
+    VALIDATE_BLOCK,
     GhostSet,
     _dedup_vertices,
     _validate_cells,
@@ -337,8 +338,8 @@ class TestValidateCells:
 
 
 @cache
-def _lattice_cells():
-    bed = fixtures.simple_cubic(3)
+def _lattice_cells(n=3):
+    bed = fixtures.simple_cubic(n)
     return build_cells(bed, generate_ghosts(bed))
 
 
@@ -356,10 +357,10 @@ edits = st.lists(st.tuples(st.sampled_from(["drop", "delete", "vertex", "site"])
                  min_size=1, max_size=3)
 
 
-def _broken_lattice(changes):
-    """A simple_cubic(3) cell set with the given edits: a facet dropped from
+def _broken_lattice(changes, n=3):
+    """A simple_cubic(n) cell set with the given edits: a facet dropped from
     a cell's list or marked deleted, a vertex or a site moved along an axis."""
-    cs = copy.deepcopy(_lattice_cells())
+    cs = copy.deepcopy(_lattice_cells(n))
     for kind, pick, axis, step in changes:
         cell = cs.cells[pick % cs.n_real]
         if kind == "drop" and cell:
@@ -383,10 +384,13 @@ class TestValidateCellsProperty:
         assert _outcome(_validate_cells, cs) == _outcome(reference_validate_cells, cs)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(edits, st.integers(1, 28))
-    def test_blocks_match_reference(self, changes, block):
-        """The same, checked `block` cells at a time: the failing cell the
-        reference reports may sit in any block, not only the first."""
-        cs = _broken_lattice(changes)
-        got = _outcome(lambda c: _validate_cells(c, block=block), cs)
-        assert got == _outcome(reference_validate_cells, cs)
+    @given(edits)
+    @example([("drop", 100, 0, 0.5)])
+    @example([("site", 70, 1, 0.5), ("drop", 120, 0, 0.5)])
+    def test_blocks_match_reference(self, changes):
+        """The same on a simple_cubic(5) cell set, whose 125 cells span two
+        blocks of VALIDATE_BLOCK cells: the failing cell the reference
+        reports may sit in the second block, not only the first."""
+        cs = _broken_lattice(changes, n=5)
+        assert cs.n_real > VALIDATE_BLOCK
+        assert _outcome(_validate_cells, cs) == _outcome(reference_validate_cells, cs)
