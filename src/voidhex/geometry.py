@@ -6,7 +6,10 @@ a basis calls it on its own normal. The polygon helpers take plain (x, y)
 pairs: a list of float pairs, or an (m, 2) array, which they turn into
 such a list once. They loop in plain floats, because they are meant for
 small polygons (a Voronoi facet has 3 to about 16 vertices), where one
-numpy call costs more than the arithmetic it does.
+numpy call costs more than the arithmetic it does. `polygon_areas` and
+`loops_are_simple` are their row-wise forms, for many polygons of one size
+held as (S, m) coordinate arrays; each row gets the bits, or the answer,
+that the plain-float helper gives on that polygon alone.
 
 `push_outside` is the one guard push: repair applies it to facet vertices
 and tessellation to its nodes, both with the guard sphere radius
@@ -16,6 +19,7 @@ and tessellation to its nodes, both with the guard sphere radius
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +64,17 @@ def polygon_area(uv) -> float:
     return 0.5 * s
 
 
+def polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`polygon_area` of each row of the (S, m) coordinates ``x``, ``y``,
+    its terms added in the same order."""
+    s = np.zeros(len(x))
+    px, py = x[:, -1], y[:, -1]
+    for k in range(x.shape[1]):
+        s += px * y[:, k] - py * x[:, k]
+        px, py = x[:, k], y[:, k]
+    return 0.5 * s
+
+
 def loop_is_simple(uv) -> bool:
     """True if no two non-adjacent polygon edges properly cross (touching
     and collinear overlap do not count)."""
@@ -80,6 +95,29 @@ def loop_is_simple(uv) -> bool:
                 if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0:
                     return False
     return True
+
+
+@cache
+def _edge_pairs(m: int):
+    """Index arrays (i, i + 1, j, j + 1), all mod m, over the pairs of
+    non-adjacent edges (i, j) of an m-gon, i < j."""
+    ij = [(i, j) for i in range(m) for j in range(i + 2, m) if (j + 1) % m != i]
+    i, j = np.array(ij, dtype=np.int64).reshape(-1, 2).T
+    return i, (i + 1) % m, j, (j + 1) % m
+
+
+def loops_are_simple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`loop_is_simple` of each row of the (S, m) coordinates ``x``, ``y``,
+    over every pair of non-adjacent edges at once."""
+    i, i1, j, j1 = _edge_pairs(x.shape[1])
+    px, py, qx, qy = x[:, i], y[:, i], x[:, i1], y[:, i1]
+    rx, ry, sx, sy = x[:, j], y[:, j], x[:, j1], y[:, j1]
+    dx, dy = qx - px, qy - py
+    ex, ey = sx - rx, sy - ry
+    # orientations of r and s about pq, then of p and q about rs
+    cross = (((dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0)
+             & ((ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0))
+    return ~cross.any(axis=1)
 
 
 def corner_angle(prev, corner, nxt) -> float:

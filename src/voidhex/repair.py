@@ -30,13 +30,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import GUARD_RADIUS, norms, push_outside
+from .geometry import GUARD_RADIUS, loops_are_simple, norms, polygon_areas, push_outside
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -113,9 +113,10 @@ def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
     return clear < 2.0 * R
 
 
-def _facet_zone(cs: VoronoiCellSet, site_a, site_b) -> np.ndarray:
+def _facet_zone(cs: VoronoiCellSet) -> np.ndarray:
     """Per facet, deleted ones included: does it bound a real cell of the
-    boundary zone? ``site_a`` and ``site_b`` are from `_facet_sites`."""
+    boundary zone?"""
+    site_a, site_b = _facet_sites(cs)
     in_zone = np.append(boundary_zone(cs), False)  # every ghost site maps to the last entry
     return in_zone[site_a] | in_zone[np.minimum(site_b, cs.n_real)]
 
@@ -143,20 +144,22 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
     """Walk candidates lo..hi-1 of a pass as if every collapse succeeds.
 
     Candidate i fuses vs[i] into us[i] at row P + i of the position table
-    (P = len(cs.points)). Returns the collapses walked, as (candidate,
+    (P = len(cs.points)). A candidate with an end in ``moved`` (the ends of
+    the collapses applied earlier in the pass) or in a collapse walked
+    before it is passed over. Returns the collapses walked, as (candidate,
     touched facets, their new loops); the loop states to check, as
     (candidate, facet, position-table rows), one per touched facet left
     with 3 or more vertices; and the first candidate that would pinch a
     loop, or hi if none would.
     """
     P = len(cs.points)
-    moved = set(moved)
     loops = {}  # facet -> its loop after the collapses walked so far
     at = {}     # vertex moved by the walk -> its row in the position table
+    ends = set()  # both ends of every collapse walked
     walked, states = [], []
     for i in range(lo, hi):
         u, v = us[i], vs[i]
-        if u in moved or v in moved:
+        if u in moved or v in moved or u in ends or v in ends:
             continue
         touched, new, rows = [], [], []
         for fid in sorted({*incidence[u], *incidence[v]}):
@@ -178,18 +181,9 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
         states += rows
         loops.update(zip(touched, new))
         at[u] = P + i
-        moved |= {u, v}
+        ends |= {u, v}
         walked.append((i, touched, new))
     return walked, states, hi
-
-
-@cache
-def _edge_pairs(m: int):
-    """Index arrays (i, i + 1, j, j + 1), all mod m, over the pairs of
-    non-adjacent edges (i, j) of an m-gon, i < j."""
-    ij = [(i, j) for i in range(m) for j in range(i + 2, m) if (j + 1) % m != i]
-    i, j = np.array(ij, dtype=np.int64).reshape(-1, 2).T
-    return i, (i + 1) % m, j, (j + 1) % m
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -198,27 +192,11 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
     facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
     projection is one `matmul` per loop, as ``rel @ e1`` of that loop alone,
-    so each coordinate has the bits a single-loop projection gives; the
-    shoelace sum runs over the columns in loop order, as
-    `geometry.polygon_area` adds them, and the crossing test is
-    `geometry.loop_is_simple`'s over every non-adjacent edge pair at once.
+    so each coordinate has the bits a single-loop projection gives.
     """
     x = (rel @ e1[:, :, None])[..., 0]
     y = (rel @ e2[:, :, None])[..., 0]
-    s = np.zeros(len(x))
-    px, py = x[:, -1], y[:, -1]
-    for k in range(x.shape[1]):
-        s += px * y[:, k] - py * x[:, k]
-        px, py = x[:, k], y[:, k]
-    i, i1, j, j1 = _edge_pairs(x.shape[1])
-    px, py, qx, qy = x[:, i], y[:, i], x[:, i1], y[:, i1]
-    rx, ry, sx, sy = x[:, j], y[:, j], x[:, j1], y[:, j1]
-    dx, dy = qx - px, qy - py
-    ex, ey = sx - rx, sy - ry
-    # orientations of r and s about pq, then of p and q about rs
-    cross = (((dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0)
-             & ((ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0))
-    return (np.abs(0.5 * s) < 1e-16) | cross.any(axis=1)
+    return (np.abs(polygon_areas(x, y)) < 1e-16) | ~loops_are_simple(x, y)
 
 
 class _Repair:
@@ -254,7 +232,7 @@ class _Repair:
 
     def collapse_edges(self) -> None:
         cs, cfg = self.cs, self.cfg
-        facet_zone = _facet_zone(cs, self.site_a, self.site_b)
+        facet_zone = _facet_zone(cs)
         k = 0
         extra = 0
         while True:
@@ -291,18 +269,20 @@ class _Repair:
         mids = 0.5 * (cs.points[edges.u[cand]] + cs.points[edges.v[cand]])
         us, vs = edges.u[cand].tolist(), edges.v[cand].tolist()
         lengths, tols = edges.length[cand].tolist(), tol[cand].tolist()
+        # the position table: cs.points as the pass moves them, then mids
+        table = np.vstack([cs.points, mids])
         moved = set()
         n_done = 0
         start, width = 0, len(cand)
         while start < len(cand):
             end = min(len(cand), start + width)
             walked, states, fail = _walk(cs, us, vs, start, end, moved, incidence)
-            fail = min(fail, self._first_break(states, np.vstack([cs.points, mids]), end))
+            fail = min(fail, self._first_break(states, table, end))
             for i, touched, new in walked:
                 if i >= fail:
                     break
                 u, v = us[i], vs[i]
-                cs.points[u] = mids[i]
+                cs.points[u] = table[u] = mids[i]
                 for fid, loop in zip(touched, new):
                     f = cs.facets[fid]
                     f.loop = loop
@@ -467,5 +447,5 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
     edges = _edge_table(cs)
-    tol = _base_tolerance(edges, _facet_zone(cs, *_facet_sites(cs)), cfg)
+    tol = _base_tolerance(edges, _facet_zone(cs), cfg)
     return list(zip(edges.length.tolist(), tol.tolist()))

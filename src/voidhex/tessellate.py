@@ -33,6 +33,7 @@ from .geometry import (
     loop_is_simple,
     point_in_polygon,
     polygon_area,
+    polygon_areas,
     push_outside,
 )
 from .voronoi import VoronoiCellSet
@@ -342,12 +343,8 @@ def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
             moved.append(acc / nb.shape[1])
         for (rows, _), new in zip(groups, moved):
             cur[rows] = new
-    # signed quad areas, summed as polygon_area sums them
-    x, y = cur[quads, 0], cur[quads, 1]
-    twice = x[:, 3] * y[:, 0] - y[:, 3] * x[:, 0]
-    for k in range(3):
-        twice = twice + (x[:, k] * y[:, k + 1] - y[:, k] * x[:, k + 1])
-    reverted = np.unique(quad_patch[0.5 * twice <= 0]).tolist()
+    area = polygon_areas(cur[quads, 0], cur[quads, 1])
+    reverted = np.unique(quad_patch[area <= 0]).tolist()
     for pid in reverted:
         log.warning("facet %s: patch smoothing inverted a quad; reverting", pid)
     back = quads[np.isin(quad_patch, reverted)].ravel()

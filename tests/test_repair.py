@@ -17,7 +17,6 @@ from voidhex.repair import (
     _Repair,
     _base_tolerance,
     _edge_table,
-    _facet_sites,
     _facet_zone,
     _squeeze,
     boundary_zone,
@@ -176,7 +175,7 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> i
 def reference_collapse_edges(cs, cfg, oplog):
     """The former `collapse_edges`: sequential passes, and a full guard
     projection after each one."""
-    facet_zone = _facet_zone(cs, *_facet_sites(cs))
+    facet_zone = _facet_zone(cs)
     k = extra = 0
     while True:
         k += 1
