@@ -65,14 +65,11 @@ def polygon_area(uv) -> float:
 
 
 def polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`polygon_area` of each row of the (S, m) coordinates ``x``, ``y``,
-    its terms added in the same order."""
-    s = np.zeros(len(x))
-    px, py = x[:, -1], y[:, -1]
-    for k in range(x.shape[1]):
-        s += px * y[:, k] - py * x[:, k]
-        px, py = x[:, k], y[:, k]
-    return 0.5 * s
+    """`polygon_area` of each row of the (S, m) coordinates ``x``, ``y``:
+    a running sum (`np.cumsum`, which adds left to right) of the same terms
+    in the same order, so only the sign of a zero area may differ."""
+    prev = np.arange(-1, x.shape[1] - 1)
+    return 0.5 * np.cumsum(x[:, prev] * y - y[:, prev] * x, axis=1)[:, -1]
 
 
 def loop_is_simple(uv) -> bool:

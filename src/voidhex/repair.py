@@ -14,10 +14,14 @@ tolerances and the collapse candidates are array passes over that table.
 A collapse pass walks its sorted candidates speculatively (`_walk`): it
 assumes every collapse succeeds, rewrites the loops of the facets each one
 touches in plain lists, and records each (collapse, touched facet) loop
-state. Every state is then projected onto its facet's (e1, e2) plane and
-checked for a flat or self-intersecting polygon in one array pass per loop
-size (`_breaks`). The collapses before the first one that would break a loop
-are applied, that one is skipped, and the walk resumes after it.
+state as the facet and the rows of its vertices in one position table per
+pass (pass-start positions, then candidate midpoints). The new states are
+projected onto their facets' (e1, e2) planes and checked for a flat or
+self-intersecting polygon in one array pass per padded loop size
+(`_breaks`). The collapses before the first one that would break a loop
+are applied, that one is skipped, and the walk resumes after it. Each
+state's verdict is kept for the rest of the pass, so a resumed walk checks
+only the states that the skip changed.
 
 Guard projection checks every vertex the first time in a repair, and after
 that only the vertices moved since: collapse survivors, inserted vertices
@@ -140,28 +144,31 @@ def _squeeze(loop):
     return out
 
 
-def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
+def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence, checked):
     """Walk candidates lo..hi-1 of a pass as if every collapse succeeds.
 
     Candidate i fuses vs[i] into us[i] at row P + i of the position table
-    (P = len(cs.points)). A candidate with an end in ``moved`` (the ends of
-    the collapses applied earlier in the pass) or in a collapse walked
-    before it is passed over. Returns the collapses walked, as (candidate,
-    touched facets, their new loops); the loop states to check, as
-    (candidate, facet, position-table rows), one per touched facet left
-    with 3 or more vertices; and the first candidate that would pinch a
-    loop, or hi if none would.
+    (P = len(cs.points)). ``moved`` maps each end of the collapses applied
+    earlier in the pass to the row of its midpoint; a candidate with an end
+    there or in a collapse walked before it is passed over. ``checked``
+    maps the loop states checked earlier in the pass, as (facet, rows), to
+    whether they break. Returns the collapses walked, as (candidate,
+    touched facets, their new loops); the loop states left to check, one
+    per touched facet left with 3 or more vertices and not in ``checked``,
+    as (facet, rows), with the candidate that makes each; and the first
+    candidate that would pinch a loop or make a state ``checked`` says
+    breaks, or hi if none would.
     """
     P = len(cs.points)
     loops = {}  # facet -> its loop after the collapses walked so far
     at = {}     # vertex moved by the walk -> its row in the position table
     ends = set()  # both ends of every collapse walked
-    walked, states = [], []
+    walked, states, makers = [], [], []
     for i in range(lo, hi):
         u, v = us[i], vs[i]
         if u in moved or v in moved or u in ends or v in ends:
             continue
-        touched, new, rows = [], [], []
+        touched, new, keys = [], [], []
         for fid in sorted({*incidence[u], *incidence[v]}):
             loop = loops.get(fid)
             if loop is None:
@@ -176,14 +183,20 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence):
             if len(loop) < 3:
                 continue  # facet degenerates and will be deleted: allowed
             if len(set(loop)) != len(loop):
-                return walked, states, i  # pinched loop
-            rows.append((i, fid, [P + i if w == u else at.get(w, w) for w in loop]))
-        states += rows
+                return walked, states, makers, i  # pinched loop
+            key = (fid, tuple([P + i if w == u else at.get(w, moved.get(w, w)) for w in loop]))
+            known = checked.get(key)
+            if known:
+                return walked, states, makers, i
+            if known is None:
+                keys.append(key)
+        states += keys
+        makers += [i] * len(keys)
         loops.update(zip(touched, new))
         at[u] = P + i
         ends |= {u, v}
         walked.append((i, touched, new))
-    return walked, states, hi
+    return walked, states, makers, hi
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -269,26 +282,33 @@ class _Repair:
         mids = 0.5 * (cs.points[edges.u[cand]] + cs.points[edges.v[cand]])
         us, vs = edges.u[cand].tolist(), edges.v[cand].tolist()
         lengths, tols = edges.length[cand].tolist(), tol[cand].tolist()
-        # the position table: cs.points as the pass moves them, then mids
+        # the position table: the pass-start positions, then the midpoints
+        P = len(cs.points)
         table = np.vstack([cs.points, mids])
-        moved = set()
+        moved = {}    # end of an applied collapse -> its midpoint row
+        checked = {}  # loop state -> does it break
         n_done = 0
         start, width = 0, len(cand)
         while start < len(cand):
             end = min(len(cand), start + width)
-            walked, states, fail = _walk(cs, us, vs, start, end, moved, incidence)
-            fail = min(fail, self._first_break(states, table, end))
+            walked, states, makers, fail = _walk(cs, us, vs, start, end, moved, incidence,
+                                                 checked)
+            if states:
+                broken = self._check(states, table)
+                checked.update(zip(states, broken.tolist()))
+                if broken.any():
+                    fail = min(fail, makers[int(np.argmax(broken))])
             for i, touched, new in walked:
                 if i >= fail:
                     break
                 u, v = us[i], vs[i]
-                cs.points[u] = table[u] = mids[i]
+                cs.points[u] = mids[i]
                 for fid, loop in zip(touched, new):
                     f = cs.facets[fid]
                     f.loop = loop
                     if len(loop) < 3:
                         f.deleted = True
-                moved |= {u, v}
+                moved[u] = moved[v] = P + i
                 n_done += 1
                 self.recheck((u,), touched)
                 self.oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
@@ -304,25 +324,30 @@ class _Repair:
                 start, width = end, 2 * width
         return n_done
 
-    def _first_break(self, states, table, default: int) -> int:
-        """The first candidate with a loop state that `_breaks`, else
-        ``default``; ``table`` holds the positions the states' rows index."""
-        if not states:
-            return default
+    def _check(self, states, table) -> np.ndarray:
+        """Per (facet, rows) loop state: does it `_breaks`? ``table`` holds
+        the positions the rows index.
+
+        The states are checked in groups of one padded size, the next power
+        of two of their loop size: a loop is padded by repeating its last
+        vertex, which adds zero area terms and zero-length edges that cross
+        nothing, so the test gives what it gives on the loop itself.
+        """
         plane, e1, e2 = self.frames
-        cand = np.array([c for c, _, _ in states], dtype=np.int64)
-        fid = np.array([f for _, f, _ in states], dtype=np.int64)
-        size = np.array([len(r) for _, _, r in states], dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(r for _, _, r in states), dtype=np.int64,
+        fid = np.array([f for f, _ in states], dtype=np.int64)
+        size = np.array([len(r) for _, r in states], dtype=np.int64)
+        rows = np.fromiter(chain.from_iterable(r for _, r in states), dtype=np.int64,
                            count=int(size.sum()))
         first = np.cumsum(size) - size
-        broken = np.zeros(len(states), dtype=bool)
-        for m in np.unique(size).tolist():
-            sel = np.flatnonzero(size == m)
+        padded = 1 << np.frexp(size - 1)[1]   # the power of two >= size
+        broken = np.zeros(len(size), dtype=bool)
+        for m in np.unique(padded).tolist():
+            sel = np.flatnonzero(padded == m)
             f = fid[sel]
-            rel = table[flat[first[sel, None] + np.arange(m)]] - plane[f][:, None, :]
+            at = first[sel, None] + np.minimum(np.arange(m), size[sel, None] - 1)
+            rel = table[rows[at]] - plane[f][:, None, :]
             broken[sel] = _breaks(rel, e1[f], e2[f])
-        return int(cand[broken].min()) if broken.any() else default
+        return broken
 
     def insert_vertices(self) -> None:
         cs = self.cs

@@ -13,8 +13,10 @@ from voidhex.geometry import (
     GUARD_RADIUS,
     interior_angles,
     loop_is_simple,
+    loops_are_simple,
     point_in_polygon,
     polygon_area,
+    polygon_areas,
 )
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
@@ -349,6 +351,20 @@ class TestPolygonHelpers:
     def test_loop_is_simple_matches_reference(self, loop):
         assert loop_is_simple(loop) == old_loop_is_simple(loop)
         assert loop_is_simple(np.array(loop)) == old_loop_is_simple(loop)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(grid_loops(), min_size=1, max_size=6), st.integers(0, 4))
+    def test_row_wise_forms_match(self, loops, pad):
+        """polygon_areas and loops_are_simple give, row by row, what
+        polygon_area and loop_is_simple give on each loop (the area to the
+        bit), also with the loops padded to one size by repeating their
+        last vertex."""
+        m = max(map(len, loops)) + pad
+        rows = np.array([loop + loop[-1:] * (m - len(loop)) for loop in loops])
+        areas = polygon_areas(rows[:, :, 0], rows[:, :, 1])
+        simple = loops_are_simple(rows[:, :, 0], rows[:, :, 1])
+        assert areas.tolist() == [polygon_area(loop) for loop in loops]
+        assert simple.tolist() == [loop_is_simple(loop) for loop in loops]
 
     def test_loop_is_simple_cases(self):
         assert not loop_is_simple([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # crossing
