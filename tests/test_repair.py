@@ -244,19 +244,31 @@ class TestCollapseSkipped:
                          for k in range(7, 11)]
         assert [f.loop for f in cs.facets] == [[0, 1, 2], [0, 3, 4]]
 
-    def test_check_sees_earlier_moves_of_the_pass(self):
+    @pytest.mark.parametrize("pinch", [False, True], ids=["same_walk", "after_a_skip"])
+    def test_check_sees_earlier_moves_of_the_pass(self, pinch):
         # vertex 0 is a reflex vertex 0.05 below the top edge (2, 3); the
         # 0.08-long edge (0, 5) lifts it to 0.04, then the 0.1-long edge
         # (3, 7) lowers the top edge to 0.025 above it: each alone keeps
-        # the pentagon simple, but not both, so (3, 7) is skipped
+        # the pentagon simple, but not both, so (3, 7) is skipped. With
+        # `pinch`, test_pinch's hexagon, its waist 0.09 wide, is added in
+        # the plane x = -2: its skip comes between the two, so the check
+        # of (3, 7) runs in a walk resumed after (0, 5) was applied
         pts = [(2.0, 0.0, 0.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.05), (2.0, -2.0, 0.05),
                (2.0, -2.0, -1.0), (2.0, 0.0, 0.08), (2.5, 0.0, 0.04), (2.0, -2.0, -0.05),
                (2.5, -2.0, 0.0)]
-        cs = make_synthetic(pts, [[0, 1, 2, 3, 4], [0, 5, 6], [3, 7, 8]])
+        loops = [[0, 1, 2, 3, 4], [0, 5, 6], [3, 7, 8]]
+        skipped = []
+        if pinch:
+            pts += [(-2.0, -0.045, 0.0), (-2.0, -1.0, -1.0), (-2.0, 1.0, -1.0),
+                    (-2.0, 0.045, 0.0), (-2.0, 1.0, 1.0), (-2.0, -1.0, 1.0), (-2.5, 0.0, 0.3)]
+            loops += [[9, 10, 11, 12, 13, 14], [9, 12, 15]]
+            skipped = [("collapse_skipped", [9, 12])]
+        cs = make_synthetic(pts, loops)
         oplog = []
         collapse_edges(cs, RepairConfig(), oplog=oplog)
-        assert pass_records(oplog, 6) == [("collapse", [0, 5]), ("collapse_skipped", [3, 7])]
-        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 6], [3, 7, 8]]
+        assert pass_records(oplog, 6) == [("collapse", [0, 5]), *skipped,
+                                          ("collapse_skipped", [3, 7])]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 6], [3, 7, 8], *loops[3:]]
         assert np.array_equal(cs.points[3], np.array(pts[3]))
 
     def test_later_candidate_on_a_skipped_endpoint(self):
