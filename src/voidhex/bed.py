@@ -340,7 +340,8 @@ def delaunay_pairs(centers: np.ndarray, seed: int = 0) -> np.ndarray:
     s = tri.simplices
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)
-    return np.unique(edges, axis=0)
+    code = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])
+    return np.column_stack([code // n, code % n])
 
 
 def separation_profile(bed: SphereBed, rank_fraction: float = 2.5, seed: int = 0) -> SeparationProfile:

@@ -60,19 +60,23 @@ def _relax(centers: np.ndarray, clamp, rng: np.random.Generator,
            target: float = 2.0, iters: int = 600) -> np.ndarray:
     """Push overlapping pairs apart (Jacobi sweeps) until near-contact."""
     pts = centers.copy()
+    n = len(pts)
     for _ in range(iters):
-        tree = cKDTree(pts)
-        pairs = np.array(sorted(tree.query_pairs(target)))
+        pairs = cKDTree(pts).query_pairs(target, output_type="ndarray")
         if len(pairs) == 0:
             break
+        # rows (i, j), i < j, in lexicographic order; each node's pushes
+        # are summed in this order, first as i and then as j
+        pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
         d = pts[pairs[:, 1]] - pts[pairs[:, 0]]
         dist = np.linalg.norm(d, axis=1)
         dist = np.maximum(dist, 1e-9)
         push = 0.55 * (target - dist) / dist
-        disp = np.zeros_like(pts)
-        np.add.at(disp, pairs[:, 0], -d * push[:, None])
-        np.add.at(disp, pairs[:, 1], d * push[:, None])
-        pts += disp
+        step = d * push[:, None]
+        idx = pairs.T.ravel()
+        pushes = np.vstack([-step, step])
+        pts += np.column_stack([np.bincount(idx, weights=pushes[:, k], minlength=n)
+                                for k in range(3)])
         pts = clamp(pts)
         worst = float(dist.min())
         if worst > target - 1e-9:

@@ -177,34 +177,33 @@ def _first_seen(values: np.ndarray):
 def _face_table(elements: np.ndarray):
     """The sorted face table of a hex mesh.
 
-    Row r is local face r % 6 of element r // 6, its node ids sorted into a
-    key. Returns (keys, order, starts, counts): the (E*6, 4) keys; the row
-    order in which equal keys are adjacent, distinct keys in ascending
-    order; and, per distinct face, where its rows start in that order and
-    how many there are (its owners).
+    Row r is local face r % 6 of element r // 6. Returns (loops, order,
+    starts, counts): the (E*6, 4) outward node loops; the row order in
+    which faces with the same node ids are adjacent, distinct faces in
+    ascending order of their sorted ids (their keys); and, per distinct
+    face, where its rows start in that order and how many there are (its
+    owners).
     """
-    keys = elements[:, _FACES].reshape(-1, 4)
-    keys.sort(axis=1)
-    # two exact int64 codes per key, (k0, k1) and (k2, k3), sort as the keys do
-    n = int(keys.max(initial=0)) + 1
-    hi, lo = keys[:, 0] * n + keys[:, 1], keys[:, 2] * n + keys[:, 3]
+    loops = elements[:, _FACES].reshape(-1, 4)
+    # each row's key by a 5-comparator sorting network over the columns,
+    # as two exact int64 codes (k0, k1) and (k2, k3) that sort as the keys do
+    k = list(loops.T)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        k[i], k[j] = np.minimum(k[i], k[j]), np.maximum(k[i], k[j])
+    n = int(k[3].max(initial=0)) + 1
+    hi, lo = k[0] * n + k[1], k[2] * n + k[3]
+    del k
     order = np.lexsort((lo, hi))
     hi, lo = hi[order], lo[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
     starts = np.flatnonzero(new)
-    return keys, order, starts, np.diff(starts, append=len(order))
+    return loops, order, starts, np.diff(starts, append=len(order))
 
 
 def _loops(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Outward node loops of face-table rows."""
     return elements[(rows // 6)[:, None], _FACES[rows % 6]]
-
-
-def _rotate_to_min(loops: np.ndarray) -> np.ndarray:
-    """Each loop rotated to start at its smallest node id."""
-    shift = loops.argmin(axis=1)[:, None] + np.arange(4)
-    return np.take_along_axis(loops, shift % 4, axis=1)
 
 
 def _select(mesh: HexMesh, keep) -> np.ndarray:
@@ -295,15 +294,15 @@ def audit_conformal(mesh: HexMesh) -> dict:
     Sorting the node ids of every element face, and then the faces, brings
     the copies of each face together, so a face's owner count is the length
     of its run. Every interior face must be shared by exactly two elements
-    with opposite orientation (the loops agree once one is reversed and
-    both start at their smallest node) and carry no tag; every boundary
-    face by exactly one, carrying exactly one tag; and every node must
-    belong to an element. Raises TopologyError on any violation.
+    with opposite orientation (one loop is the other reversed, up to
+    rotation) and carry no tag; every boundary face by exactly one,
+    carrying exactly one tag; and every node must belong to an element.
+    Raises TopologyError on any violation.
     """
-    keys, order, starts, counts = _face_table(mesh.elements)
+    loops, order, starts, counts = _face_table(mesh.elements)
 
     def key(f):
-        return tuple(keys[order[starts[f]]].tolist())
+        return tuple(sorted(loops[order[starts[f]]].tolist()))
 
     over = np.flatnonzero(counts > 2)
     if len(over):
@@ -322,20 +321,29 @@ def audit_conformal(mesh: HexMesh) -> dict:
     twice = np.flatnonzero(tags > 1)
     if len(twice):
         raise TopologyError(f"face {key(twice[0])} tagged {tags[twice[0]]} times")
-    del keys, face, tagged  # keep at most one (E*6, 4) array alive
-    pair = starts[counts == 2]
-    a = _loops(mesh.elements, order[pair])
-    b = _loops(mesh.elements, order[pair + 1])[:, ::-1]
-    flipped = np.flatnonzero((_rotate_to_min(a) != _rotate_to_min(b)).any(axis=1))
+    del face, tagged
+    # owners a and b of a shared face run oppositely when, with j the
+    # position of a[0] in b, a[s] == b[(j - s) & 3] for s = 1, 2, 3; the
+    # loops hold the same ids, so s = 2 holds once s = 1 and 3 do
+    shared = np.flatnonzero(counts == 2)
+    a, b = order[starts[shared]], order[starts[shared] + 1]
+    a0 = loops[a, 0]
+    j = np.full(len(shared), 3)
+    for k in (2, 1, 0):
+        j[loops[b, k] == a0] = k
+    flipped = np.zeros(len(shared), dtype=bool)
+    for s in (1, 3):
+        flipped |= loops[a, s] != loops[b, (j - s) & 3]
+    flipped = np.flatnonzero(flipped)
     if len(flipped):
-        k = tuple(sorted(a[flipped[0]].tolist()))
-        raise TopologyError(f"face {k} not oppositely oriented in its two owners")
+        raise TopologyError(
+            f"face {key(shared[flipped[0]])} not oppositely oriented in its two owners")
     used = np.bincount(mesh.elements.ravel(), minlength=len(mesh.nodes))
     if len(used) > len(mesh.nodes) or not used.all():
         raise TopologyError(
             f"orphan nodes: {int((used[:len(mesh.nodes)] == 0).sum())} unreferenced"
         )
-    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": len(pair)}
+    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": len(shared)}
 
 
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:

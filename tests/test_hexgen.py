@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voidhex import fixtures
 from voidhex.errors import TopologyError, ValidationError
@@ -128,6 +130,18 @@ class TestAuditConformal:
         with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) not oppositely oriented"):
             audit_conformal(mesh)
 
+    @pytest.mark.parametrize("upper", [
+        [4, 5, 7, 6, 8, 9, 11, 10],
+        [4, 6, 5, 7, 8, 10, 9, 11],
+    ], ids=["last_two_swapped", "middle_two_swapped"])
+    def test_crossed_loop_in_one_owner(self, upper):
+        # the upper hex's bottom loop holds the shared face's nodes in a
+        # crossed order: each case keeps one of node 4's two neighbours
+        # where the lower hex's reversed loop has it, and moves the other
+        mesh = hand_mesh(STACK[:12], [LOWER, upper])
+        with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) not oppositely oriented"):
+            audit_conformal(mesh)
+
     def test_face_with_three_owners(self):
         mesh = hand_mesh(STACK, [LOWER, UPPER, [4, 5, 6, 7, 12, 13, 14, 15]])
         with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) shared by 3 elements"):
@@ -143,6 +157,110 @@ class TestAuditConformal:
         mesh = hand_mesh(STACK[:9], [LOWER])
         with pytest.raises(TopologyError, match="orphan nodes: 1 unreferenced"):
             audit_conformal(mesh)
+
+
+def audit_reference(mesh):
+    """audit_conformal with the face keys sorted by np.sort and each shared
+    face's two loops compared once both are rotated to start at their
+    smallest node: the reference for the comparator network and the
+    twin-position orientation test."""
+    keys = np.sort(mesh.elements[:, _FACES].reshape(-1, 4), axis=1)
+    order = np.lexsort(keys.T[::-1])
+    skeys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (skeys[1:] != skeys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(order))
+
+    def key(f):
+        return tuple(keys[order[starts[f]]].tolist())
+
+    over = np.flatnonzero(counts > 2)
+    if len(over):
+        raise TopologyError(f"face {key(over[0])} shared by {counts[over[0]]} elements")
+    face = np.empty(len(order), dtype=np.int64)
+    face[order] = np.repeat(np.arange(len(starts)), counts)
+    tagged = face[mesh.faces]
+    tags = np.bincount(tagged, minlength=len(starts))
+    untagged = np.flatnonzero((counts == 1) & (tags == 0))
+    if len(untagged):
+        raise TopologyError(f"untagged boundary face {key(untagged[0])}")
+    stray = np.flatnonzero((counts == 2) & (tags > 0))
+    if len(stray):
+        desc = mesh.surfaces[np.flatnonzero(tagged == stray[0])[0]]
+        raise TopologyError(f"interior face {key(stray[0])} carries tag {surface_tag(desc)}")
+    twice = np.flatnonzero(tags > 1)
+    if len(twice):
+        raise TopologyError(f"face {key(twice[0])} tagged {tags[twice[0]]} times")
+
+    def rotate_to_min(loops):
+        shift = loops.argmin(axis=1)[:, None] + np.arange(4)
+        return np.take_along_axis(loops, shift % 4, axis=1)
+
+    pair = starts[counts == 2]
+    a = _loops(mesh.elements, order[pair])
+    b = _loops(mesh.elements, order[pair + 1])[:, ::-1]
+    flipped = np.flatnonzero((rotate_to_min(a) != rotate_to_min(b)).any(axis=1))
+    if len(flipped):
+        k = tuple(sorted(a[flipped[0]].tolist()))
+        raise TopologyError(f"face {k} not oppositely oriented in its two owners")
+    used = np.bincount(mesh.elements.ravel(), minlength=len(mesh.nodes))
+    if len(used) > len(mesh.nodes) or not used.all():
+        raise TopologyError(
+            f"orphan nodes: {int((used[:len(mesh.nodes)] == 0).sum())} unreferenced"
+        )
+    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": len(pair)}
+
+
+def verdict(audit, mesh):
+    """An audit's stats, or the message of the TopologyError it raised."""
+    try:
+        return audit(mesh)
+    except TopologyError as exc:
+        return str(exc)
+
+
+MIRROR = [3, 2, 1, 0, 7, 6, 5, 4]
+
+
+@pytest.fixture(scope="module")
+def cube_extruded(cube_swept):
+    _, _, mesh = cube_swept
+    return extrude_layers(refine_radial(mesh))
+
+
+class TestAuditAgainstReference:
+    """audit_conformal gives the reference's verdict and message on whole
+    meshes, and on the extruded cube mesh with one element or tag corrupted."""
+
+    def test_valid_meshes(self, extruded, cube_extruded):
+        for mesh in (*extruded, cube_extruded):
+            assert verdict(audit_conformal, mesh) == verdict(audit_reference, mesh)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(["swap", "mirror", "duplicate", "drop_tag", "add_tag", "orphan"]),
+           st.integers(0, 2**31), st.integers(0, 7), st.integers(1, 7))
+    def test_corrupted_mesh(self, cube_extruded, how, pick, corner, offset):
+        mesh = cube_extruded.copy()
+        e = pick % mesh.n_elements
+        if how == "swap":
+            other = (corner + offset) % 8
+            mesh.elements[e, [corner, other]] = mesh.elements[e, [other, corner]]
+        elif how == "mirror":
+            mesh.elements[e] = mesh.elements[e, MIRROR]
+        elif how == "duplicate":
+            mesh.elements = np.vstack([mesh.elements, mesh.elements[e]])
+        elif how == "drop_tag":
+            k = pick % len(mesh.faces)
+            mesh.faces = np.delete(mesh.faces, k)
+            del mesh.surfaces[k]
+        elif how == "add_tag":
+            tag_row(mesh, pick % (6 * mesh.n_elements))
+        else:
+            mesh.nodes = np.vstack([mesh.nodes, mesh.nodes[:1]])
+        got = verdict(audit_conformal, mesh)
+        assert isinstance(got, str)
+        assert got == verdict(audit_reference, mesh)
 
 
 @pytest.mark.parametrize("make", [
