@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
 
@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 _DUP_TOL = 1e-12
 _WALL_EPS = 1e-6
+SEPARATION_RANK = 2.5  # Delta* is the pair distance at rank round(SEPARATION_RANK * N)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,6 @@ class SeparationProfile:
 
     sorted_pair_distances: np.ndarray
     delta_star: float
-    rank_fraction: float = 2.5
 
 
 def attach_domain(bed: SphereBed, domain: DomainShape, fitted: bool = False) -> SphereBed:
@@ -222,8 +222,6 @@ def load_centers(path, fmt: str = "xyz_whitespace") -> SphereBed:
             rows.append(xyz)
     centers = np.array(rows, dtype=float).reshape(-1, 3)
     if len(centers) > 1:
-        from scipy.spatial import cKDTree
-
         pairs = cKDTree(centers).query_pairs(_DUP_TOL)
         if pairs:
             i, j = sorted(next(iter(pairs)))
@@ -344,16 +342,17 @@ def delaunay_pairs(centers: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.column_stack([code // n, code % n])
 
 
-def separation_profile(bed: SphereBed, rank_fraction: float = 2.5, seed: int = 0) -> SeparationProfile:
+def separation_profile(bed: SphereBed, seed: int = 0) -> SeparationProfile:
     """Sorted Delaunay pair-distance list and the nominal separation Delta*.
 
-    Delta* is the entry at (1-based) rank round(rank_fraction * N); packed
-    beds plateau there, so the pick is robust against a few tight pairs.
+    Delta* is the entry at (1-based) rank round(SEPARATION_RANK * N);
+    packed beds plateau there, so the pick is robust against a few tight
+    pairs.
     """
     pairs = delaunay_pairs(bed.centers, seed=seed)
     d = np.linalg.norm(bed.centers[pairs[:, 0]] - bed.centers[pairs[:, 1]], axis=1)
     d.sort()
-    rank = int(math.floor(rank_fraction * bed.n_spheres + 0.5))
+    rank = int(math.floor(SEPARATION_RANK * bed.n_spheres + 0.5))
     rank = max(rank, 1)
     if rank > len(d):
         log.warning(
@@ -362,11 +361,7 @@ def separation_profile(bed: SphereBed, rank_fraction: float = 2.5, seed: int = 0
             len(d),
         )
         rank = len(d)
-    return SeparationProfile(
-        sorted_pair_distances=d,
-        delta_star=float(d[rank - 1]),
-        rank_fraction=rank_fraction,
-    )
+    return SeparationProfile(sorted_pair_distances=d, delta_star=float(d[rank - 1]))
 
 
 def rescale(bed: SphereBed, profile: SeparationProfile) -> SphereBed:
@@ -383,8 +378,8 @@ def rescale(bed: SphereBed, profile: SeparationProfile) -> SphereBed:
         source_label=bed.source_label,
     )
     if len(out.centers) > 1:
-        pairs = delaunay_pairs(out.centers)
-        dmin = np.linalg.norm(out.centers[pairs[:, 0]] - out.centers[pairs[:, 1]], axis=1).min()
+        # the closest pair: the smallest nearest-neighbour distance
+        dmin = cKDTree(out.centers).query(out.centers, k=2)[0][:, 1].min()
         if dmin < 2.0 * 0.95:
             log.warning("closest center pair at %.4f R after rescale (overlap > 5%%)", dmin)
     return out

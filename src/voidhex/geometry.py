@@ -14,6 +14,8 @@ that the plain-float helper gives on that polygon alone.
 `push_outside` is the one guard push: repair applies it to facet vertices
 and tessellation to its nodes, both with the guard sphere radius
 `GUARD_RADIUS`. `norms` is the one array norm, for rows of vectors.
+`first_seen` numbers values in order of first use: the tessellation's new
+nodes, and hexgen's.
 """
 
 from __future__ import annotations
@@ -26,12 +28,26 @@ import numpy as np
 from .errors import GeometryError
 
 GUARD_RADIUS = 0.93  # guard sphere radius, units of R; just above the sweep radius
+GUARD_SLACK = 1e-12  # a point at GUARD_RADIUS * (1 - GUARD_SLACK) counts as clear
 
 
 def norms(v: np.ndarray) -> np.ndarray:
     """Norms along the last axis, each bit-identical to np.linalg.norm of
     that one vector (which takes the BLAS dot product)."""
     return np.sqrt(np.vecdot(v, v))
+
+
+def first_seen(values: np.ndarray):
+    """Number the distinct entries of a 1-D array in order of first use.
+
+    Returns (ids, first): ids[k] is the number of values[k], and first[j]
+    is the position where the value numbered j first appears.
+    """
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return rank[inverse], first[seen]
 
 
 def plane_basis(normals: np.ndarray):
@@ -156,22 +172,25 @@ def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -
     points inside some owner's guard sphere of radius ``guard``; only those
     are pushed, in point order, one sphere at a time: the nearest owner
     whose guard sphere holds the point moves it radially onto that guard
-    sphere. Returns the (point, sphere, distance before the push) pushes.
-    Raises GeometryError if a point is still inside after 10 pushes.
+    sphere. A point counts as clear from ``guard * (1 - GUARD_SLACK)`` on,
+    since a push may round to just under the guard radius. Returns the
+    (point, sphere, distance before the push) pushes. Raises GeometryError
+    if a point is still inside after 10 pushes.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = len(centers)
     keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
     pts, owner = keys // n, keys % n
     ray = points[pts] - centers[owner]
-    inside = np.unique(pts[norms(ray) < guard])
+    clear = guard * (1.0 - GUARD_SLACK)
+    inside = np.unique(pts[norms(ray) < clear])
     lo = np.searchsorted(pts, inside, side="left").tolist()
     hi = np.searchsorted(pts, inside, side="right").tolist()
     pushes = []
     for p, a, b in zip(inside.tolist(), lo, hi):
         cells = owner[a:b].tolist()
         for _ in range(10):
-            worst, dworst = None, guard
+            worst, dworst = None, clear
             for c in cells:
                 d = float(np.linalg.norm(points[p] - centers[c]))
                 if d < dworst:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bed import Annulus, Box, Cylinder
 from .errors import GeometryError, TopologyError, ValidationError
-from .geometry import norms
+from .geometry import first_seen, norms
 from .tessellate import FacetQuadMesh
 
 R0_DEFAULT = 0.8889  # sweep target radius, fraction of R
@@ -161,19 +161,6 @@ def classify_boundary_facet(facet, domain, R: float):
     return ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
 
 
-def _first_seen(values: np.ndarray):
-    """Number the distinct entries of a 1-D array in order of first use.
-
-    Returns (ids, first): ids[k] is the number of values[k], and first[j]
-    is the position where the value numbered j first appears.
-    """
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    return rank[inverse], first[seen]
-
-
 def _face_table(elements: np.ndarray):
     """The sorted face table of a hex mesh.
 
@@ -243,13 +230,11 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     r_sweep = R0 * R
     facet_desc = {fid: classify_boundary_facet(f, cs.bed.domain, R)
                   for fid, f in enumerate(cs.facets) if not f.deleted and f.boundary is not None}
-    listed = [(i, fid, q) for i in range(cs.n_real) for fid, q in patches.cell_quads(i)]
-    cell = np.array([i for i, _, _ in listed], dtype=np.int64)
-    quads = np.array([q for _, _, q in listed], dtype=np.int64).reshape(-1, 4)
+    cell, facet, quads = patches.outward_quads()
     used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
 
     # one inner node per (cell, tess node), numbered in order of first use
-    ids, first = _first_seen(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel())
+    ids, first = first_seen(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel())
     ci, t = cell[first // 4], quads.ravel()[first]
     ray = patches.nodes[t] - centers[ci]
     d = norms(ray)
@@ -263,25 +248,23 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     s = np.sort(quads, axis=1)
     degenerate = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
     if len(degenerate):
-        i, fid, _ = listed[degenerate[0]]
-        raise GeometryError(f"degenerate hex in cell {i}, facet {fid}")
+        k = degenerate[0]
+        raise GeometryError(f"degenerate hex in cell {cell[k]}, facet {facet[k]}")
 
     # each element's sphere face (0), then its facet face (1) if that lies
     # on the container
-    on_wall = np.array([fid in facet_desc for _, fid, _ in listed], dtype=bool)
-    faces = np.sort(np.concatenate([6 * np.arange(len(listed)), 6 * np.flatnonzero(on_wall) + 1]))
-    surfaces = []
-    for i, fid, _ in listed:
-        surfaces.append(("sphere", i))
-        if fid in facet_desc:
-            surfaces.append(facet_desc[fid])
+    on_wall = np.flatnonzero(np.isin(facet, list(facet_desc)))
+    faces = np.sort(np.concatenate([6 * np.arange(len(cell)), 6 * on_wall + 1]))
+    e = faces // 6
+    surfaces = [("sphere", i) if r == 0 else facet_desc[fid]
+                for r, i, fid in zip((faces % 6).tolist(), cell[e].tolist(), facet[e].tolist())]
     mesh = HexMesh(
         nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (r_sweep / d)[:, None]]),
         elements=np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)]),
         faces=faces,
         surfaces=surfaces,
         elem_cell=cell,
-        elem_layer=[0] * len(listed),
+        elem_layer=[0] * len(cell),
         sphere_centers=centers.copy(),
     )
     audit_conformal(mesh)
@@ -361,7 +344,7 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     n = len(mesh.nodes)
     p, q = mesh.elements[:, :4], mesh.elements[:, 4:]
     # one mid node per sweep edge (p, q), numbered in order of first use
-    ids, first = _first_seen(p.ravel() * n + q.ravel())
+    ids, first = first_seen(p.ravel() * n + q.ravel())
     pu, qu = p.ravel()[first], q.ravel()[first]
     m = n + ids.reshape(-1, 4)
     elements = np.empty((2 * len(p), 8), dtype=np.int64)
@@ -464,7 +447,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     rev = out.elements[eid[:, None], corner]
     descs = [out.surfaces[j] for j in at.tolist()]
     cell = np.array([desc[1] for desc in descs], dtype=np.int64)
-    ids, first = _first_seen(rev.ravel())
+    ids, first = first_seen(rev.ravel())
     p, ci = rev.ravel()[first], cell[first // 4]
     thick = _line_lengths(out, eid)[:, corner].ravel()[first]
     ray = out.nodes[p] - out.sphere_centers[ci]
@@ -524,7 +507,7 @@ def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
     eid = mesh.faces[at] // 6
     t = float(np.mean(_line_lengths(mesh, eid).ravel()))
     # a column of nlayers nodes above each surface node, in order of first use
-    ids, first = _first_seen(loops.ravel())
+    ids, first = first_seen(loops.ravel())
     column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
     column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
     ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]

@@ -1,12 +1,18 @@
 """All-quad tessellation of Voronoi facets.
 
-Each facet is decomposed in two phases: large facets first get a barycenter
-point with connectors from their near-straight boundary sections, then each
-piece is recursively peeled into quads and triangles by quality score. A
-final midside subdivision (quad to 4 quads, triangle to 3) makes the patch
-all-quad, with edge midpoints registered globally so patches stay conformal
-across facets and cells. Interior points live on the facet's original
-bisecting plane and are Laplacian-smoothed there.
+One Python loop over the facets projects each onto its bisecting plane and
+cuts it into pieces there, in `split_facet`: large facets first get a
+barycenter point with connectors from their near-straight boundary
+sections, then each piece is recursively peeled into quads and triangles
+by quality score. The per-facet loop ends at `split_facet`; the rest are
+array passes over the pieces of all facets at once.
+
+`number_patches` makes every patch all-quad by midside subdivision (quad
+to 4 quads, triangle to 3), one constant index template per piece size,
+and numbers the new nodes in one first-use pass over their keys. An
+original edge's midpoint is keyed by its two vertices, so patches stay
+conformal across facets and cells. Interior points live on the facet's
+original bisecting plane and are Laplacian-smoothed there.
 
 The smoothing is one array pass over every patch at once. That does what
 one pass per patch would: a patch's interior nodes are its own (no other
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .geometry import (
     GUARD_RADIUS,
     as_pairs,
     corner_angle,
+    first_seen,
     interior_angles,
     loop_is_simple,
     point_in_polygon,
@@ -49,32 +56,46 @@ QUAD_BIAS = 0.9      # multiplicative score bias toward quads
 
 @dataclass
 class FacetPatch:
-    quads: list                # (4,) global node id tuples, CCW about plane normal
-    interior_nodes: list
+    quads: np.ndarray          # (q, 4) node ids, CCW about the facet's plane normal
 
 
 @dataclass
 class FacetQuadMesh:
-    """Global tessellation: shared node pool plus one quad patch per facet."""
+    """Global tessellation: a shared node pool and the quads of every
+    facet's patch, as arrays."""
 
-    nodes: np.ndarray
-    patches: dict              # facet id -> FacetPatch
-    edge_midpoint: dict        # sorted original-edge vertex pair -> node id
+    nodes: np.ndarray          # (P, 3): the cell set's points, then the new nodes
+    quads: np.ndarray          # (Q, 4) node ids, by facet id, then in patch order
+    quad_facet: np.ndarray     # (Q,) facet id of each quad
+    owners: np.ndarray         # (O, 2) unique (node, real cell) rows, sorted
+    edge_midpoints: np.ndarray  # (M, 3) rows (a, b, node): the midpoint of edge a < b
     cellset: VoronoiCellSet
-    node_owners: dict = field(default_factory=dict)  # node id -> real cells
 
-    def cell_quads(self, i: int):
-        """Facet quads of cell i, each oriented outward (CCW seen from
-        outside the cell), with the owning facet id."""
+    @property
+    def patches(self) -> dict:
+        """{facet id: FacetPatch} of that facet's rows of ``quads``; a view
+        for readers outside the package, built on each call."""
+        fids, start = np.unique(self.quad_facet, return_index=True)
+        return {f: FacetPatch(q) for f, q in zip(fids.tolist(), np.split(self.quads, start[1:]))}
+
+    def outward_quads(self):
+        """(cell, facet, quad) arrays with a row for every quad and each real
+        cell of its facet, the quad turned outward (CCW seen from outside
+        that cell), in order of cell, facet id and patch."""
         cs = self.cellset
-        out = []
-        for fid in cs.cells[i]:
-            f = cs.facets[fid]
-            if f.deleted or fid not in self.patches:
-                continue
-            for q in self.patches[fid].quads:
-                out.append((fid, q if f.site_a == i else tuple(reversed(q))))
-        return out
+        site_a, site_b = (s[self.quad_facet] for s in _facet_sites(cs))
+        real_b = site_b < cs.n_real
+        cell = np.concatenate([site_a, site_b[real_b]])
+        facet = np.concatenate([self.quad_facet, self.quad_facet[real_b]])
+        order = np.argsort(cell * len(cs.facets) + facet, kind="stable")
+        quads = np.vstack([self.quads, self.quads[real_b, ::-1]])
+        return cell[order], facet[order], quads[order]
+
+
+def _facet_sites(cs: VoronoiCellSet) -> tuple:
+    """The site_a and site_b arrays of the facets, by facet id."""
+    sites = np.array([(f.site_a, f.site_b) for f in cs.facets], dtype=np.int64).reshape(-1, 2)
+    return sites[:, 0], sites[:, 1]
 
 
 def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
@@ -154,7 +175,7 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
     recursively peels the best-scoring quad or triangle from each piece.
     Returns a list of (points, labels)
     polygons: points are (x, y) pairs, labels their indices into uv, or
-    'bc' for the barycenter.
+    len(uv) for the barycenter.
     """
     uv = as_pairs(uv)
     n = len(uv)
@@ -192,7 +213,7 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
                 pts = [bc] + [uv[k] for k in arc]
                 if polygon_area(pts) <= 1e-14 or not loop_is_simple(pts):
                     break
-                wedges.append(["bc"] + arc)
+                wedges.append([n] + arc)
             else:
                 pieces_idx = wedges
     if not pieces_idx:
@@ -200,7 +221,7 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
 
     out = []
     for piece in pieces_idx:
-        pts = [bc if k == "bc" else uv[k] for k in piece]
+        pts = [bc if k == n else uv[k] for k in piece]
         out.extend(_peel(pts, list(piece), facet_id))
     return out
 
@@ -262,46 +283,84 @@ def _peel(pts: list, labels: list, facet_id: int) -> list:
     return out
 
 
-def _edge_key(a, b):
-    """Canonical undirected key for piece labels (ints or the 'bc' tag)."""
-    if isinstance(a, int) and isinstance(b, int):
-        return (a, b) if a < b else (b, a)
-    return (b, a) if isinstance(a, str) else (a, b)
+# A piece's node list: corners 0-3, the midpoints 4-7 of its sides (side s
+# runs from corner s to corner s + 1) and its centroid 8. A triangle's
+# corners are repeated to four, so its corner 3 is corner 0, its side 2
+# ends there, and it uses neither 3 nor 7.
+_TEMPLATES = np.array([
+    [(0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)],  # quad -> 4 quads
+    [(0, 4, 8, 6), (4, 1, 5, 8), (6, 8, 5, 2), (0, 0, 0, 0)],  # triangle -> 3 quads
+])
 
 
-def subdivide_to_quads(pieces: list, get_node) -> list:
-    """Midside subdivision: quad -> 4 quads, triangle -> 3 quads.
+def number_patches(pieces: list, facet: list, loops: list, n_points: int):
+    """Midside subdivision of split facets into quad patches, numbered.
 
-    ``get_node(kind, key, uv)`` resolves/creates the global node id for a
-    corner ('corner', label), an edge midpoint ('mid', sorted label pair)
-    or a piece centroid ('centroid', piece index). Returns quad tuples.
+    ``pieces`` holds the (points, labels) pieces of `split_facet`, facet
+    after facet, ``facet`` the facet id of each piece and ``loops`` the
+    vertex ids of every facet's loop, by facet id. A corner labelled k is
+    vertex k of its loop. The barycenter (labelled with the loop length),
+    every side midpoint and every centroid is a new node, numbered from
+    ``n_points`` in order of first use through the node lists. The midpoint
+    of an original loop edge is keyed by its two vertices, so every facet
+    with that edge shares it; the other new nodes belong to one facet.
+
+    Returns (quads, quad_slots, slots, xy, mids): the (Q, 4) quads as node
+    ids, piece by piece, and as slot ids; the sorted (S, 2) slots
+    (facet, node), one per node of each patch; the (S, 2) position of each
+    slot in its facet's plane; and the (M, 3) rows (a, b, node) of the
+    original-edge midpoints, a < b, in node order.
     """
-    quads = []
-    for pi, (pts, labels) in enumerate(pieces):
-        m = len(pts)
-        corners = [get_node("corner", lab, pts[k]) for k, lab in enumerate(labels)]
-        mids = []
-        for k in range(m):
-            (ax, ay), (bx, by) = pts[k], pts[(k + 1) % m]
-            key = _edge_key(labels[k], labels[(k + 1) % m])
-            mids.append(get_node("mid", key, (0.5 * (ax + bx), 0.5 * (ay + by))))
-        g = get_node("centroid", pi, _centroid(pts))
-        if m == 4:
-            quads.extend([
-                (corners[0], mids[0], g, mids[3]),
-                (mids[0], corners[1], mids[1], g),
-                (g, mids[1], corners[2], mids[2]),
-                (mids[3], g, mids[2], corners[3]),
-            ])
-        elif m == 3:
-            quads.extend([
-                (corners[0], mids[0], g, mids[2]),
-                (mids[0], corners[1], mids[1], g),
-                (mids[2], g, mids[1], corners[2]),
-            ])
-        else:  # pragma: no cover
-            raise GeometryError(f"piece with {m} vertices reached subdivision")
-    return quads
+    lab = np.array([(list(lb) * 2)[:4] for _, lb in pieces], dtype=np.int64).reshape(-1, 4)
+    pts = np.array([(list(pt) * 2)[:4] for pt, _ in pieces], dtype=float).reshape(-1, 4, 2)
+    tri = lab[:, 3] == lab[:, 0]    # a quad's four labels differ
+    facet = np.asarray(facet, dtype=np.int64)
+    size = np.array([len(loop) for loop in loops], dtype=np.int64)
+    n = size[facet][:, None]
+    # label j of facet f is vertex[at[f] + j], and -1 for the barycenter
+    vertex = np.array([v for loop in loops for v in (*loop, -1)], dtype=np.int64)
+    at = (np.cumsum(size + 1) - size - 1)[facet][:, None]
+    # each node's label pair: (j, j) at corner j, its side's ends at a
+    # midpoint, and the barycenter's (n, n) as a stand-in at the centroid
+    ends = np.roll(lab, -1, axis=1)
+    lo = np.hstack([lab, np.minimum(lab, ends), n])
+    hi = np.hstack([lab, np.maximum(lab, ends), n])
+    va, vb = vertex[at + lo], vertex[at + hi]
+    a, b = np.minimum(va, vb), np.maximum(va, vb)
+    edge = (hi < n) & ((hi - lo == 1) | (hi - lo == n - 1))   # an original edge
+    valid = ~(tri[:, None] & np.isin(np.arange(9), (3, 7)))
+    new = valid & ~((np.arange(9) < 4) & (lo < n))   # all but the loop corners
+
+    # node keys: an original edge by its vertex pair, below n_points**2; a
+    # facet's barycenter and cut edges by facet and label pair; then each
+    # centroid by its piece
+    w = int(size.max(initial=0)) + 1
+    key = n_points * n_points + (facet[:, None] * w + lo) * w + hi
+    key[:, 8] = n_points * n_points + len(loops) * w * w + np.arange(len(lab))
+    key[edge] = a[edge] * n_points + b[edge]
+    ids, first = first_seen(key[new])
+    node = va.copy()
+    node[new] = n_points + ids
+    on_edge = edge[new][first]
+    mids = np.column_stack([a[new][first][on_edge], b[new][first][on_edge],
+                            n_points + np.flatnonzero(on_edge)])
+
+    # each node's position in its piece's plane; the centroid is summed
+    # left to right and then divided, as `_centroid` does
+    centroid = pts[:, 0] + pts[:, 1] + pts[:, 2]
+    centroid[~tri] += pts[~tri, 3]
+    centroid /= np.where(tri, 3.0, 4.0)[:, None]
+    xy = np.concatenate([pts, 0.5 * (pts + np.roll(pts, -1, axis=1)), centroid[:, None]], axis=1)
+
+    n_nodes = n_points + len(first)
+    slots, where, inverse = np.unique((facet[:, None] * n_nodes + node)[valid],
+                                      return_index=True, return_inverse=True)
+    slot = np.full(valid.shape, -1)
+    slot[valid] = inverse
+    corner = _TEMPLATES[tri.astype(int)] + 9 * np.arange(len(lab))[:, None, None]
+    corner = corner[~(tri[:, None] & (np.arange(4) == 3))]
+    return (node.ravel()[corner], slot.ravel()[corner],
+            np.column_stack([slots // n_nodes, slots % n_nodes]), xy[valid][where], mids)
 
 
 def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
@@ -355,118 +414,54 @@ def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
 def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """Tessellate every live facet into a conformal all-quad patch.
 
-    Each facet is projected onto its bisecting plane once, and its patch is
-    built there on plain floats. Every patch is then smoothed in one
+    Each facet is projected onto its bisecting plane once and split into
+    pieces there, on plain floats. `number_patches` turns the pieces of
+    all facets into numbered quads, and every patch is smoothed in one
     `smooth_patches` pass, keyed by facet id, with each patch's slots in
-    node id order, and the interior nodes are lifted back to 3D in one
-    array expression. Every node is then pushed out of its owner cells'
-    guard spheres.
+    node id order. The interior nodes are lifted back to 3D in one array
+    expression, and every node is pushed out of its owner cells' guard
+    spheres.
     """
-    n_points = len(cs.points)
-    new_nodes: list = []       # rows of the nodes made here, ids from n_points
-    node_owners: dict = {}
-    edge_midpoint: dict = {}
-    patches = {}
-    slot_node: list = []       # node id per (patch, node) slot
-    slot_xy: list = []         # (x, y) per slot, in its patch's plane
-    slot_facet: list = []      # facet id per slot
-    quad_slots: list = []      # four slot ids per quad
-    quad_facet: list = []      # facet id per quad
-
+    pieces: list = []
+    piece_facet: list = []
     for fid, f in enumerate(cs.facets):
         if f.deleted:
             continue
-        loop = f.loop
-        owners = [f.site_a] + ([f.site_b] if f.site_b < cs.n_real else [])
-        rel = cs.points[loop] - f.plane_point
+        rel = cs.points[f.loop] - f.plane_point
         uv = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
-        groups = group_edges(uv)
-        pieces = split_facet(uv, groups, facet_id=fid, R=cs.bed.radius_nominal)
+        split = split_facet(uv, group_edges(uv), facet_id=fid, R=cs.bed.radius_nominal)
+        pieces += split
+        piece_facet += [fid] * len(split)
 
-        local_uv: dict = {}
-        local_mid: dict = {}
-        local_centroid: dict = {}
-        interior_nodes = []
-
-        def new_interior():
-            nid = n_points + len(new_nodes)
-            new_nodes.append(None)  # lifted after smoothing
-            interior_nodes.append(nid)
-            return nid
-
-        def get_node(kind, key, uv_pt):
-            if kind == "corner":
-                if key == "bc":
-                    if "bc" not in local_centroid:
-                        local_centroid["bc"] = new_interior()
-                    nid = local_centroid["bc"]
-                else:
-                    nid = loop[key]
-            elif kind == "mid":
-                a, b = key
-                if isinstance(a, int) and isinstance(b, int):
-                    ga, gb = loop[a], loop[b]
-                    gkey = (ga, gb) if ga < gb else (gb, ga)
-                    adjacent = abs(a - b) == 1 or {a, b} == {0, len(loop) - 1}
-                    if adjacent:
-                        # midpoint of an original facet edge: global registry
-                        if gkey not in edge_midpoint:
-                            edge_midpoint[gkey] = n_points + len(new_nodes)
-                            new_nodes.append(0.5 * (cs.points[ga] + cs.points[gb]))
-                        nid = edge_midpoint[gkey]
-                        local_uv[nid] = uv_pt
-                        node_owners.setdefault(nid, set()).update(owners)
-                        return nid
-                # interior cut edge: shared within this facet only
-                if key not in local_mid:
-                    local_mid[key] = new_interior()
-                nid = local_mid[key]
-            else:  # centroid
-                if key not in local_centroid:
-                    local_centroid[key] = new_interior()
-                nid = local_centroid[key]
-            local_uv[nid] = uv_pt
-            node_owners.setdefault(nid, set()).update(owners)
-            return nid
-
-        quads = subdivide_to_quads(pieces, get_node)
-        ids = sorted(local_uv)
-        slot = dict(zip(ids, range(len(slot_node), len(slot_node) + len(ids))))
-        slot_node.extend(ids)
-        slot_xy.extend(local_uv[nid] for nid in ids)
-        slot_facet.extend([fid] * len(ids))
-        quad_slots.extend([slot[a], slot[b], slot[c], slot[d]] for a, b, c, d in quads)
-        quad_facet.extend([fid] * len(quads))
-        patches[fid] = FacetPatch(quads=quads, interior_nodes=interior_nodes)
-        for v in loop:
-            node_owners.setdefault(v, set()).update(owners)
-
-    slot_node = np.array(slot_node, dtype=np.int64)
-    is_interior = np.zeros(n_points + len(new_nodes), dtype=bool)
-    is_interior[n_points:] = [row is None for row in new_nodes]
-    moving = is_interior[slot_node]
-    smoothed, _reverted = smooth_patches(np.array(slot_xy, dtype=float).reshape(-1, 2),
-                                         quad_slots, quad_facet, moving)
-    rows = np.empty((len(new_nodes), 3))
-    rows[~is_interior[n_points:]] = np.array(
-        [row for row in new_nodes if row is not None]).reshape(-1, 3)
+    n_points = len(cs.points)
+    quads, quad_slots, slots, xy, mids = number_patches(
+        pieces, piece_facet, [f.loop for f in cs.facets], n_points)
+    quad_facet = slots[quad_slots[:, 0], 0]
+    nodes = np.empty((int(slots[:, 1].max(initial=n_points - 1)) + 1, 3))
+    nodes[:n_points] = cs.points
+    nodes[mids[:, 2]] = 0.5 * (cs.points[mids[:, 0]] + cs.points[mids[:, 1]])
+    interior = np.ones(len(nodes), dtype=bool)
+    interior[:n_points] = interior[mids[:, 2]] = False
+    moving = interior[slots[:, 1]]
+    smoothed, _reverted = smooth_patches(xy, quad_slots, quad_facet, moving)
     # the lift, plane_point + u e1 + v e2, of every interior node at once
-    facet = np.array(slot_facet, dtype=np.int64)[moving]
+    facet, nid = slots[moving].T
     plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
     e1 = np.array([f.e1 for f in cs.facets]).reshape(-1, 3)
     e2 = np.array([f.e2 for f in cs.facets]).reshape(-1, 3)
     u, v = smoothed[moving, :1], smoothed[moving, 1:]
-    rows[slot_node[moving] - n_points] = plane[facet] + u * e1[facet] + v * e2[facet]
+    nodes[nid] = plane[facet] + u * e1[facet] + v * e2[facet]
 
-    mesh = FacetQuadMesh(
-        nodes=np.vstack([cs.points, rows]),
-        patches=patches,
-        edge_midpoint=edge_midpoint,
-        cellset=cs,
-        node_owners=node_owners,
-    )
-    pairs = [(nid, c) for nid, owners in node_owners.items() for c in owners]
-    push_outside(mesh.nodes, pairs, cs.bed.centers, GUARD_RADIUS * cs.bed.radius_nominal)
+    # every node of a patch is owned by its facet's real cells
+    site_a, site_b = (s[slots[:, 0]] for s in _facet_sites(cs))
+    real_b = site_b < cs.n_real
+    m = len(cs.sites)
+    owned = np.unique(np.concatenate([slots[:, 1] * m + site_a,
+                                      slots[real_b, 1] * m + site_b[real_b]]))
+    mesh = FacetQuadMesh(nodes=nodes, quads=quads, quad_facet=quad_facet,
+                         owners=np.column_stack([owned // m, owned % m]),
+                         edge_midpoints=mids, cellset=cs)
+    push_outside(mesh.nodes, mesh.owners, cs.bed.centers, GUARD_RADIUS * cs.bed.radius_nominal)
     return mesh

@@ -89,7 +89,6 @@ class VoronoiCellSet:
     sites: np.ndarray            # real centers then ghosts
     n_real: int
     bed: SphereBed
-    ghosts: GhostSet
 
     def cell_facets(self, i: int):
         return [self.facets[f] for f in self.cells[i] if not self.facets[f].deleted]
@@ -290,7 +289,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
             cells[b].append(fid)
 
     cs = VoronoiCellSet(points=verts, facets=facets, cells=cells, sites=sites,
-                        n_real=n, bed=bed, ghosts=ghosts)
+                        n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 

@@ -200,6 +200,25 @@ class TestRescale:
         ratio = d1 / d0
         assert np.max(np.abs(ratio - ratio[0])) < 1e-14
 
+    @pytest.mark.parametrize("make_bed, fires", [
+        (lambda: fixtures.random_cylinder_bed(n=100, R_c=4.0, H=15.0, seed=7), True),
+        (lambda: fixtures.random_annulus_bed(), True),
+        (lambda: SphereBed(centers=fixtures.hcp_patch(3, 3, 2)), False),
+    ], ids=["cylinder_mesh", "annulus", "hcp"])
+    def test_closest_pair_warning(self, make_bed, fires, caplog):
+        """The warning names the closest Delaunay pair and fires when it is
+        under 1.9 R: on the cylinder_mesh and annulus beds, not on a
+        touching hcp patch."""
+        bed = make_bed()
+        profile = separation_profile(bed)
+        with caplog.at_level("WARNING"):
+            out = rescale(bed, profile)
+        pairs = delaunay_pairs(out.centers)
+        dmin = np.linalg.norm(out.centers[pairs[:, 0]] - out.centers[pairs[:, 1]], axis=1).min()
+        assert (dmin < 1.9) == fires
+        want = [f"closest center pair at {dmin:.4f} R after rescale (overlap > 5%)"] * fires
+        assert [r.getMessage() for r in caplog.records if r.name == "voidhex.bed"] == want
+
 
 class TestVoidFraction:
     def test_empty_bed(self):

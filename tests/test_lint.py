@@ -8,7 +8,9 @@ are `from __future__` imports. A top-level function, class or constant of a
 module in `src/voidhex/` must be referenced by name (as a name, an
 attribute or an import, such as a re-export in `__init__.py`) in `src/`,
 `tests/` or `bench/`, outside its own definition; the definitions in
-`__init__.py` and dunder names are exempt.
+`__init__.py` and dunder names are exempt. Every field of a dataclass or
+`NamedTuple` in `src/voidhex/` must be read as an attribute (`x.field`)
+somewhere in `src/`, `tests/` or `bench/`.
 """
 
 import ast
@@ -108,3 +110,41 @@ def test_no_dead_names():
                if p.name != "__init__.py"}
     readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
     assert dead_names(modules, readers) == []
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Is the class a dataclass or a NamedTuple?"""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+               for m in marks)
+
+
+def unread_fields(modules: dict, readers: dict) -> list:
+    """(module, class, field) of each field of a dataclass or NamedTuple in
+    ``modules`` that no source of ``readers`` reads as an attribute; both
+    map a file name to its source."""
+    reads = {n.attr for source in readers.values() for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                unread += [(module, cls.name, stmt.target.id) for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in reads]
+    return sorted(unread)
+
+
+def test_finds_an_unread_field():
+    src = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+           "class B(NamedTuple):\n    z: int\n"
+           "class C:\n    w: int\n")
+    assert unread_fields({"m": src}, {"m": src, "t": "a.x = 1\nprint(a.y)\n"}) == [
+        ("m", "A", "x"), ("m", "B", "z")]
+
+
+def test_no_unread_fields():
+    modules = {p.name: p.read_text() for p in ROOT.glob("src/voidhex/*.py")}
+    readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert unread_fields(modules, readers) == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from voidhex import fixtures
 from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError
-from voidhex.geometry import GUARD_RADIUS, loop_is_simple, polygon_area, push_outside
+from voidhex.geometry import GUARD_RADIUS, GUARD_SLACK, loop_is_simple, polygon_area, push_outside
 from voidhex.repair import (
     RepairConfig,
     _Repair,
@@ -47,17 +47,13 @@ def make_synthetic(points, loops, n_centers=1):
             Facet(loop=list(loop), site_a=0, site_b=n_centers,
                   plane_point=pts.mean(axis=0), plane_normal=n, boundary="wall")
         )
-    from voidhex.voronoi import GhostSet
-
-    ghosts = GhostSet(ghost_centers=np.array([[0.0, 0.0, -10.0]]), provenance=[(0, "z_bottom")])
     return VoronoiCellSet(
         points=np.asarray(points, dtype=float),
         facets=facets,
         cells=[list(range(len(facets))) for _ in range(n_centers)][:n_centers],
-        sites=np.vstack([centers, ghosts.ghost_centers]),
+        sites=np.vstack([centers, [[0.0, 0.0, -10.0]]]),
         n_real=n_centers,
         bed=bed,
-        ghosts=ghosts,
     )
 
 
@@ -397,6 +393,20 @@ class TestGuardProjection:
         points = np.array([[0.4, 0.0, 0.0]])
         with pytest.raises(GeometryError, match=r"point 0 .* cells \[0, 1\]"):
             push_outside(points, [(0, 0), (0, 1)], centers, GUARD_RADIUS)
+
+    def test_single_owner_pushed_once(self):
+        # a radial push often rounds to GUARD_RADIUS * (1 - eps); that point
+        # counts as clear, so each single-owner point at 0.9 R takes one push
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(-5.0, 5.0, (2000, 3))
+        ray = rng.normal(size=(2000, 3))
+        points = centers + 0.9 * ray / np.linalg.norm(ray, axis=1)[:, None]
+        pushes = push_outside(points, np.repeat(np.arange(2000), 2).reshape(-1, 2),
+                              centers, GUARD_RADIUS)
+        assert [p for p, _, _ in pushes] == list(range(2000))
+        d = np.linalg.norm(points - centers, axis=1)
+        assert (d >= GUARD_RADIUS * (1.0 - GUARD_SLACK)).all()
+        assert np.allclose(d, GUARD_RADIUS, rtol=1e-15, atol=0)
 
     def test_tangent_edge_midpoint_pushed(self):
         # edge grazing the sphere: midpoint dips to 0.91 < guard

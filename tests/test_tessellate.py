@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -24,9 +25,9 @@ from voidhex.tessellate import (
     FacetQuadMesh,
     _peel,
     group_edges,
+    number_patches,
     smooth_patches,
     split_facet,
-    subdivide_to_quads,
     tessellate_cells,
 )
 from voidhex.voronoi import build_cells, generate_ghosts
@@ -102,25 +103,174 @@ class TestSplitFacet:
         uv = np.array(uv)
         pieces = split_facet(uv, group_edges(uv))
         labels = {lab for _, labs in pieces for lab in labs}
-        assert "bc" in labels
+        assert len(uv) in labels  # the barycenter's label
+
+
+def ref_edge_key(a, b):
+    """Canonical undirected key for piece labels (ints or the 'bc' tag)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return (a, b) if a < b else (b, a)
+    return (b, a) if isinstance(a, str) else (a, b)
+
+
+def ref_subdivide_to_quads(pieces: list, get_node) -> list:
+    """The former midside subdivision: quad -> 4 quads, triangle -> 3 quads,
+    with ``get_node(kind, key, uv)`` resolving or creating the node id of a
+    corner ('corner', label), an edge midpoint ('mid', sorted label pair)
+    or a piece centroid ('centroid', piece index). Kept as the reference
+    for `number_patches`."""
+    quads = []
+    for pi, (pts, labels) in enumerate(pieces):
+        m = len(pts)
+        corners = [get_node("corner", lab, pts[k]) for k, lab in enumerate(labels)]
+        mids = []
+        for k in range(m):
+            (ax, ay), (bx, by) = pts[k], pts[(k + 1) % m]
+            key = ref_edge_key(labels[k], labels[(k + 1) % m])
+            mids.append(get_node("mid", key, (0.5 * (ax + bx), 0.5 * (ay + by))))
+        sx, sy = pts[0]
+        for x, y in pts[1:]:
+            sx += x
+            sy += y
+        g = get_node("centroid", pi, (sx / m, sy / m))
+        if m == 4:
+            quads.extend([
+                (corners[0], mids[0], g, mids[3]),
+                (mids[0], corners[1], mids[1], g),
+                (g, mids[1], corners[2], mids[2]),
+                (mids[3], g, mids[2], corners[3]),
+            ])
+        else:
+            quads.extend([
+                (corners[0], mids[0], g, mids[2]),
+                (mids[0], corners[1], mids[1], g),
+                (mids[2], g, mids[1], corners[2]),
+            ])
+    return quads
+
+
+def ref_number_patches(pieces, facet, loops, n_points):
+    """The former numbering: tessellate_cells' get_node callback, facet by
+    facet, over `ref_subdivide_to_quads`, with the barycenter labelled
+    'bc'. Returns what `number_patches` does, as lists: the quads, the
+    (facet, node) slots, their (x, y) and the (a, b, node) midpoints."""
+    n_new = 0
+    edge_midpoint = {}
+    all_quads, slots, xy = [], [], []
+    for fid, group in itertools.groupby(zip(facet, pieces), key=lambda t: t[0]):
+        loop = loops[fid]
+        bc = len(loop)
+        local_pieces = [(pts, ["bc" if lab == bc else lab for lab in labels])
+                        for _, (pts, labels) in group]
+        local_uv, local_mid, local_centroid = {}, {}, {}
+
+        def new_interior():
+            nonlocal n_new
+            n_new += 1
+            return n_points + n_new - 1
+
+        def get_node(kind, key, uv_pt):
+            nonlocal n_new
+            if kind == "corner":
+                if key == "bc":
+                    if "bc" not in local_centroid:
+                        local_centroid["bc"] = new_interior()
+                    nid = local_centroid["bc"]
+                else:
+                    nid = loop[key]
+            elif kind == "mid":
+                a, b = key
+                if isinstance(a, int) and isinstance(b, int):
+                    ga, gb = loop[a], loop[b]
+                    gkey = (ga, gb) if ga < gb else (gb, ga)
+                    adjacent = abs(a - b) == 1 or {a, b} == {0, len(loop) - 1}
+                    if adjacent:
+                        if gkey not in edge_midpoint:
+                            edge_midpoint[gkey] = n_points + n_new
+                            n_new += 1
+                        nid = edge_midpoint[gkey]
+                        local_uv[nid] = uv_pt
+                        return nid
+                if key not in local_mid:
+                    local_mid[key] = new_interior()
+                nid = local_mid[key]
+            else:
+                if key not in local_centroid:
+                    local_centroid[key] = new_interior()
+                nid = local_centroid[key]
+            local_uv[nid] = uv_pt
+            return nid
+
+        all_quads += ref_subdivide_to_quads(local_pieces, get_node)
+        for nid in sorted(local_uv):
+            slots.append((fid, nid))
+            xy.append(local_uv[nid])
+    mids = sorted(((a, b, n) for (a, b), n in edge_midpoint.items()), key=lambda r: r[2])
+    return all_quads, slots, xy, mids
+
+
+@st.composite
+def split_facets(draw):
+    """The split_facet pieces of 1-4 convex polygons, each on a circle of
+    radius 0.3-2 (from 1 R^2 of area or 7 vertices on, a facet gets a
+    barycenter), with points inserted along some edges. Their loops take
+    vertex ids from a pool of 12, so that facets share edges."""
+    pieces, facet, loops = [], [], []
+    for fid in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(3, 7))
+        gaps = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+        theta = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+        radius = draw(st.floats(0.3, 2.0))
+        corners = (radius * np.column_stack([np.cos(theta), np.sin(theta)])).tolist()
+        split = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        uv = []
+        for k, (p, q) in enumerate(zip(corners, corners[1:] + corners[:1])):
+            uv.append(tuple(p))
+            for j in range(1, split[k] + 1):
+                t = j / (split[k] + 1)
+                uv.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        uv = uv[:12]
+        got = split_facet(uv, group_edges(uv), facet_id=fid)
+        loops.append(draw(st.permutations(range(12)))[:len(uv)])
+        pieces += got
+        facet += [fid] * len(got)
+    return pieces, facet, loops
+
+
+class TestNumberPatches:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(split_facets())
+    def test_matches_reference(self, case):
+        """Node ids, quads, slots and slot (x, y) bits are those of the
+        former get_node numbering."""
+        pieces, facet, loops = case
+        ref_quads, ref_slots, ref_xy, ref_mids = ref_number_patches(pieces, facet, loops, 12)
+        quads, quad_slots, slots, xy, mids = number_patches(pieces, facet, loops, 12)
+        assert quads.tolist() == [list(q) for q in ref_quads]
+        assert slots.tolist() == [list(s) for s in ref_slots]
+        assert xy.tobytes() == np.array(ref_xy, dtype=float).reshape(-1, 2).tobytes()
+        assert mids.tolist() == [list(m) for m in ref_mids]
+        assert (slots[quad_slots, 1] == quads).all()
+
+    def test_barycenter_facet(self):
+        """A dodecagon of split hexagon edges: a barycenter facet whose
+        wedges share the barycenter and their cut edges."""
+        hexa = regular_polygon(6, 1.5).tolist()
+        uv = [tuple(p) for k in range(6) for p in (hexa[k], np.add(hexa[k], hexa[(k + 1) % 6]) / 2)]
+        pieces = split_facet(uv, group_edges(uv))
+        assert any(12 in labels for _, labels in pieces)
+        quads, *_ = number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
+        ref_quads, *_ = ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
+        assert quads.tolist() == [list(q) for q in ref_quads]
 
 
 class TestSubdivide:
     def collect(self, pieces):
-        nodes = {}
-        coords = []
-
-        def get_node(kind, key, uv):
-            k = (kind if kind != "corner" else "c", str(key))
-            if kind == "mid":
-                k = ("m", str(key))
-            if k not in nodes:
-                nodes[k] = len(coords)
-                coords.append(np.asarray(uv, dtype=float))
-            return nodes[k]
-
-        quads = subdivide_to_quads(pieces, get_node)
-        return quads, coords
+        """The quads and slot positions of one facet's pieces, its loop the
+        labels 0..n - 1 as vertex ids."""
+        n = 1 + max(lab for _, labels in pieces for lab in labels)
+        quads, _, _, xy, _ = number_patches(pieces, [0] * len(pieces), [list(range(n))], n)
+        return quads, xy
 
     def test_quad_becomes_four(self):
         uv = regular_polygon(4, 0.5)
@@ -167,28 +317,16 @@ def smooth_one(uv_nodes, quads, interior):
 
 
 def facet_patch(uv):
-    """A polygon's quad patch as split_facet and subdivide_to_quads make it:
+    """A polygon's quad patch as split_facet and number_patches make it:
     ({node: (x, y)}, quads, interior nodes). Interior nodes are the
     barycenter, the midpoints of cut edges and the piece centroids."""
     n = len(uv)
-    nodes, interior = {}, []
-
-    def get_node(kind, key, xy):
-        if kind == "corner" and key != "bc":
-            name = key
-        else:
-            name = (kind, str(key))
-            a, b = key if kind == "mid" else (None, None)
-            if not (kind == "mid" and "bc" not in key and (b - a) % n in (1, n - 1)):
-                if name not in nodes:
-                    interior.append(name)
-        nodes.setdefault(name, tuple(xy))
-        return name
-
-    quads = subdivide_to_quads(split_facet(uv, group_edges(uv)), get_node)
-    ids = {name: k for k, name in enumerate(nodes)}
-    return ({ids[m]: xy for m, xy in nodes.items()},
-            [tuple(ids[m] for m in q) for q in quads], [ids[m] for m in interior])
+    pieces = split_facet(uv, group_edges(uv))
+    quads, _, slots, xy, mids = number_patches(pieces, [0] * len(pieces), [list(range(n))], n)
+    nodes = slots[:, 1].tolist()
+    interior = [v for v in nodes if v >= n and v not in mids[:, 2]]
+    return (dict(zip(nodes, map(tuple, xy.tolist()))), [tuple(q) for q in quads.tolist()],
+            interior)
 
 
 class TestSmoothFacet:
@@ -463,7 +601,7 @@ def peel_polygons(draw):
             pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     labels = list(range(len(pts)))
     if draw(st.booleans()):
-        labels[0] = "bc"
+        labels[0] = len(pts)  # the barycenter's label
     return pts, labels
 
 
@@ -497,9 +635,8 @@ def tessellated():
 
 class TestTessellateCells:
     def test_all_quads(self, tessellated):
-        for patch in tessellated.patches.values():
-            for q in patch.quads:
-                assert len(q) == 4
+        assert tessellated.quads.shape == (len(tessellated.quad_facet), 4)
+        assert (np.diff(tessellated.quad_facet) >= 0).all()
 
     def test_quad_count_rule(self, tessellated):
         # counts follow 4q + 3t exactly: every patch size is a sum of 4s and 3s
@@ -508,43 +645,50 @@ class TestTessellateCells:
             assert n >= 3
             assert any(4 * q + 3 * t == n for q in range(n // 4 + 1) for t in range(n // 3 + 1))
 
+    def test_patches_view(self, tessellated):
+        patches = tessellated.patches
+        assert sorted(patches) == np.unique(tessellated.quad_facet).tolist()
+        assert np.vstack([p.quads for _, p in sorted(patches.items())]).tolist() == \
+            tessellated.quads.tolist()
+
     def test_conformal_edge_registry(self, tessellated):
         cs = tessellated.cellset
-        for (u, v), nid in tessellated.edge_midpoint.items():
+        for u, v, nid in tessellated.edge_midpoints.tolist():
             # the midpoint node must be used by every patch whose facet
             # contains the edge
             for fid, f in enumerate(cs.facets):
-                if f.deleted or fid not in tessellated.patches:
+                if f.deleted:
                     continue
                 loop = f.loop
                 edges = {tuple(sorted(e)) for e in zip(loop, loop[1:] + loop[:1])}
                 if (u, v) in edges:
-                    used = {n for q in tessellated.patches[fid].quads for n in q}
-                    assert nid in used
+                    assert nid in tessellated.quads[tessellated.quad_facet == fid]
 
     def test_guard_respected(self, tessellated):
         centers = tessellated.cellset.bed.centers
-        for nid, owners in tessellated.node_owners.items():
-            for c in owners:
-                d = np.linalg.norm(tessellated.nodes[nid] - centers[c])
-                assert d >= GUARD_RADIUS - 1e-9
+        nid, c = tessellated.owners.T
+        assert np.unique(tessellated.owners, axis=0).tolist() == tessellated.owners.tolist()
+        d = np.linalg.norm(tessellated.nodes[nid] - centers[c], axis=1)
+        assert (d >= GUARD_RADIUS - 1e-9).all()
 
     def test_interior_nodes_on_bisecting_plane(self, tessellated):
         cs = tessellated.cellset
-        for fid, patch in tessellated.patches.items():
+        for fid in np.unique(tessellated.quad_facet).tolist():
             f = cs.facets[fid]
-            for nid in patch.interior_nodes:
+            for nid in interior_nodes(tessellated, fid):
                 d = abs((tessellated.nodes[nid] - f.plane_point) @ f.plane_normal)
                 assert d < 1e-9
 
     def test_single_patch_serves_both_cells(self, tessellated):
         cs = tessellated.cellset
+        cell, facet, quads = tessellated.outward_quads()
+        assert (np.diff(cell * len(cs.facets) + facet) >= 0).all()
         for fid, f in enumerate(cs.facets):
-            if f.deleted or f.boundary is not None or fid not in tessellated.patches:
+            if f.deleted or f.boundary is not None:
                 continue
-            mine = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_a) if x == fid}
-            theirs = {tuple(sorted(q)) for x, q in tessellated.cell_quads(f.site_b) if x == fid}
-            assert mine == theirs and mine
+            mine = quads[(cell == f.site_a) & (facet == fid)]
+            theirs = quads[(cell == f.site_b) & (facet == fid)]
+            assert len(mine) and mine.tolist() == theirs[:, ::-1].tolist()
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -555,21 +699,30 @@ def test_quad_count_independent_of_scale(k):
     bed = SphereBed(centers=bed.centers * k, radius_nominal=k, domain=bed.domain.scaled(k))
     cs = build_cells(bed, generate_ghosts(bed))
     repair(cs, RepairConfig())
-    assert sum(len(p.quads) for p in tessellate_cells(cs).patches.values()) == 5474
+    assert len(tessellate_cells(cs).quads) == 5474
+
+
+def interior_nodes(qm: FacetQuadMesh, fid: int) -> list:
+    """The nodes that only facet fid's patch has, in node order: the new
+    nodes of its quads that are not original-edge midpoints."""
+    nodes = np.unique(qm.quads[qm.quad_facet == fid])
+    return [n for n in nodes.tolist()
+            if n >= len(qm.cellset.points) and n not in set(qm.edge_midpoints[:, 2].tolist())]
 
 
 def quadmesh_digest(qm: FacetQuadMesh) -> str:
     """sha256 of a tessellation: exact node bytes, each patch's quads and
-    interior nodes, and the node owners and edge midpoints, sorted."""
+    interior nodes, and the node owners and edge midpoints, sorted. The
+    hashed repr is the one of the former dict-based tessellation."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(qm.nodes, dtype="<f8").tobytes())
-    patches = [(fid, [tuple(int(n) for n in q) for q in p.quads],
-                [int(n) for n in p.interior_nodes])
+    patches = [(fid, [tuple(q) for q in p.quads.tolist()], interior_nodes(qm, fid))
                for fid, p in sorted(qm.patches.items())]
     h.update(repr(patches).encode())
-    owners = sorted((int(n), sorted(int(c) for c in cs)) for n, cs in qm.node_owners.items())
+    owners = [(n, [c for _, c in rows])
+              for n, rows in itertools.groupby(qm.owners.tolist(), key=lambda r: r[0])]
     h.update(repr(owners).encode())
-    mids = sorted(((int(a), int(b)), int(n)) for (a, b), n in qm.edge_midpoint.items())
+    mids = sorted(((a, b), n) for a, b, n in qm.edge_midpoints.tolist())
     h.update(repr(mids).encode())
     return h.hexdigest()
 
