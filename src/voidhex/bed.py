@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
@@ -246,6 +245,10 @@ def fit_cylinder(bed: SphereBed, p: float = 100.0) -> Cylinder:
     is the largest pass-2 radial distance plus R, and the height spans the
     z extent of the centers extended by R each way.
     """
+    # imported here, where it is used: scipy.optimize takes longer to import
+    # than the rest of the package, and only the cylinder fit needs it
+    from scipy.optimize import minimize
+
     if bed.n_spheres < 3:
         raise ValidationError("cylinder fit needs at least 3 centers")
     if p < 2:

@@ -5,11 +5,14 @@ shortest edges disappear first, and no vertex moves twice in one pass. Long
 edges are then bisected until they drop under the maximum, and every vertex
 is kept outside a guard sphere slightly larger than the sweep radius.
 
-Each collapse pass and each insertion round starts from one edge table
-(`_edge_table`): the live facet loops flattened into (facet, vertex, next
-vertex) rows, and one `np.unique` over their sorted endpoint keys, which
-gives every edge once, in (u, v) order, with its length. The zone
-tolerances and the collapse candidates are array passes over that table.
+A repair keeps the live facet loops flattened into (facet, vertex, next
+vertex) loop rows across its passes, each facet's rows together and in
+loop order (`_Repair.rows`); after a collapse pass or an insertion round
+only the rows of the facets it touched are gathered again. Each pass and
+round starts from one edge table (`_edge_table`) of those rows: one
+`np.unique` over their sorted endpoint keys, which gives every edge once,
+in (u, v) order, with its length. The zone tolerances and the collapse
+candidates are array passes over that table.
 
 A collapse pass walks its sorted candidates speculatively (`_walk`): it
 assumes every collapse succeeds, rewrites the loops of the facets each one
@@ -23,9 +26,15 @@ are applied, that one is skipped, and the walk resumes after it. Each
 state's verdict is kept for the rest of the pass, so a resumed walk checks
 only the states that the skip changed.
 
+Vertex insertion is one array pass per round: the new ids, their edge
+parameters and points come from `cumsum` and `repeat` over the long
+edges, and each hit facet's new loop is its loop rows with the new ids of
+each long row spliced in.
+
 Guard projection checks every vertex the first time in a repair, and after
 that only the vertices moved since: collapse survivors, inserted vertices
-and pushed ones, each against the facets that may hold it (`_Repair`).
+and pushed ones, each against the facets that may hold it, kept as two
+flat lists of vertices and facets (`_Repair`).
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .geometry import GUARD_RADIUS, loops_are_simple, norms, polygon_areas, push_outside
-from .voronoi import VoronoiCellSet
+from .voronoi import VoronoiCellSet, facet_sites
 
 log = logging.getLogger(__name__)
 
@@ -79,35 +88,35 @@ class EdgeTable(NamedTuple):
     edge: np.ndarray     # (N,) edge from that vertex to the next one
 
 
-def _loop_rows(cs: VoronoiCellSet):
-    """The live facet loops flattened into rows: per loop vertex, the facet
-    id, the vertex and the next vertex of its loop."""
-    live = [fid for fid, f in enumerate(cs.facets) if not f.deleted]
-    loops = [cs.facets[fid].loop for fid in live]
-    lens = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+def _rows(fids: np.ndarray, lens: np.ndarray, vertex: np.ndarray):
+    """Loop rows of loops given flat: facet ``fids[i]`` has the next
+    ``lens[i]`` entries of ``vertex`` as its loop."""
     ends = np.cumsum(lens)
-    vertex = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(lens.sum()))
-    fid = np.repeat(np.array(live, dtype=np.int64), lens)
     nxt = np.arange(1, len(vertex) + 1)
     nxt[ends - 1] = ends - lens
-    return fid, vertex, vertex[nxt]
+    return np.repeat(fids, lens), vertex, vertex[nxt]
 
 
-def _edge_table(cs: VoronoiCellSet) -> EdgeTable:
-    """The edge table of the live loops, from one `np.unique` over the rows."""
-    fid, vertex, nxt = _loop_rows(cs)
-    P = len(cs.points)
+def _loop_rows(facets: list, fids=None):
+    """The loops of ``fids`` (default: every live facet) flattened into
+    rows, each facet's rows together and in loop order: per loop vertex,
+    the facet id, the vertex and the next vertex of its loop."""
+    if fids is None:
+        fids = [fid for fid, f in enumerate(facets) if not f.deleted]
+    loops = [facets[fid].loop for fid in fids]
+    lens = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    vertex = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(lens.sum()))
+    return _rows(np.asarray(fids, dtype=np.int64), lens, vertex)
+
+
+def _edge_table(points: np.ndarray, rows) -> EdgeTable:
+    """The edge table of the loop rows, from one `np.unique` over them."""
+    fid, vertex, nxt = rows
+    P = len(points)
     keys, edge = np.unique(np.minimum(vertex, nxt) * P + np.maximum(vertex, nxt),
                            return_inverse=True)
     u, v = keys // P, keys % P
-    return EdgeTable(u, v, norms(cs.points[u] - cs.points[v]), fid, vertex, edge)
-
-
-def _facet_sites(cs: VoronoiCellSet):
-    """site_a and site_b of every facet, deleted ones included."""
-    m = len(cs.facets)
-    return (np.fromiter((f.site_a for f in cs.facets), dtype=np.int64, count=m),
-            np.fromiter((f.site_b for f in cs.facets), dtype=np.int64, count=m))
+    return EdgeTable(u, v, norms(points[u] - points[v]), fid, vertex, edge)
 
 
 def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
@@ -120,7 +129,7 @@ def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
 def _facet_zone(cs: VoronoiCellSet) -> np.ndarray:
     """Per facet, deleted ones included: does it bound a real cell of the
     boundary zone?"""
-    site_a, site_b = _facet_sites(cs)
+    site_a, site_b = facet_sites(cs)
     in_zone = np.append(boundary_zone(cs), False)  # every ghost site maps to the last entry
     return in_zone[site_a] | in_zone[np.minimum(site_b, cs.n_real)]
 
@@ -214,20 +223,29 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 class _Repair:
     """One repair of a cell set: its oplog, the facet arrays it gathers
-    once, and the vertices its next guard projection checks.
+    once, the loop rows of its live facets, and the vertices its next
+    guard projection checks.
 
-    ``pending`` lists a (vertex, facet) row for each vertex moved since the
-    last guard projection and each facet that holds it; it is None until
-    the first projection, which checks every vertex. A vertex that has not
-    moved keeps its position and can only lose facets, so it stays outside
-    its guards.
+    ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
+    facet, each facet's rows together and in loop order, though the
+    facets need not be in id order. The repair changes loops only through
+    this object, which gathers the rows of each facet it changes again.
+
+    ``pending`` holds two flat lists, vertices and facets, with one entry
+    in each for a vertex moved since the last guard projection and a facet
+    that holds it; it is None until the first projection, which checks
+    every vertex. A vertex that has not moved keeps its position and can
+    only lose facets, so it stays outside its guards.
     """
 
     def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
         self.cs, self.cfg = cs, cfg
         self.oplog = [] if oplog is None else oplog
-        self.site_a, self.site_b = _facet_sites(cs)
-        self.pending: list | None = None
+        self.site_a, self.site_b = facet_sites(cs)
+        self.deleted = np.fromiter((f.deleted for f in cs.facets), dtype=bool,
+                                   count=len(cs.facets))
+        self.rows = _loop_rows(cs.facets)
+        self.pending: tuple[list, list] | None = None
 
     @cached_property
     def frames(self):
@@ -241,7 +259,17 @@ class _Repair:
         """Each of ``vertices`` moved, and each of ``fids`` holds it: the
         next guard projection checks them."""
         if self.pending is not None:
-            self.pending += [(v, f) for v in vertices for f in fids]
+            pv, pf = self.pending
+            for v in vertices:
+                pv += [v] * len(fids)
+                pf += fids
+
+    def _replace_rows(self, fids, new_rows) -> None:
+        """Drop the loop rows of the facets ``fids`` and append ``new_rows``."""
+        hit = np.zeros(len(self.deleted), dtype=bool)
+        hit[fids] = True
+        keep = ~hit[self.rows[0]]
+        self.rows = tuple(np.concatenate([r[keep], n]) for r, n in zip(self.rows, new_rows))
 
     def collapse_edges(self) -> None:
         cs, cfg = self.cs, self.cfg
@@ -263,15 +291,20 @@ class _Repair:
 
     def collapse_pass(self, facet_zone, factor, pass_no) -> int:
         cs = self.cs
-        edges = _edge_table(cs)
+        edges = _edge_table(cs.points, self.rows)
         tol = _base_tolerance(edges, facet_zone, self.cfg) * factor * cs.bed.radius_nominal
         cand = np.flatnonzero(edges.length < tol)
         if not len(cand):
             return 0
         cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
-        # vertex -> live facets, for the candidates' endpoints only
+        # vertex -> live facets, for the candidates' endpoints only, from
+        # their rows alone
+        P = len(cs.points)
         endpoints = np.unique(np.concatenate([edges.u[cand], edges.v[cand]]))
-        by_vertex = np.argsort(edges.vertex, kind="stable")
+        is_end = np.zeros(P, dtype=bool)
+        is_end[endpoints] = True
+        sel = np.flatnonzero(is_end[edges.vertex])
+        by_vertex = sel[np.argsort(edges.vertex[sel], kind="stable")]
         rows = edges.vertex[by_vertex]
         lo = np.searchsorted(rows, endpoints, side="left").tolist()
         hi = np.searchsorted(rows, endpoints, side="right").tolist()
@@ -283,10 +316,10 @@ class _Repair:
         us, vs = edges.u[cand].tolist(), edges.v[cand].tolist()
         lengths, tols = edges.length[cand].tolist(), tol[cand].tolist()
         # the position table: the pass-start positions, then the midpoints
-        P = len(cs.points)
         table = np.vstack([cs.points, mids])
         moved = {}    # end of an applied collapse -> its midpoint row
         checked = {}  # loop state -> does it break
+        changed = set()  # facets whose loops the applied collapses rewrote
         n_done = 0
         start, width = 0, len(cand)
         while start < len(cand):
@@ -308,6 +341,8 @@ class _Repair:
                     f.loop = loop
                     if len(loop) < 3:
                         f.deleted = True
+                        self.deleted[fid] = True
+                changed.update(touched)
                 moved[u] = moved[v] = P + i
                 n_done += 1
                 self.recheck((u,), touched)
@@ -322,6 +357,10 @@ class _Repair:
                 start, width = fail + 1, 2 * (fail - start) + 16
             else:
                 start, width = end, 2 * width
+        if changed:
+            changed = sorted(changed)
+            self._replace_rows(changed, _loop_rows(
+                cs.facets, [fid for fid in changed if not self.deleted[fid]]))
         return n_done
 
     def _check(self, states, table) -> np.ndarray:
@@ -353,56 +392,79 @@ class _Repair:
         cs = self.cs
         limit = self.cfg.max_edge * cs.bed.radius_nominal
         for _round in range(10):
-            edges = _edge_table(cs)
+            edges = _edge_table(cs.points, self.rows)
             long_edges = np.flatnonzero(edges.length > limit)
             if not len(long_edges):
                 break
-            # new point k is (1 - t[k]) * points[ends[k][0]] + t[k] * points[ends[k][1]]
-            ends, t = [], []
-            splits = {}
-            base = len(cs.points)
-            for u, v, L in zip(edges.u[long_edges].tolist(), edges.v[long_edges].tolist(),
-                               edges.length[long_edges].tolist()):
-                m = max(1, math.ceil(math.log2(L / limit)))
-                ids = list(range(base + len(t), base + len(t) + 2**m - 1))
-                ends += [(u, v)] * len(ids)
-                t += [i / 2**m for i in range(1, 2**m)]
-                splits[(u, v)] = ids
-                self.oplog.append({"op": "insert", "edge": [u, v], "length": L,
-                                   "pieces": 2**m, "new_vertices": ids})
-            t = np.array(t)[:, None]
-            ends = np.array(ends, dtype=np.int64)
-            cs.points = np.vstack([cs.points,
-                                   (1 - t) * cs.points[ends[:, 0]] + t * cs.points[ends[:, 1]]])
-            is_long = np.zeros(len(edges.u), dtype=bool)
-            is_long[long_edges] = True
-            for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
-                f = cs.facets[fid]
-                out = []
-                loop = f.loop
-                for a, b in zip(loop, loop[1:] + loop[:1]):
-                    out.append(a)
-                    key = (a, b) if a < b else (b, a)
-                    if key in splits:
-                        ids = splits[key]
-                        out.extend(ids if a < b else list(reversed(ids)))
-                        self.recheck(ids, (fid,))
-                f.loop = out
+            self._split(edges, long_edges, limit)
             self.guard_projection()
         else:
             log.warning("vertex insertion did not settle after 10 rounds")
 
+    def _split(self, edges: EdgeTable, long_edges: np.ndarray, limit: float) -> None:
+        """One insertion round: put 2**m - 1 new vertices on each long edge,
+        m = ceil(log2(length / limit)) and at least 1, and splice them into
+        the loops of the facets that hold it."""
+        cs = self.cs
+        u, v = edges.u[long_edges], edges.v[long_edges]
+        lengths = edges.length[long_edges].tolist()
+        pieces = np.array([2 ** max(1, math.ceil(math.log2(L / limit))) for L in lengths],
+                          dtype=np.int64)
+        k = pieces - 1   # new vertices per long edge, numbered in (u, v) order
+        base = len(cs.points)
+        first = base + np.cumsum(k) - k
+        # new vertex first[e] + j - 1 is (1 - t) * points[u] + t * points[v]
+        # with t = j / pieces[e], j = 1 .. k[e]
+        on = np.repeat(np.arange(len(k)), k)   # the long edge of each new vertex
+        j = np.arange(base, base + len(on)) - first[on] + 1
+        t = (j / pieces[on])[:, None]
+        cs.points = np.vstack([cs.points, (1 - t) * cs.points[u[on]] + t * cs.points[v[on]]])
+        for a, b, L, p, s in zip(u.tolist(), v.tolist(), lengths, pieces.tolist(),
+                                 first.tolist()):
+            self.oplog.append({"op": "insert", "edge": [a, b], "length": L,
+                               "pieces": p, "new_vertices": list(range(s, s + p - 1))})
+
+        # the rows of the facets with a long edge, each facet's rows
+        # together and in loop order; a long row (vertex -> next) is
+        # followed by its edge's new ids, ascending if vertex is its u
+        fid, vertex, _ = self.rows
+        long_of = np.full(len(edges.u), -1)
+        long_of[long_edges] = np.arange(len(long_edges))
+        row_long = long_of[edges.edge]
+        hit = np.zeros(len(self.deleted), dtype=bool)
+        hit[fid[row_long >= 0]] = True
+        sel = np.flatnonzero(hit[fid])
+        count = 1 + np.where(row_long[sel] >= 0, k[row_long[sel]], 0)
+        row = np.repeat(sel, count)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        e = np.maximum(row_long[row], 0)
+        up = vertex[row] == u[e]
+        out = np.where(pos == 0, vertex[row],
+                       np.where(up, first[e] + pos - 1, first[e] + k[e] - pos))
+        starts = np.flatnonzero(np.diff(fid[sel], prepend=-1))
+        hit_fids = fid[sel[starts]]
+        lens = np.add.reduceat(count, starts)
+        ends = np.cumsum(lens)
+        flat = out.tolist()
+        for f, a, b in zip(hit_fids.tolist(), (ends - lens).tolist(), ends.tolist()):
+            cs.facets[f].loop = flat[a:b]
+        self._replace_rows(hit_fids, _rows(hit_fids, lens, out))
+        if self.pending is not None:
+            self.pending[0].extend(out[pos > 0].tolist())
+            self.pending[1].extend(fid[row[pos > 0]].tolist())
+
     def guard_projection(self) -> None:
         cs = self.cs
         if self.pending is None:
-            fid, verts, _ = _loop_rows(cs)
+            fid, verts, _ = self.rows
         else:
             # a moved vertex stays in the facets that held it, unless a
             # later collapse deleted one; a pushed vertex that a collapse
             # fused away keeps stale rows, but it has not moved since it
             # was pushed clear of those very owners
-            verts, fid = np.array(self.pending, dtype=np.int64).reshape(-1, 2).T
-            live = [not cs.facets[f].deleted for f in fid.tolist()]
+            verts = np.array(self.pending[0], dtype=np.int64)
+            fid = np.array(self.pending[1], dtype=np.int64)
+            live = ~self.deleted[fid]
             verts, fid = verts[live], fid[live]
         site_a, site_b = self.site_a[fid], self.site_b[fid]
         real = site_b < cs.n_real
@@ -412,9 +474,8 @@ class _Repair:
         pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
         self.oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
                           for v, c, d in pushes)
-        self.pending = []
-        for v in {v for v, _, _ in pushes}:
-            self.recheck((v,), fid[verts == v].tolist())
+        again = np.isin(verts, [v for v, _, _ in pushes])
+        self.pending = (verts[again].tolist(), fid[again].tolist())
 
 
 def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -471,6 +532,6 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     """(length, base tolerance) per unique live edge, with the base
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
-    edges = _edge_table(cs)
+    edges = _edge_table(cs.points, _loop_rows(cs.facets))
     tol = _base_tolerance(edges, _facet_zone(cs), cfg)
     return list(zip(edges.length.tolist(), tol.tolist()))

@@ -43,7 +43,7 @@ from .geometry import (
     polygon_areas,
     push_outside,
 )
-from .voronoi import VoronoiCellSet
+from .voronoi import VoronoiCellSet, facet_sites
 
 log = logging.getLogger(__name__)
 
@@ -83,19 +83,13 @@ class FacetQuadMesh:
         cell of its facet, the quad turned outward (CCW seen from outside
         that cell), in order of cell, facet id and patch."""
         cs = self.cellset
-        site_a, site_b = (s[self.quad_facet] for s in _facet_sites(cs))
+        site_a, site_b = (s[self.quad_facet] for s in facet_sites(cs))
         real_b = site_b < cs.n_real
         cell = np.concatenate([site_a, site_b[real_b]])
         facet = np.concatenate([self.quad_facet, self.quad_facet[real_b]])
         order = np.argsort(cell * len(cs.facets) + facet, kind="stable")
         quads = np.vstack([self.quads, self.quads[real_b, ::-1]])
         return cell[order], facet[order], quads[order]
-
-
-def _facet_sites(cs: VoronoiCellSet) -> tuple:
-    """The site_a and site_b arrays of the facets, by facet id."""
-    sites = np.array([(f.site_a, f.site_b) for f in cs.facets], dtype=np.int64).reshape(-1, 2)
-    return sites[:, 0], sites[:, 1]
 
 
 def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
@@ -455,7 +449,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     nodes[nid] = plane[facet] + u * e1[facet] + v * e2[facet]
 
     # every node of a patch is owned by its facet's real cells
-    site_a, site_b = (s[slots[:, 0]] for s in _facet_sites(cs))
+    site_a, site_b = (s[slots[:, 0]] for s in facet_sites(cs))
     real_b = site_b < cs.n_real
     m = len(cs.sites)
     owned = np.unique(np.concatenate([slots[:, 1] * m + site_a,

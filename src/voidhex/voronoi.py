@@ -19,7 +19,7 @@ from scipy.spatial import QhullError, Voronoi, cKDTree
 
 from .bed import Annulus, Box, Cylinder, SphereBed
 from .errors import GeometryError, ValidationError
-from .geometry import norms, plane_basis, polygon_area
+from .geometry import norms, plane_basis, polygon_areas
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +99,14 @@ class VoronoiCellSet:
 
     def outward_normal(self, facet: Facet, i: int) -> np.ndarray:
         return facet.plane_normal if facet.site_a == i else -facet.plane_normal
+
+
+def facet_sites(cs: VoronoiCellSet):
+    """site_a and site_b of every facet, deleted ones included, as arrays
+    by facet id."""
+    m = len(cs.facets)
+    return (np.fromiter((f.site_a for f in cs.facets), dtype=np.int64, count=m),
+            np.fromiter((f.site_b for f in cs.facets), dtype=np.int64, count=m))
 
 
 def _reflect_radial(center_xy, pts, wall_radius, outward: bool):
@@ -197,12 +205,50 @@ def _dedup_vertices(verts: np.ndarray, tol: float):
     return verts[keep].copy(), remap
 
 
+def _kept_ridges(ridge_points: np.ndarray, ridge_vertices: list, remap: np.ndarray, n: int):
+    """The Voronoi ridges that bound a real cell, as arrays.
+
+    Returns, per kept ridge in diagram order, its sites a < b (a is real)
+    and its vertex count, and the kept ridges' vertex ids flat: remapped,
+    deduplicated and sorted within each ridge. A ridge between two ghosts
+    is dropped, and so is one left with fewer than 3 ids after the remap
+    (degenerated to a point or segment). Raises GeometryError, naming
+    sphere a, for the first ridge of a real cell with a vertex at
+    infinity (-1).
+    """
+    counts = np.fromiter(map(len, ridge_vertices), dtype=np.int64, count=len(ridge_vertices))
+    flat = np.fromiter(chain.from_iterable(ridge_vertices), dtype=np.int64,
+                       count=int(counts.sum()))
+    pts = np.asarray(ridge_points, dtype=np.int64).reshape(-1, 2)
+    a, b = pts.min(axis=1), pts.max(axis=1)   # a ghost site is numbered after every real one
+    ridge = np.repeat(np.arange(len(counts)), counts)
+    real = (a < n)[ridge]
+    unbounded = real & (flat == -1)
+    if unbounded.any():
+        raise GeometryError(
+            f"unbounded Voronoi cell for sphere {a[ridge[np.argmax(unbounded)]]}; "
+            "ghost coverage is insufficient"
+        )
+    ridge, ids = ridge[real], remap[flat[real]].astype(np.int64)
+    order = np.lexsort((ids, ridge))
+    ridge, ids = ridge[order], ids[order]
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = (ridge[1:] != ridge[:-1]) | (ids[1:] != ids[:-1])
+    ridge, ids = ridge[new], ids[new]
+    counts = np.bincount(ridge, minlength=len(counts))
+    kept = counts >= 3
+    return a[kept], b[kept], counts[kept], ids[kept[ridge]]
+
+
 def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellSet:
     """Assemble bounded Voronoi cells for the real spheres.
 
-    Raises GeometryError if any real cell is unbounded (insufficient
-    ghosts). A degenerate site set is retried once with a deterministic
-    1e-9 R jitter.
+    The ridges are taken in array passes (`_kept_ridges`); their planes,
+    the CCW order of their loops and the degenerate-area test are array
+    passes over all of them at once, and only the `Facet` objects are made
+    one by one. Raises GeometryError if any real cell is unbounded
+    (insufficient ghosts). A degenerate site set is retried once with a
+    deterministic 1e-9 R jitter.
     """
     R = bed.radius_nominal
     n = bed.n_spheres
@@ -228,31 +274,9 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
             raise GeometryError(f"Voronoi construction failed twice: {exc}") from None
 
     verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
-
-    # the kept ridges: (a, b, boundary tag, sorted vertex ids)
-    ridges = []
-    remap = remap.tolist()
-    for (pa, pb), rv in zip(vor.ridge_points.tolist(), vor.ridge_vertices):
-        if pa >= n and pb >= n:
-            continue
-        if pa < n and pb < n:
-            a, b = (pa, pb) if pa < pb else (pb, pa)
-            boundary = None
-        else:
-            a, b = (pa, pb) if pa < n else (pb, pa)
-            boundary = KIND_TO_TAG[ghosts.provenance[b - n][1]]
-        if -1 in rv:
-            raise GeometryError(
-                f"unbounded Voronoi cell for sphere {a}; ghost coverage is insufficient"
-            )
-        ids = sorted({remap[v] for v in rv})
-        if len(ids) < 3:
-            continue  # ridge degenerated to a point/segment after dedup
-        ridges.append((a, b, boundary, ids))
+    sa, sb, counts, vids = _kept_ridges(vor.ridge_points, vor.ridge_vertices, remap, n)
 
     # the planes of all ridges in one array pass; the normal points a -> b
-    sa = np.array([r[0] for r in ridges], dtype=np.int64)
-    sb = np.array([r[1] for r in ridges], dtype=np.int64)
     normals = sites[sb] - sites[sa]
     normals /= norms(normals)[:, None]
     plane_points = 0.5 * (sites[sa] + sites[sb])
@@ -260,30 +284,31 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
 
     # each loop ordered CCW about its normal: by the angle about the
     # vertex centroid in the (e1, e2) plane, then by vertex id
-    counts = np.array([len(r[3]) for r in ridges], dtype=np.int64)
     ends = np.cumsum(counts)
-    vids = np.fromiter(chain.from_iterable(r[3] for r in ridges), dtype=np.int64,
-                       count=int(counts.sum()))
-    ridge = np.repeat(np.arange(len(ridges)), counts)
+    starts = ends - counts
+    ridge = np.repeat(np.arange(len(counts)), counts)
     pts = verts[vids]
-    rel = pts - (np.add.reduceat(pts, ends - counts, axis=0) / counts[:, None])[ridge]
+    rel = pts - (np.add.reduceat(pts, starts, axis=0) / counts[:, None])[ridge]
     x, y = np.vecdot(rel, e1[ridge]), np.vecdot(rel, e2[ridge])
     order = np.lexsort((vids, np.arctan2(y, x), ridge))
     loops = vids[order].tolist()
-    xy = np.column_stack([x[order], y[order]]).tolist()
 
+    # degenerate-area ridges (collinear after dedup) carry no volume; the
+    # loops are padded to one size by repeating their last vertex, which
+    # adds exact zero terms to each area
+    at = starts[:, None] + np.minimum(np.arange(counts.max(initial=3)), counts[:, None] - 1)
+    area = polygon_areas(x[order][at], y[order][at])
+    keep = np.flatnonzero(~(2.0 * np.abs(area) < 1e-20 * R * R))
+
+    tags = [KIND_TO_TAG[kind] for _, kind in ghosts.provenance]
     facets = []
     cells = [[] for _ in range(n)]
-    starts, ends = (ends - counts).tolist(), ends.tolist()
-    for k, (a, b, boundary, _) in enumerate(ridges):
-        lo, hi = starts[k], ends[k]
-        # degenerate-area ridges (collinear after dedup) carry no volume
-        if 2.0 * abs(polygon_area(xy[lo:hi])) < 1e-20 * R * R:
-            continue
+    for k, a, b, lo, hi in zip(keep.tolist(), sa[keep].tolist(), sb[keep].tolist(),
+                               starts[keep].tolist(), ends[keep].tolist()):
         fid = len(facets)
         facets.append(Facet(loop=loops[lo:hi], site_a=a, site_b=b,
                             plane_point=plane_points[k], plane_normal=normals[k],
-                            boundary=boundary, e1=e1[k], e2=e2[k]))
+                            boundary=None if b < n else tags[b - n], e1=e1[k], e2=e2[k]))
         cells[a].append(fid)
         if b < n:
             cells[b].append(fid)
@@ -307,7 +332,7 @@ def _validate_cells(cs: VoronoiCellSet) -> None:
     """
     R = cs.bed.radius_nominal
     live = np.array([not f.deleted for f in cs.facets], dtype=bool)
-    site_a = np.array([f.site_a for f in cs.facets], dtype=np.int64)
+    site_a, _ = facet_sites(cs)
     plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
     normal = np.array([f.plane_normal for f in cs.facets]).reshape(-1, 3)
     sizes = np.array([len(f.loop) for f in cs.facets], dtype=np.int64)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
+import voidhex
 from voidhex import fixtures
 from voidhex.bed import (
     Annulus,
@@ -69,6 +75,33 @@ class TestLoadCenters:
         p = write(tmp_path, "1 1 1\n1 1 1\n")
         with pytest.raises(ValidationError, match="duplicate"):
             load_centers(p)
+
+
+class TestImports:
+    def test_scipy_optimize_deferred_to_fit_cylinder(self):
+        """Importing voidhex and every module of it leaves scipy.optimize
+        unimported; the first `fit_cylinder` imports it."""
+        code = (
+            "import importlib, json, pkgutil, sys\n"
+            "import numpy as np\n"
+            "import voidhex\n"
+            "names = [m.name for m in pkgutil.iter_modules(voidhex.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('voidhex.' + name)\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "ring = [(3 * np.cos(a), 3 * np.sin(a), 1.0) for a in np.linspace(0, 6, 7)]\n"
+            "voidhex.fit_cylinder(voidhex.SphereBed(centers=np.array(ring)))\n"
+            "print(json.dumps([names, before, 'scipy.optimize' in sys.modules]))\n"
+        )
+        src = str(Path(voidhex.__file__).resolve().parent.parent)
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        names, before, after = json.loads(out.splitlines()[-1])
+        assert {"bed", "geometry", "hexgen", "repair", "tessellate", "voronoi"} <= set(names)
+        assert not before
+        assert after
 
 
 class TestFitCylinder:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 from functools import cache
 
 import numpy as np
@@ -18,6 +19,7 @@ from voidhex.repair import (
     _base_tolerance,
     _edge_table,
     _facet_zone,
+    _loop_rows,
     _squeeze,
     boundary_zone,
     collapse_edges,
@@ -135,7 +137,7 @@ def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
 
 def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> int:
     """The former collapse pass: candidates checked and applied one by one."""
-    edges = _edge_table(cs)
+    edges = _edge_table(cs.points, _loop_rows(cs.facets))
     tol = _base_tolerance(edges, facet_zone, cfg) * factor * R
     cand = np.flatnonzero(edges.length < tol)
     cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
@@ -366,6 +368,124 @@ class TestInsertVertices:
         assert all(cnt >= 2 for cnt in seen.values())
 
 
+def reference_insert_vertices(run):
+    """The former list-based insertion rounds of `_Repair.insert_vertices`,
+    each from an edge table of loop rows gathered afresh from the facets;
+    kept as the reference for the array pass."""
+    cs = run.cs
+    limit = run.cfg.max_edge * cs.bed.radius_nominal
+    for _round in range(10):
+        edges = _edge_table(cs.points, _loop_rows(cs.facets))
+        long_edges = np.flatnonzero(edges.length > limit)
+        if not len(long_edges):
+            break
+        ends, t = [], []
+        splits = {}
+        base = len(cs.points)
+        for u, v, L in zip(edges.u[long_edges].tolist(), edges.v[long_edges].tolist(),
+                           edges.length[long_edges].tolist()):
+            m = max(1, math.ceil(math.log2(L / limit)))
+            ids = list(range(base + len(t), base + len(t) + 2**m - 1))
+            ends += [(u, v)] * len(ids)
+            t += [i / 2**m for i in range(1, 2**m)]
+            splits[(u, v)] = ids
+            run.oplog.append({"op": "insert", "edge": [u, v], "length": L,
+                              "pieces": 2**m, "new_vertices": ids})
+        t = np.array(t)[:, None]
+        ends = np.array(ends, dtype=np.int64)
+        cs.points = np.vstack([cs.points,
+                               (1 - t) * cs.points[ends[:, 0]] + t * cs.points[ends[:, 1]]])
+        is_long = np.zeros(len(edges.u), dtype=bool)
+        is_long[long_edges] = True
+        for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
+            f = cs.facets[fid]
+            out = []
+            loop = f.loop
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                out.append(a)
+                key = (a, b) if a < b else (b, a)
+                if key in splits:
+                    ids = splits[key]
+                    out.extend(ids if a < b else list(reversed(ids)))
+                    run.recheck(ids, (fid,))
+            f.loop = out
+        run.rows = _loop_rows(cs.facets)
+        run.guard_projection()
+
+
+def rows_by_facet(rows) -> dict:
+    """{facet: its loop} read from (facet, vertex, next) loop rows; asserts
+    that each facet's rows are together and that next follows the loop."""
+    fid, vertex, nxt = (r.tolist() for r in rows)
+    loops = {}
+    for k, f in enumerate(fid):
+        if k == 0 or fid[k - 1] != f:
+            assert f not in loops, f"rows of facet {f} are split"
+            loops[f] = []
+        loops[f].append(vertex[k])
+    at = 0
+    for loop in loops.values():
+        assert nxt[at:at + len(loop)] == loop[1:] + loop[:1]
+        at += len(loop)
+    return loops
+
+
+@cache
+def _annulus_cells():
+    bed = fixtures.random_annulus_bed(100)
+    return build_cells(bed, generate_ghosts(bed))
+
+
+def _insert_outcome(insert, cs, cfg, projected):
+    """Points bytes, (loop, deleted) per facet, oplog, and the sorted
+    (vertex, facet) guard rows each guard projection of the insertion
+    checks (None for a full one), after ``insert`` runs on a `_Repair`;
+    ``projected``: a full guard projection runs first, as in `repair`."""
+    oplog = []
+    run = _Repair(cs, cfg, oplog)
+    if projected:
+        run.guard_projection()
+    guard_rows = []
+    project = run.guard_projection
+
+    def recorded():
+        guard_rows.append(None if run.pending is None else sorted(zip(*run.pending)))
+        project()
+
+    run.guard_projection = recorded
+    try:
+        insert(run)
+    except GeometryError as exc:
+        return str(exc)
+    assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
+                                       if not f.deleted}
+    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog, guard_rows)
+
+
+class TestInsertProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 3, 4, "annulus"]), st.floats(0.3, 1.5), st.booleans())
+    def test_matches_reference(self, bed, max_edge, projected):
+        """Small cylinder beds and the annulus bed, with thresholds that
+        put 1 to 31 new vertices on an edge: the array insertion gives the
+        points, loops, oplog and guard rows of the list-based reference,
+        bit for bit, and keeps its loop rows equal to the loops."""
+        cells = _annulus_cells() if bed == "annulus" else _small_bed_cells(bed)
+        cfg = RepairConfig(tol_inf=0.2, tol_boundary=0.2, max_edge=max_edge)
+        ref = _insert_outcome(reference_insert_vertices, copy.deepcopy(cells), cfg, projected)
+        got = _insert_outcome(_Repair.insert_vertices, copy.deepcopy(cells), cfg, projected)
+        assert got == ref
+
+    @pytest.mark.parametrize("bed", [1, 2, 3, 4, "annulus"])
+    def test_splits_into_2_4_and_8(self, bed):
+        """At the default threshold each bed has edges split into 2, 4 and 8
+        pieces, so the property test covers 1, 3 and 7 new vertices."""
+        cells = _annulus_cells() if bed == "annulus" else _small_bed_cells(bed)
+        oplog = []
+        insert_vertices(copy.deepcopy(cells), RepairConfig(), oplog)
+        assert {2, 4, 8} <= {r["pieces"] for r in oplog if r["op"] == "insert"}
+
+
 class TestGuardProjection:
     def test_push_to_guard(self):
         pts = [(0.9, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
@@ -469,13 +589,13 @@ class TestMovedOnlyGuard:
         run = _Repair(cs, RepairConfig(), oplog)
         run.guard_projection()  # the first pass is full
         assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9)]
-        assert sorted(run.pending) == [(0, 0), (0, 1), (0, 2)]
+        assert sorted(zip(*run.pending)) == [(0, 0), (0, 1), (0, 2)]
         cs.points[0] = (0.8, 0.0, 0.0)  # back inside, unseen by the repair
         run.guard_projection()
         assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9), (0, 0.8)]
         assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
         run.guard_projection()
-        assert len(oplog) == 2 and run.pending == []
+        assert len(oplog) == 2 and run.pending == ([], [])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.8, 0.99)),
@@ -527,6 +647,18 @@ def repaired():
 
 
 class TestFullRepair:
+    def test_loop_rows_follow_loops(self):
+        """The loop rows a repair keeps across its passes and rounds are,
+        after each stage, those of the facets' loops."""
+        bed = fixtures.random_cylinder_bed(n=40, R_c=3.2, H=10.0, seed=4)
+        cs = build_cells(bed, generate_ghosts(bed))
+        run = _Repair(cs, RepairConfig(), [])
+        for stage in (run.collapse_edges, run.guard_projection, run.insert_vertices):
+            stage()
+            assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
+                                               if not f.deleted}
+        assert any(r["op"] == "collapse" for r in run.oplog)
+        assert any(r["op"] == "insert" for r in run.oplog)
 
     def test_edge_bounds(self, repaired):
         cs, _ = repaired

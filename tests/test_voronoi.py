@@ -1,20 +1,28 @@
 import copy
 import re
 from functools import cache
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
+from test_repair import cells_digest
 
-from voidhex import fixtures
+from voidhex import fixtures, voronoi
 from voidhex.bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 from voidhex.errors import GeometryError
+from voidhex.geometry import norms, plane_basis, polygon_area
 from voidhex.voronoi import (
+    KIND_TO_TAG,
     PLANARITY_TOL,
     VALIDATE_BLOCK,
+    VERTEX_DEDUP_TOL,
+    Facet,
     GhostSet,
+    VoronoiCellSet,
     _dedup_vertices,
     _validate_cells,
     build_cells,
@@ -394,3 +402,162 @@ class TestValidateCellsProperty:
         cs = _broken_lattice(changes, n=5)
         assert cs.n_real > VALIDATE_BLOCK
         assert _outcome(_validate_cells, cs) == _outcome(reference_validate_cells, cs)
+
+
+def reference_build_cells(bed, ghosts):
+    """The former `build_cells` from the Voronoi diagram on: one Python
+    loop over the ridges, and a `polygon_area` per facet for the
+    degenerate-area test; kept as the reference for the array passes.
+    The diagram comes from ``voronoi.Voronoi``, so a test can hand it one."""
+    R = bed.radius_nominal
+    n = bed.n_spheres
+    sites = np.vstack([bed.centers, ghosts.ghost_centers.reshape(-1, 3)])
+    vor = voronoi.Voronoi(sites)
+    verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
+
+    ridges = []
+    remap = remap.tolist()
+    for (pa, pb), rv in zip(vor.ridge_points.tolist(), vor.ridge_vertices):
+        if pa >= n and pb >= n:
+            continue
+        if pa < n and pb < n:
+            a, b = (pa, pb) if pa < pb else (pb, pa)
+            boundary = None
+        else:
+            a, b = (pa, pb) if pa < n else (pb, pa)
+            boundary = KIND_TO_TAG[ghosts.provenance[b - n][1]]
+        if -1 in rv:
+            raise GeometryError(
+                f"unbounded Voronoi cell for sphere {a}; ghost coverage is insufficient"
+            )
+        ids = sorted({remap[v] for v in rv})
+        if len(ids) < 3:
+            continue  # ridge degenerated to a point/segment after dedup
+        ridges.append((a, b, boundary, ids))
+
+    sa = np.array([r[0] for r in ridges], dtype=np.int64)
+    sb = np.array([r[1] for r in ridges], dtype=np.int64)
+    normals = sites[sb] - sites[sa]
+    normals /= norms(normals)[:, None]
+    plane_points = 0.5 * (sites[sa] + sites[sb])
+    e1, e2 = plane_basis(normals)
+
+    counts = np.array([len(r[3]) for r in ridges], dtype=np.int64)
+    ends = np.cumsum(counts)
+    vids = np.fromiter(chain.from_iterable(r[3] for r in ridges), dtype=np.int64,
+                       count=int(counts.sum()))
+    ridge = np.repeat(np.arange(len(ridges)), counts)
+    pts = verts[vids]
+    rel = pts - (np.add.reduceat(pts, ends - counts, axis=0) / counts[:, None])[ridge]
+    x, y = np.vecdot(rel, e1[ridge]), np.vecdot(rel, e2[ridge])
+    order = np.lexsort((vids, np.arctan2(y, x), ridge))
+    loops = vids[order].tolist()
+    xy = np.column_stack([x[order], y[order]]).tolist()
+
+    facets = []
+    cells = [[] for _ in range(n)]
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    for k, (a, b, boundary, _) in enumerate(ridges):
+        lo, hi = starts[k], ends[k]
+        if 2.0 * abs(polygon_area(xy[lo:hi])) < 1e-20 * R * R:
+            continue
+        fid = len(facets)
+        facets.append(Facet(loop=loops[lo:hi], site_a=a, site_b=b,
+                            plane_point=plane_points[k], plane_normal=normals[k],
+                            boundary=boundary, e1=e1[k], e2=e2[k]))
+        cells[a].append(fid)
+        if b < n:
+            cells[b].append(fid)
+
+    cs = VoronoiCellSet(points=verts, facets=facets, cells=cells, sites=sites,
+                        n_real=n, bed=bed)
+    _validate_cells(cs)
+    return cs
+
+
+def _build_outcome(build, bed, ghosts):
+    try:
+        return cells_digest(build(bed, ghosts))
+    except GeometryError as exc:
+        return str(exc)
+
+
+def with_ridges(extra):
+    """A stand-in for `Voronoi` whose diagram has the ridges ``extra``, as
+    ((site, site), vertex ids) rows, ahead of the real ones."""
+    def make(sites):
+        vor = Voronoi(sites)
+        return SimpleNamespace(
+            vertices=vor.vertices,
+            ridge_points=np.vstack([[p for p, _ in extra], vor.ridge_points]),
+            ridge_vertices=[rv for _, rv in extra] + vor.ridge_vertices)
+    return make
+
+
+class TestBuildCellsReference:
+    @pytest.mark.parametrize("make", [
+        lambda: fixtures.simple_cubic(2),
+        lambda: fixtures.simple_cubic(3),
+        lambda: fixtures.simple_cubic(4),
+        lambda: fixtures.random_cylinder_bed(n=12, R_c=2.6, H=6.0, seed=1),
+        lambda: fixtures.random_cylinder_bed(n=12, R_c=2.6, H=6.0, seed=3),
+        lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
+        lambda: fixtures.random_cylinder_bed(n=60, R_c=3.5, H=12.0, seed=8),
+        lambda: fixtures.random_annulus_bed(100),
+    ], ids=["cubic2", "cubic3", "cubic4", "cyl12s1", "cyl12s3", "cyl30s5", "cyl60s8",
+            "annulus"])
+    def test_matches_reference(self, make):
+        """The array ridge passes build the cells of the per-ridge loop,
+        bit for bit."""
+        bed = make()
+        ghosts = generate_ghosts(bed)
+        ref = _build_outcome(reference_build_cells, bed, ghosts)
+        assert len(ref) == 64  # a digest, not an error
+        assert _build_outcome(build_cells, bed, ghosts) == ref
+
+    def test_degenerate_ridges_dropped(self, monkeypatch):
+        """Three ridges of cells 0 and 1 (normal along z) are dropped: one
+        whose three vertex ids dedup to two, one with a repeated id, and one
+        on a line along x, whose area is exactly 0. A real ridge given an id
+        that dedups into one of its own is kept as it was. The cells are
+        those of the real diagram, and the line points stay in the pool."""
+        bed = fixtures.simple_cubic(2)
+        ghosts = generate_ghosts(bed)
+        plain = build_cells(bed, ghosts)
+        line = [(50.0 + x, 60.0, 70.0) for x in (0.0, 1.0, 2.0)]
+
+        def diagram(sites):
+            vor = Voronoi(sites)
+            rv = list(vor.ridge_vertices)
+            k = next(k for k, p in enumerate(vor.ridge_points.tolist()) if min(p) < 8)
+            w, V = rv[k][0], len(vor.vertices)  # vertex V is 1e-13 from w
+            rv[k] = rv[k] + [V]
+            extra = [[w, V, rv[k][1]], [5, 5, 5, 3], [V + 3, V + 1, V + 2]]
+            return SimpleNamespace(
+                vertices=np.vstack([vor.vertices, vor.vertices[w] + 1e-13, line]),
+                ridge_points=np.vstack([[[0, 1]] * 3, vor.ridge_points]),
+                ridge_vertices=extra + rv)
+
+        monkeypatch.setattr(voronoi, "Voronoi", diagram)
+        got = _build_outcome(build_cells, bed, ghosts)
+        assert got == _build_outcome(reference_build_cells, bed, ghosts)
+        plain.points = np.vstack([plain.points, line])
+        assert got == cells_digest(plain)
+
+    def test_unbounded_message(self, monkeypatch):
+        """The error names sphere a of the first ridge of a real cell with a
+        vertex at infinity; a ghost-ghost ridge with one comes first and is
+        passed over."""
+        bed = fixtures.simple_cubic(2)
+        ghosts = generate_ghosts(bed)
+        g = bed.n_spheres
+        monkeypatch.setattr(voronoi, "Voronoi", with_ridges([
+            ((g, g + 1), [-1, 0, 1]),
+            ((5, 2), [0, 1, 2]),
+            ((6, 3), [0, -1, 2]),
+            ((1, 4), [-1, 1, 2]),
+        ]))
+        msg = "unbounded Voronoi cell for sphere 3; ghost coverage is insufficient"
+        with pytest.raises(GeometryError, match=f"^{msg}$"):
+            build_cells(bed, ghosts)
+        assert _build_outcome(reference_build_cells, bed, ghosts) == msg
