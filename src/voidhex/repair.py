@@ -404,7 +404,8 @@ class _Repair:
     def _split(self, edges: EdgeTable, long_edges: np.ndarray, limit: float) -> None:
         """One insertion round: put 2**m - 1 new vertices on each long edge,
         m = ceil(log2(length / limit)) and at least 1, and splice them into
-        the loops of the facets that hold it."""
+        the loops of the facets that hold it. ``edges`` is the edge table
+        of ``self.rows``."""
         cs = self.cs
         u, v = edges.u[long_edges], edges.v[long_edges]
         lengths = edges.length[long_edges].tolist()
