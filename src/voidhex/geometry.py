@@ -1,8 +1,7 @@
 """Small geometry helpers shared by voronoi, repair and tessellation.
 
 `plane_basis` works row by row: `voronoi.build_cells` calls it once on the
-(n, 3) array of all its facet normals, and a `voronoi.Facet` made without
-a basis calls it on its own normal. The polygon helpers take plain (x, y)
+(n, 3) array of all its facet normals. The polygon helpers take plain (x, y)
 pairs: a list of float pairs, or an (m, 2) array, which they turn into
 such a list once. They loop in plain floats, because they are meant for
 small polygons (a Voronoi facet has 3 to about 16 vertices), where one

@@ -120,15 +120,14 @@ def surface_tag(desc) -> str:
     return "wall"
 
 
-def classify_boundary_facet(facet, domain, R: float):
-    """The surface descriptor of a ghost-tagged facet, from its actual plane.
+def classify_boundary_facet(p: np.ndarray, n: np.ndarray, domain, R: float):
+    """The surface descriptor of a ghost-tagged facet, from its actual
+    plane: the plane point ``p`` and the unit normal ``n``.
 
     Curved-wall reflections give tangent planes; z reflections give exact
     z planes; chained corner reflections give slanted chamfer planes that
     stay planar, described by the facet plane itself.
     """
-    n = facet.plane_normal
-    p = facet.plane_point
     tol = 1e-6 * R
     if isinstance(domain, (Cylinder, Annulus)):
         cx, cy = domain.center_xy
@@ -228,8 +227,10 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
     r_sweep = R0 * R
-    facet_desc = {fid: classify_boundary_facet(f, cs.bed.domain, R)
-                  for fid, f in enumerate(cs.facets) if not f.deleted and f.boundary is not None}
+    facet_desc = {fid: classify_boundary_facet(cs.plane_point[fid], cs.plane_normal[fid],
+                                               cs.bed.domain, R)
+                  for fid in np.flatnonzero(cs.site_b >= cs.n_real).tolist()
+                  if len(cs.loops[fid]) >= 3}
     cell, facet, quads = patches.outward_quads()
     used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
 

@@ -43,14 +43,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .geometry import GUARD_RADIUS, loops_are_simple, norms, polygon_areas, push_outside
-from .voronoi import VoronoiCellSet, facet_sites
+from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
 
@@ -97,13 +96,13 @@ def _rows(fids: np.ndarray, lens: np.ndarray, vertex: np.ndarray):
     return np.repeat(fids, lens), vertex, vertex[nxt]
 
 
-def _loop_rows(facets: list, fids=None):
-    """The loops of ``fids`` (default: every live facet) flattened into
+def _loop_rows(loops: list, fids=None):
+    """The ``loops`` of ``fids`` (default: every live facet) flattened into
     rows, each facet's rows together and in loop order: per loop vertex,
     the facet id, the vertex and the next vertex of its loop."""
     if fids is None:
-        fids = [fid for fid, f in enumerate(facets) if not f.deleted]
-    loops = [facets[fid].loop for fid in fids]
+        fids = [fid for fid, loop in enumerate(loops) if len(loop) >= 3]
+    loops = [loops[fid] for fid in fids]
     lens = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
     vertex = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(lens.sum()))
     return _rows(np.asarray(fids, dtype=np.int64), lens, vertex)
@@ -129,9 +128,8 @@ def boundary_zone(cs: VoronoiCellSet) -> np.ndarray:
 def _facet_zone(cs: VoronoiCellSet) -> np.ndarray:
     """Per facet, deleted ones included: does it bound a real cell of the
     boundary zone?"""
-    site_a, site_b = facet_sites(cs)
     in_zone = np.append(boundary_zone(cs), False)  # every ghost site maps to the last entry
-    return in_zone[site_a] | in_zone[np.minimum(site_b, cs.n_real)]
+    return in_zone[cs.site_a] | in_zone[np.minimum(cs.site_b, cs.n_real)]
 
 
 def _base_tolerance(edges: EdgeTable, facet_zone, cfg: RepairConfig) -> np.ndarray:
@@ -179,13 +177,9 @@ def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence, checked):
             continue
         touched, new, keys = [], [], []
         for fid in sorted({*incidence[u], *incidence[v]}):
-            loop = loops.get(fid)
-            if loop is None:
-                if cs.facets[fid].deleted:
-                    continue
-                loop = cs.facets[fid].loop
-            elif len(loop) < 3:
-                continue  # deleted by an earlier collapse of the walk
+            loop = loops[fid] if fid in loops else cs.loops[fid]
+            if len(loop) < 3:
+                continue  # deleted, maybe by an earlier collapse of the walk
             loop = _squeeze([u if w == v else w for w in loop])
             touched.append(fid)
             new.append(loop)
@@ -222,9 +216,10 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 
 class _Repair:
-    """One repair of a cell set: its oplog, the facet arrays it gathers
-    once, the loop rows of its live facets, and the vertices its next
-    guard projection checks.
+    """One repair of a cell set: its oplog, the mask of its deleted facets
+    (``deleted``, from the loop lengths, set as collapses delete them), the
+    loop rows of its live facets, the edges whose skipped collapse it has
+    logged, and the vertices its next guard projection checks.
 
     ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
     facet, each facet's rows together and in loop order, though the
@@ -241,19 +236,11 @@ class _Repair:
     def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
         self.cs, self.cfg = cs, cfg
         self.oplog = [] if oplog is None else oplog
-        self.site_a, self.site_b = facet_sites(cs)
-        self.deleted = np.fromiter((f.deleted for f in cs.facets), dtype=bool,
-                                   count=len(cs.facets))
-        self.rows = _loop_rows(cs.facets)
+        self.deleted = np.fromiter(map(len, cs.loops), dtype=np.int64,
+                                   count=len(cs.loops)) < 3
+        self.rows = _loop_rows(cs.loops)
+        self.skipped: set = set()
         self.pending: tuple[list, list] | None = None
-
-    @cached_property
-    def frames(self):
-        """Plane point, e1 and e2 of every facet, as (F, 3) arrays."""
-        facets = self.cs.facets
-        return (np.array([f.plane_point for f in facets]),
-                np.array([f.e1 for f in facets]),
-                np.array([f.e2 for f in facets]))
 
     def recheck(self, vertices, fids) -> None:
         """Each of ``vertices`` moved, and each of ``fids`` holds it: the
@@ -337,10 +324,8 @@ class _Repair:
                 u, v = us[i], vs[i]
                 cs.points[u] = mids[i]
                 for fid, loop in zip(touched, new):
-                    f = cs.facets[fid]
-                    f.loop = loop
+                    cs.loops[fid] = loop
                     if len(loop) < 3:
-                        f.deleted = True
                         self.deleted[fid] = True
                 changed.update(touched)
                 moved[u] = moved[v] = P + i
@@ -349,10 +334,13 @@ class _Repair:
                 self.oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
                                    "length": lengths[i], "tolerance": tols[i], "facets": touched})
             if fail < end:
-                self.oplog.append({"op": "collapse_skipped", "pass": pass_no,
-                                   "edge": [us[fail], vs[fail]], "length": lengths[fail]})
-                log.debug("skipped collapse of edge (%d, %d): would invalidate a loop",
-                          us[fail], vs[fail])
+                edge = (us[fail], vs[fail])
+                if edge not in self.skipped:   # logged once, tried in every pass
+                    self.skipped.add(edge)
+                    self.oplog.append({"op": "collapse_skipped", "pass": pass_no,
+                                       "edge": list(edge), "length": lengths[fail]})
+                    log.debug("skipped collapse of edge (%d, %d): would invalidate a loop",
+                              *edge)
                 # where skips are dense, speculate over fewer candidates
                 start, width = fail + 1, 2 * (fail - start) + 16
             else:
@@ -360,7 +348,7 @@ class _Repair:
         if changed:
             changed = sorted(changed)
             self._replace_rows(changed, _loop_rows(
-                cs.facets, [fid for fid in changed if not self.deleted[fid]]))
+                cs.loops, [fid for fid in changed if not self.deleted[fid]]))
         return n_done
 
     def _check(self, states, table) -> np.ndarray:
@@ -372,7 +360,7 @@ class _Repair:
         vertex, which adds zero area terms and zero-length edges that cross
         nothing, so the test gives what it gives on the loop itself.
         """
-        plane, e1, e2 = self.frames
+        plane, e1, e2 = self.cs.plane_point, self.cs.e1, self.cs.e2
         fid = np.array([f for f, _ in states], dtype=np.int64)
         size = np.array([len(r) for _, r in states], dtype=np.int64)
         rows = np.fromiter(chain.from_iterable(r for _, r in states), dtype=np.int64,
@@ -448,7 +436,7 @@ class _Repair:
         ends = np.cumsum(lens)
         flat = out.tolist()
         for f, a, b in zip(hit_fids.tolist(), (ends - lens).tolist(), ends.tolist()):
-            cs.facets[f].loop = flat[a:b]
+            cs.loops[f] = flat[a:b]
         self._replace_rows(hit_fids, _rows(hit_fids, lens, out))
         if self.pending is not None:
             self.pending[0].extend(out[pos > 0].tolist())
@@ -467,7 +455,7 @@ class _Repair:
             fid = np.array(self.pending[1], dtype=np.int64)
             live = ~self.deleted[fid]
             verts, fid = verts[live], fid[live]
-        site_a, site_b = self.site_a[fid], self.site_b[fid]
+        site_a, site_b = cs.site_a[fid], cs.site_b[fid]
         real = site_b < cs.n_real
         pairs = np.vstack([np.column_stack([verts, site_a]),
                            np.column_stack([verts[real], site_b[real]])])
@@ -485,7 +473,8 @@ def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = N
     Shortest edges go first; a collapse fuses both endpoints at the edge
     midpoint across every facet that shares the edge; facets left with
     fewer than 3 edges are deleted. A collapse that would pinch, flatten or
-    self-intersect a facet loop is skipped and logged. Cleanup passes at
+    self-intersect a facet loop is skipped, and tried again in later
+    passes; its first skip is logged. Cleanup passes at
     the full tolerance run after the schedule until no edge is left
     below it. A guard projection follows each pass but the last.
     """
@@ -533,6 +522,6 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     """(length, base tolerance) per unique live edge, with the base
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
-    edges = _edge_table(cs.points, _loop_rows(cs.facets))
+    edges = _edge_table(cs.points, _loop_rows(cs.loops))
     tol = _base_tolerance(edges, _facet_zone(cs), cfg)
     return list(zip(edges.length.tolist(), tol.tolist()))

@@ -43,7 +43,7 @@ from .geometry import (
     polygon_areas,
     push_outside,
 )
-from .voronoi import VoronoiCellSet, facet_sites
+from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
 
@@ -83,11 +83,11 @@ class FacetQuadMesh:
         cell of its facet, the quad turned outward (CCW seen from outside
         that cell), in order of cell, facet id and patch."""
         cs = self.cellset
-        site_a, site_b = (s[self.quad_facet] for s in facet_sites(cs))
+        site_a, site_b = cs.site_a[self.quad_facet], cs.site_b[self.quad_facet]
         real_b = site_b < cs.n_real
         cell = np.concatenate([site_a, site_b[real_b]])
         facet = np.concatenate([self.quad_facet, self.quad_facet[real_b]])
-        order = np.argsort(cell * len(cs.facets) + facet, kind="stable")
+        order = np.argsort(cell * len(cs.loops) + facet, kind="stable")
         quads = np.vstack([self.quads, self.quads[real_b, ::-1]])
         return cell[order], facet[order], quads[order]
 
@@ -418,11 +418,11 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """
     pieces: list = []
     piece_facet: list = []
-    for fid, f in enumerate(cs.facets):
-        if f.deleted:
+    for fid, loop in enumerate(cs.loops):
+        if len(loop) < 3:
             continue
-        rel = cs.points[f.loop] - f.plane_point
-        uv = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
+        rel = cs.points[loop] - cs.plane_point[fid]
+        uv = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
         split = split_facet(uv, group_edges(uv), facet_id=fid, R=cs.bed.radius_nominal)
@@ -431,7 +431,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
 
     n_points = len(cs.points)
     quads, quad_slots, slots, xy, mids = number_patches(
-        pieces, piece_facet, [f.loop for f in cs.facets], n_points)
+        pieces, piece_facet, cs.loops, n_points)
     quad_facet = slots[quad_slots[:, 0], 0]
     nodes = np.empty((int(slots[:, 1].max(initial=n_points - 1)) + 1, 3))
     nodes[:n_points] = cs.points
@@ -442,14 +442,11 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     smoothed, _reverted = smooth_patches(xy, quad_slots, quad_facet, moving)
     # the lift, plane_point + u e1 + v e2, of every interior node at once
     facet, nid = slots[moving].T
-    plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
-    e1 = np.array([f.e1 for f in cs.facets]).reshape(-1, 3)
-    e2 = np.array([f.e2 for f in cs.facets]).reshape(-1, 3)
     u, v = smoothed[moving, :1], smoothed[moving, 1:]
-    nodes[nid] = plane[facet] + u * e1[facet] + v * e2[facet]
+    nodes[nid] = cs.plane_point[facet] + u * cs.e1[facet] + v * cs.e2[facet]
 
     # every node of a patch is owned by its facet's real cells
-    site_a, site_b = (s[slots[:, 0]] for s in facet_sites(cs))
+    site_a, site_b = cs.site_a[slots[:, 0]], cs.site_b[slots[:, 0]]
     real_b = site_b < cs.n_real
     m = len(cs.sites)
     owned = np.unique(np.concatenate([slots[:, 1] * m + site_a,

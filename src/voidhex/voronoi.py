@@ -4,13 +4,24 @@ Centers near the container boundary are reflected outside it so every real
 cell comes out bounded; the reflected sites are called ghost spheres. The
 diagram itself is delegated to Qhull (scipy), after which facet loops are
 assembled, deduplicated, ordered, and tagged per real sphere.
+
+A `VoronoiCellSet` holds its facets as one table: its facet columns have
+one row per facet id. A facet is stored once and shared by its two cells.
+Its loop runs counterclockwise about ``plane_normal``, which points from
+site_a to site_b, so cell site_a sees it CCW from outside and the other
+cell uses it reversed. Only repair changes a facet, and only its loop; a
+facet whose loop has fewer than 3 vertices is deleted, and no flag is
+stored. `VoronoiCellSet.facets` is a read-only view of the table, one
+record per facet, for code outside the package.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -52,61 +63,69 @@ class GhostSet:
         return len(self.ghost_centers)
 
 
-@dataclass
-class Facet:
-    """One Voronoi facet, stored once and shared by its two cells.
-
-    The loop is ordered counterclockwise about ``plane_normal``, which
-    points from site_a toward site_b; cell site_a therefore sees the loop
-    CCW from its exterior, and the opposite cell uses it reversed.
-    ``(e1, e2)`` is the right-handed in-plane basis of ``plane_normal``
-    (e1 x e2 = plane_normal). `build_cells` passes in the facet's row of
-    one `geometry.plane_basis` call over all its facet normals; a facet
-    made without a basis computes its own. The normal never changes
-    afterwards.
-    """
+class FacetRecord(NamedTuple):
+    """One row of a `VoronoiCellSet` facet table; ``deleted`` is derived
+    from the loop length."""
 
     loop: list
     site_a: int
     site_b: int
     plane_point: np.ndarray
     plane_normal: np.ndarray
-    boundary: str | None = None
-    deleted: bool = False
-    e1: np.ndarray | None = field(default=None, repr=False, compare=False)
-    e2: np.ndarray | None = field(default=None, repr=False, compare=False)
+    boundary: str | None
+    deleted: bool
+    e1: np.ndarray
+    e2: np.ndarray
 
-    def __post_init__(self):
-        if self.e1 is None:
-            self.e1, self.e2 = plane_basis(self.plane_normal)
+
+class FacetView(Sequence):
+    """The facet table of a cell set as a read-only sequence of
+    `FacetRecord`, built one record per index; ``len`` builds none."""
+
+    def __init__(self, cs: VoronoiCellSet):
+        self._cs = cs
+
+    def __len__(self) -> int:
+        return len(self._cs.loops)
+
+    def __getitem__(self, fid: int) -> FacetRecord:
+        cs = self._cs
+        loop = cs.loops[fid]
+        return FacetRecord(list(loop), int(cs.site_a[fid]), int(cs.site_b[fid]),
+                           cs.plane_point[fid], cs.plane_normal[fid], cs.boundary[fid],
+                           len(loop) < 3, cs.e1[fid], cs.e2[fid])
 
 
 @dataclass
 class VoronoiCellSet:
     points: np.ndarray           # shared vertex pool, grows during repair
-    facets: list
+    loops: list                  # per facet: its vertex ids, CCW about plane_normal
+    site_a: np.ndarray           # (F,) int64: the real site; site_a < site_b
+    site_b: np.ndarray           # (F,) int64: a ghost site is numbered after every real one
+    plane_point: np.ndarray      # (F, 3)
+    plane_normal: np.ndarray     # (F, 3) unit normals, site_a -> site_b
+    e1: np.ndarray               # (F, 3) in-plane bases, e1 x e2 = plane_normal
+    e2: np.ndarray               # (F, 3)
+    boundary: list               # per facet: its boundary tag, or None
     cells: list                  # facet ids per real sphere
     sites: np.ndarray            # real centers then ghosts
     n_real: int
     bed: SphereBed
 
-    def cell_facets(self, i: int):
-        return [self.facets[f] for f in self.cells[i] if not self.facets[f].deleted]
+    @property
+    def facets(self) -> FacetView:
+        return FacetView(self)
 
-    def facet_loop_for_cell(self, facet: Facet, i: int) -> list:
+    def cell_facets(self, i: int) -> list:
+        """The ids of the live facets of cell i."""
+        return [f for f in self.cells[i] if len(self.loops[f]) >= 3]
+
+    def facet_loop_for_cell(self, fid: int, i: int) -> list:
         """Facet loop ordered with outward normal for cell i."""
-        return list(facet.loop) if facet.site_a == i else list(reversed(facet.loop))
+        return list(self.loops[fid]) if self.site_a[fid] == i else self.loops[fid][::-1]
 
-    def outward_normal(self, facet: Facet, i: int) -> np.ndarray:
-        return facet.plane_normal if facet.site_a == i else -facet.plane_normal
-
-
-def facet_sites(cs: VoronoiCellSet):
-    """site_a and site_b of every facet, deleted ones included, as arrays
-    by facet id."""
-    m = len(cs.facets)
-    return (np.fromiter((f.site_a for f in cs.facets), dtype=np.int64, count=m),
-            np.fromiter((f.site_b for f in cs.facets), dtype=np.int64, count=m))
+    def outward_normal(self, fid: int, i: int) -> np.ndarray:
+        return self.plane_normal[fid] if self.site_a[fid] == i else -self.plane_normal[fid]
 
 
 def _reflect_radial(center_xy, pts, wall_radius, outward: bool):
@@ -245,10 +264,10 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
 
     The ridges are taken in array passes (`_kept_ridges`); their planes,
     the CCW order of their loops and the degenerate-area test are array
-    passes over all of them at once, and only the `Facet` objects are made
-    one by one. Raises GeometryError if any real cell is unbounded
-    (insufficient ghosts). A degenerate site set is retried once with a
-    deterministic 1e-9 R jitter.
+    passes over all of them at once, and the kept ridges' rows of those
+    arrays are the facet table. Raises GeometryError if any real cell is
+    unbounded (insufficient ghosts). A degenerate site set is retried once
+    with a deterministic 1e-9 R jitter.
     """
     R = bed.radius_nominal
     n = bed.n_spheres
@@ -258,11 +277,10 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
             f"unbounded Voronoi cells: {len(sites)} sites cannot bound any cell "
             "(ghost coverage is insufficient)"
         )
-    if len(sites) > 1:
-        dup = cKDTree(sites).query_pairs(1e-12 * R)
-        if dup:
-            i, j = sorted(next(iter(dup)))
-            raise ValidationError(f"duplicate augmented sites {i} and {j}")
+    dup = cKDTree(sites).query_pairs(1e-12 * R)
+    if dup:
+        i, j = sorted(next(iter(dup)))
+        raise ValidationError(f"duplicate augmented sites {i} and {j}")
     try:
         vor = Voronoi(sites)
     except QhullError:
@@ -300,21 +318,21 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
     area = polygon_areas(x[order][at], y[order][at])
     keep = np.flatnonzero(~(2.0 * np.abs(area) < 1e-20 * R * R))
 
+    sa, sb = sa[keep], sb[keep]
+    # each cell's facet ids, in id order
+    real_b = np.flatnonzero(sb < n)
+    owner = np.concatenate([sa, sb[real_b]])
+    fid = np.concatenate([np.arange(len(keep)), real_b])
+    fid = fid[np.lexsort((fid, owner))]
+    cells = [c.tolist() for c in np.split(fid, np.cumsum(np.bincount(owner, minlength=n))[:-1])]
     tags = [KIND_TO_TAG[kind] for _, kind in ghosts.provenance]
-    facets = []
-    cells = [[] for _ in range(n)]
-    for k, a, b, lo, hi in zip(keep.tolist(), sa[keep].tolist(), sb[keep].tolist(),
-                               starts[keep].tolist(), ends[keep].tolist()):
-        fid = len(facets)
-        facets.append(Facet(loop=loops[lo:hi], site_a=a, site_b=b,
-                            plane_point=plane_points[k], plane_normal=normals[k],
-                            boundary=None if b < n else tags[b - n], e1=e1[k], e2=e2[k]))
-        cells[a].append(fid)
-        if b < n:
-            cells[b].append(fid)
-
-    cs = VoronoiCellSet(points=verts, facets=facets, cells=cells, sites=sites,
-                        n_real=n, bed=bed)
+    cs = VoronoiCellSet(points=verts,
+                        loops=[loops[lo:hi] for lo, hi in zip(starts[keep].tolist(),
+                                                              ends[keep].tolist())],
+                        site_a=sa, site_b=sb, plane_point=plane_points[keep],
+                        plane_normal=normals[keep], e1=e1[keep], e2=e2[keep],
+                        boundary=[None if b < n else tags[b - n] for b in sb.tolist()],
+                        cells=cells, sites=sites, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 
@@ -331,14 +349,11 @@ def _validate_cells(cs: VoronoiCellSet) -> None:
     VALIDATE_BLOCK cells at a time, which bounds the transient rows.
     """
     R = cs.bed.radius_nominal
-    live = np.array([not f.deleted for f in cs.facets], dtype=bool)
-    site_a, _ = facet_sites(cs)
-    plane = np.array([f.plane_point for f in cs.facets]).reshape(-1, 3)
-    normal = np.array([f.plane_normal for f in cs.facets]).reshape(-1, 3)
-    sizes = np.array([len(f.loop) for f in cs.facets], dtype=np.int64)
-    loop_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    flat = np.fromiter(chain.from_iterable(f.loop for f in cs.facets), dtype=np.int64,
-                       count=int(sizes.sum()))
+    site_a, plane, normal = cs.site_a, cs.plane_point, cs.plane_normal
+    sizes = np.fromiter(map(len, cs.loops), dtype=np.int64, count=len(cs.loops))
+    live = sizes >= 3
+    loop_start = np.cumsum(sizes) - sizes
+    flat = np.fromiter(chain.from_iterable(cs.loops), dtype=np.int64, count=int(sizes.sum()))
     n_pts = len(cs.points)
     for lo in range(0, cs.n_real, VALIDATE_BLOCK):
         cells = cs.cells[lo:min(cs.n_real, lo + VALIDATE_BLOCK)]
@@ -409,9 +424,8 @@ def _validate_cells(cs: VoronoiCellSet) -> None:
 def cell_volume(cs: VoronoiCellSet, i: int) -> float:
     """Volume of one cell via the divergence theorem over facet fans."""
     vol = 0.0
-    for f in cs.cell_facets(i):
-        loop = cs.facet_loop_for_cell(f, i)
-        pts = cs.points[loop]
+    for fid in cs.cell_facets(i):
+        pts = cs.points[cs.facet_loop_for_cell(fid, i)]
         p0 = pts[0]
         for k in range(1, len(pts) - 1):
             vol += np.dot(p0, np.cross(pts[k], pts[k + 1]))
@@ -422,19 +436,18 @@ def point_in_cell(cs: VoronoiCellSet, i: int, pts: np.ndarray, tol: float = 1e-9
     """Boolean mask: which query points lie inside cell i (within tol)."""
     pts = np.atleast_2d(pts)
     inside = np.ones(len(pts), dtype=bool)
-    for f in cs.cell_facets(i):
-        out = cs.outward_normal(f, i)
-        inside &= (pts - f.plane_point) @ out <= tol
+    for fid in cs.cell_facets(i):
+        inside &= (pts - cs.plane_point[fid]) @ cs.outward_normal(fid, i) <= tol
     return inside
 
 
 def dump_off(cs: VoronoiCellSet, path) -> None:
     """ASCII OFF polygon soup of all live facets, for external inspection."""
-    live = [f for f in cs.facets if not f.deleted]
+    live = [loop for loop in cs.loops if len(loop) >= 3]
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(cs.points)} {len(live)} 0\n")
         for x, y, z in cs.points.tolist():
             fh.write(f"{x!r} {y!r} {z!r}\n")
-        for f in live:
-            fh.write(" ".join([str(len(f.loop))] + [str(v) for v in f.loop]) + "\n")
+        for loop in live:
+            fh.write(" ".join([str(len(loop))] + [str(v) for v in loop]) + "\n")

@@ -273,7 +273,8 @@ def test_surface_tag_matches_ghost_provenance(make):
     same tag as the ghost that made the facet."""
     bed = make()
     cs = build_cells(bed, generate_ghosts(bed))
-    pairs = [(classify_boundary_facet(f, bed.domain, bed.radius_nominal), f.boundary)
+    pairs = [(classify_boundary_facet(f.plane_point, f.plane_normal, bed.domain,
+                                      bed.radius_nominal), f.boundary)
              for f in cs.facets if f.boundary is not None]
     on_surface = [(d, b) for d, b in pairs if d[0] in ("plane", "cylinder")]
     assert on_surface

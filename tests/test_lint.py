@@ -1,8 +1,10 @@
-"""Every name a module imports is used in that module, and every name a
-`voidhex` module defines is used somewhere.
+"""Every name a module imports is used in that module, every name a
+`voidhex` module defines is used somewhere, and the package reads its
+tables, not the record views it keeps for code outside it.
 
-The checks read the files with `ast`. A name bound by an import must
-appear as a name somewhere else in the module, or in its `__all__`.
+The checks read the files with `ast`. A name bound by an import in
+`src/voidhex/`, `tests/` or `bench/` must appear as a name somewhere else
+in the module, or in its `__all__`.
 Package `__init__.py` files, which import to re-export, are exempt, and so
 are `from __future__` imports. A top-level function, class or constant of a
 module in `src/voidhex/` must be referenced by name (as a name, an
@@ -10,7 +12,9 @@ attribute or an import, such as a re-export in `__init__.py`) in `src/`,
 `tests/` or `bench/`, outside its own definition; the definitions in
 `__init__.py` and dunder names are exempt. Every field of a dataclass or
 `NamedTuple` in `src/voidhex/` must be read as an attribute (`x.field`)
-somewhere in `src/`, `tests/` or `bench/`.
+somewhere in `src/`, `tests/` or `bench/`. No module in `src/voidhex/`
+loads the attribute `facets` (`VoronoiCellSet`'s record view) or `patches`
+(`FacetQuadMesh`'s).
 """
 
 import ast
@@ -20,9 +24,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/voidhex", "tests") for p in (ROOT / d).glob("*.py")
+FILES = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).glob("*.py")
                if p.name != "__init__.py")
 READERS = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).glob("*.py"))
+VIEWS = {"facets", "patches"}   # record views for code outside the package
 
 
 def unused_imports(source: str) -> list:
@@ -46,6 +51,7 @@ def unused_imports(source: str) -> list:
 def test_files_found():
     assert any(p.name == "hexgen.py" for p in FILES)
     assert any(p.name == "test_lint.py" for p in FILES)
+    assert any(p.name == "workloads.py" for p in FILES)
 
 
 def test_finds_an_unused_import():
@@ -148,3 +154,21 @@ def test_no_unread_fields():
     modules = {p.name: p.read_text() for p in ROOT.glob("src/voidhex/*.py")}
     readers = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
     assert unread_fields(modules, readers) == []
+
+
+def attribute_loads(source: str, names) -> list:
+    """(line, attribute) of each load of one of ``names`` as an attribute."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr in names)
+
+
+def test_finds_a_view_load():
+    src = "cs.facets[0]\ncs.facets = v\nfacets = 1\nq.patches.items()\n"
+    assert attribute_loads(src, VIEWS) == [(1, "facets"), (4, "patches")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/voidhex/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_reads_no_view(path):
+    assert attribute_loads(path.read_text(), VIEWS) == [], f"record view read in {path.name}"

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from voidhex import fixtures
 from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError
-from voidhex.geometry import GUARD_RADIUS, GUARD_SLACK, loop_is_simple, polygon_area, push_outside
+from voidhex.geometry import (
+    GUARD_RADIUS,
+    GUARD_SLACK,
+    loop_is_simple,
+    plane_basis,
+    polygon_area,
+    push_outside,
+)
 from voidhex.repair import (
     RepairConfig,
     _Repair,
@@ -28,7 +35,7 @@ from voidhex.repair import (
     insert_vertices,
     repair,
 )
-from voidhex.voronoi import Facet, VoronoiCellSet, build_cells, generate_ghosts
+from voidhex.voronoi import VoronoiCellSet, build_cells, generate_ghosts
 
 
 def make_synthetic(points, loops, n_centers=1):
@@ -38,21 +45,29 @@ def make_synthetic(points, loops, n_centers=1):
     lo = centers.min(axis=0) - 3.0
     hi = centers.max(axis=0) + 3.0
     bed = attach_domain(SphereBed(centers=centers), Box(tuple(lo), tuple(hi)))
-    facets = []
+    plane_points, normals = [], []
     for loop in loops:
         pts = np.asarray(points)[loop]
         n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         n = n / np.linalg.norm(n)
         if np.dot(pts.mean(axis=0) - centers[0], n) < 0:
             n = -n
-        facets.append(
-            Facet(loop=list(loop), site_a=0, site_b=n_centers,
-                  plane_point=pts.mean(axis=0), plane_normal=n, boundary="wall")
-        )
+        plane_points.append(pts.mean(axis=0))
+        normals.append(n)
+    normals = np.array(normals)
+    e1, e2 = plane_basis(normals)
+    m = len(loops)
     return VoronoiCellSet(
         points=np.asarray(points, dtype=float),
-        facets=facets,
-        cells=[list(range(len(facets))) for _ in range(n_centers)][:n_centers],
+        loops=[list(loop) for loop in loops],
+        site_a=np.zeros(m, dtype=np.int64),
+        site_b=np.full(m, n_centers, dtype=np.int64),
+        plane_point=np.array(plane_points),
+        plane_normal=normals,
+        e1=e1,
+        e2=e2,
+        boundary=["wall"] * m,
+        cells=[list(range(m)) for _ in range(n_centers)],
         sites=np.vstack([centers, [[0.0, 0.0, -10.0]]]),
         n_real=n_centers,
         bed=bed,
@@ -120,14 +135,13 @@ def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
     every touched facet loop valid? Kept as the reference for the batched
     check of `_collapse_pass`."""
     for fid in touched_fids:
-        f = cs.facets[fid]
-        loop = _squeeze([u if w == v else w for w in f.loop])
+        loop = _squeeze([u if w == v else w for w in cs.loops[fid]])
         if len(loop) < 3:
             continue  # facet degenerates and will be deleted: allowed
         if len(set(loop)) != len(loop):
             return False  # pinched loop
-        rel = np.array([mid if w == u else cs.points[w] for w in loop]) - f.plane_point
-        pts2 = list(zip((rel @ f.e1).tolist(), (rel @ f.e2).tolist()))
+        rel = np.array([mid if w == u else cs.points[w] for w in loop]) - cs.plane_point[fid]
+        pts2 = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
         if abs(polygon_area(pts2)) < 1e-16:
             return False
         if not loop_is_simple(pts2):
@@ -135,9 +149,11 @@ def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
     return True
 
 
-def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> int:
-    """The former collapse pass: candidates checked and applied one by one."""
-    edges = _edge_table(cs.points, _loop_rows(cs.facets))
+def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog, skipped) -> int:
+    """The former collapse pass: candidates checked and applied one by one.
+    An edge's skip is logged the first time only; ``skipped`` holds the
+    edges logged in earlier passes."""
+    edges = _edge_table(cs.points, _loop_rows(cs.loops))
     tol = _base_tolerance(edges, facet_zone, cfg) * factor * R
     cand = np.flatnonzero(edges.length < tol)
     cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
@@ -151,17 +167,17 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog) -> i
         if u in moved or v in moved:
             continue
         touched = sorted(fid for fid in {*incidence[u], *incidence[v]}
-                         if not cs.facets[fid].deleted)
+                         if len(cs.loops[fid]) >= 3)
         mid = 0.5 * (cs.points[u] + cs.points[v])
         if not reference_collapse_ok(cs, u, v, mid, touched):
-            oplog.append({"op": "collapse_skipped", "pass": pass_no, "edge": [u, v], "length": L})
+            if (u, v) not in skipped:
+                skipped.add((u, v))
+                oplog.append({"op": "collapse_skipped", "pass": pass_no, "edge": [u, v],
+                              "length": L})
             continue
         cs.points[u] = mid
         for fid in touched:
-            f = cs.facets[fid]
-            f.loop = _squeeze([u if w == v else w for w in f.loop])
-            if len(f.loop) < 3:
-                f.deleted = True
+            cs.loops[fid] = _squeeze([u if w == v else w for w in cs.loops[fid]])
         moved.add(u)
         moved.add(v)
         n_done += 1
@@ -174,6 +190,7 @@ def reference_collapse_edges(cs, cfg, oplog):
     """The former `collapse_edges`: sequential passes, and a full guard
     projection after each one."""
     facet_zone = _facet_zone(cs)
+    skipped = set()
     k = extra = 0
     while True:
         k += 1
@@ -183,7 +200,7 @@ def reference_collapse_edges(cs, cfg, oplog):
                 break
         factor = cfg.pass_tolerance(min(k, 9))
         changed = reference_collapse_pass(cs, cfg, facet_zone, factor, k,
-                                          cs.bed.radius_nominal, oplog)
+                                          cs.bed.radius_nominal, oplog, skipped)
         if k >= cfg.passes and not changed:
             break
         guard_projection(cs, cfg, oplog=oplog)
@@ -208,10 +225,9 @@ class TestCollapseSkipped:
         cs = make_synthetic(pts, [[0, 1, 2, 3, 4, 5], [0, 3, 6]])
         oplog = []
         collapse_edges(cs, RepairConfig(), oplog=oplog)
-        # skipped in pass 6, the first whose tolerance passes 0.1, and again
-        # in every later pass, since a skip moves nothing
-        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 3], "length": 0.1}
-                         for k in range(6, 11)]
+        # skipped in pass 6, the first whose tolerance passes 0.1, and tried
+        # again in every later pass, since a skip moves nothing; logged once
+        assert oplog == [{"op": "collapse_skipped", "pass": 6, "edge": [0, 3], "length": 0.1}]
         assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4, 5], [0, 3, 6]]
         assert not any(f.deleted for f in cs.facets)
         assert np.array_equal(cs.points, np.array(pts))
@@ -225,8 +241,7 @@ class TestCollapseSkipped:
         cs = make_synthetic(pts, [[0, 1, 2, 3, 4], [0, 5, 6]])
         oplog = []
         collapse_edges(cs, RepairConfig(), oplog=oplog)
-        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 5], "length": 0.2}
-                         for k in range(7, 11)]
+        assert oplog == [{"op": "collapse_skipped", "pass": 7, "edge": [0, 5], "length": 0.2}]
         assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 5, 6]]
         assert np.array_equal(cs.points, np.array(pts))
 
@@ -238,8 +253,7 @@ class TestCollapseSkipped:
         cs = make_synthetic(pts, [[0, 1, 2], [0, 3, 4]])
         oplog = []
         collapse_edges(cs, RepairConfig(), oplog=oplog)
-        assert oplog == [{"op": "collapse_skipped", "pass": k, "edge": [0, 3], "length": 0.2}
-                         for k in range(7, 11)]
+        assert oplog == [{"op": "collapse_skipped", "pass": 7, "edge": [0, 3], "length": 0.2}]
         assert [f.loop for f in cs.facets] == [[0, 1, 2], [0, 3, 4]]
 
     @pytest.mark.parametrize("pinch", [False, True], ids=["same_walk", "after_a_skip"])
@@ -375,7 +389,7 @@ def reference_insert_vertices(run):
     cs = run.cs
     limit = run.cfg.max_edge * cs.bed.radius_nominal
     for _round in range(10):
-        edges = _edge_table(cs.points, _loop_rows(cs.facets))
+        edges = _edge_table(cs.points, _loop_rows(cs.loops))
         long_edges = np.flatnonzero(edges.length > limit)
         if not len(long_edges):
             break
@@ -398,9 +412,8 @@ def reference_insert_vertices(run):
         is_long = np.zeros(len(edges.u), dtype=bool)
         is_long[long_edges] = True
         for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
-            f = cs.facets[fid]
             out = []
-            loop = f.loop
+            loop = cs.loops[fid]
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 out.append(a)
                 key = (a, b) if a < b else (b, a)
@@ -408,8 +421,8 @@ def reference_insert_vertices(run):
                     ids = splits[key]
                     out.extend(ids if a < b else list(reversed(ids)))
                     run.recheck(ids, (fid,))
-            f.loop = out
-        run.rows = _loop_rows(cs.facets)
+            cs.loops[fid] = out
+        run.rows = _loop_rows(cs.loops)
         run.guard_projection()
 
 
@@ -562,7 +575,7 @@ class TestMovedOnlyGuard:
         # whose guard no longer applies: vertex 0 now bounds cell 0 alone
         pts = [(0.0, -0.15, 3.08), (0.0, 0.15, 3.08), (2.0, 0.0, 4.5), (2.0, 0.0, 1.5)]
         cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]], n_centers=2)
-        cs.facets[0].site_b = 1
+        cs.site_b[0] = 1
         oplog = []
         collapse_edges(cs, RepairConfig(), oplog=oplog)
         assert [(r["op"], r["facets"]) for r in oplog] == [("collapse", [0, 1, 2, 3])]
@@ -706,7 +719,7 @@ class TestFullRepair:
     def test_guard_invariant(self, repaired):
         cs, _ = repaired
         for i in range(cs.n_real):
-            vids = sorted(set(v for f in cs.cell_facets(i) for v in f.loop))
+            vids = sorted(set(v for f in cs.cell_facets(i) for v in cs.loops[f]))
             d = np.linalg.norm(cs.points[vids] - cs.bed.centers[i], axis=1)
             assert d.min() >= GUARD_RADIUS - 1e-12
 

@@ -656,10 +656,9 @@ class TestTessellateCells:
         for u, v, nid in tessellated.edge_midpoints.tolist():
             # the midpoint node must be used by every patch whose facet
             # contains the edge
-            for fid, f in enumerate(cs.facets):
-                if f.deleted:
+            for fid, loop in enumerate(cs.loops):
+                if len(loop) < 3:
                     continue
-                loop = f.loop
                 edges = {tuple(sorted(e)) for e in zip(loop, loop[1:] + loop[:1])}
                 if (u, v) in edges:
                     assert nid in tessellated.quads[tessellated.quad_facet == fid]

@@ -12,15 +12,23 @@ from scipy.spatial import Voronoi, cKDTree
 from test_repair import cells_digest
 
 from voidhex import fixtures, voronoi
-from voidhex.bed import Annulus, Box, Cylinder, SphereBed, attach_domain
+from voidhex.bed import (
+    Annulus,
+    Box,
+    Cylinder,
+    SphereBed,
+    attach_domain,
+    rescale,
+    separation_profile,
+)
 from voidhex.errors import GeometryError
 from voidhex.geometry import norms, plane_basis, polygon_area
+from voidhex.repair import repair
 from voidhex.voronoi import (
     KIND_TO_TAG,
     PLANARITY_TOL,
     VALIDATE_BLOCK,
     VERTEX_DEDUP_TOL,
-    Facet,
     GhostSet,
     VoronoiCellSet,
     _dedup_vertices,
@@ -100,11 +108,11 @@ class TestBuildCells:
         bed = fixtures.simple_cubic(3)
         cs = build_cells(bed, generate_ghosts(bed))
         i = 13  # (3,3,3), the interior sphere
-        facets = cs.cell_facets(i)
-        assert len(facets) == 6
-        for f in facets:
-            assert len(f.loop) == 4
-        vids = sorted(set(v for f in facets for v in f.loop))
+        loops = [cs.loops[f] for f in cs.cell_facets(i)]
+        assert len(loops) == 6
+        for loop in loops:
+            assert len(loop) == 4
+        vids = sorted(set(v for loop in loops for v in loop))
         assert len(vids) == 8
         rel = cs.points[vids] - bed.centers[i]
         assert np.allclose(np.sort(np.abs(rel), axis=0), 1.0, atol=1e-9)
@@ -114,7 +122,7 @@ class TestBuildCells:
         bed = fixtures.simple_cubic(3)
         cs = build_cells(bed, generate_ghosts(bed))
         corner = 0  # (1,1,1)
-        tags = sorted(f.boundary for f in cs.cell_facets(corner) if f.boundary)
+        tags = sorted(cs.boundary[f] for f in cs.cell_facets(corner) if cs.boundary[f])
         assert tags == ["inlet", "wall", "wall"]
 
     def test_facet_basis_orthonormal(self):
@@ -243,17 +251,17 @@ def reference_validate_cells(cs) -> None:
         fl = cs.cell_facets(i)
         if len(fl) < 4:
             raise GeometryError(f"cell {i} has only {len(fl)} facets")
-        vids = sorted(set(v for f in fl for v in f.loop))
+        vids = sorted(set(v for f in fl for v in cs.loops[f]))
         pts = cs.points[vids]
         center = cs.sites[i]
         for f in fl:
             out = cs.outward_normal(f, i)
-            d = (pts - f.plane_point) @ out
+            d = (pts - cs.plane_point[f]) @ out
             if d.max() > PLANARITY_TOL * R * 10:
                 raise GeometryError(
                     f"cell {i} is not convex: vertex {d.max():.3g} outside a facet plane"
                 )
-            if (center - f.plane_point) @ out >= 0:
+            if (center - cs.plane_point[f]) @ out >= 0:
                 raise GeometryError(f"site {i} is not strictly inside its cell")
         edges = {}
         for f in fl:
@@ -283,8 +291,9 @@ def _not_watertight(cs):
 
 
 def _facet_deleted(cs):
-    # a live facet marked deleted leaves a hole in both of its cells
-    cs.facets[cs.cells[6][2]].deleted = True
+    # a live facet whose loop is emptied, so deleted, leaves a hole in both
+    # of its cells
+    cs.loops[cs.cells[6][2]] = []
 
 
 def _one_facet_both(cs):
@@ -367,14 +376,15 @@ edits = st.lists(st.tuples(st.sampled_from(["drop", "delete", "vertex", "site"])
 
 def _broken_lattice(changes, n=3):
     """A simple_cubic(n) cell set with the given edits: a facet dropped from
-    a cell's list or marked deleted, a vertex or a site moved along an axis."""
+    a cell's list or deleted by emptying its loop, a vertex or a site moved
+    along an axis."""
     cs = copy.deepcopy(_lattice_cells(n))
     for kind, pick, axis, step in changes:
         cell = cs.cells[pick % cs.n_real]
         if kind == "drop" and cell:
             del cell[pick % len(cell)]
         elif kind == "delete":
-            cs.facets[pick % len(cs.facets)].deleted = True
+            cs.loops[pick % len(cs.loops)] = []
         elif kind == "vertex":
             cs.points[pick % len(cs.points), axis] += step
         elif kind == "site":
@@ -454,22 +464,21 @@ def reference_build_cells(bed, ghosts):
     loops = vids[order].tolist()
     xy = np.column_stack([x[order], y[order]]).tolist()
 
-    facets = []
+    kept = []
     cells = [[] for _ in range(n)]
     starts, ends = (ends - counts).tolist(), ends.tolist()
-    for k, (a, b, boundary, _) in enumerate(ridges):
-        lo, hi = starts[k], ends[k]
-        if 2.0 * abs(polygon_area(xy[lo:hi])) < 1e-20 * R * R:
+    for k, (a, b, _, _) in enumerate(ridges):
+        if 2.0 * abs(polygon_area(xy[starts[k]:ends[k]])) < 1e-20 * R * R:
             continue
-        fid = len(facets)
-        facets.append(Facet(loop=loops[lo:hi], site_a=a, site_b=b,
-                            plane_point=plane_points[k], plane_normal=normals[k],
-                            boundary=boundary, e1=e1[k], e2=e2[k]))
-        cells[a].append(fid)
+        cells[a].append(len(kept))
         if b < n:
-            cells[b].append(fid)
+            cells[b].append(len(kept))
+        kept.append(k)
 
-    cs = VoronoiCellSet(points=verts, facets=facets, cells=cells, sites=sites,
+    cs = VoronoiCellSet(points=verts, loops=[loops[starts[k]:ends[k]] for k in kept],
+                        site_a=sa[kept], site_b=sb[kept], plane_point=plane_points[kept],
+                        plane_normal=normals[kept], e1=e1[kept], e2=e2[kept],
+                        boundary=[ridges[k][2] for k in kept], cells=cells, sites=sites,
                         n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
@@ -561,3 +570,46 @@ class TestBuildCellsReference:
         with pytest.raises(GeometryError, match=f"^{msg}$"):
             build_cells(bed, ghosts)
         assert _build_outcome(reference_build_cells, bed, ghosts) == msg
+
+
+@pytest.fixture(scope="module")
+def repaired_cylinder():
+    """The cylinder_mesh benchmark bed, built and repaired."""
+    bed = fixtures.random_cylinder_bed(n=100, R_c=4.0, H=15.0, seed=7)
+    bed = rescale(bed, separation_profile(bed))
+    return repair(build_cells(bed, generate_ghosts(bed)))
+
+
+class TestFacetView:
+    """`VoronoiCellSet.facets`, the record view of the facet table for code
+    outside the package."""
+
+    def test_records_are_column_rows(self, repaired_cylinder):
+        cs = repaired_cylinder
+        assert len(cs.facets) == len(cs.loops) == len(cs.site_a) == len(cs.boundary)
+        for fid, f in enumerate(cs.facets):
+            assert f.loop == cs.loops[fid]
+            assert (f.site_a, f.site_b) == (cs.site_a[fid], cs.site_b[fid])
+            assert type(f.site_a) is int and type(f.site_b) is int
+            assert f.boundary == cs.boundary[fid]
+            for got, column in ((f.plane_point, cs.plane_point), (f.plane_normal, cs.plane_normal),
+                                (f.e1, cs.e1), (f.e2, cs.e2)):
+                assert got.tobytes() == column[fid].tobytes()
+        assert cs.facets[-1].loop == cs.loops[-1]
+        with pytest.raises(IndexError):
+            cs.facets[len(cs.loops)]
+
+    def test_deleted_is_a_short_loop(self, repaired_cylinder):
+        cs = repaired_cylinder
+        deleted = [f.deleted for f in cs.facets]
+        assert deleted == [len(loop) < 3 for loop in cs.loops]
+        assert any(deleted) and not all(deleted)
+
+    def test_len_builds_no_record(self, repaired_cylinder, monkeypatch):
+        built = []
+        record = voronoi.FacetRecord
+        monkeypatch.setattr(voronoi, "FacetRecord", lambda *row: built.append(row) or record(*row))
+        assert len(repaired_cylinder.facets) == len(repaired_cylinder.loops)
+        assert built == []
+        repaired_cylinder.facets[0]
+        assert len(built) == 1
