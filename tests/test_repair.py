@@ -129,6 +129,38 @@ class TestToleranceSchedule:
         collapse_edges(cs, RepairConfig())
         assert cs.facets[0].deleted
 
+    def test_closing_edge_collapse_keeps_the_first_entry(self):
+        # the 0.1-long edge (2, 3) closes both loops: fusing 3 into 2 makes
+        # the first and last entries equal, and the last one is dropped;
+        # in facet 0 the kept first entry was 3 and becomes 2
+        pts = [(2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 1.05, 1.0), (2.0, 0.95, 1.0),
+               (3.0, 2.0, 1.0), (3.0, 0.0, 1.0)]
+        cs = make_synthetic(pts, [[3, 0, 1, 2], [2, 4, 5, 3]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert [(r["op"], r["pass"], r["edge"], r["facets"]) for r in oplog] == [
+            ("collapse", 6, [2, 3], [0, 1])]
+        assert [f.loop for f in cs.facets] == [[2, 0, 1], [2, 4, 5]]
+        assert not any(f.deleted for f in cs.facets)
+        assert np.array_equal(cs.points[2], 0.5 * (np.array(pts[2]) + np.array(pts[3])))
+
+    def test_facet_deleted_earlier_in_the_pass_is_not_touched(self):
+        # the 0.1-long edge (0, 1) deletes the triangle [0, 1, 3]; the
+        # 0.12-long edge (2, 3) collapses later in the same pass, and the
+        # triangle, which holds 3, is neither in its record nor rewritten
+        pts = [(2.0, -0.05, 0.0), (2.0, 0.05, 0.0), (2.0, 0.0, 1.62), (2.0, 0.0, 1.5),
+               (3.0, 0.0, 0.5), (3.0, 0.0, 2.5)]
+        cs = make_synthetic(pts, [[0, 1, 3], [3, 4, 5, 2]])
+        oplog = []
+        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        assert [(r["op"], r["pass"], r["edge"], r["facets"]) for r in oplog] == [
+            ("collapse", 6, [0, 1], [0]), ("collapse", 6, [2, 3], [1])]
+        assert [f.loop for f in cs.facets] == [[0, 3], [2, 4, 5]]
+        assert [f.deleted for f in cs.facets] == [True, False]
+        assert np.array_equal(cs.points[0], 0.5 * (np.array(pts[0]) + np.array(pts[1])))
+        assert np.array_equal(cs.points[2], 0.5 * (np.array(pts[2]) + np.array(pts[3])))
+        assert np.array_equal(cs.points[3], np.array(pts[3]))
+
 
 def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
     """The former per-candidate check: would fusing v into u (at mid) keep
@@ -332,6 +364,21 @@ class TestCollapseProperty:
         cfg = RepairConfig(tol_inf=tol_inf, tol_boundary=tol_boundary)
         ref = _collapse_outcome(reference_collapse_edges, copy.deepcopy(cs), cfg)
         assert _collapse_outcome(collapse_edges, cs, cfg) == ref
+
+    def test_matches_reference_on_the_cylinder_mesh_bed(self):
+        """The cells of the cylinder_mesh bed, jittered by 0.05 R, at
+        tolerances 0.5 R: hundreds of candidates per pass, with skips, so
+        windows, resumed walks and reused verdicts all run."""
+        bed = fixtures.random_cylinder_bed(100, 4.0, 15.0, seed=7)
+        cs = build_cells(bed, generate_ghosts(bed))
+        cs.points += np.random.default_rng(0).normal(scale=0.05 * bed.radius_nominal,
+                                                     size=cs.points.shape)
+        cfg = RepairConfig(tol_inf=0.5, tol_boundary=0.5)
+        ref = _collapse_outcome(reference_collapse_edges, copy.deepcopy(cs), cfg)
+        got = _collapse_outcome(collapse_edges, cs, cfg)
+        assert got == ref
+        ops = [r["op"] for r in got[1]]
+        assert ops.count("collapse") > 300 and ops.count("collapse_skipped") > 10
 
 
 class TestInsertVertices:
