@@ -14,17 +14,23 @@ round starts from one edge table (`_edge_table`) of those rows: one
 in (u, v) order, with its length. The zone tolerances and the collapse
 candidates are array passes over that table.
 
-A collapse pass walks its sorted candidates speculatively (`_walk`): it
-assumes every collapse succeeds, rewrites the loops of the facets each one
-touches in plain lists, and records each (collapse, touched facet) loop
-state as the facet and the rows of its vertices in one position table per
-pass (pass-start positions, then candidate midpoints). The new states are
-projected onto their facets' (e1, e2) planes and checked for a flat or
-self-intersecting polygon in one array pass per padded loop size
-(`_breaks`). The collapses before the first one that would break a loop
-are applied, that one is skipped, and the walk resumes after it. Each
-state's verdict is kept for the rest of the pass, so a resumed walk checks
-only the states that the skip changed.
+A collapse pass keeps its loops on its pass-start loop rows (`_Pass`).
+No two collapses of a pass share an end, so a collapse changes a loop
+only at the rows of its two ends, and whether they are adjacent in a
+facet's loop is the same all through the pass: each (candidate, facet)
+pair shortens the loop by one, keeps its length or pinches it, and a
+facet's loop is fixed by the set of collapses that touched it. The pass
+walks its sorted candidates speculatively, window by window (`_walk`): a
+Python scan picks the candidates whose ends are free, and array passes
+over their (facet, candidate) pairs give each loop state its length, its
+pinch test and an exact key, the bit sum of its collapses. The states
+are checked for a flat or self-intersecting polygon in one array pass
+per padded loop size (`_breaks`), from their rows in one position table
+per pass (pass-start positions, then candidate midpoints). The collapses
+before the first one that would pinch or break a loop are applied, that
+one is skipped, and the walk resumes after it. The verdicts a resumed
+walk may meet again are kept under their keys for the rest of the pass,
+so it checks only the states that the skip changed.
 
 Vertex insertion is one array pass per round: the new ids, their edge
 parameters and points come from `cumsum` and `repeat` over the long
@@ -42,6 +48,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import ClassVar, NamedTuple
@@ -140,66 +147,194 @@ def _base_tolerance(edges: EdgeTable, facet_zone, cfg: RepairConfig) -> np.ndarr
     return np.where(edge_zone, cfg.tol_boundary, cfg.tol_inf)
 
 
-def _squeeze(loop):
-    """Drop consecutive duplicates, circularly."""
-    out = []
-    for v in loop:
-        if not out or out[-1] != v:
-            out.append(v)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges first[k] .. first[k] + count[k] - 1, concatenated."""
+    ends = count.cumsum()
+    return (first - ends + count).repeat(count) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _walk(cs: VoronoiCellSet, us, vs, lo, hi, moved, incidence, checked):
+def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
+    """The (candidate, facet) pairs of a collapse pass (see `_Pass`), from
+    the rows of the candidates' endpoints grouped by vertex: the table
+    ``pairs``, per candidate its first pair and pair count, and per facet
+    whether it has more than 62 pairs."""
+    C, N = len(cand), len(edges.fid)
+    ends = np.concatenate([edges.u[cand], edges.v[cand]])
+    is_end = np.zeros(n_points, dtype=bool)
+    is_end[ends] = True
+    sel = np.flatnonzero(is_end[edges.vertex])
+    sel = sel[edges.vertex[sel].argsort(kind="stable")]
+    per_vertex = np.bincount(edges.vertex[sel], minlength=n_points)
+    n = per_vertex[ends]
+    row = sel[_ranges(per_vertex.cumsum()[ends] - n, n)]
+    end_no = np.arange(2 * C).repeat(n)   # u of candidate c is end c, its v end C + c
+    key = ((end_no % C) * n_facets + edges.fid[row]) * 2 + end_no // C
+    order = key.argsort()
+    key, row = key[order], row[order]
+    pair = key >> 1
+    new = np.ones(len(pair), dtype=bool)
+    new[1:] = pair[1:] != pair[:-1]
+    pairs = np.full((8, int(new.sum())), N)
+    fid, cand_no, adjacent, pinch, ends, drop, bit = (pairs[0], pairs[1], pairs[2], pairs[3],
+                                                      pairs[4:6], pairs[6], pairs[7])
+    ends[key & 1, new.cumsum() - 1] = row
+    cand_no[:], fid[:] = np.divmod(pair[new], n_facets)
+    at = np.append(edges.edge, -1)[ends] == cand[cand_no]   # is the row's edge the candidate's
+    both = (ends < N).all(axis=0)
+    adjacent[:] = at.any(axis=0)
+    pinch[:] = both & ~at.any(axis=0)
+    # of two adjacent ends, the row after the first is the later one in the
+    # loop, unless the first is its facet's last row and the two close it
+    last = np.ones(N + 1, dtype=bool)
+    last[:N - 1] = edges.fid[1:] != edges.fid[:-1]
+    r = np.where(at[0], ends[0], ends[1])
+    drop[:] = np.where(adjacent == 0, N, np.where(last[r], r, r + 1))
+    by_facet = fid.argsort(kind="stable")
+    per_facet = np.bincount(fid, minlength=n_facets)
+    rank = np.empty_like(by_facet)
+    rank[by_facet] = np.arange(len(fid)) - (per_facet.cumsum() - per_facet)[fid[by_facet]]
+    wide = per_facet > 62
+    bit[:] = np.where(wide[fid], 0, 1 << np.minimum(rank, 62))
+    count = np.bincount(cand_no, minlength=C)
+    return pairs, count.cumsum() - count, count, wide
+
+
+class _Pass:
+    """One collapse pass: its candidates, their (candidate, facet) pairs,
+    and the facet loops as its collapses change them, all on the pass-start
+    loop rows (those of its `EdgeTable`, each facet's rows together and in
+    loop order), plus one spare row, N, that stands for none.
+
+    No two collapses of a pass share an end, so a collapse that fuses v
+    into u changes a loop only at the rows of u and v: both move to the row
+    of its midpoint in the position table (``at``), v's row takes u
+    (``vertex``), and if u and v are adjacent the later of their two rows
+    in the loop goes (``alive``), as dropping the repeat of u would. So
+    whether the ends of a candidate are adjacent in a facet's loop, or
+    both there and apart (a pinch), is the same all through the pass, and
+    a facet's loop is fixed by the set of collapses that touched it.
+
+    A pair is a candidate and a facet, live at the pass start, that holds
+    an end of its edge; candidate c has ``count[c]`` pairs from
+    ``first[c]``, in facet order. ``pairs`` holds per pair, as rows: facet,
+    candidate, adjacent (0/1), pinch (0/1), the rows of u and of v (N if
+    absent), the row the collapse drops (N if none), and its bit, 2**k for
+    the pair's rank k among its facet's pairs. A facet's loop state is thus
+    keyed exactly by the bit sum of the collapses that touched it; a facet
+    with more than 62 pairs has bits 0 and ``applied`` -2**62, so that its
+    keys never match.
+
+    Per facet: ``head``, its first row; ``span``, its pass-start row count;
+    ``length``, its loop length now, under 3 once it is deleted;
+    ``applied``, the bit sum of the applied collapses that touched it;
+    ``changed``, whether one did. Per row, ``rowstate`` holds ``alive``
+    (0/1), ``at``, and ``walked`` and ``dropped``, which mark for a check
+    the rows a walk would move or drop with the candidate that would
+    (``n_cand`` elsewhere). Per pair, ``kept`` and ``kept_broken`` hold the
+    key of the last loop state checked for it that a resumed walk may meet
+    again (-1 if none) and whether that state breaks.
+    """
+
+    def __init__(self, edges: EdgeTable, cand: np.ndarray, tol: np.ndarray, points: np.ndarray,
+                 n_facets: int):
+        C, N = len(cand), len(edges.fid)
+        self.n_points, self.n_cand = len(points), C
+        self.u = edges.u[cand]
+        self.us, self.vs = self.u.tolist(), edges.v[cand].tolist()
+        self.lengths, self.tols = edges.length[cand].tolist(), tol[cand].tolist()
+        # a candidate is tried only while neither end has moved in this
+        # pass, so its midpoint is that of the pass-start positions; the
+        # position table holds the pass-start positions, then the midpoints
+        self.mids = 0.5 * (points[self.u] + points[edges.v[cand]])
+        self.table = np.vstack([points, self.mids])
+
+        self.pairs, self.first, self.count, wide = _pairs(edges, cand, len(points), n_facets)
+        self.kept = np.full(self.pairs.shape[1], -1)
+        self.kept_broken = np.zeros(self.pairs.shape[1], dtype=bool)
+        head = np.flatnonzero(np.diff(edges.fid, prepend=-1))
+        self.head = np.zeros(n_facets, dtype=np.int64)
+        self.head[edges.fid[head]] = head
+        self.span = np.zeros(n_facets, dtype=np.int64)
+        self.span[edges.fid[head]] = np.diff(head, append=N)
+        self.length = self.span.copy()
+        self.applied = np.where(wide, -(1 << 62), 0)
+        self.changed = np.zeros(n_facets, dtype=bool)
+        self.vertex = np.append(edges.vertex, -1)
+        self.rowstate = np.stack([np.ones(N + 1, dtype=np.int64), self.vertex,
+                                  np.full(N + 1, C), np.full(N + 1, C)])
+        self.alive, self.at, self.walked, self.dropped = self.rowstate
+
+
+class _Walk(NamedTuple):
+    """A walk of a collapse pass (see `_walk`): the candidates walked, and
+    the pairs of their collapses, in (facet, candidate) order."""
+
+    walk: list            # the candidates walked, ascending
+    pair: np.ndarray      # the pairs
+    fid: np.ndarray       # facet of each pair
+    cand: np.ndarray      # candidate of each pair
+    touched: np.ndarray   # is the facet live when the collapse comes
+    length: np.ndarray    # the facet's loop length after the collapse
+    key: np.ndarray       # the key of that loop state: the bit sum of its collapses
+    stop: int             # the first candidate that would pinch a loop, or hi
+
+
+def _walk(p: _Pass, lo: int, hi: int, busy: set) -> _Walk:
     """Walk candidates lo..hi-1 of a pass as if every collapse succeeds.
 
-    Candidate i fuses vs[i] into us[i] at row P + i of the position table
-    (P = len(cs.points)). ``moved`` maps each end of the collapses applied
-    earlier in the pass to the row of its midpoint; a candidate with an end
-    there or in a collapse walked before it is passed over. ``checked``
-    maps the loop states checked earlier in the pass, as (facet, rows), to
-    whether they break. Returns the collapses walked, as (candidate,
-    touched facets, their new loops); the loop states left to check, one
-    per touched facet left with 3 or more vertices and not in ``checked``,
-    as (facet, rows), with the candidate that makes each; and the first
-    candidate that would pinch a loop or make a state ``checked`` says
-    breaks, or hi if none would.
+    Only the greedy scan is Python: a candidate with an end in ``busy``,
+    which holds the ends of the collapses applied earlier in the pass, or
+    in a collapse walked before it is passed over, and the ends of each
+    one walked join ``busy``. The rest is array passes over the walk's
+    pairs, sorted by facet: a facet meets its collapses in candidate order,
+    each one that finds it live (3 or more vertices) touches it, and each
+    one whose ends are adjacent in it shortens its loop by one; a loop
+    state's key adds the collapse's bit to the keys before it. A touched
+    facet that holds both ends apart would be pinched.
     """
-    P = len(cs.points)
-    loops = {}  # facet -> its loop after the collapses walked so far
-    at = {}     # vertex moved by the walk -> its row in the position table
-    ends = set()  # both ends of every collapse walked
-    walked, states, makers = [], [], []
+    us, vs = p.us, p.vs
+    walk = []
     for i in range(lo, hi):
-        u, v = us[i], vs[i]
-        if u in moved or v in moved or u in ends or v in ends:
+        u = us[i]
+        v = vs[i]
+        if u in busy or v in busy:
             continue
-        touched, new, keys = [], [], []
-        for fid in sorted({*incidence[u], *incidence[v]}):
-            loop = loops[fid] if fid in loops else cs.loops[fid]
-            if len(loop) < 3:
-                continue  # deleted, maybe by an earlier collapse of the walk
-            loop = _squeeze([u if w == v else w for w in loop])
-            touched.append(fid)
-            new.append(loop)
-            if len(loop) < 3:
-                continue  # facet degenerates and will be deleted: allowed
-            if len(set(loop)) != len(loop):
-                return walked, states, makers, i  # pinched loop
-            key = (fid, tuple([P + i if w == u else at.get(w, moved.get(w, w)) for w in loop]))
-            known = checked.get(key)
-            if known:
-                return walked, states, makers, i
-            if known is None:
-                keys.append(key)
-        states += keys
-        makers += [i] * len(keys)
-        loops.update(zip(touched, new))
-        at[u] = P + i
-        ends |= {u, v}
-        walked.append((i, touched, new))
-    return walked, states, makers, hi
+        busy.add(u)
+        busy.add(v)
+        walk.append(i)
+    cands = np.array(walk, dtype=np.int64)
+    pair = _ranges(p.first[cands], p.count[cands])
+    pair = pair[p.pairs[0, pair].argsort(kind="stable")]
+    fid, cand, adjacent, pinch, _, _, _, bit = p.pairs[:, pair]
+    # per pair, the first pair of its facet, and the rows the facet lost
+    # and the bits it gained in the walk, up to and with the pair
+    head = np.arange(len(fid))
+    head[1:] *= fid[1:] != fid[:-1]
+    head = np.maximum.accumulate(head)
+    lost = adjacent.cumsum()
+    lost -= (lost - adjacent)[head]
+    key = bit.cumsum()
+    key -= (key - bit)[head]
+    after = p.length[fid] - lost
+    touched = after + adjacent >= 3
+    pinch = cand[touched & (pinch == 1)]
+    return _Walk(walk, pair, fid, cand, touched, after, key + p.applied[fid],
+                 int(pinch.min()) if len(pinch) else hi)
+
+
+def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
+    """The position-table rows of the loop states ``state`` (pairs of walk
+    ``w``), flat: per state, its facet's live rows, less those the walk
+    drops up to its maker, with those the walk moves up to its maker at
+    their midpoints."""
+    _, cand, _, _, u_row, v_row, drop, _ = p.pairs[:, w.pair]
+    p.walked[u_row] = p.walked[v_row] = p.dropped[drop] = cand
+    fid = w.fid[state]
+    span = p.span[fid]
+    by = w.cand[state].repeat(span)
+    alive, at, walked, dropped = p.rowstate[:, _ranges(p.head[fid], span)]
+    p.walked[u_row] = p.walked[v_row] = p.dropped[drop] = p.n_cand
+    return np.where(walked <= by, walked + p.n_points, at)[(dropped > by) & (alive == 1)]
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -224,7 +359,9 @@ class _Repair:
     ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
     facet, each facet's rows together and in loop order, though the
     facets need not be in id order. The repair changes loops only through
-    this object, which gathers the rows of each facet it changes again.
+    this object, which gathers the rows of each facet it changes again. A
+    collapse pass changes its own copy of the pass-start rows (`_Pass`)
+    and writes the loops it changed, and their rows, once at its end.
 
     ``pending`` holds two flat lists, vertices and facets, with one entry
     in each for a vertex moved since the last guard projection and a facet
@@ -284,92 +421,114 @@ class _Repair:
         if not len(cand):
             return 0
         cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
-        # vertex -> live facets, for the candidates' endpoints only, from
-        # their rows alone
-        P = len(cs.points)
-        endpoints = np.unique(np.concatenate([edges.u[cand], edges.v[cand]]))
-        is_end = np.zeros(P, dtype=bool)
-        is_end[endpoints] = True
-        sel = np.flatnonzero(is_end[edges.vertex])
-        by_vertex = sel[np.argsort(edges.vertex[sel], kind="stable")]
-        rows = edges.vertex[by_vertex]
-        lo = np.searchsorted(rows, endpoints, side="left").tolist()
-        hi = np.searchsorted(rows, endpoints, side="right").tolist()
-        fids = edges.fid[by_vertex].tolist()
-        incidence = {w: fids[a:b] for w, a, b in zip(endpoints.tolist(), lo, hi)}
-        # a candidate is tried only while neither end has moved in this
-        # pass, so its midpoint is that of the pass-start positions
-        mids = 0.5 * (cs.points[edges.u[cand]] + cs.points[edges.v[cand]])
-        us, vs = edges.u[cand].tolist(), edges.v[cand].tolist()
-        lengths, tols = edges.length[cand].tolist(), tol[cand].tolist()
-        # the position table: the pass-start positions, then the midpoints
-        table = np.vstack([cs.points, mids])
-        moved = {}    # end of an applied collapse -> its midpoint row
-        checked = {}  # loop state -> does it break
-        changed = set()  # facets whose loops the applied collapses rewrote
+        p = _Pass(edges, cand, tol, cs.points, len(self.deleted))
+        busy = set()  # the ends of the applied collapses, and of the walk
         n_done = 0
         start, width = 0, len(cand)
         while start < len(cand):
             end = min(len(cand), start + width)
-            walked, states, makers, fail = _walk(cs, us, vs, start, end, moved, incidence,
-                                                 checked)
-            if states:
-                broken = self._check(states, table)
-                checked.update(zip(states, broken.tolist()))
+            w = _walk(p, start, end, busy)
+            # the loop states: one per touched facet left with 3 or more
+            # vertices, for the collapses before the walk's stop; one whose
+            # verdict the pass keeps is not checked again
+            state = (w.touched & (w.length >= 3) & (w.cand < w.stop)).nonzero()[0]
+            pair, maker, key = w.pair[state], w.cand[state], w.key[state]
+            known = p.kept[pair] == key
+            known_broken = maker[known & p.kept_broken[pair]]
+            fail = min(w.stop, int(known_broken.min())) if len(known_broken) else w.stop
+            fresh = (~known & (maker < fail)).nonzero()[0]
+            if len(fresh):
+                state = state[fresh]
+                broken = self._check(w.fid[state], w.length[state], _state_rows(p, w, state),
+                                     p.table)
                 if broken.any():
-                    fail = min(fail, makers[int(np.argmax(broken))])
-            for i, touched, new in walked:
-                if i >= fail:
-                    break
-                u, v = us[i], vs[i]
-                cs.points[u] = mids[i]
-                for fid, loop in zip(touched, new):
-                    cs.loops[fid] = loop
-                    if len(loop) < 3:
-                        self.deleted[fid] = True
-                changed.update(touched)
-                moved[u] = moved[v] = P + i
-                n_done += 1
-                self.recheck((u,), touched)
-                self.oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
-                                   "length": lengths[i], "tolerance": tols[i], "facets": touched})
+                    fail = min(fail, int(maker[fresh[broken]].min()))
+                # keep the verdicts a walk resumed after the skip may meet again
+                later = maker[fresh] > fail
+                p.kept[pair[fresh[later]]] = np.maximum(key[fresh[later]], -1)
+                p.kept_broken[pair[fresh[later]]] = broken[later]
+            n_done += self._apply(p, w, fail, busy, pass_no)
             if fail < end:
-                edge = (us[fail], vs[fail])
+                edge = (p.us[fail], p.vs[fail])
                 if edge not in self.skipped:   # logged once, tried in every pass
                     self.skipped.add(edge)
                     self.oplog.append({"op": "collapse_skipped", "pass": pass_no,
-                                       "edge": list(edge), "length": lengths[fail]})
+                                       "edge": list(edge), "length": p.lengths[fail]})
                     log.debug("skipped collapse of edge (%d, %d): would invalidate a loop",
                               *edge)
                 # where skips are dense, speculate over fewer candidates
                 start, width = fail + 1, 2 * (fail - start) + 16
             else:
                 start, width = end, 2 * width
-        if changed:
-            changed = sorted(changed)
-            self._replace_rows(changed, _loop_rows(
-                cs.loops, [fid for fid in changed if not self.deleted[fid]]))
+        self._write_loops(p, edges.fid)
         return n_done
 
-    def _check(self, states, table) -> np.ndarray:
-        """Per (facet, rows) loop state: does it `_breaks`? ``table`` holds
-        the positions the rows index.
+    def _apply(self, p: _Pass, w: _Walk, fail: int, busy: set, pass_no: int) -> int:
+        """Apply the collapses of walk ``w`` before candidate ``fail`` to
+        ``p``, the points and the oplog, and free the ends of the others in
+        ``busy``. Returns the number applied."""
+        n = bisect_left(w.walk, fail)
+        for i in w.walk[n:]:
+            busy.discard(p.us[i])
+            busy.discard(p.vs[i])
+        if not n:
+            return 0
+        done = w.touched & (w.cand < fail)
+        self.deleted[w.fid[done & (w.length < 3)]] = True
+        fid, cand, adjacent, _, u_row, v_row, drop, bit = p.pairs[:, np.sort(w.pair[done])]
+        p.alive[drop] = 0
+        p.at[u_row] = p.at[v_row] = cand + p.n_points
+        p.vertex[v_row] = p.u[cand]
+        np.subtract.at(p.length, fid, adjacent)
+        np.add.at(p.applied, fid, bit)
+        p.changed[fid] = True
 
-        The states are checked in groups of one padded size, the next power
-        of two of their loop size: a loop is padded by repeating its last
-        vertex, which adds zero area terms and zero-length edges that cross
-        nothing, so the test gives what it gives on the loop itself.
+        applied = w.walk[:n]
+        self.cs.points[p.u[applied]] = p.mids[applied]
+        fids = fid.tolist()   # candidate, then facet order
+        a = 0
+        for i, b in zip(applied, cand.searchsorted(applied, side="right").tolist()):
+            self.oplog.append({"op": "collapse", "pass": pass_no, "edge": [p.us[i], p.vs[i]],
+                               "length": p.lengths[i], "tolerance": p.tols[i],
+                               "facets": fids[a:b]})
+            a = b
+        if self.pending is not None:
+            self.pending[0].extend(p.u[cand].tolist())
+            self.pending[1].extend(fids)
+        return n
+
+    def _write_loops(self, p: _Pass, row_fid) -> None:
+        """Write the loops of the facets a pass changed, from its rows, and
+        gather their loop rows again."""
+        sel = np.flatnonzero((p.alive[:-1] == 1) & p.changed[row_fid])
+        sel = sel[row_fid[sel].argsort(kind="stable")]
+        fid, vertex = row_fid[sel], p.vertex[sel]
+        first = np.flatnonzero(np.diff(fid, prepend=-1))
+        hit, lens = fid[first], np.diff(first, append=len(fid))
+        flat = vertex.tolist()
+        for f, a, b in zip(hit.tolist(), first.tolist(), (first + lens).tolist()):
+            self.cs.loops[f] = flat[a:b]
+        live = ~self.deleted[hit]
+        self._replace_rows(hit, _rows(hit[live], lens[live], vertex[live.repeat(lens)]))
+
+    def _check(self, fid, size, rows, table) -> np.ndarray:
+        """Per loop state, given as its facet and its size, with the rows of
+        all of them in the position table ``table`` flat: does it
+        `_breaks`?
+
+        The states are checked in groups of one padded size, the least
+        2**k or 3 * 2**k at or above their loop size: a loop is padded by
+        repeating its last vertex, which adds zero area terms and zero-length
+        edges that cross nothing, so the test gives what it gives on the
+        loop itself.
         """
         plane, e1, e2 = self.cs.plane_point, self.cs.e1, self.cs.e2
-        fid = np.array([f for f, _ in states], dtype=np.int64)
-        size = np.array([len(r) for _, r in states], dtype=np.int64)
-        rows = np.fromiter(chain.from_iterable(r for _, r in states), dtype=np.int64,
-                           count=int(size.sum()))
-        first = np.cumsum(size) - size
-        padded = 1 << np.frexp(size - 1)[1]   # the power of two >= size
+        first = size.cumsum() - size
+        three = 3 << (np.frexp(size - 1)[1] - 2)   # 3 * 2**k with 2**(k+2) >= size > 2**(k+1)
+        padded = np.where(size <= three, three, 4 * three // 3)
         broken = np.zeros(len(size), dtype=bool)
-        for m in np.unique(padded).tolist():
-            sel = np.flatnonzero(padded == m)
+        for m in np.bincount(padded).nonzero()[0].tolist():
+            sel = (padded == m).nonzero()[0]
             f = fid[sel]
             at = first[sel, None] + np.minimum(np.arange(m), size[sel, None] - 1)
             rel = table[rows[at]] - plane[f][:, None, :]

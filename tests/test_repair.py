@@ -27,7 +27,6 @@ from voidhex.repair import (
     _edge_table,
     _facet_zone,
     _loop_rows,
-    _squeeze,
     boundary_zone,
     collapse_edges,
     edge_lengths,
@@ -160,6 +159,18 @@ class TestToleranceSchedule:
         assert np.array_equal(cs.points[0], 0.5 * (np.array(pts[0]) + np.array(pts[1])))
         assert np.array_equal(cs.points[2], 0.5 * (np.array(pts[2]) + np.array(pts[3])))
         assert np.array_equal(cs.points[3], np.array(pts[3]))
+
+
+def _squeeze(loop):
+    """Drop consecutive duplicates, circularly: the loop a collapse leaves
+    once v is renamed u in it. Reference code for the collapse pass."""
+    out = []
+    for v in loop:
+        if not out or out[-1] != v:
+            out.append(v)
+    while len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
 
 
 def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
