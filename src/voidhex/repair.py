@@ -517,15 +517,19 @@ class _Repair:
         `_breaks`?
 
         The states are checked in groups of one padded size, the least
-        2**k or 3 * 2**k at or above their loop size: a loop is padded by
-        repeating its last vertex, which adds zero area terms and zero-length
-        edges that cross nothing, so the test gives what it gives on the
-        loop itself.
+        2**k or 3 * 2**k at or above their loop size; a 3 * 2**k group of
+        fewer than 32 states, which would cost more in calls than its
+        padding saves, joins the 2**(k+2) one. A loop is padded by repeating
+        its last vertex, which adds zero area terms and zero-length edges
+        that cross nothing, so the test gives what it gives on the loop
+        itself.
         """
         plane, e1, e2 = self.cs.plane_point, self.cs.e1, self.cs.e2
         first = size.cumsum() - size
         three = 3 << (np.frexp(size - 1)[1] - 2)   # 3 * 2**k with 2**(k+2) >= size > 2**(k+1)
         padded = np.where(size <= three, three, 4 * three // 3)
+        few = (padded == three) & (np.bincount(padded)[padded] < 32)
+        padded[few] = 4 * three[few] // 3
         broken = np.zeros(len(size), dtype=bool)
         for m in np.bincount(padded).nonzero()[0].tolist():
             sel = (padded == m).nonzero()[0]
