@@ -376,6 +376,25 @@ class TestCollapseProperty:
         ref = _collapse_outcome(reference_collapse_edges, copy.deepcopy(cs), cfg)
         assert _collapse_outcome(collapse_edges, cs, cfg) == ref
 
+    def test_matches_reference_with_a_wide_facet(self):
+        """test_self_intersection's pentagon, whose skip makes the walk
+        resume, next to a 72-gon with edges of about 0.2: all 72 are
+        candidates of the same pass, more than a facet's loop states can be
+        keyed by, so the resumed walk checks the 72-gon's states again."""
+        t = np.arange(72) * 2 * np.pi / 72
+        r = 2.29 * (1 + np.random.default_rng(0).uniform(-0.02, 0.02, 72))
+        pts = [(2.0, 0.0, 0.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.05), (2.0, -2.0, 0.05),
+               (2.0, -2.0, -1.0), (2.0, 0.0, 0.2), (2.5, 0.0, 0.1)]
+        pts += [(-2.0, y, z) for y, z in zip(r * np.cos(t), r * np.sin(t))]
+        cs = make_synthetic(np.array(pts), [[0, 1, 2, 3, 4], [0, 5, 6], list(range(7, 79))])
+        cfg = RepairConfig()
+        ref = _collapse_outcome(reference_collapse_edges, copy.deepcopy(cs), cfg)
+        got = _collapse_outcome(collapse_edges, cs, cfg)
+        assert got == ref
+        ops = pass_records(got[1], 7)
+        skip = ops.index(("collapse_skipped", [0, 5]))
+        assert skip > 0 and ops[skip + 1][0] == "collapse" and min(ops[skip + 1][1]) >= 7
+
     def test_matches_reference_on_the_cylinder_mesh_bed(self):
         """The cells of the cylinder_mesh bed, jittered by 0.05 R, at
         tolerances 0.5 R: hundreds of candidates per pass, with skips, so
