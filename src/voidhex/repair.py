@@ -163,7 +163,7 @@ def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
     is_end = np.zeros(n_points, dtype=bool)
     is_end[ends] = True
     sel = np.flatnonzero(is_end[edges.vertex])
-    sel = sel[edges.vertex[sel].argsort(kind="stable")]
+    sel = sel[edges.vertex[sel].argsort()]
     per_vertex = np.bincount(edges.vertex[sel], minlength=n_points)
     n = per_vertex[ends]
     row = sel[_ranges(per_vertex.cumsum()[ends] - n, n)]
@@ -189,7 +189,7 @@ def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
     last[:N - 1] = edges.fid[1:] != edges.fid[:-1]
     r = np.where(at[0], ends[0], ends[1])
     drop[:] = np.where(adjacent == 0, N, np.where(last[r], r, r + 1))
-    by_facet = fid.argsort(kind="stable")
+    by_facet = fid.argsort()
     per_facet = np.bincount(fid, minlength=n_facets)
     rank = np.empty_like(by_facet)
     rank[by_facet] = np.arange(len(fid)) - (per_facet.cumsum() - per_facet)[fid[by_facet]]
