@@ -307,7 +307,8 @@ def _walk(p: _Pass, lo: int, hi: int, busy: set) -> _Walk:
     pair = pair[p.pairs[0, pair].argsort(kind="stable")]
     fid, cand, adjacent, pinch, _, _, _, bit = p.pairs[:, pair]
     # per pair, the first pair of its facet, and the rows the facet lost
-    # and the bits it gained in the walk, up to and with the pair
+    # and the bits it gained in the walk, up to and with the pair (the
+    # int64 running sums may wrap; each facet's own sum is under 2**62)
     head = np.arange(len(fid))
     head[1:] *= fid[1:] != fid[:-1]
     head = np.maximum.accumulate(head)
@@ -443,7 +444,9 @@ class _Repair:
                                      p.table)
                 if broken.any():
                     fail = min(fail, int(maker[fresh[broken]].min()))
-                # keep the verdicts a walk resumed after the skip may meet again
+                # keep the verdicts a walk resumed after the skip may meet
+                # again; the keys of a facet too wide to key are kept as -1,
+                # which no key matches
                 later = maker[fresh] > fail
                 p.kept[pair[fresh[later]]] = np.maximum(key[fresh[later]], -1)
                 p.kept_broken[pair[fresh[later]]] = broken[later]
@@ -460,7 +463,8 @@ class _Repair:
                 start, width = fail + 1, 2 * (fail - start) + 16
             else:
                 start, width = end, 2 * width
-        self._write_loops(p, edges.fid)
+        if n_done:
+            self._write_loops(p, edges.fid)
         return n_done
 
     def _apply(self, p: _Pass, w: _Walk, fail: int, busy: set, pass_no: int) -> int:
@@ -526,10 +530,12 @@ class _Repair:
         """
         plane, e1, e2 = self.cs.plane_point, self.cs.e1, self.cs.e2
         first = size.cumsum() - size
-        three = 3 << (np.frexp(size - 1)[1] - 2)   # 3 * 2**k with 2**(k+2) >= size > 2**(k+1)
-        padded = np.where(size <= three, three, 4 * three // 3)
+        # per state, 3 * 2**k and 2**(k+2), where 2**(k+2) >= size > 2**(k+1)
+        three = 3 << (np.frexp(size - 1)[1] - 2)
+        power = 4 * three // 3
+        padded = np.where(size <= three, three, power)
         few = (padded == three) & (np.bincount(padded)[padded] < 32)
-        padded[few] = 4 * three[few] // 3
+        padded[few] = power[few]
         broken = np.zeros(len(size), dtype=bool)
         for m in np.bincount(padded).nonzero()[0].tolist():
             sel = (padded == m).nonzero()[0]
