@@ -3,6 +3,11 @@
 Loads sphere centers, fits/verifies the container, detects the nominal
 center separation from the Delaunay pair-distance profile, rescales the
 bed to unit nominal radius, and computes void-fraction statistics.
+
+Each container shape lists its walls once, as `Wall` rows. The wall
+clearance and the inside test here, the ghost reflections in `voronoi` and
+the boundary-facet classification in `hexgen` all loop over that list, so
+no other module needs to know which shape a container is.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -21,14 +28,59 @@ log = logging.getLogger(__name__)
 _DUP_TOL = 1e-12
 _WALL_EPS = 1e-6
 SEPARATION_RANK = 2.5  # Delta* is the pair distance at rank round(SEPARATION_RANK * N)
+_FIT_P = 100.0  # the p of the p-norm that the cylinder fit minimizes
 
 
 # ---------------------------------------------------------------------------
 # Domain shapes
 # ---------------------------------------------------------------------------
 
+RADIAL = "radial"  # the axis of a curved wall: a cylinder about the container axis
+
+
+class Wall(NamedTuple):
+    """One wall of a container.
+
+    A plane wall is ``x[axis] = value`` for axis 0, 1 or 2; a RADIAL wall
+    is the cylinder of radius ``value`` about the container's z axis.
+    ``sign`` is +1 where the outward normal points along +axis (away from
+    the container axis) and -1 where it points the other way. ``kind``
+    names the ghosts reflected across the wall.
+    """
+
+    axis: int | str
+    value: float
+    sign: int
+    kind: str
+
+
+class _Walled:
+    """What every container shape derives from its ``walls``: the distance
+    to each wall, the clearance and the inside test. A shape lists its
+    walls once, as a tuple computed on first use. Its plane walls come
+    first, since a facet is tested against them more cheaply; ghost
+    generation takes the radial walls and then the planes, each in the
+    order listed."""
+
+    def wall_distance(self, wall: Wall, pts: np.ndarray) -> np.ndarray:
+        """Distance of each point to one wall; positive inside."""
+        if wall.axis == RADIAL:
+            x = np.hypot(pts[:, 0] - self.center_xy[0], pts[:, 1] - self.center_xy[1])
+        else:
+            x = pts[:, wall.axis]
+        return wall.value - x if wall.sign > 0 else x - wall.value
+
+    def wall_clearance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the nearest wall; positive inside."""
+        pts = np.atleast_2d(pts)
+        return np.minimum.reduce([self.wall_distance(w, pts) for w in self.walls])
+
+    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return self.wall_clearance(pts) >= -tol
+
+
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Walled):
     """Cylindrical container, axis along z, occupying z in [0, H]."""
 
     center_xy: tuple[float, float]
@@ -39,17 +91,13 @@ class Cylinder:
         if not (self.R_c > 0 and self.H > 0):
             raise ValidationError(f"cylinder needs R_c > 0 and H > 0, got {self}")
 
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        return (Wall(2, 0.0, -1, "z_bottom"), Wall(2, self.H, 1, "z_top"),
+                Wall(RADIAL, self.R_c, 1, "radial_outer"))
+
     def volume(self) -> float:
         return math.pi * self.R_c**2 * self.H
-
-    def wall_clearance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the nearest wall; positive inside."""
-        pts = np.atleast_2d(pts)
-        rho = np.hypot(pts[:, 0] - self.center_xy[0], pts[:, 1] - self.center_xy[1])
-        return np.minimum.reduce([self.R_c - rho, pts[:, 2], self.H - pts[:, 2]])
-
-    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return self.wall_clearance(pts) >= -tol
 
     def scaled(self, k: float) -> "Cylinder":
         cx, cy = self.center_xy
@@ -66,7 +114,7 @@ class Cylinder:
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Walled):
     """Axis-aligned box container."""
 
     lo: tuple[float, float, float]
@@ -76,17 +124,14 @@ class Box:
         if not all(h > l for l, h in zip(self.lo, self.hi)):
             raise ValidationError(f"box needs hi > lo componentwise, got {self}")
 
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        return tuple(w for axis, name in enumerate("xyz")
+                     for w in (Wall(axis, self.lo[axis], -1, f"box_{name}_lo"),
+                               Wall(axis, self.hi[axis], 1, f"box_{name}_hi")))
+
     def volume(self) -> float:
         return math.prod(h - l for l, h in zip(self.lo, self.hi))
-
-    def wall_clearance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.minimum((pts - lo).min(axis=1), (hi - pts).min(axis=1))
-
-    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return self.wall_clearance(pts) >= -tol
 
     def scaled(self, k: float) -> "Box":
         return Box(tuple(v * k for v in self.lo), tuple(v * k for v in self.hi))
@@ -98,7 +143,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Walled):
     """Annular container: cylindrical shell between R_i and R_o, z in [0, H]."""
 
     center_xy: tuple[float, float]
@@ -110,18 +155,14 @@ class Annulus:
         if not (self.R_o > self.R_i > 0 and self.H > 0):
             raise ValidationError(f"annulus needs R_o > R_i > 0 and H > 0, got {self}")
 
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        return (Wall(2, 0.0, -1, "z_bottom"), Wall(2, self.H, 1, "z_top"),
+                Wall(RADIAL, self.R_o, 1, "radial_outer"),
+                Wall(RADIAL, self.R_i, -1, "radial_inner"))
+
     def volume(self) -> float:
         return math.pi * (self.R_o**2 - self.R_i**2) * self.H
-
-    def wall_clearance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        rho = np.hypot(pts[:, 0] - self.center_xy[0], pts[:, 1] - self.center_xy[1])
-        return np.minimum.reduce(
-            [self.R_o - rho, rho - self.R_i, pts[:, 2], self.H - pts[:, 2]]
-        )
-
-    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return self.wall_clearance(pts) >= -tol
 
     def scaled(self, k: float) -> "Annulus":
         cx, cy = self.center_xy
@@ -236,14 +277,14 @@ def _pnorm(r: np.ndarray, p: float) -> float:
     return m * float(np.sum((r / m) ** p)) ** (1.0 / p)
 
 
-def fit_cylinder(bed: SphereBed, p: float = 100.0) -> Cylinder:
+def fit_cylinder(bed: SphereBed) -> Cylinder:
     """Fit the container cylinder to the sphere centers.
 
-    The axis location minimizes the p-norm of the radial center distances
-    (a large p approximates the minimax center). A second pass refits with
-    only the centers within 2R of the first wall estimate. The wall radius
-    is the largest pass-2 radial distance plus R, and the height spans the
-    z extent of the centers extended by R each way.
+    The axis location minimizes the p-norm (p = _FIT_P) of the radial
+    center distances (a large p approximates the minimax center). A second
+    pass refits with only the centers within 2R of the first wall estimate.
+    The wall radius is the largest pass-2 radial distance plus R, and the
+    height spans the z extent of the centers extended by R each way.
     """
     # imported here, where it is used: scipy.optimize takes longer to import
     # than the rest of the package, and only the cylinder fit needs it
@@ -251,8 +292,6 @@ def fit_cylinder(bed: SphereBed, p: float = 100.0) -> Cylinder:
 
     if bed.n_spheres < 3:
         raise ValidationError("cylinder fit needs at least 3 centers")
-    if p < 2:
-        raise ValidationError("cylinder fit needs p >= 2")
     xy = bed.centers[:, :2]
     spread = xy - xy.mean(axis=0)
     # collinear center clouds have no well-posed axis
@@ -262,7 +301,7 @@ def fit_cylinder(bed: SphereBed, p: float = 100.0) -> Cylinder:
 
     def solve(points):
         def obj(c):
-            return _pnorm(np.hypot(points[:, 0] - c[0], points[:, 1] - c[1]), p)
+            return _pnorm(np.hypot(points[:, 0] - c[0], points[:, 1] - c[1]), _FIT_P)
 
         lo = points.min(axis=0)
         hi = points.max(axis=0)
@@ -282,9 +321,7 @@ def fit_cylinder(bed: SphereBed, p: float = 100.0) -> Cylinder:
             options={"xatol": 1e-10 * span, "fatol": 1e-12 * max(best_val, 1e-30), "maxiter": 2000},
         )
         if not np.isfinite(res.fun):
-            err = GeometryError("cylinder-axis optimization failed to converge")
-            err.best_iterate = res.x
-            raise err
+            raise GeometryError("cylinder-axis optimization failed to converge")
         return res.x
 
     c1 = solve(xy)
@@ -311,15 +348,15 @@ def fit_box(bed: SphereBed) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def fit_annulus(bed: SphereBed, p: float = 100.0) -> Annulus:
+def fit_annulus(bed: SphereBed) -> Annulus:
     """Annulus fit: cylinder-axis fit, then radial extremes offset by R."""
-    cyl = fit_cylinder(bed, p)
+    cyl = fit_cylinder(bed)
     rho = np.hypot(bed.centers[:, 0] - cyl.center_xy[0], bed.centers[:, 1] - cyl.center_xy[1])
     R = bed.radius_nominal
     return Annulus(cyl.center_xy, float(rho.min()) - R, float(rho.max()) + R, cyl.H)
 
 
-def delaunay_pairs(centers: np.ndarray, seed: int = 0) -> np.ndarray:
+def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     """Unique Delaunay-connected index pairs, (m, 2) with i < j.
 
     Degenerate site sets (QhullError) are retried once with a deterministic
@@ -335,7 +372,7 @@ def delaunay_pairs(centers: np.ndarray, seed: int = 0) -> np.ndarray:
     try:
         tri = Delaunay(centers)
     except QhullError:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         jittered = centers + rng.normal(scale=1e-9, size=centers.shape)
         tri = Delaunay(jittered)
     s = tri.simplices
@@ -345,14 +382,14 @@ def delaunay_pairs(centers: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.column_stack([code // n, code % n])
 
 
-def separation_profile(bed: SphereBed, seed: int = 0) -> SeparationProfile:
+def separation_profile(bed: SphereBed) -> SeparationProfile:
     """Sorted Delaunay pair-distance list and the nominal separation Delta*.
 
     Delta* is the entry at (1-based) rank round(SEPARATION_RANK * N);
     packed beds plateau there, so the pick is robust against a few tight
     pairs.
     """
-    pairs = delaunay_pairs(bed.centers, seed=seed)
+    pairs = delaunay_pairs(bed.centers)
     d = np.linalg.norm(bed.centers[pairs[:, 0]] - bed.centers[pairs[:, 1]], axis=1)
     d.sort()
     rank = int(math.floor(SEPARATION_RANK * bed.n_spheres + 0.5))

@@ -56,8 +56,7 @@ def solid_fraction_bed(n: int = 100, fraction: float = 0.641) -> SphereBed:
     return attach_domain(bed, Box((0.0, 0.0, 0.0), (side, side, side)))
 
 
-def _relax(centers: np.ndarray, clamp, rng: np.random.Generator,
-           target: float = 2.0, iters: int = 600) -> np.ndarray:
+def _relax(centers: np.ndarray, clamp, target: float = 2.0, iters: int = 600) -> np.ndarray:
     """Push overlapping pairs apart (Jacobi sweeps) until near-contact."""
     pts = centers.copy()
     n = len(pts)
@@ -106,7 +105,7 @@ def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
     ang = 2 * np.pi * rng.random(n)
     z = 1.0 + (H - 2.0) * rng.random(n)
     pts = np.column_stack([rho * np.cos(ang), rho * np.sin(ang), z])
-    pts = _relax(pts, clamp, rng)
+    pts = _relax(pts, clamp)
     bed = SphereBed(centers=pts, source_label=f"randcyl{n}")
     return attach_domain(bed, Cylinder((0.0, 0.0), R_c, H))
 
@@ -129,7 +128,7 @@ def random_annulus_bed(n: int = 150, R_i: float = 2.5, R_o: float = 5.5,
     ang = 2 * np.pi * rng.random(n)
     z = 1.0 + (H - 2.0) * rng.random(n)
     pts = np.column_stack([rho * np.cos(ang), rho * np.sin(ang), z])
-    pts = _relax(pts, clamp, rng)
+    pts = _relax(pts, clamp)
     bed = SphereBed(centers=pts, source_label=f"randann{n}")
     return attach_domain(bed, Annulus((0.0, 0.0), R_i, R_o, H))
 

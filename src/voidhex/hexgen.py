@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bed import Annulus, Box, Cylinder
+from .bed import RADIAL
 from .errors import GeometryError, TopologyError, ValidationError
 from .geometry import first_seen, norms
 from .tessellate import FacetQuadMesh
@@ -121,42 +121,30 @@ def surface_tag(desc) -> str:
 
 
 def classify_boundary_facet(p: np.ndarray, n: np.ndarray, domain, R: float):
-    """The surface descriptor of a ghost-tagged facet, from its actual
-    plane: the plane point ``p`` and the unit normal ``n``.
+    """The surface descriptor of a boundary facet (one whose site_b is a
+    ghost), from its actual plane: the plane point ``p`` and the unit
+    normal ``n``.
 
-    Curved-wall reflections give tangent planes; z reflections give exact
-    z planes; chained corner reflections give slanted chamfer planes that
-    stay planar, described by the facet plane itself.
+    The facet lies on the first wall of ``domain.walls`` that it touches:
+    a radial wall when ``n`` is the wall's sign times the radial direction
+    at ``p`` and ``p`` is on that cylinder (a tangent plane of it); a plane
+    wall when ``n`` is along its axis and ``p`` is on that plane. Any other
+    facet, such as one against a neighbour's ghost or a chamfer from
+    chained corner reflections, touches no wall and is described by the
+    facet plane itself.
     """
     tol = 1e-6 * R
-    if isinstance(domain, (Cylinder, Annulus)):
-        cx, cy = domain.center_xy
-        if abs(abs(n[2]) - 1.0) < 1e-9:
-            if abs(p[2]) < tol:
-                return ("plane", 2, 0.0, -1)
-            if abs(p[2] - domain.H) < tol:
-                return ("plane", 2, domain.H, 1)
-        rad = np.hypot(p[0] - cx, p[1] - cy)
-        radial = np.array([(p[0] - cx) / max(rad, 1e-300), (p[1] - cy) / max(rad, 1e-300), 0.0])
-        align = float(n @ radial)
-        if isinstance(domain, Cylinder):
-            if abs(align - 1.0) < 1e-9 and abs(rad - domain.R_c) < tol:
-                return ("cylinder", cx, cy, domain.R_c, 1)
-        else:
-            if abs(align - 1.0) < 1e-9 and abs(rad - domain.R_o) < tol:
-                return ("cylinder", cx, cy, domain.R_o, 1)
-            if abs(align + 1.0) < 1e-9 and abs(rad - domain.R_i) < tol:
-                return ("cylinder", cx, cy, domain.R_i, -1)
-    elif isinstance(domain, Box):
-        lo = domain.lo
-        hi = domain.hi
-        for axis in range(3):
-            if abs(abs(n[axis]) - 1.0) < 1e-9:
-                if abs(p[axis] - lo[axis]) < tol:
-                    return ("plane", axis, lo[axis], -1)
-                if abs(p[axis] - hi[axis]) < tol:
-                    return ("plane", axis, hi[axis], 1)
-    # chained (corner) reflection: keep the facet plane
+    px, nx = p.tolist(), n.tolist()  # Python floats: the same arithmetic, without numpy scalars
+    for axis, value, sign, _ in domain.walls:
+        if axis == RADIAL:
+            cx, cy = domain.center_xy
+            rad = np.hypot(px[0] - cx, px[1] - cy)
+            radial = np.array([(px[0] - cx) / max(rad, 1e-300), (px[1] - cy) / max(rad, 1e-300), 0.0])
+            if abs(float(n @ radial) - sign) < 1e-9 and abs(rad - value) < tol:
+                return ("cylinder", cx, cy, value, sign)
+        elif abs(abs(nx[axis]) - 1.0) < 1e-9 and abs(px[axis] - value) < tol:
+            return ("plane", axis, value, sign)
+    # on no wall: keep the facet plane
     return ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
 
 

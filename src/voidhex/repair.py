@@ -60,12 +60,13 @@ from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
 
+COLLAPSE_PASSES = 10  # scheduled collapse passes; cleanup passes follow
+
 
 @dataclass
 class RepairConfig:
     tol_inf: float = 0.35       # interior collapse tolerance, units of R
     tol_boundary: float = 0.25  # collapse tolerance within 2R of the boundary
-    passes: int = 10
     max_edge: float = 0.8       # vertex-insertion threshold, units of R
     guard_radius: ClassVar[float] = GUARD_RADIUS  # fixed, shared with tessellation
 
@@ -74,8 +75,6 @@ class RepairConfig:
             raise ValueError("need 0 < tol_inf < max_edge")
         if not (0 < self.tol_boundary < self.max_edge):
             raise ValueError("need 0 < tol_boundary < max_edge")
-        if self.passes < 1:
-            raise ValueError("need passes >= 1")
 
     def pass_tolerance(self, k: int) -> float:
         """Tolerance ramp factor for pass k (fraction of the final tol)."""
@@ -380,15 +379,6 @@ class _Repair:
         self.skipped: set = set()
         self.pending: tuple[list, list] | None = None
 
-    def recheck(self, vertices, fids) -> None:
-        """Each of ``vertices`` moved, and each of ``fids`` holds it: the
-        next guard projection checks them."""
-        if self.pending is not None:
-            pv, pf = self.pending
-            for v in vertices:
-                pv += [v] * len(fids)
-                pf += fids
-
     def _replace_rows(self, fids, new_rows) -> None:
         """Drop the loop rows of the facets ``fids`` and append ``new_rows``."""
         hit = np.zeros(len(self.deleted), dtype=bool)
@@ -403,14 +393,14 @@ class _Repair:
         extra = 0
         while True:
             k += 1
-            if k > cfg.passes:
+            if k > COLLAPSE_PASSES:
                 extra += 1
                 if extra > 40:
                     log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
                     break
             factor = cfg.pass_tolerance(min(k, 9))
             changed = self.collapse_pass(facet_zone, factor, k)
-            if k >= cfg.passes and not changed:
+            if k >= COLLAPSE_PASSES and not changed:
                 break
             self.guard_projection()
 

@@ -92,14 +92,14 @@ class FacetQuadMesh:
         return cell[order], facet[order], quads[order]
 
 
-def group_edges(uv, threshold: float = ANGLE_THRESHOLD) -> list:
+def group_edges(uv) -> list:
     """Partition boundary vertex indices into runs of near-straight vertices.
 
-    Maximal circular runs of vertices whose interior angle exceeds the
-    threshold form one group each; every other vertex is its own group.
-    The partition is returned in boundary order.
+    Maximal circular runs of vertices whose interior angle exceeds
+    ANGLE_THRESHOLD form one group each; every other vertex is its own
+    group. The partition is returned in boundary order.
     """
-    flagged = [a > threshold for a in interior_angles(uv)]
+    flagged = [a > ANGLE_THRESHOLD for a in interior_angles(uv)]
     n = len(flagged)
     if all(flagged):
         return [list(range(n))]

@@ -3,7 +3,10 @@
 Centers near the container boundary are reflected outside it so every real
 cell comes out bounded; the reflected sites are called ghost spheres. The
 diagram itself is delegated to Qhull (scipy), after which facet loops are
-assembled, deduplicated, ordered, and tagged per real sphere.
+assembled, deduplicated, ordered and listed per real sphere. A facet lies
+on the container boundary when its site_b is a ghost (``site_b >= n_real``);
+the cell set stores no tag for it, and `hexgen` names its surface from the
+facet plane.
 
 A `VoronoiCellSet` holds its facets as one table: its facet columns have
 one row per facet id. A facet is stored once and shared by its two cells.
@@ -28,7 +31,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import QhullError, Voronoi, cKDTree
 
-from .bed import Annulus, Box, Cylinder, SphereBed
+from .bed import RADIAL, SphereBed
 from .errors import GeometryError, ValidationError
 from .geometry import norms, plane_basis, polygon_areas
 
@@ -37,21 +40,6 @@ log = logging.getLogger(__name__)
 VERTEX_DEDUP_TOL = 1e-10
 PLANARITY_TOL = 1e-9
 VALIDATE_BLOCK = 64  # cells per array pass of _validate_cells
-
-# boundary kind carried on facets whose opposite site is a ghost
-KIND_TO_TAG = {
-    "radial_outer": "wall",
-    "radial_inner": "inner_wall",
-    "z_bottom": "inlet",
-    "z_top": "outlet",
-    "box_x_lo": "wall",
-    "box_x_hi": "wall",
-    "box_y_lo": "wall",
-    "box_y_hi": "wall",
-    "box_z_lo": "inlet",
-    "box_z_hi": "outlet",
-}
-
 
 @dataclass(frozen=True)
 class GhostSet:
@@ -72,7 +60,6 @@ class FacetRecord(NamedTuple):
     site_b: int
     plane_point: np.ndarray
     plane_normal: np.ndarray
-    boundary: str | None
     deleted: bool
     e1: np.ndarray
     e2: np.ndarray
@@ -92,8 +79,8 @@ class FacetView(Sequence):
         cs = self._cs
         loop = cs.loops[fid]
         return FacetRecord(list(loop), int(cs.site_a[fid]), int(cs.site_b[fid]),
-                           cs.plane_point[fid], cs.plane_normal[fid], cs.boundary[fid],
-                           len(loop) < 3, cs.e1[fid], cs.e2[fid])
+                           cs.plane_point[fid], cs.plane_normal[fid], len(loop) < 3,
+                           cs.e1[fid], cs.e2[fid])
 
 
 @dataclass
@@ -106,7 +93,6 @@ class VoronoiCellSet:
     plane_normal: np.ndarray     # (F, 3) unit normals, site_a -> site_b
     e1: np.ndarray               # (F, 3) in-plane bases, e1 x e2 = plane_normal
     e2: np.ndarray               # (F, 3)
-    boundary: list               # per facet: its boundary tag, or None
     cells: list                  # facet ids per real sphere
     sites: np.ndarray            # real centers then ghosts
     n_real: int
@@ -128,12 +114,11 @@ class VoronoiCellSet:
         return self.plane_normal[fid] if self.site_a[fid] == i else -self.plane_normal[fid]
 
 
-def _reflect_radial(center_xy, pts, wall_radius, outward: bool):
+def _reflect_radial(center_xy, pts, wall_radius):
     """Reflect points across a cylinder wall, preserving wall distance."""
     rel = pts[:, :2] - np.asarray(center_xy)
     rho = np.hypot(rel[:, 0], rel[:, 1])
-    delta = wall_radius - rho if outward else rho - wall_radius
-    new_rho = wall_radius + delta if outward else wall_radius - delta
+    new_rho = wall_radius + (wall_radius - rho)
     if np.any(new_rho <= 0):
         raise GeometryError("radial ghost would cross the container axis")
     scale = new_rho / np.maximum(rho, 1e-300)
@@ -146,66 +131,36 @@ def _reflect_radial(center_xy, pts, wall_radius, outward: bool):
 def generate_ghosts(bed: SphereBed) -> GhostSet:
     """Reflect boundary-adjacent centers outside the container.
 
-    Cylinder/annulus: radial reflection for every center within 2R of a
-    curved wall, then the augmented set (originals plus radial ghosts) is
-    reflected about z = 0 and z = H where within 2R. Box: one reflection
-    per face for centers within 2R of it.
+    First, for each radial wall of the container in turn, every center
+    within 2R of it is reflected across it. Then, for each plane wall in
+    turn, every point of the augmented set (the centers plus the radial
+    ghosts) within 2R of it is reflected across it; a box has no radial
+    walls, so its planes reflect the centers alone. A ghost's provenance is
+    its source center and the kind of the last wall it was reflected across.
     """
     if bed.domain is None:
         raise ValidationError("ghost generation needs a container")
     R = bed.radius_nominal
     dom = bed.domain
     centers = bed.centers
-    ghosts = []
+    ghosts = [np.empty((0, 3))]
     prov = []
+    radial = [w for w in dom.walls if w.axis == RADIAL]
+    planes = [w for w in dom.walls if w.axis != RADIAL]
+    for w in radial:
+        near = np.flatnonzero(dom.wall_distance(w, centers) < 2 * R)
+        ghosts.append(_reflect_radial(dom.center_xy, centers[near], w.value))
+        prov += [(s, w.kind) for s in near.tolist()]
+    aug = np.vstack([centers] + ghosts)
+    aug_src = np.array(list(range(len(centers))) + [s for s, _ in prov], dtype=np.int64)
+    for w in planes:
+        near = np.flatnonzero(dom.wall_distance(w, aug) < 2 * R)
+        refl = aug[near]
+        refl[:, w.axis] = 2 * w.value - refl[:, w.axis]
+        ghosts.append(refl)
+        prov += [(s, w.kind) for s in aug_src[near].tolist()]
 
-    def add(pts, sources, kind):
-        for p, s in zip(pts, sources):
-            ghosts.append(p)
-            prov.append((int(s), kind))
-
-    if isinstance(dom, (Cylinder, Annulus)):
-        rel = centers[:, :2] - np.asarray(dom.center_xy)
-        rho = np.hypot(rel[:, 0], rel[:, 1])
-        if isinstance(dom, Cylinder):
-            near = (dom.R_c - rho) < 2 * R
-            add(_reflect_radial(dom.center_xy, centers[near], dom.R_c, True),
-                np.flatnonzero(near), "radial_outer")
-        else:
-            near_o = (dom.R_o - rho) < 2 * R
-            add(_reflect_radial(dom.center_xy, centers[near_o], dom.R_o, True),
-                np.flatnonzero(near_o), "radial_outer")
-            near_i = (rho - dom.R_i) < 2 * R
-            add(_reflect_radial(dom.center_xy, centers[near_i], dom.R_i, False),
-                np.flatnonzero(near_i), "radial_inner")
-        aug = np.vstack([centers, np.asarray(ghosts).reshape(-1, 3)])
-        aug_src = list(range(len(centers))) + [s for s, _ in prov]
-        H = dom.H
-        lowz = aug[:, 2] < 2 * R
-        low = aug[lowz].copy()
-        low[:, 2] = -low[:, 2]
-        add(low, np.asarray(aug_src)[lowz], "z_bottom")
-        hiz = aug[:, 2] > H - 2 * R
-        hi = aug[hiz].copy()
-        hi[:, 2] = 2 * H - hi[:, 2]
-        add(hi, np.asarray(aug_src)[hiz], "z_top")
-    elif isinstance(dom, Box):
-        lo = np.asarray(dom.lo)
-        hi = np.asarray(dom.hi)
-        names = ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"]
-        for axis in range(3):
-            near = (centers[:, axis] - lo[axis]) < 2 * R
-            refl = centers[near].copy()
-            refl[:, axis] = 2 * lo[axis] - refl[:, axis]
-            add(refl, np.flatnonzero(near), f"box_{names[2 * axis]}")
-            near = (hi[axis] - centers[:, axis]) < 2 * R
-            refl = centers[near].copy()
-            refl[:, axis] = 2 * hi[axis] - refl[:, axis]
-            add(refl, np.flatnonzero(near), f"box_{names[2 * axis + 1]}")
-    else:  # pragma: no cover
-        raise ValidationError(f"unsupported domain {type(dom).__name__}")
-
-    gpts = np.asarray(ghosts, dtype=float).reshape(-1, 3)
+    gpts = np.vstack(ghosts)
     if len(gpts):
         inside = dom.contains(gpts, tol=-1e-12 * R)
         if inside.any():
@@ -259,7 +214,7 @@ def _kept_ridges(ridge_points: np.ndarray, ridge_vertices: list, remap: np.ndarr
     return a[kept], b[kept], counts[kept], ids[kept[ridge]]
 
 
-def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellSet:
+def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     """Assemble bounded Voronoi cells for the real spheres.
 
     The ridges are taken in array passes (`_kept_ridges`); their planes,
@@ -285,7 +240,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
         vor = Voronoi(sites)
     except QhullError:
         log.warning("degenerate site configuration; retrying with 1e-9 jitter")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         try:
             vor = Voronoi(sites + rng.normal(scale=1e-9 * R, size=sites.shape))
         except QhullError as exc:
@@ -325,14 +280,11 @@ def build_cells(bed: SphereBed, ghosts: GhostSet, seed: int = 0) -> VoronoiCellS
     fid = np.concatenate([np.arange(len(keep)), real_b])
     fid = fid[np.lexsort((fid, owner))]
     cells = [c.tolist() for c in np.split(fid, np.cumsum(np.bincount(owner, minlength=n))[:-1])]
-    tags = [KIND_TO_TAG[kind] for _, kind in ghosts.provenance]
     cs = VoronoiCellSet(points=verts,
                         loops=[loops[lo:hi] for lo, hi in zip(starts[keep].tolist(),
                                                               ends[keep].tolist())],
                         site_a=sa, site_b=sb, plane_point=plane_points[keep],
-                        plane_normal=normals[keep], e1=e1[keep], e2=e2[keep],
-                        boundary=[None if b < n else tags[b - n] for b in sb.tolist()],
-                        cells=cells, sites=sites, n_real=n, bed=bed)
+                        plane_normal=normals[keep], e1=e1[keep], e2=e2[keep], cells=cells, sites=sites, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 

@@ -291,6 +291,35 @@ class TestVoidFraction:
             void_fraction(bd, 1.0)
 
 
+coord = st.floats(-20.0, 20.0)
+size = st.floats(0.01, 20.0)
+
+
+@st.composite
+def domains(draw, shape):
+    if shape == "box":
+        lo = draw(st.tuples(coord, coord, coord))
+        return Box(lo, tuple(v + draw(size) for v in lo))
+    center = (draw(coord), draw(coord))
+    if shape == "cylinder":
+        return Cylinder(center, draw(size), draw(size))
+    r_i = draw(size)
+    return Annulus(center, r_i, r_i + draw(size), draw(size))
+
+
+def clearance_reference(dom, pts):
+    """The three former `wall_clearance` bodies, one per shape: the
+    reference for the one over the wall list."""
+    if isinstance(dom, Box):
+        lo = np.asarray(dom.lo)
+        hi = np.asarray(dom.hi)
+        return np.minimum((pts - lo).min(axis=1), (hi - pts).min(axis=1))
+    rho = np.hypot(pts[:, 0] - dom.center_xy[0], pts[:, 1] - dom.center_xy[1])
+    if isinstance(dom, Cylinder):
+        return np.minimum.reduce([dom.R_c - rho, pts[:, 2], dom.H - pts[:, 2]])
+    return np.minimum.reduce([dom.R_o - rho, rho - dom.R_i, pts[:, 2], dom.H - pts[:, 2]])
+
+
 class TestDomains:
     def test_volumes(self):
         assert Cylinder((0, 0), 2.0, 5.0).volume() == pytest.approx(math.pi * 4 * 5)
@@ -322,8 +351,18 @@ class TestDomains:
             pts = dom.sample(1000, rng)
             assert dom.contains(pts).all()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(["cylinder", "box", "annulus"]), st.data())
+    def test_clearance_matches_former_formulas(self, shape, data):
+        """The wall clearance taken over a shape's wall list is the former
+        per-shape formula, bit for bit."""
+        dom = data.draw(domains(shape))
+        pts = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                                          max_size=20)))
+        assert dom.wall_clearance(pts).tobytes() == clearance_reference(dom, pts).tobytes()
 
-def relax_reference(centers, clamp, rng, target=2.0, iters=600):
+
+def relax_reference(centers, clamp, target=2.0, iters=600):
     """fixtures._relax with its pairs as a sorted Python set of tuples and
     its pushes summed by np.add.at: the reference for the array form."""
     pts = centers.copy()

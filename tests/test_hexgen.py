@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_repair import ghost_tag
 
 from voidhex import fixtures
+from voidhex.bed import attach_domain, fit_annulus
 from voidhex.errors import TopologyError, ValidationError
 from voidhex.hexgen import (
     _FACES,
@@ -272,13 +274,33 @@ def test_surface_tag_matches_ghost_provenance(make):
     """Each container plane or cylinder a facet is classified onto names the
     same tag as the ghost that made the facet."""
     bed = make()
-    cs = build_cells(bed, generate_ghosts(bed))
+    ghosts = generate_ghosts(bed)
+    cs = build_cells(bed, ghosts)
     pairs = [(classify_boundary_facet(f.plane_point, f.plane_normal, bed.domain,
-                                      bed.radius_nominal), f.boundary)
-             for f in cs.facets if f.boundary is not None]
+                                      bed.radius_nominal), ghost_tag(cs, ghosts, f.site_b))
+             for f in cs.facets if f.site_b >= cs.n_real]
     on_surface = [(d, b) for d, b in pairs if d[0] in ("plane", "cylinder")]
     assert on_surface
     assert [surface_tag(d) for d, _ in on_surface] == [b for _, b in on_surface]
+
+
+def test_fit_annulus_inner_wall():
+    """The annulus fitted to the annulus bed keeps a full R of wall
+    clearance, its ghosts reflect across the inner wall, and the facet
+    between a center and its own inner-wall ghost lies on the inner
+    cylinder, tagged inner_wall."""
+    bed = fixtures.random_annulus_bed()
+    dom = fit_annulus(bed)
+    bed = attach_domain(bed, dom, fitted=True)
+    ghosts = generate_ghosts(bed)
+    cs = build_cells(bed, ghosts)
+    inner = [f for f in cs.facets if f.site_b >= cs.n_real
+             and ghosts.provenance[f.site_b - cs.n_real] == (f.site_a, "radial_inner")]
+    assert inner
+    for f in inner:
+        desc = classify_boundary_facet(f.plane_point, f.plane_normal, dom, bed.radius_nominal)
+        assert desc == ("cylinder", *dom.center_xy, dom.R_i, -1)
+        assert surface_tag(desc) == "inner_wall"
 
 
 class TestSweep:

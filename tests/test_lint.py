@@ -14,7 +14,11 @@ attribute or an import, such as a re-export in `__init__.py`) in `src/`,
 `NamedTuple` in `src/voidhex/` must be read as an attribute (`x.field`)
 somewhere in `src/`, `tests/` or `bench/`. No module in `src/voidhex/`
 loads the attribute `facets` (`VoronoiCellSet`'s record view) or `patches`
-(`FacetQuadMesh`'s).
+(`FacetQuadMesh`'s). No module in `src/voidhex/` but `bed.py`, which
+defines the container shapes, and `fixtures.py`, which builds beds in
+them, imports a shape class or names one in an `isinstance` call: other
+modules loop over a container's walls. `__init__.py`, which re-exports the
+shapes, is exempt.
 """
 
 import ast
@@ -28,6 +32,7 @@ FILES = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).
                if p.name != "__init__.py")
 READERS = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).glob("*.py"))
 VIEWS = {"facets", "patches"}   # record views for code outside the package
+SHAPES = {"Cylinder", "Annulus", "Box"}   # the container shapes of bed.py
 
 
 def unused_imports(source: str) -> list:
@@ -172,3 +177,30 @@ def test_finds_a_view_load():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_package_reads_no_view(path):
     assert attribute_loads(path.read_text(), VIEWS) == [], f"record view read in {path.name}"
+
+
+def shape_uses(source: str) -> list:
+    """(line, name) of each import of a container shape and each shape
+    named in the class argument of an `isinstance` call."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            found += [(n.lineno, a.name) for a in n.names if a.name in SHAPES]
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance":
+            found += [(n.lineno, name) for x in ast.walk(n.args[1])
+                      if (name := getattr(x, "id", getattr(x, "attr", None))) in SHAPES]
+    return sorted(found)
+
+
+def test_finds_a_shape_use():
+    src = ("from .bed import Box, SphereBed\n"
+           "if isinstance(d, (bed.Cylinder, int)):\n    pass\n"
+           "isinstance(d, Annulus)\nCylinder((0, 0), 1.0, 2.0)\n")
+    assert shape_uses(src) == [(1, "Box"), (2, "Cylinder"), (4, "Annulus")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(ROOT.glob("src/voidhex/*.py"))
+                                  if p.name not in ("bed.py", "fixtures.py", "__init__.py")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_shapes_stay_in_bed(path):
+    assert shape_uses(path.read_text()) == [], f"container shape named in {path.name}"

@@ -21,6 +21,7 @@ from voidhex.geometry import (
     push_outside,
 )
 from voidhex.repair import (
+    COLLAPSE_PASSES,
     RepairConfig,
     _Repair,
     _base_tolerance,
@@ -65,7 +66,6 @@ def make_synthetic(points, loops, n_centers=1):
         plane_normal=normals,
         e1=e1,
         e2=e2,
-        boundary=["wall"] * m,
         cells=[list(range(m)) for _ in range(n_centers)],
         sites=np.vstack([centers, [[0.0, 0.0, -10.0]]]),
         n_real=n_centers,
@@ -237,14 +237,14 @@ def reference_collapse_edges(cs, cfg, oplog):
     k = extra = 0
     while True:
         k += 1
-        if k > cfg.passes:
+        if k > COLLAPSE_PASSES:
             extra += 1
             if extra > 40:
                 break
         factor = cfg.pass_tolerance(min(k, 9))
         changed = reference_collapse_pass(cs, cfg, facet_zone, factor, k,
                                           cs.bed.radius_nominal, oplog, skipped)
-        if k >= cfg.passes and not changed:
+        if k >= COLLAPSE_PASSES and not changed:
             break
         guard_projection(cs, cfg, oplog=oplog)
     return cs
@@ -459,6 +459,17 @@ class TestInsertVertices:
         assert all(cnt >= 2 for cnt in seen.values())
 
 
+def recheck(run, vertices, fids) -> None:
+    """The former `_Repair.recheck`: each of ``vertices`` moved, and each
+    of ``fids`` holds it, so the next guard projection of ``run`` checks
+    them."""
+    if run.pending is not None:
+        pv, pf = run.pending
+        for v in vertices:
+            pv += [v] * len(fids)
+            pf += fids
+
+
 def reference_insert_vertices(run):
     """The former list-based insertion rounds of `_Repair.insert_vertices`,
     each from an edge table of loop rows gathered afresh from the facets;
@@ -497,7 +508,7 @@ def reference_insert_vertices(run):
                 if key in splits:
                     ids = splits[key]
                     out.extend(ids if a < b else list(reversed(ids)))
-                    run.recheck(ids, (fid,))
+                    recheck(run, ids, (fid,))
             cs.loops[fid] = out
         run.rows = _loop_rows(cs.loops)
         run.guard_projection()
@@ -707,7 +718,7 @@ class TestMovedOnlyGuard:
             center = cs.bed.centers[cs.facets[holders[v][0]].site_a]
             ray = cs.points[v] - center
             cs.points[v] = center + ray * (r * GUARD_RADIUS / np.linalg.norm(ray))
-            run.recheck((v,), holders[v])
+            recheck(run, (v,), holders[v])
         full = copy.deepcopy(cs)
         full_log = []
         run.oplog = []
@@ -837,15 +848,38 @@ class TestBoundaryZone:
         assert np.array_equal(zone, clear < 2.0)
 
 
-def cells_digest(cs, oplog: bytes = b"") -> str:
+# The boundary tag of each ghost kind: the reference that the digests and
+# the tag tests read a boundary facet's tag from. The package itself names
+# a boundary surface from the facet plane (`hexgen.surface_tag`).
+KIND_TO_TAG = {
+    "radial_outer": "wall",
+    "radial_inner": "inner_wall",
+    "z_bottom": "inlet",
+    "z_top": "outlet",
+    "box_x_lo": "wall",
+    "box_x_hi": "wall",
+    "box_y_lo": "wall",
+    "box_y_hi": "wall",
+    "box_z_lo": "inlet",
+    "box_z_hi": "outlet",
+}
+
+
+def ghost_tag(cs, ghosts, site_b: int):
+    """The KIND_TO_TAG tag of the ghost site_b, or None for a real site."""
+    return None if site_b < cs.n_real else KIND_TO_TAG[ghosts.provenance[site_b - cs.n_real][1]]
+
+
+def cells_digest(cs, ghosts, oplog: bytes = b"") -> str:
     """sha256 of a cell set, bit for bit: the exact point bytes; per facet
-    its loop, sites, boundary tag, deleted flag and the plane_point,
-    plane_normal, e1 and e2 bytes; the cells; and the JSONL repair oplog."""
+    its loop, sites, the tag of its ghost (from ``ghosts``), deleted flag
+    and the plane_point, plane_normal, e1 and e2 bytes; the cells; and the
+    JSONL repair oplog."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(cs.points, dtype="<f8").tobytes())
     for f in cs.facets:
         h.update(repr(([int(v) for v in f.loop], int(f.site_a), int(f.site_b),
-                       f.boundary, bool(f.deleted))).encode())
+                       ghost_tag(cs, ghosts, f.site_b), bool(f.deleted))).encode())
         for a in (f.plane_point, f.plane_normal, f.e1, f.e2):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(repr([[int(fid) for fid in c] for c in cs.cells]).encode())
@@ -865,24 +899,27 @@ GOLDEN = {
 class TestGoldenDigest:
     def test_cube_raw(self):
         bed = fixtures.simple_cubic(3)
-        cs = build_cells(bed, generate_ghosts(bed))
-        assert cells_digest(cs) == GOLDEN["cube_raw"]
+        ghosts = generate_ghosts(bed)
+        cs = build_cells(bed, ghosts)
+        assert cells_digest(cs, ghosts) == GOLDEN["cube_raw"]
 
     def test_cylinder_repaired(self, tmp_path):
         bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
         bed = rescale(bed, separation_profile(bed))
-        cs = build_cells(bed, generate_ghosts(bed))
+        ghosts = generate_ghosts(bed)
+        cs = build_cells(bed, ghosts)
         path = tmp_path / "ops.jsonl"
         repair(cs, RepairConfig(), log_path=path)
         oplog = path.read_bytes()
         assert any(json.loads(line)["op"] == "collapse" for line in oplog.splitlines())
-        assert cells_digest(cs, oplog) == GOLDEN["cylinder_repaired"]
+        assert cells_digest(cs, ghosts, oplog) == GOLDEN["cylinder_repaired"]
 
     def test_cylinder300_repaired(self, tmp_path):
         # 786 collapses over 10 passes and 2,204 insertions
         bed = fixtures.random_cylinder_bed(300, 6.0, 20.0, seed=1)
         bed = rescale(bed, separation_profile(bed))
-        cs = build_cells(bed, generate_ghosts(bed))
+        ghosts = generate_ghosts(bed)
+        cs = build_cells(bed, ghosts)
         path = tmp_path / "ops.jsonl"
         repair(cs, RepairConfig(), log_path=path)
-        assert cells_digest(cs, path.read_bytes()) == GOLDEN["cylinder300_repaired"]
+        assert cells_digest(cs, ghosts, path.read_bytes()) == GOLDEN["cylinder300_repaired"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi, cKDTree
-from test_repair import cells_digest
+from test_repair import cells_digest, ghost_tag
 
 from voidhex import fixtures, voronoi
 from voidhex.bed import (
@@ -25,7 +25,6 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import norms, plane_basis, polygon_area
 from voidhex.repair import repair
 from voidhex.voronoi import (
-    KIND_TO_TAG,
     PLANARITY_TOL,
     VALIDATE_BLOCK,
     VERTEX_DEDUP_TOL,
@@ -120,9 +119,11 @@ class TestBuildCells:
 
     def test_boundary_tags(self):
         bed = fixtures.simple_cubic(3)
-        cs = build_cells(bed, generate_ghosts(bed))
+        ghosts = generate_ghosts(bed)
+        cs = build_cells(bed, ghosts)
         corner = 0  # (1,1,1)
-        tags = sorted(cs.boundary[f] for f in cs.cell_facets(corner) if cs.boundary[f])
+        tags = sorted(ghost_tag(cs, ghosts, cs.site_b[f]) for f in cs.cell_facets(corner)
+                      if cs.site_b[f] >= cs.n_real)
         assert tags == ["inlet", "wall", "wall"]
 
     def test_facet_basis_orthonormal(self):
@@ -137,7 +138,7 @@ class TestBuildCells:
         bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=3)
         cs = build_cells(bed, generate_ghosts(bed))
         for fid, f in enumerate(cs.facets):
-            if f.boundary is None:
+            if f.site_b < cs.n_real:
                 assert fid in cs.cells[f.site_a]
                 assert fid in cs.cells[f.site_b]
 
@@ -432,10 +433,8 @@ def reference_build_cells(bed, ghosts):
             continue
         if pa < n and pb < n:
             a, b = (pa, pb) if pa < pb else (pb, pa)
-            boundary = None
         else:
             a, b = (pa, pb) if pa < n else (pb, pa)
-            boundary = KIND_TO_TAG[ghosts.provenance[b - n][1]]
         if -1 in rv:
             raise GeometryError(
                 f"unbounded Voronoi cell for sphere {a}; ghost coverage is insufficient"
@@ -443,7 +442,7 @@ def reference_build_cells(bed, ghosts):
         ids = sorted({remap[v] for v in rv})
         if len(ids) < 3:
             continue  # ridge degenerated to a point/segment after dedup
-        ridges.append((a, b, boundary, ids))
+        ridges.append((a, b, ids))
 
     sa = np.array([r[0] for r in ridges], dtype=np.int64)
     sb = np.array([r[1] for r in ridges], dtype=np.int64)
@@ -452,9 +451,9 @@ def reference_build_cells(bed, ghosts):
     plane_points = 0.5 * (sites[sa] + sites[sb])
     e1, e2 = plane_basis(normals)
 
-    counts = np.array([len(r[3]) for r in ridges], dtype=np.int64)
+    counts = np.array([len(r[2]) for r in ridges], dtype=np.int64)
     ends = np.cumsum(counts)
-    vids = np.fromiter(chain.from_iterable(r[3] for r in ridges), dtype=np.int64,
+    vids = np.fromiter(chain.from_iterable(r[2] for r in ridges), dtype=np.int64,
                        count=int(counts.sum()))
     ridge = np.repeat(np.arange(len(ridges)), counts)
     pts = verts[vids]
@@ -467,7 +466,7 @@ def reference_build_cells(bed, ghosts):
     kept = []
     cells = [[] for _ in range(n)]
     starts, ends = (ends - counts).tolist(), ends.tolist()
-    for k, (a, b, _, _) in enumerate(ridges):
+    for k, (a, b, _) in enumerate(ridges):
         if 2.0 * abs(polygon_area(xy[starts[k]:ends[k]])) < 1e-20 * R * R:
             continue
         cells[a].append(len(kept))
@@ -478,15 +477,14 @@ def reference_build_cells(bed, ghosts):
     cs = VoronoiCellSet(points=verts, loops=[loops[starts[k]:ends[k]] for k in kept],
                         site_a=sa[kept], site_b=sb[kept], plane_point=plane_points[kept],
                         plane_normal=normals[kept], e1=e1[kept], e2=e2[kept],
-                        boundary=[ridges[k][2] for k in kept], cells=cells, sites=sites,
-                        n_real=n, bed=bed)
+                        cells=cells, sites=sites, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 
 
 def _build_outcome(build, bed, ghosts):
     try:
-        return cells_digest(build(bed, ghosts))
+        return cells_digest(build(bed, ghosts), ghosts)
     except GeometryError as exc:
         return str(exc)
 
@@ -551,7 +549,7 @@ class TestBuildCellsReference:
         got = _build_outcome(build_cells, bed, ghosts)
         assert got == _build_outcome(reference_build_cells, bed, ghosts)
         plain.points = np.vstack([plain.points, line])
-        assert got == cells_digest(plain)
+        assert got == cells_digest(plain, ghosts)
 
     def test_unbounded_message(self, monkeypatch):
         """The error names sphere a of the first ridge of a real cell with a
@@ -586,12 +584,11 @@ class TestFacetView:
 
     def test_records_are_column_rows(self, repaired_cylinder):
         cs = repaired_cylinder
-        assert len(cs.facets) == len(cs.loops) == len(cs.site_a) == len(cs.boundary)
+        assert len(cs.facets) == len(cs.loops) == len(cs.site_a)
         for fid, f in enumerate(cs.facets):
             assert f.loop == cs.loops[fid]
             assert (f.site_a, f.site_b) == (cs.site_a[fid], cs.site_b[fid])
             assert type(f.site_a) is int and type(f.site_b) is int
-            assert f.boundary == cs.boundary[fid]
             for got, column in ((f.plane_point, cs.plane_point), (f.plane_normal, cs.plane_normal),
                                 (f.e1, cs.e1), (f.e2, cs.e2)):
                 assert got.tobytes() == column[fid].tobytes()
