@@ -81,11 +81,12 @@ class _Walled:
 
 @dataclass(frozen=True)
 class Cylinder(_Walled):
-    """Cylindrical container, axis along z, occupying z in [0, H]."""
+    """Cylindrical container, axis along z, occupying z in [z0, z0 + H]."""
 
     center_xy: tuple[float, float]
     R_c: float
     H: float
+    z0: float = 0.0
 
     def __post_init__(self):
         if not (self.R_c > 0 and self.H > 0):
@@ -93,7 +94,7 @@ class Cylinder(_Walled):
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return (Wall(2, 0.0, -1, "z_bottom"), Wall(2, self.H, 1, "z_top"),
+        return (Wall(2, self.z0, -1, "z_bottom"), Wall(2, self.z0 + self.H, 1, "z_top"),
                 Wall(RADIAL, self.R_c, 1, "radial_outer"))
 
     def volume(self) -> float:
@@ -101,7 +102,7 @@ class Cylinder(_Walled):
 
     def scaled(self, k: float) -> "Cylinder":
         cx, cy = self.center_xy
-        return Cylinder((cx * k, cy * k), self.R_c * k, self.H * k)
+        return Cylinder((cx * k, cy * k), self.R_c * k, self.H * k, self.z0 * k)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         rho = self.R_c * np.sqrt(rng.random(n))
@@ -109,7 +110,7 @@ class Cylinder(_Walled):
         return np.column_stack([
             self.center_xy[0] + rho * np.cos(ang),
             self.center_xy[1] + rho * np.sin(ang),
-            self.H * rng.random(n),
+            self.z0 + self.H * rng.random(n),
         ])
 
 
@@ -144,12 +145,13 @@ class Box(_Walled):
 
 @dataclass(frozen=True)
 class Annulus(_Walled):
-    """Annular container: cylindrical shell between R_i and R_o, z in [0, H]."""
+    """Annular container: cylindrical shell between R_i and R_o, z in [z0, z0 + H]."""
 
     center_xy: tuple[float, float]
     R_i: float
     R_o: float
     H: float
+    z0: float = 0.0
 
     def __post_init__(self):
         if not (self.R_o > self.R_i > 0 and self.H > 0):
@@ -157,7 +159,7 @@ class Annulus(_Walled):
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return (Wall(2, 0.0, -1, "z_bottom"), Wall(2, self.H, 1, "z_top"),
+        return (Wall(2, self.z0, -1, "z_bottom"), Wall(2, self.z0 + self.H, 1, "z_top"),
                 Wall(RADIAL, self.R_o, 1, "radial_outer"),
                 Wall(RADIAL, self.R_i, -1, "radial_inner"))
 
@@ -166,7 +168,7 @@ class Annulus(_Walled):
 
     def scaled(self, k: float) -> "Annulus":
         cx, cy = self.center_xy
-        return Annulus((cx * k, cy * k), self.R_i * k, self.R_o * k, self.H * k)
+        return Annulus((cx * k, cy * k), self.R_i * k, self.R_o * k, self.H * k, self.z0 * k)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         rho = np.sqrt(self.R_i**2 + (self.R_o**2 - self.R_i**2) * rng.random(n))
@@ -174,7 +176,7 @@ class Annulus(_Walled):
         return np.column_stack([
             self.center_xy[0] + rho * np.cos(ang),
             self.center_xy[1] + rho * np.sin(ang),
-            self.H * rng.random(n),
+            self.z0 + self.H * rng.random(n),
         ])
 
 
@@ -337,7 +339,7 @@ def fit_cylinder(bed: SphereBed) -> Cylinder:
     zmin = bed.centers[:, 2].min()
     zmax = bed.centers[:, 2].max()
     H = float(zmax - zmin) + 2.0 * bed.radius_nominal
-    return Cylinder((float(c2[0]), float(c2[1])), R_c, H)
+    return Cylinder((float(c2[0]), float(c2[1])), R_c, H, float(zmin) - bed.radius_nominal)
 
 
 def fit_box(bed: SphereBed) -> Box:
@@ -353,7 +355,7 @@ def fit_annulus(bed: SphereBed) -> Annulus:
     cyl = fit_cylinder(bed)
     rho = np.hypot(bed.centers[:, 0] - cyl.center_xy[0], bed.centers[:, 1] - cyl.center_xy[1])
     R = bed.radius_nominal
-    return Annulus(cyl.center_xy, float(rho.min()) - R, float(rho.max()) + R, cyl.H)
+    return Annulus(cyl.center_xy, float(rho.min()) - R, float(rho.max()) + R, cyl.H, cyl.z0)
 
 
 def delaunay_pairs(centers: np.ndarray) -> np.ndarray:

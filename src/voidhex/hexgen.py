@@ -14,9 +14,9 @@ node b. `HexMesh.columns` reads the lines off those elements.
 
 The boundary faces are rows of the face table: row 6 * e + f is local face
 f of element e, whose outward loop `_loops` reads off the element. Each
-tagged row carries the descriptor of the surface it lies on, and
-`surface_tag` names that surface. Every new face that a step makes is a
-known local face of a new element, so its row is plain arithmetic.
+tagged row carries the id of its surface, whose descriptor `surface_tag`
+names. Every new face that a step makes is a known local face of a new
+element, so its row is plain arithmetic.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class HexMesh:
     nodes: np.ndarray                  # (P, 3)
     elements: np.ndarray               # (E, 8) int64
     faces: np.ndarray                  # (F,) int64 face-table rows 6 * element + local face
-    surfaces: list                     # (F,) descriptor tuple of each row's surface
+    face_surface: np.ndarray           # (F,) int64 surface id of each row
+    surfaces: list                     # (S,) descriptor tuple of each surface
     elem_cell: np.ndarray              # (E,) owning sphere per element
-    elem_layer: list                   # (E,) layer label: 0, 1, 'bl', 'wall', ...
+    elem_layer: np.ndarray             # (E,) str layer label: '0', '1', 'bl', 'wall', ...
     sphere_centers: np.ndarray
 
     @property
@@ -72,7 +73,7 @@ class HexMesh:
         `sweep`, q, m, p after `refine_radial` and q, m, p, b after
         `extrude_layers`. A read-only view of the layer 0, 1 and 'bl'
         elements, built on each call."""
-        layer = np.array([str(v) for v in self.elem_layer])
+        layer = self.elem_layer
         el, cell = self.elements[layer == "0"], np.repeat(self.elem_cell[layer == "0"], 4)
         # a facet node q is shared by the cells of its facet; no node below it is
         _, first = np.unique(cell * len(self.nodes) + el[:, 4:].ravel(), return_index=True)
@@ -93,16 +94,18 @@ class HexMesh:
         """{sorted node key: tag} of the tagged faces, in row order; built
         on each call, for readers that key faces by their nodes."""
         keys = np.sort(_loops(self.elements, self.faces), axis=1).tolist()
-        return {tuple(k): surface_tag(d) for k, d in zip(keys, self.surfaces)}
+        tags = [surface_tag(d) for d in self.surfaces]
+        return {tuple(k): tags[s] for k, s in zip(keys, self.face_surface.tolist())}
 
     def copy(self) -> "HexMesh":
         return HexMesh(
             nodes=self.nodes.copy(),
             elements=self.elements.copy(),
             faces=self.faces.copy(),
+            face_surface=self.face_surface.copy(),
             surfaces=list(self.surfaces),
             elem_cell=self.elem_cell.copy(),
-            elem_layer=list(self.elem_layer),
+            elem_layer=self.elem_layer.copy(),
             sphere_centers=self.sphere_centers.copy(),
         )
 
@@ -181,26 +184,28 @@ def _loops(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _select(mesh: HexMesh, keep) -> np.ndarray:
-    """Positions in the tag table of the rows whose descriptor passes keep,
-    in the order of their sorted node keys."""
-    at = np.array([j for j, d in enumerate(mesh.surfaces) if keep(d)], dtype=np.int64)
+    """Positions in the tag table of the rows whose surface descriptor
+    passes keep, in the order of their sorted node keys."""
+    at = np.flatnonzero(np.array([keep(d) for d in mesh.surfaces], dtype=bool)[mesh.face_surface])
     keys = np.sort(_loops(mesh.elements, mesh.faces[at]), axis=1)
     return at[np.lexsort(keys.T[::-1])]
 
 
-def _replace(mesh: HexMesh, at: np.ndarray, rows: np.ndarray, surfaces: list) -> None:
-    """Drop the tag-table positions at, then append rows with surfaces."""
+def _replace(mesh: HexMesh, at: np.ndarray, rows: np.ndarray, surface: np.ndarray) -> None:
+    """Drop the tag-table positions at, then append the rows on their
+    surface ids; a row on surface -1 is not a boundary face and is skipped."""
     keep = np.ones(len(mesh.faces), dtype=bool)
     keep[at] = False
-    mesh.faces = np.concatenate([mesh.faces[keep], rows])
-    mesh.surfaces = [d for d, k in zip(mesh.surfaces, keep.tolist()) if k] + surfaces
+    new = surface >= 0
+    mesh.faces = np.concatenate([mesh.faces[keep], rows[new]])
+    mesh.face_surface = np.concatenate([mesh.face_surface[keep], surface[new]])
 
 
 def _grow(mesh: HexMesh, nodes, elements, cells, layers) -> None:
     mesh.nodes = np.vstack([mesh.nodes, nodes])
     mesh.elements = np.vstack([mesh.elements, elements])
     mesh.elem_cell = np.concatenate([mesh.elem_cell, cells])
-    mesh.elem_layer = mesh.elem_layer + layers
+    mesh.elem_layer = np.concatenate([mesh.elem_layer, layers])
 
 
 def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
@@ -215,10 +220,14 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
     r_sweep = R0 * R
-    facet_desc = {fid: classify_boundary_facet(cs.plane_point[fid], cs.plane_normal[fid],
-                                               cs.bed.domain, R)
-                  for fid in np.flatnonzero(cs.site_b >= cs.n_real).tolist()
-                  if len(cs.loops[fid]) >= 3}
+    # surface i is sphere i; then one surface per live boundary facet
+    wall = [fid for fid in np.flatnonzero(cs.site_b >= cs.n_real).tolist()
+            if len(cs.loops[fid]) >= 3]
+    surfaces = [("sphere", i) for i in range(len(centers))] + [
+        classify_boundary_facet(cs.plane_point[fid], cs.plane_normal[fid], cs.bed.domain, R)
+        for fid in wall]
+    facet_surface = np.full(len(cs.site_b), -1)
+    facet_surface[wall] = len(centers) + np.arange(len(wall))
     cell, facet, quads = patches.outward_quads()
     used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
 
@@ -242,18 +251,17 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
 
     # each element's sphere face (0), then its facet face (1) if that lies
     # on the container
-    on_wall = np.flatnonzero(np.isin(facet, list(facet_desc)))
+    on_wall = np.flatnonzero(facet_surface[facet] >= 0)
     faces = np.sort(np.concatenate([6 * np.arange(len(cell)), 6 * on_wall + 1]))
     e = faces // 6
-    surfaces = [("sphere", i) if r == 0 else facet_desc[fid]
-                for r, i, fid in zip((faces % 6).tolist(), cell[e].tolist(), facet[e].tolist())]
     mesh = HexMesh(
         nodes=np.vstack([patches.nodes[used_tess], centers[ci] + ray * (r_sweep / d)[:, None]]),
         elements=np.hstack([len(used_tess) + ids.reshape(-1, 4), outer.reshape(-1, 4)]),
         faces=faces,
+        face_surface=np.where(faces % 6 == 0, cell[e], facet_surface[facet[e]]),
         surfaces=surfaces,
         elem_cell=cell,
-        elem_layer=[0] * len(cell),
+        elem_layer=np.full(len(cell), "0"),
         sphere_centers=centers.copy(),
     )
     audit_conformal(mesh)
@@ -288,7 +296,7 @@ def audit_conformal(mesh: HexMesh) -> dict:
         raise TopologyError(f"untagged boundary face {key(untagged[0])}")
     stray = np.flatnonzero((counts == 2) & (tags > 0))
     if len(stray):
-        desc = mesh.surfaces[np.flatnonzero(tagged == stray[0])[0]]
+        desc = mesh.surfaces[mesh.face_surface[np.flatnonzero(tagged == stray[0])[0]]]
         raise TopologyError(f"interior face {key(stray[0])} carries tag {surface_tag(desc)}")
     twice = np.flatnonzero(tags > 1)
     if len(twice):
@@ -328,7 +336,7 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     """
     if not (0.0 < split < 1.0):
         raise ValidationError("split must lie in (0, 1)")
-    if any(layer != 0 for layer in mesh.elem_layer):
+    if (mesh.elem_layer != "0").any():
         raise ValidationError("refine_radial supports exactly one split; mesh already refined")
     n = len(mesh.nodes)
     p, q = mesh.elements[:, :4], mesh.elements[:, 4:]
@@ -343,7 +351,7 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     out.nodes = np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])])
     out.elements = elements
     out.elem_cell = np.repeat(mesh.elem_cell, 2)
-    out.elem_layer = [0, 1] * len(p)
+    out.elem_layer = np.tile(["0", "1"], len(p))
 
     # a tagged face passes to the child that holds it: the sphere face to
     # the sphere-side child 2e + 1, the facet face to the facet-side child
@@ -353,20 +361,23 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     second = np.zeros(len(src), dtype=bool)
     second[1:] = src[1:] == src[:-1]
     out.faces = 6 * (2 * e[src] + (f[src] == 0) + second) + f[src]
-    out.surfaces = [mesh.surfaces[j] for j in src.tolist()]
+    out.face_surface = mesh.face_surface[src]
     audit_conformal(out)
     return out
 
 
-def _side_donors(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, what: str) -> np.ndarray:
-    """Donor faces for the sides of the tagged faces at positions `at`,
-    which are being extruded.
+def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, nlayers: int,
+           what: str):
+    """The side faces of nlayers layers grown from the tagged faces at
+    positions `at`, whose outward loops are `loops`.
 
-    Side s of loops[j] runs from corner s to corner s + 1. A side shared by
-    two faces of the set stays inside the new layer and gets -1. Any other
-    side becomes an exposed face that copies the surface of its donor: the
-    first tagged face in table order, outside the set, that has the same
-    edge. Returns the (F, 4) donor positions in the tag table.
+    Face j grows elements first + j * nlayers + k, k < nlayers, whose side
+    s is local face 2 + s, over side s of loops[j], from corner s to corner
+    s + 1. A side shared by two faces of the set stays inside the new layer
+    and gets surface -1. Any other side becomes an exposed face that copies
+    the surface of its donor: the first tagged face in table order, outside
+    the set, that has the same edge. Returns the (F, nlayers * 4) rows and
+    surface ids of the sides, layer by layer.
     """
     n = len(mesh.nodes)
 
@@ -392,19 +403,9 @@ def _side_donors(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, what: str) ->
         e = int(mine[tuple(missing[0])])
         raise TopologyError(f"exposed {what} side at edge {(e // n, e % n)} has no donor tag")
     donor = np.full(mine.shape, -1)
-    donor[exposed] = others[by[pos[exposed]] // 4]
-    return donor
-
-
-def _side_rows(first: int, nlayers: int, donor: np.ndarray):
-    """Rows of the side faces of layers grown from an extruded face set.
-
-    Face j grows elements first + j * nlayers + k, k < nlayers, whose side
-    s is local face 2 + s. Returns their (F, nlayers * 4) rows, layer by
-    layer, and the donor of each (-1 for a side inside the layer).
-    """
-    e = first + np.arange(len(donor))[:, None] * nlayers + np.arange(nlayers)
-    return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(donor), -1), np.tile(donor, nlayers)
+    donor[exposed] = mesh.face_surface[others[by[pos[exposed]] // 4]]
+    e = first + np.arange(len(at))[:, None] * nlayers + np.arange(nlayers)
+    return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(at), -1), np.tile(donor, nlayers)
 
 
 def _line_lengths(mesh: HexMesh, eid: np.ndarray) -> np.ndarray:
@@ -423,7 +424,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     layers downward and the outlet 7 upward.
     """
     spec = spec or ExtrusionSpec()
-    if 1 not in set(mesh.elem_layer):
+    if not (mesh.elem_layer == "1").any():
         raise ValidationError("extrude_layers expects a radially refined mesh")
     out = mesh.copy()
 
@@ -434,8 +435,9 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     eid = out.faces[at] // 6
     corner = _FACES[0][::-1]
     rev = out.elements[eid[:, None], corner]
-    descs = [out.surfaces[j] for j in at.tolist()]
-    cell = np.array([desc[1] for desc in descs], dtype=np.int64)
+    sphere = out.face_surface[at]
+    cell = np.array([d[1] if d[0] == "sphere" else -1 for d in out.surfaces],
+                    dtype=np.int64)[sphere]
     ids, first = first_seen(rev.ravel())
     p, ci = rev.ravel()[first], cell[first // 4]
     thick = _line_lengths(out, eid)[:, corner].ravel()[first]
@@ -450,8 +452,8 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     n = len(out.nodes)
     e = len(out.elements) + np.arange(len(at))
     _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None],
-          np.hstack([n + ids.reshape(-1, 4), rev]), cell, ["bl"] * len(at))
-    _replace(out, at, 6 * e, descs)  # the base of each new element faces the sphere
+          np.hstack([n + ids.reshape(-1, 4), rev]), cell, np.full(len(at), "bl"))
+    _replace(out, at, 6 * e, sphere)  # the base of each new element faces the sphere
 
     # --- curved-wall layers -------------------------------------------------
     at = _select(out, lambda d: d[0] == "cylinder")
@@ -472,12 +474,11 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
         w = len(out.nodes) + inv.reshape(-1, 4)
         e = len(out.elements)
         _grow(out, out.nodes[v] + t_w * mean, np.hstack([loops, w]), out.elem_cell[eid],
-              ["wall"] * len(at))
+              np.full(len(at), "wall"))
         # per face: its top (1), on the wall, then its exposed sides
-        sides, donor = _side_rows(e, 1, _side_donors(out, at, loops, "wall-layer"))
+        sides, on = _sides(out, at, loops, e, 1, "wall-layer")
         rows = np.hstack([6 * (e + np.arange(len(at)))[:, None] + 1, sides])
-        src = np.hstack([at[:, None], donor])
-        _replace(out, at, rows[src >= 0], [out.surfaces[j] for j in src[src >= 0].tolist()])
+        _replace(out, at, rows, np.hstack([out.face_surface[at][:, None], on]))
 
     # --- inlet / outlet ducts ------------------------------------------------
     for zdir, nlayers in ((-1.0, spec.inlet_layers), (1.0, spec.outlet_layers)):
@@ -500,22 +501,18 @@ def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
     column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
     column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
     ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]
-    donor = _side_donors(mesh, at, loops, "duct")
-    kind = surface_tag(mesh.surfaces[at[0]])
-    moved = [("plane", d[1], d[2] + zdir * nlayers * t, d[3])
-             for d in (mesh.surfaces[j] for j in at.tolist())]
+    d = mesh.surfaces[mesh.face_surface[at[0]]]  # a container has one z wall per side
     e = len(mesh.elements)
     _grow(mesh, column.reshape(-1, 3),
           np.stack([np.hstack(ring[k:k + 2]) for k in range(nlayers)], axis=1).reshape(-1, 8),
           np.repeat(mesh.elem_cell[eid], nlayers),
-          [f"{kind}{k + 1}" for k in range(nlayers)] * len(at))
+          np.tile([f"{surface_tag(d)}{k + 1}" for k in range(nlayers)], len(at)))
     # per face: its exposed sides layer by layer, then the top (1) of its
-    # last layer, on the moved plane
-    sides, donor = _side_rows(e, nlayers, donor)
+    # last layer, on the moved plane: one new surface
+    sides, on = _sides(mesh, at, loops, e, nlayers, "duct")
     rows = np.hstack([sides, 6 * (e + np.arange(len(at)) * nlayers + nlayers - 1)[:, None] + 1])
-    src = np.hstack([donor, len(mesh.surfaces) + np.arange(len(at))[:, None]])
-    pool = mesh.surfaces + moved
-    _replace(mesh, at, rows[src >= 0], [pool[j] for j in src[src >= 0].tolist()])
+    _replace(mesh, at, rows, np.hstack([on, np.full((len(at), 1), len(mesh.surfaces))]))
+    mesh.surfaces.append(("plane", d[1], d[2] + zdir * nlayers * t, d[3]))
 
 
 def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from voidhex.bed import (
     SphereBed,
     attach_domain,
     delaunay_pairs,
+    fit_annulus,
     fit_cylinder,
     load_centers,
     rescale,
@@ -28,6 +29,7 @@ from voidhex.bed import (
     void_fraction,
 )
 from voidhex.errors import GeometryError, ParseError, ValidationError
+from voidhex.voronoi import generate_ghosts
 
 
 def write(tmp_path, text, name="centers.txt"):
@@ -149,6 +151,31 @@ class TestFitCylinder:
         pts = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
         with pytest.raises(GeometryError, match="collinear"):
             fit_cylinder(SphereBed(centers=pts))
+
+    @pytest.mark.parametrize("make, fit, dz", [
+        (lambda: fixtures.random_cylinder_bed(100, 4, 15, seed=7), fit_cylinder, 0.5),
+        (lambda: fixtures.random_cylinder_bed(100, 4, 15, seed=7), fit_cylinder, -0.5),
+        (fixtures.random_annulus_bed, fit_annulus, 0.5),
+    ], ids=["cylinder_up", "cylinder_down", "annulus_up"])
+    def test_follows_z_origin(self, make, fit, dz):
+        """A bed shifted along z gets a container shifted with it: its
+        bottom R below the lowest center, its top R above the highest, and
+        each z-plane ghost mirrors its source center about that plane."""
+        bed = make()
+        bed = SphereBed(centers=bed.centers + (0.0, 0.0, dz))
+        dom = fit(bed)
+        bed = attach_domain(bed, dom, fitted=True)
+        z = bed.centers[:, 2]
+        bottom, top = z.min() - 1.0, z.max() + 1.0
+        assert [w.value for w in dom.walls if w.axis == 2] == pytest.approx([bottom, top])
+        ghosts = generate_ghosts(bed)
+        plane = {"z_bottom": bottom, "z_top": top}
+        mirrored = [(g[2], 2 * plane[kind] - z[src])
+                    for g, (src, kind) in zip(ghosts.ghost_centers, ghosts.provenance)
+                    if kind in plane]
+        assert {kind for _, kind in ghosts.provenance} >= set(plane)
+        got, want = np.array(mirrored).T
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestSeparationProfile:
@@ -350,6 +377,18 @@ class TestDomains:
         for dom in (Cylinder((1, 2), 3.0, 4.0), Box((0, 0, 0), (1, 2, 3)), Annulus((0, 0), 1.0, 3.0, 2.0)):
             pts = dom.sample(1000, rng)
             assert dom.contains(pts).all()
+
+    def test_bottom_z(self):
+        """A cylinder or annulus whose bottom is not at z = 0 keeps its z
+        walls, samples and scaled copy over [z0, z0 + H]."""
+        rng = np.random.default_rng(2)
+        for dom in (Cylinder((1, 2), 3.0, 4.0, -5.0), Annulus((0, 0), 1.0, 3.0, 2.0, 7.5)):
+            z0, top = dom.z0, dom.z0 + dom.H
+            assert [w.value for w in dom.walls if w.axis == 2] == [z0, top]
+            pts = dom.sample(1000, rng)
+            assert dom.contains(pts).all()
+            assert z0 <= pts[:, 2].min() and pts[:, 2].max() <= top
+            assert [w.value for w in dom.scaled(2.0).walls if w.axis == 2] == [2 * z0, 2 * top]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(["cylinder", "box", "annulus"]), st.data())

@@ -86,14 +86,15 @@ def hand_mesh(nodes, elements):
     faces = np.flatnonzero(count[inv.ravel()] == 1)
     return HexMesh(
         nodes=np.asarray(nodes, dtype=float), elements=elements,
-        faces=faces, surfaces=[PLANE] * len(faces),
-        elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=[0] * len(elements),
+        faces=faces, face_surface=np.zeros(len(faces), dtype=np.int64), surfaces=[PLANE],
+        elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=np.full(len(elements), "0"),
         sphere_centers=np.zeros((1, 3)),
     )
 
 
 def tag_row(mesh, row, desc=PLANE):
     mesh.faces = np.append(mesh.faces, row)
+    mesh.face_surface = np.append(mesh.face_surface, len(mesh.surfaces))
     mesh.surfaces.append(desc)
 
 
@@ -115,7 +116,7 @@ class TestAuditConformal:
         mesh = hand_mesh(UNIT_CUBE, [LOWER])
         keep = mesh.faces != face_rows(mesh.elements, (4, 5, 6, 7))[0]
         mesh.faces = mesh.faces[keep]
-        mesh.surfaces = [d for d, k in zip(mesh.surfaces, keep) if k]
+        mesh.face_surface = mesh.face_surface[keep]
         with pytest.raises(TopologyError, match=r"untagged boundary face \(4, 5, 6, 7\)"):
             audit_conformal(mesh)
 
@@ -189,7 +190,7 @@ def audit_reference(mesh):
         raise TopologyError(f"untagged boundary face {key(untagged[0])}")
     stray = np.flatnonzero((counts == 2) & (tags > 0))
     if len(stray):
-        desc = mesh.surfaces[np.flatnonzero(tagged == stray[0])[0]]
+        desc = mesh.surfaces[mesh.face_surface[np.flatnonzero(tagged == stray[0])[0]]]
         raise TopologyError(f"interior face {key(stray[0])} carries tag {surface_tag(desc)}")
     twice = np.flatnonzero(tags > 1)
     if len(twice):
@@ -255,7 +256,7 @@ class TestAuditAgainstReference:
         elif how == "drop_tag":
             k = pick % len(mesh.faces)
             mesh.faces = np.delete(mesh.faces, k)
-            del mesh.surfaces[k]
+            mesh.face_surface = np.delete(mesh.face_surface, k)
         elif how == "add_tag":
             tag_row(mesh, pick % (6 * mesh.n_elements))
         else:
@@ -371,8 +372,8 @@ class TestRefine:
         prism = HexMesh(
             nodes=UNIT_CUBE.copy(),
             elements=np.arange(8, dtype=np.int64)[None, :],
-            faces=np.arange(6), surfaces=[PLANE] * 6,
-            elem_cell=np.zeros(1, dtype=np.int64), elem_layer=[0],
+            faces=np.arange(6), face_surface=np.zeros(6, dtype=np.int64), surfaces=[PLANE],
+            elem_cell=np.zeros(1, dtype=np.int64), elem_layer=np.array(["0"]),
             sphere_centers=np.zeros((1, 3)),
         )
         ref = refine_radial(prism, 0.5)
@@ -411,7 +412,7 @@ class TestExtrude:
         n_bl = sum(1 for l in ext.elem_layer if l == "bl")
         # one boundary-layer element per base sweep element: 1.5x growth
         assert n_bl == base.n_elements
-        bed_like = [l for l in ext.elem_layer if l in (0, 1, "bl")]
+        bed_like = [l for l in ext.elem_layer if l in ("0", "1", "bl")]
         assert len(bed_like) == 3 * base.n_elements
 
     def test_three_layers_facet_to_sphere(self, extruded):
@@ -448,7 +449,8 @@ class TestExtrude:
     def test_duct_columns_uniform(self, extruded):
         _, _, ext = extruded
         # inlet floor is a constant-z plane below zero
-        floors = [d for d in ext.surfaces if surface_tag(d) == "inlet"]
+        floors = [ext.surfaces[s] for s in ext.face_surface.tolist()
+                  if surface_tag(ext.surfaces[s]) == "inlet"]
         assert all(d[0] == "plane" and d[1] == 2 for d in floors)
         zs = {round(d[2], 12) for d in floors}
         assert len(zs) == 1
@@ -458,6 +460,30 @@ class TestExtrude:
         _, _, ext = extruded
         stats = audit_conformal(ext)
         assert stats["boundary_faces"] > 0
+
+    def test_duct_tops_share_one_surface(self, extruded):
+        _, _, ext = extruded
+        tags = np.array([surface_tag(d) for d in ext.surfaces])[ext.face_surface]
+        for tag in ("inlet", "outlet"):
+            assert len(np.unique(ext.face_surface[tags == tag])) == 1
+
+    def test_one_descriptor_per_surface(self, random_swept, extruded):
+        """A mesh lists each sphere and each boundary facet once, and the two
+        moved duct planes, however many faces lie on them."""
+        bed, cs, _ = random_swept
+        facets = sum(1 for f in cs.facets if f.site_b >= cs.n_real and not f.deleted)
+        for mesh in extruded:
+            assert len(mesh.surfaces) <= bed.n_spheres + facets + 2 < len(mesh.faces)
+
+    def test_layer_checks(self, extruded):
+        base, ref, ext = extruded
+        for mesh in (ref, ext):
+            with pytest.raises(ValidationError, match="^refine_radial supports exactly one "
+                                                      "split; mesh already refined$"):
+                refine_radial(mesh)
+        with pytest.raises(ValidationError,
+                           match="^extrude_layers expects a radially refined mesh$"):
+            extrude_layers(base)
 
     def test_wall_layer_present(self, extruded):
         _, _, ext = extruded
@@ -469,9 +495,10 @@ class TestExtrude:
         # sphere layer reads its lines off the elements alone
         corners = 2.0 * UNIT_CUBE - 1.0
         mesh = hand_mesh(np.vstack([0.5 * corners, corners]), np.hstack([_FACES, _FACES + 8]))
-        mesh.surfaces = [("sphere", 0) if r % 6 == 0 else PLANE for r in mesh.faces.tolist()]
+        mesh.surfaces = [PLANE, ("sphere", 0)]
+        mesh.face_surface = (mesh.faces % 6 == 0).astype(np.int64)
         ext = extrude_layers(refine_radial(mesh))
-        assert ext.elem_layer == [0, 1] * 6 + ["bl"] * 6
+        assert ext.elem_layer.tolist() == ["0", "1"] * 6 + ["bl"] * 6
         (cols,) = ext.columns
         assert sorted(cols) == list(range(8, 16))
         for q, roles in cols.items():
@@ -518,8 +545,9 @@ def mesh_digest(mesh) -> str:
     h.update(np.asarray(mesh.elem_cell, dtype="<i8").tobytes())
     h.update(repr([str(l) for l in mesh.elem_layer]).encode())
     loops = _loops(mesh.elements, mesh.faces).tolist()
+    descs = [mesh.surfaces[s] for s in mesh.face_surface.tolist()]
     rows = sorted((_canon(sorted(loop)), surface_tag(d), _canon(d), _canon(loop))
-                  for loop, d in zip(loops, mesh.surfaces))
+                  for loop, d in zip(loops, descs))
     h.update(repr(rows).encode())
     cols = [sorted(sorted((r, int(n)) for r, n in roles.items()) for roles in c.values())
             for c in mesh.columns]
