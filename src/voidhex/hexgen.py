@@ -51,6 +51,13 @@ class ExtrusionSpec:
     inlet_layers: int = 3
     outlet_layers: int = 7
 
+    def __post_init__(self):
+        if not self.t_bl > 0:
+            raise ValidationError(f"need t_bl > 0, got {self.t_bl}")
+        for name in ("inlet_layers", "outlet_layers"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"need {name} >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class HexMesh:

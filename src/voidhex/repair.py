@@ -14,23 +14,17 @@ round starts from one edge table (`_edge_table`) of those rows: one
 in (u, v) order, with its length. The zone tolerances and the collapse
 candidates are array passes over that table.
 
-A collapse pass keeps its loops on its pass-start loop rows (`_Pass`).
-No two collapses of a pass share an end, so a collapse changes a loop
-only at the rows of its two ends, and whether they are adjacent in a
-facet's loop is the same all through the pass: each (candidate, facet)
-pair shortens the loop by one, keeps its length or pinches it, and a
-facet's loop is fixed by the set of collapses that touched it. The pass
-walks its sorted candidates speculatively, window by window (`_walk`): a
-Python scan picks the candidates whose ends are free, and array passes
-over their (facet, candidate) pairs give each loop state its length, its
-pinch test and an exact key, the bit sum of its collapses. The states
-are checked for a flat or self-intersecting polygon in one array pass
-per padded loop size (`_breaks`), from their rows in one position table
-per pass (pass-start positions, then candidate midpoints). The collapses
-before the first one that would pinch or break a loop are applied, that
-one is skipped, and the walk resumes after it. The verdicts a resumed
-walk may meet again are kept under their keys for the rest of the pass,
-so it checks only the states that the skip changed.
+A collapse pass keeps its loops on its pass-start loop rows (`_Pass`),
+where no two of its collapses share an end. It walks its sorted
+candidates speculatively, window by window (`_walk`): a Python scan
+picks the candidates whose ends are free, and array passes over their
+(facet, candidate) pairs give each loop state its length and its pinch
+test. The states are checked for a flat or self-intersecting polygon in
+one array pass per padded loop size (`_breaks`), from their rows in one
+position table per pass (pass-start positions, then candidate
+midpoints). The collapses before the first one that would pinch or break
+a loop are applied, that one is skipped, and the walk resumes after it
+and checks all its loop states again.
 
 Vertex insertion is one array pass per round: the new ids, their edge
 parameters and points come from `cumsum` and `repeat` over the long
@@ -55,6 +49,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import GUARD_RADIUS, loops_are_simple, norms, polygon_areas, push_outside
 from .voronoi import VoronoiCellSet
 
@@ -72,9 +67,9 @@ class RepairConfig:
 
     def __post_init__(self):
         if not (0 < self.tol_inf < self.max_edge):
-            raise ValueError("need 0 < tol_inf < max_edge")
+            raise ValidationError("need 0 < tol_inf < max_edge")
         if not (0 < self.tol_boundary < self.max_edge):
-            raise ValueError("need 0 < tol_boundary < max_edge")
+            raise ValidationError("need 0 < tol_boundary < max_edge")
 
     def pass_tolerance(self, k: int) -> float:
         """Tolerance ramp factor for pass k (fraction of the final tol)."""
@@ -155,8 +150,7 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
     """The (candidate, facet) pairs of a collapse pass (see `_Pass`), from
     the rows of the candidates' endpoints grouped by vertex: the table
-    ``pairs``, per candidate its first pair and pair count, and per facet
-    whether it has more than 62 pairs."""
+    ``pairs`` and, per candidate, its first pair and pair count."""
     C, N = len(cand), len(edges.fid)
     ends = np.concatenate([edges.u[cand], edges.v[cand]])
     is_end = np.zeros(n_points, dtype=bool)
@@ -173,9 +167,9 @@ def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
     pair = key >> 1
     new = np.ones(len(pair), dtype=bool)
     new[1:] = pair[1:] != pair[:-1]
-    pairs = np.full((8, int(new.sum())), N)
-    fid, cand_no, adjacent, pinch, ends, drop, bit = (pairs[0], pairs[1], pairs[2], pairs[3],
-                                                      pairs[4:6], pairs[6], pairs[7])
+    pairs = np.full((7, int(new.sum())), N)
+    fid, cand_no, adjacent, pinch, ends, drop = (pairs[0], pairs[1], pairs[2], pairs[3],
+                                                 pairs[4:6], pairs[6])
     ends[key & 1, new.cumsum() - 1] = row
     cand_no[:], fid[:] = np.divmod(pair[new], n_facets)
     at = np.append(edges.edge, -1)[ends] == cand[cand_no]   # is the row's edge the candidate's
@@ -188,14 +182,8 @@ def _pairs(edges: EdgeTable, cand: np.ndarray, n_points: int, n_facets: int):
     last[:N - 1] = edges.fid[1:] != edges.fid[:-1]
     r = np.where(at[0], ends[0], ends[1])
     drop[:] = np.where(adjacent == 0, N, np.where(last[r], r, r + 1))
-    by_facet = fid.argsort()
-    per_facet = np.bincount(fid, minlength=n_facets)
-    rank = np.empty_like(by_facet)
-    rank[by_facet] = np.arange(len(fid)) - (per_facet.cumsum() - per_facet)[fid[by_facet]]
-    wide = per_facet > 62
-    bit[:] = np.where(wide[fid], 0, 1 << np.minimum(rank, 62))
     count = np.bincount(cand_no, minlength=C)
-    return pairs, count.cumsum() - count, count, wide
+    return pairs, count.cumsum() - count, count
 
 
 class _Pass:
@@ -210,28 +198,20 @@ class _Pass:
     (``vertex``), and if u and v are adjacent the later of their two rows
     in the loop goes (``alive``), as dropping the repeat of u would. So
     whether the ends of a candidate are adjacent in a facet's loop, or
-    both there and apart (a pinch), is the same all through the pass, and
-    a facet's loop is fixed by the set of collapses that touched it.
+    both there and apart (a pinch), is the same all through the pass.
 
     A pair is a candidate and a facet, live at the pass start, that holds
     an end of its edge; candidate c has ``count[c]`` pairs from
     ``first[c]``, in facet order. ``pairs`` holds per pair, as rows: facet,
     candidate, adjacent (0/1), pinch (0/1), the rows of u and of v (N if
-    absent), the row the collapse drops (N if none), and its bit, 2**k for
-    the pair's rank k among its facet's pairs. A facet's loop state is thus
-    keyed exactly by the bit sum of the collapses that touched it; a facet
-    with more than 62 pairs has bits 0 and ``applied`` -2**62, so that its
-    keys never match.
+    absent), and the row the collapse drops (N if none).
 
     Per facet: ``head``, its first row; ``span``, its pass-start row count;
     ``length``, its loop length now, under 3 once it is deleted;
-    ``applied``, the bit sum of the applied collapses that touched it;
-    ``changed``, whether one did. Per row, ``rowstate`` holds ``alive``
-    (0/1), ``at``, and ``walked`` and ``dropped``, which mark for a check
-    the rows a walk would move or drop with the candidate that would
-    (``n_cand`` elsewhere). Per pair, ``kept`` and ``kept_broken`` hold the
-    key of the last loop state checked for it that a resumed walk may meet
-    again (-1 if none) and whether that state breaks.
+    ``changed``, whether an applied collapse touched it. Per row,
+    ``rowstate`` holds ``alive`` (0/1), ``at``, and ``walked`` and
+    ``dropped``, which mark for a check the rows a walk would move or drop
+    with the candidate that would (``n_cand`` elsewhere).
     """
 
     def __init__(self, edges: EdgeTable, cand: np.ndarray, tol: np.ndarray, points: np.ndarray,
@@ -247,16 +227,13 @@ class _Pass:
         self.mids = 0.5 * (points[self.u] + points[edges.v[cand]])
         self.table = np.vstack([points, self.mids])
 
-        self.pairs, self.first, self.count, wide = _pairs(edges, cand, len(points), n_facets)
-        self.kept = np.full(self.pairs.shape[1], -1)
-        self.kept_broken = np.zeros(self.pairs.shape[1], dtype=bool)
+        self.pairs, self.first, self.count = _pairs(edges, cand, len(points), n_facets)
         head = np.flatnonzero(np.diff(edges.fid, prepend=-1))
         self.head = np.zeros(n_facets, dtype=np.int64)
         self.head[edges.fid[head]] = head
         self.span = np.zeros(n_facets, dtype=np.int64)
         self.span[edges.fid[head]] = np.diff(head, append=N)
         self.length = self.span.copy()
-        self.applied = np.where(wide, -(1 << 62), 0)
         self.changed = np.zeros(n_facets, dtype=bool)
         self.vertex = np.append(edges.vertex, -1)
         self.rowstate = np.stack([np.ones(N + 1, dtype=np.int64), self.vertex,
@@ -274,7 +251,6 @@ class _Walk(NamedTuple):
     cand: np.ndarray      # candidate of each pair
     touched: np.ndarray   # is the facet live when the collapse comes
     length: np.ndarray    # the facet's loop length after the collapse
-    key: np.ndarray       # the key of that loop state: the bit sum of its collapses
     stop: int             # the first candidate that would pinch a loop, or hi
 
 
@@ -287,8 +263,7 @@ def _walk(p: _Pass, lo: int, hi: int, busy: set) -> _Walk:
     one walked join ``busy``. The rest is array passes over the walk's
     pairs, sorted by facet: a facet meets its collapses in candidate order,
     each one that finds it live (3 or more vertices) touches it, and each
-    one whose ends are adjacent in it shortens its loop by one; a loop
-    state's key adds the collapse's bit to the keys before it. A touched
+    one whose ends are adjacent in it shortens its loop by one. A touched
     facet that holds both ends apart would be pinched.
     """
     us, vs = p.us, p.vs
@@ -304,22 +279,18 @@ def _walk(p: _Pass, lo: int, hi: int, busy: set) -> _Walk:
     cands = np.array(walk, dtype=np.int64)
     pair = _ranges(p.first[cands], p.count[cands])
     pair = pair[p.pairs[0, pair].argsort(kind="stable")]
-    fid, cand, adjacent, pinch, _, _, _, bit = p.pairs[:, pair]
+    fid, cand, adjacent, pinch, _, _, _ = p.pairs[:, pair]
     # per pair, the first pair of its facet, and the rows the facet lost
-    # and the bits it gained in the walk, up to and with the pair (the
-    # int64 running sums may wrap; each facet's own sum is under 2**62)
+    # in the walk, up to and with the pair
     head = np.arange(len(fid))
     head[1:] *= fid[1:] != fid[:-1]
     head = np.maximum.accumulate(head)
     lost = adjacent.cumsum()
     lost -= (lost - adjacent)[head]
-    key = bit.cumsum()
-    key -= (key - bit)[head]
     after = p.length[fid] - lost
     touched = after + adjacent >= 3
     pinch = cand[touched & (pinch == 1)]
-    return _Walk(walk, pair, fid, cand, touched, after, key + p.applied[fid],
-                 int(pinch.min()) if len(pinch) else hi)
+    return _Walk(walk, pair, fid, cand, touched, after, int(pinch.min()) if len(pinch) else hi)
 
 
 def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
@@ -327,7 +298,7 @@ def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
     ``w``), flat: per state, its facet's live rows, less those the walk
     drops up to its maker, with those the walk moves up to its maker at
     their midpoints."""
-    _, cand, _, _, u_row, v_row, drop, _ = p.pairs[:, w.pair]
+    _, cand, _, _, u_row, v_row, drop = p.pairs[:, w.pair]
     p.walked[u_row] = p.walked[v_row] = p.dropped[drop] = cand
     fid = w.fid[state]
     span = p.span[fid]
@@ -398,7 +369,7 @@ class _Repair:
                 if extra > 40:
                     log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
                     break
-            factor = cfg.pass_tolerance(min(k, 9))
+            factor = cfg.pass_tolerance(k)
             changed = self.collapse_pass(facet_zone, factor, k)
             if k >= COLLAPSE_PASSES and not changed:
                 break
@@ -420,26 +391,14 @@ class _Repair:
             end = min(len(cand), start + width)
             w = _walk(p, start, end, busy)
             # the loop states: one per touched facet left with 3 or more
-            # vertices, for the collapses before the walk's stop; one whose
-            # verdict the pass keeps is not checked again
+            # vertices, for the collapses before the walk's stop
             state = (w.touched & (w.length >= 3) & (w.cand < w.stop)).nonzero()[0]
-            pair, maker, key = w.pair[state], w.cand[state], w.key[state]
-            known = p.kept[pair] == key
-            known_broken = maker[known & p.kept_broken[pair]]
-            fail = min(w.stop, int(known_broken.min())) if len(known_broken) else w.stop
-            fresh = (~known & (maker < fail)).nonzero()[0]
-            if len(fresh):
-                state = state[fresh]
+            fail = w.stop
+            if len(state):
                 broken = self._check(w.fid[state], w.length[state], _state_rows(p, w, state),
                                      p.table)
                 if broken.any():
-                    fail = min(fail, int(maker[fresh[broken]].min()))
-                # keep the verdicts a walk resumed after the skip may meet
-                # again; the keys of a facet too wide to key are kept as -1,
-                # which no key matches
-                later = maker[fresh] > fail
-                p.kept[pair[fresh[later]]] = np.maximum(key[fresh[later]], -1)
-                p.kept_broken[pair[fresh[later]]] = broken[later]
+                    fail = int(w.cand[state[broken]].min())
             n_done += self._apply(p, w, fail, busy, pass_no)
             if fail < end:
                 edge = (p.us[fail], p.vs[fail])
@@ -469,12 +428,11 @@ class _Repair:
             return 0
         done = w.touched & (w.cand < fail)
         self.deleted[w.fid[done & (w.length < 3)]] = True
-        fid, cand, adjacent, _, u_row, v_row, drop, bit = p.pairs[:, np.sort(w.pair[done])]
+        fid, cand, adjacent, _, u_row, v_row, drop = p.pairs[:, np.sort(w.pair[done])]
         p.alive[drop] = 0
         p.at[u_row] = p.at[v_row] = cand + p.n_points
         p.vertex[v_row] = p.u[cand]
         np.subtract.at(p.length, fid, adjacent)
-        np.add.at(p.applied, fid, bit)
         p.changed[fid] = True
 
         applied = w.walk[:n]

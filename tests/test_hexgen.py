@@ -397,6 +397,20 @@ class TestRefine:
         audit_conformal(refine_radial(mesh))
 
 
+class TestExtrusionSpec:
+    @pytest.mark.parametrize("field, value", [("t_bl", 0.0), ("t_bl", -0.25), ("t_bl", np.nan),
+                                              ("inlet_layers", -2), ("outlet_layers", -1)])
+    def test_bad_value_raises(self, field, value):
+        # t_bl <= 0 turns the whole 'bl' layer inside out; a negative layer
+        # count would build no duct
+        with pytest.raises(ValidationError, match=field):
+            ExtrusionSpec(**{field: value})
+
+    def test_no_duct_layers_allowed(self):
+        spec = ExtrusionSpec(inlet_layers=0, outlet_layers=0)
+        assert (spec.inlet_layers, spec.outlet_layers) == (0, 0)
+
+
 @pytest.fixture(scope="module")
 def extruded(random_swept):
     _, _, mesh = random_swept

@@ -18,7 +18,9 @@ loads the attribute `facets` (`VoronoiCellSet`'s record view) or `patches`
 defines the container shapes, and `fixtures.py`, which builds beds in
 them, imports a shape class or names one in an `isinstance` call: other
 modules loop over a container's walls. `__init__.py`, which re-exports the
-shapes, is exempt.
+shapes, is exempt. Every `raise` in `src/voidhex/` names a class defined in
+`errors.py`, so that a caller catching `VoidhexError` catches every error
+the package raises; a bare re-raise is exempt.
 """
 
 import ast
@@ -33,6 +35,8 @@ FILES = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).
 READERS = sorted(p for d in ("src/voidhex", "tests", "bench") for p in (ROOT / d).glob("*.py"))
 VIEWS = {"facets", "patches"}   # record views for code outside the package
 SHAPES = {"Cylinder", "Annulus", "Box"}   # the container shapes of bed.py
+ERRORS = {n.name for n in ast.parse((ROOT / "src/voidhex/errors.py").read_text()).body
+          if isinstance(n, ast.ClassDef)}
 
 
 def unused_imports(source: str) -> list:
@@ -204,3 +208,29 @@ def test_finds_a_shape_use():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_shapes_stay_in_bed(path):
     assert shape_uses(path.read_text()) == [], f"container shape named in {path.name}"
+
+
+def foreign_raises(source: str, allowed) -> list:
+    """(line, name) of each `raise` whose exception, a class or a call of
+    one, is not named in ``allowed``; a bare re-raise is exempt."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name not in allowed:
+                found.append((n.lineno, name))
+    return sorted(found)
+
+
+def test_finds_a_foreign_raise():
+    src = ("raise ValidationError('x')\nraise ValueError('y')\nraise errors.GeometryError\n"
+           "try:\n    f()\nexcept KeyError:\n    raise\nraise RuntimeError\n")
+    assert foreign_raises(src, {"ValidationError", "GeometryError"}) == [
+        (2, "ValueError"), (8, "RuntimeError")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/voidhex/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_raises_only_package_errors(path):
+    assert foreign_raises(path.read_text(), ERRORS) == [], f"foreign raise in {path.name}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from voidhex import fixtures
 from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
-from voidhex.errors import GeometryError
+from voidhex.errors import GeometryError, ValidationError
 from voidhex.geometry import (
     GUARD_RADIUS,
     GUARD_SLACK,
@@ -77,12 +77,12 @@ class TestRepairConfig:
     @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.8, 0.9])
     def test_bad_tol_boundary_raises(self, tol):
         # tol <= L <= max_edge cannot hold unless 0 < tol_boundary < max_edge
-        with pytest.raises(ValueError, match="tol_boundary"):
+        with pytest.raises(ValidationError, match="tol_boundary"):
             RepairConfig(tol_boundary=tol)
 
     @pytest.mark.parametrize("tol", [-0.1, 0.0, 0.9])
     def test_bad_tol_inf_raises(self, tol):
-        with pytest.raises(ValueError, match="tol_inf"):
+        with pytest.raises(ValidationError, match="tol_inf"):
             RepairConfig(tol_inf=tol)
 
 
@@ -379,8 +379,8 @@ class TestCollapseProperty:
     def test_matches_reference_with_a_wide_facet(self):
         """test_self_intersection's pentagon, whose skip makes the walk
         resume, next to a 72-gon with edges of about 0.2: all 72 are
-        candidates of the same pass, more than a facet's loop states can be
-        keyed by, so the resumed walk checks the 72-gon's states again."""
+        candidates of the same pass, so the resumed walk checks again the
+        72-gon's loop states, each built from many collapses."""
         t = np.arange(72) * 2 * np.pi / 72
         r = 2.29 * (1 + np.random.default_rng(0).uniform(-0.02, 0.02, 72))
         pts = [(2.0, 0.0, 0.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.05), (2.0, -2.0, 0.05),
@@ -398,7 +398,7 @@ class TestCollapseProperty:
     def test_matches_reference_on_the_cylinder_mesh_bed(self):
         """The cells of the cylinder_mesh bed, jittered by 0.05 R, at
         tolerances 0.5 R: hundreds of candidates per pass, with skips, so
-        windows, resumed walks and reused verdicts all run."""
+        windows, their narrowing after a skip and resumed walks all run."""
         bed = fixtures.random_cylinder_bed(100, 4.0, 15.0, seed=7)
         cs = build_cells(bed, generate_ghosts(bed))
         cs.points += np.random.default_rng(0).normal(scale=0.05 * bed.radius_nominal,
