@@ -21,7 +21,7 @@ element, so its row is plain arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class HexMesh:
     elem_cell: np.ndarray              # (E,) owning sphere per element
     elem_layer: np.ndarray             # (E,) str layer label: '0', '1', 'bl', 'wall', ...
     sphere_centers: np.ndarray
+    radius: float = 1.0                # the bed's sphere radius R, set by `sweep`
 
     @property
     def n_elements(self) -> int:
@@ -103,18 +104,6 @@ class HexMesh:
         keys = np.sort(_loops(self.elements, self.faces), axis=1).tolist()
         tags = [surface_tag(d) for d in self.surfaces]
         return {tuple(k): tags[s] for k, s in zip(keys, self.face_surface.tolist())}
-
-    def copy(self) -> "HexMesh":
-        return HexMesh(
-            nodes=self.nodes.copy(),
-            elements=self.elements.copy(),
-            faces=self.faces.copy(),
-            face_surface=self.face_surface.copy(),
-            surfaces=list(self.surfaces),
-            elem_cell=self.elem_cell.copy(),
-            elem_layer=self.elem_layer.copy(),
-            sphere_centers=self.sphere_centers.copy(),
-        )
 
 
 def surface_tag(desc) -> str:
@@ -228,11 +217,10 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     centers = cs.bed.centers
     r_sweep = R0 * R
     # surface i is sphere i; then one surface per live boundary facet
-    wall = [fid for fid in np.flatnonzero(cs.site_b >= cs.n_real).tolist()
-            if len(cs.loops[fid]) >= 3]
+    wall = np.flatnonzero((cs.site_b >= cs.n_real) & (np.diff(cs.loop_start) >= 3))
     surfaces = [("sphere", i) for i in range(len(centers))] + [
         classify_boundary_facet(cs.plane_point[fid], cs.plane_normal[fid], cs.bed.domain, R)
-        for fid in wall]
+        for fid in wall.tolist()]
     facet_surface = np.full(len(cs.site_b), -1)
     facet_surface[wall] = len(centers) + np.arange(len(wall))
     cell, facet, quads = patches.outward_quads()
@@ -270,6 +258,7 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
         elem_cell=cell,
         elem_layer=np.full(len(cell), "0"),
         sphere_centers=centers.copy(),
+        radius=R,
     )
     audit_conformal(mesh)
     return mesh
@@ -354,11 +343,6 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     elements = np.empty((2 * len(p), 8), dtype=np.int64)
     elements[0::2] = np.hstack([m, q])  # facet-side child, layer 0
     elements[1::2] = np.hstack([p, m])  # sphere-side child, layer 1
-    out = mesh.copy()
-    out.nodes = np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])])
-    out.elements = elements
-    out.elem_cell = np.repeat(mesh.elem_cell, 2)
-    out.elem_layer = np.tile(["0", "1"], len(p))
 
     # a tagged face passes to the child that holds it: the sphere face to
     # the sphere-side child 2e + 1, the facet face to the facet-side child
@@ -367,8 +351,11 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     src = np.repeat(np.arange(len(f)), 1 + (f >= 2))
     second = np.zeros(len(src), dtype=bool)
     second[1:] = src[1:] == src[:-1]
-    out.faces = 6 * (2 * e[src] + (f[src] == 0) + second) + f[src]
-    out.face_surface = mesh.face_surface[src]
+    out = replace(
+        mesh, nodes=np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])]),
+        elements=elements, faces=6 * (2 * e[src] + (f[src] == 0) + second) + f[src],
+        face_surface=mesh.face_surface[src], surfaces=list(mesh.surfaces),
+        elem_cell=np.repeat(mesh.elem_cell, 2), elem_layer=np.tile(["0", "1"], len(p)))
     audit_conformal(out)
     return out
 
@@ -433,7 +420,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     spec = spec or ExtrusionSpec()
     if not (mesh.elem_layer == "1").any():
         raise ValidationError("extrude_layers expects a radially refined mesh")
-    out = mesh.copy()
+    out = replace(mesh, surfaces=list(mesh.surfaces))  # the duct step appends a surface
 
     # --- sphere boundary layers -------------------------------------------
     # a sphere face is face 0 of its element: the reversed loop runs over
@@ -451,10 +438,11 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     ray = out.nodes[p] - out.sphere_centers[ci]
     rho = norms(ray)
     target = rho - spec.t_bl * thick
-    low = np.flatnonzero(target <= 0.5)
+    low = np.flatnonzero(target <= 0.5 * out.radius)
     if len(low):
         raise GeometryError(
-            f"sphere {ci[low[0]]}: boundary-layer extrusion reaches {target[low[0]]:.3f}R"
+            f"sphere {ci[low[0]]}: boundary-layer extrusion reaches "
+            f"{target[low[0]] / out.radius:.3f}R"
         )
     n = len(out.nodes)
     e = len(out.elements) + np.arange(len(at))

@@ -5,14 +5,17 @@ shortest edges disappear first, and no vertex moves twice in one pass. Long
 edges are then bisected until they drop under the maximum, and every vertex
 is kept outside a guard sphere slightly larger than the sweep radius.
 
-A repair keeps the live facet loops flattened into (facet, vertex, next
-vertex) loop rows across its passes, each facet's rows together and in
-loop order (`_Repair.rows`); after a collapse pass or an insertion round
-only the rows of the facets it touched are gathered again. Each pass and
-round starts from one edge table (`_edge_table`) of those rows: one
-`np.unique` over their sorted endpoint keys, which gives every edge once,
-in (u, v) order, with its length. The zone tolerances and the collapse
-candidates are array passes over that table.
+A repair reads the cell set's loop arrays once, into (facet, vertex, next
+vertex) loop rows of the live facets, each facet's rows together and in
+loop order (`_Repair.rows`), which it keeps across its passes; a collapse
+pass or an insertion round gathers again only the rows of the facets it
+touched. At the end of each entry point one stable sort of the rows by
+facet writes the loop arrays back (`_Repair.store`), and a deleted facet's
+loop is left empty. Each pass and round starts from one edge table
+(`_edge_table`) of those rows: one `np.unique` over their sorted endpoint
+keys, which gives every edge once, in (u, v) order, with its length. The
+zone tolerances and the collapse candidates are array passes over that
+table.
 
 A collapse pass keeps its loops on its pass-start loop rows (`_Pass`),
 where no two of its collapses share an end. It walks its sorted
@@ -44,7 +47,6 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -97,16 +99,13 @@ def _rows(fids: np.ndarray, lens: np.ndarray, vertex: np.ndarray):
     return np.repeat(fids, lens), vertex, vertex[nxt]
 
 
-def _loop_rows(loops: list, fids=None):
-    """The ``loops`` of ``fids`` (default: every live facet) flattened into
-    rows, each facet's rows together and in loop order: per loop vertex,
-    the facet id, the vertex and the next vertex of its loop."""
-    if fids is None:
-        fids = [fid for fid, loop in enumerate(loops) if len(loop) >= 3]
-    loops = [loops[fid] for fid in fids]
-    lens = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
-    vertex = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(lens.sum()))
-    return _rows(np.asarray(fids, dtype=np.int64), lens, vertex)
+def _loop_rows(cs: VoronoiCellSet):
+    """The loops of every live facet of ``cs`` as rows, each facet's rows
+    together and in loop order: per loop vertex, the facet id, the vertex
+    and the next vertex of its loop."""
+    lens = np.diff(cs.loop_start)
+    live = lens >= 3
+    return _rows(np.flatnonzero(live), lens[live], cs.loop_vertex[live.repeat(lens)])
 
 
 def _edge_table(points: np.ndarray, rows) -> EdgeTable:
@@ -308,8 +307,9 @@ def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
     return np.where(walked <= by, walked + p.n_points, at)[(dropped > by) & (alive == 1)]
 
 
-def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Per loop state: is its polygon flat or self-intersecting?
+def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.ndarray:
+    """Per loop state: is its polygon flat (area under 1e-16 R^2) or
+    self-intersecting?
 
     ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
     facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
@@ -318,7 +318,7 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """
     x = (rel @ e1[:, :, None])[..., 0]
     y = (rel @ e2[:, :, None])[..., 0]
-    return (np.abs(polygon_areas(x, y)) < 1e-16) | ~loops_are_simple(x, y)
+    return (np.abs(polygon_areas(x, y)) < 1e-16 * R * R) | ~loops_are_simple(x, y)
 
 
 class _Repair:
@@ -329,10 +329,11 @@ class _Repair:
 
     ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
     facet, each facet's rows together and in loop order, though the
-    facets need not be in id order. The repair changes loops only through
-    this object, which gathers the rows of each facet it changes again. A
-    collapse pass changes its own copy of the pass-start rows (`_Pass`)
-    and writes the loops it changed, and their rows, once at its end.
+    facets need not be in id order. They are the repair's loops: it
+    gathers the rows of each facet it changes again, and `store` writes
+    them to the cell set. A collapse pass changes its own copy of the
+    pass-start rows (`_Pass`) and gathers the rows of the loops it changed
+    once at its end.
 
     ``pending`` holds two flat lists, vertices and facets, with one entry
     in each for a vertex moved since the last guard projection and a facet
@@ -344,11 +345,18 @@ class _Repair:
     def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
         self.cs, self.cfg = cs, cfg
         self.oplog = [] if oplog is None else oplog
-        self.deleted = np.fromiter(map(len, cs.loops), dtype=np.int64,
-                                   count=len(cs.loops)) < 3
-        self.rows = _loop_rows(cs.loops)
+        self.deleted = np.diff(cs.loop_start) < 3
+        self.rows = _loop_rows(cs)
         self.skipped: set = set()
         self.pending: tuple[list, list] | None = None
+
+    def store(self) -> VoronoiCellSet:
+        """Write the loop rows to the cell set's two loop arrays."""
+        fid, vertex, _ = self.rows
+        self.cs.loop_vertex = vertex[fid.argsort(kind="stable")]
+        self.cs.loop_start = np.concatenate(
+            [[0], np.bincount(fid, minlength=len(self.deleted)).cumsum()])
+        return self.cs
 
     def _replace_rows(self, fids, new_rows) -> None:
         """Drop the loop rows of the facets ``fids`` and append ``new_rows``."""
@@ -413,7 +421,7 @@ class _Repair:
             else:
                 start, width = end, 2 * width
         if n_done:
-            self._write_loops(p, edges.fid)
+            self._regather(p, edges.fid)
         return n_done
 
     def _apply(self, p: _Pass, w: _Walk, fail: int, busy: set, pass_no: int) -> int:
@@ -449,17 +457,14 @@ class _Repair:
             self.pending[1].extend(fids)
         return n
 
-    def _write_loops(self, p: _Pass, row_fid) -> None:
-        """Write the loops of the facets a pass changed, from its rows, and
-        gather their loop rows again."""
+    def _regather(self, p: _Pass, row_fid) -> None:
+        """Gather the loop rows of the facets a pass changed again, from
+        its rows; a facet it deleted has none."""
         sel = np.flatnonzero((p.alive[:-1] == 1) & p.changed[row_fid])
         sel = sel[row_fid[sel].argsort(kind="stable")]
         fid, vertex = row_fid[sel], p.vertex[sel]
         first = np.flatnonzero(np.diff(fid, prepend=-1))
         hit, lens = fid[first], np.diff(first, append=len(fid))
-        flat = vertex.tolist()
-        for f, a, b in zip(hit.tolist(), first.tolist(), (first + lens).tolist()):
-            self.cs.loops[f] = flat[a:b]
         live = ~self.deleted[hit]
         self._replace_rows(hit, _rows(hit[live], lens[live], vertex[live.repeat(lens)]))
 
@@ -490,7 +495,7 @@ class _Repair:
             f = fid[sel]
             at = first[sel, None] + np.minimum(np.arange(m), size[sel, None] - 1)
             rel = table[rows[at]] - plane[f][:, None, :]
-            broken[sel] = _breaks(rel, e1[f], e2[f])
+            broken[sel] = _breaks(rel, e1[f], e2[f], self.cs.bed.radius_nominal)
         return broken
 
     def insert_vertices(self) -> None:
@@ -549,12 +554,7 @@ class _Repair:
                        np.where(up, first[e] + pos - 1, first[e] + k[e] - pos))
         starts = np.flatnonzero(np.diff(fid[sel], prepend=-1))
         hit_fids = fid[sel[starts]]
-        lens = np.add.reduceat(count, starts)
-        ends = np.cumsum(lens)
-        flat = out.tolist()
-        for f, a, b in zip(hit_fids.tolist(), (ends - lens).tolist(), ends.tolist()):
-            cs.loops[f] = flat[a:b]
-        self._replace_rows(hit_fids, _rows(hit_fids, lens, out))
+        self._replace_rows(hit_fids, _rows(hit_fids, np.add.reduceat(count, starts), out))
         if self.pending is not None:
             self.pending[0].extend(out[pos > 0].tolist())
             self.pending[1].extend(fid[row[pos > 0]].tolist())
@@ -595,8 +595,9 @@ def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = N
     the full tolerance run after the schedule until no edge is left
     below it. A guard projection follows each pass but the last.
     """
-    _Repair(cs, cfg, oplog).collapse_edges()
-    return cs
+    run = _Repair(cs, cfg, oplog)
+    run.collapse_edges()
+    return run.store()
 
 
 def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -607,8 +608,9 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
     midpoint bisection produces for a straight edge. A guard projection
     follows each round.
     """
-    _Repair(cs, cfg, oplog).insert_vertices()
-    return cs
+    run = _Repair(cs, cfg, oplog)
+    run.insert_vertices()
+    return run.store()
 
 
 def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -628,6 +630,7 @@ def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -
     run.collapse_edges()
     run.guard_projection()
     run.insert_vertices()
+    run.store()
     if log_path is not None:
         with open(log_path, "w") as fh:
             for rec in oplog:
@@ -639,6 +642,6 @@ def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
     """(length, base tolerance) per unique live edge, with the base
     tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
     cfg = cfg or RepairConfig()
-    edges = _edge_table(cs.points, _loop_rows(cs.loops))
+    edges = _edge_table(cs.points, _loop_rows(cs))
     tol = _base_tolerance(edges, _facet_zone(cs), cfg)
     return list(zip(edges.length.tolist(), tol.tolist()))

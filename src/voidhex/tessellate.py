@@ -87,7 +87,7 @@ class FacetQuadMesh:
         real_b = site_b < cs.n_real
         cell = np.concatenate([site_a, site_b[real_b]])
         facet = np.concatenate([self.quad_facet, self.quad_facet[real_b]])
-        order = np.argsort(cell * len(cs.loops) + facet, kind="stable")
+        order = np.argsort(cell * len(cs.site_a) + facet, kind="stable")
         quads = np.vstack([self.quads, self.quads[real_b, ::-1]])
         return cell[order], facet[order], quads[order]
 
@@ -132,16 +132,16 @@ def _piece_score(edges: list, max_angle: float, is_quad: bool) -> float:
     return score * (QUAD_BIAS if is_quad else 1.0)
 
 
-def _fits_concave(poly_uv: list, piece: list, pts: list) -> bool:
+def _fits_concave(poly_uv: list, piece: list, pts: list, R: float) -> bool:
     """Can the piece (indices ``piece``, points ``pts``) be cut off a
     non-convex polygon? No other polygon vertex may lie inside it, and what
-    is left must be a simple loop of positive area."""
+    is left must be a simple loop of area over 1e-14 R^2."""
     for k in range(len(poly_uv)):
         if k not in piece and point_in_polygon(poly_uv[k], pts):
             return False
     rem_pts = [p for k, p in enumerate(poly_uv) if k not in piece[1:-1]]
     if len(rem_pts) >= 3:
-        if polygon_area(rem_pts) <= 1e-14:
+        if polygon_area(rem_pts) <= 1e-14 * R * R:
             return False
         if not loop_is_simple(rem_pts):
             return False
@@ -165,7 +165,8 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
     Phase one inserts a barycenter on large facets and connects one
     near-bisector vertex from every near-straight group, splitting the
     polygon into wedges; a facet is large from BIG_VERTICES vertices or
-    BIG_AREA * R^2 area on, with R the bed's sphere radius. Phase two
+    BIG_AREA * R^2 area on, with R the bed's sphere radius, and a wedge or
+    piece needs more than 1e-14 R^2 of area. Phase two
     recursively peels the best-scoring quad or triangle from each piece.
     Returns a list of (points, labels)
     polygons: points are (x, y) pairs, labels their indices into uv, or
@@ -205,7 +206,7 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
             for a, b in zip(picks, picks[1:] + [picks[0] + n]):
                 arc = [(k % n) for k in range(a, b + 1)]
                 pts = [bc] + [uv[k] for k in arc]
-                if polygon_area(pts) <= 1e-14 or not loop_is_simple(pts):
+                if polygon_area(pts) <= 1e-14 * R * R or not loop_is_simple(pts):
                     break
                 wedges.append([n] + arc)
             else:
@@ -216,7 +217,7 @@ def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
     out = []
     for piece in pieces_idx:
         pts = [bc if k == n else uv[k] for k in piece]
-        out.extend(_peel(pts, list(piece), facet_id))
+        out.extend(_peel(pts, list(piece), facet_id, R))
     return out
 
 
@@ -224,14 +225,14 @@ def _angle_between(a, b) -> float:
     return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1])
 
 
-def _peel(pts: list, labels: list, facet_id: int) -> list:
+def _peel(pts: list, labels: list, facet_id: int, R: float = 1.0) -> list:
     """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces.
 
     Each step computes the polygon's interior angles and edge lengths once.
     A candidate piece of consecutive vertices shares its inner corners and
     all but one edge with the polygon, so it computes only its two end
-    angles and its closing chord. A piece is valid when it has positive
-    area, every angle is under 180 degrees and, on a non-convex polygon,
+    angles and its closing chord. A piece is valid when its area is over
+    1e-14 R^2, every angle is under 180 degrees and, on a non-convex polygon,
     it fits (`_fits_concave`); the valid piece of lowest `_piece_score`
     wins, quads before triangles on a tie.
     """
@@ -248,7 +249,7 @@ def _peel(pts: list, labels: list, facet_id: int) -> list:
             for s in range(m):
                 piece = [(s + t) % m for t in range(size)]
                 corners = [pts[k] for k in piece]
-                if polygon_area(corners) <= 1e-14:
+                if polygon_area(corners) <= 1e-14 * R * R:
                     continue
                 first, last = corners[0], corners[-1]
                 max_angle = max(corner_angle(last, first, corners[1]),
@@ -256,7 +257,7 @@ def _peel(pts: list, labels: list, facet_id: int) -> list:
                                 *(ang[k] for k in piece[1:-1]))
                 if max_angle > math.pi - 1e-9:
                     continue
-                if not convex and not _fits_concave(pts, piece, corners):
+                if not convex and not _fits_concave(pts, piece, corners, R):
                     continue
                 edges = [edge[k] for k in piece[:-1]]
                 edges.append(math.hypot(first[0] - last[0], first[1] - last[1]))
@@ -287,12 +288,13 @@ _TEMPLATES = np.array([
 ])
 
 
-def number_patches(pieces: list, facet: list, loops: list, n_points: int):
+def number_patches(pieces: list, facet: list, loop_start: np.ndarray,
+                   loop_vertex: np.ndarray, n_points: int):
     """Midside subdivision of split facets into quad patches, numbered.
 
     ``pieces`` holds the (points, labels) pieces of `split_facet`, facet
-    after facet, ``facet`` the facet id of each piece and ``loops`` the
-    vertex ids of every facet's loop, by facet id. A corner labelled k is
+    after facet, ``facet`` the facet id of each piece, and ``loop_start``
+    and ``loop_vertex`` every facet's loop, as a cell set holds them. A corner labelled k is
     vertex k of its loop. The barycenter (labelled with the loop length),
     every side midpoint and every centroid is a new node, numbered from
     ``n_points`` in order of first use through the node lists. The midpoint
@@ -309,11 +311,11 @@ def number_patches(pieces: list, facet: list, loops: list, n_points: int):
     pts = np.array([(list(pt) * 2)[:4] for pt, _ in pieces], dtype=float).reshape(-1, 4, 2)
     tri = lab[:, 3] == lab[:, 0]    # a quad's four labels differ
     facet = np.asarray(facet, dtype=np.int64)
-    size = np.array([len(loop) for loop in loops], dtype=np.int64)
+    size = np.diff(loop_start)
     n = size[facet][:, None]
-    # label j of facet f is vertex[at[f] + j], and -1 for the barycenter
-    vertex = np.array([v for loop in loops for v in (*loop, -1)], dtype=np.int64)
-    at = (np.cumsum(size + 1) - size - 1)[facet][:, None]
+    # label j of facet f is vertex[at[f] + j]; each loop is followed by -1, the barycenter
+    vertex = np.insert(np.asarray(loop_vertex, dtype=np.int64), loop_start[1:], -1)
+    at = (loop_start[:-1] + np.arange(len(size)))[facet][:, None]
     # each node's label pair: (j, j) at corner j, its side's ends at a
     # midpoint, and the barycenter's (n, n) as a stand-in at the centroid
     ends = np.roll(lab, -1, axis=1)
@@ -330,7 +332,7 @@ def number_patches(pieces: list, facet: list, loops: list, n_points: int):
     # centroid by its piece
     w = int(size.max(initial=0)) + 1
     key = n_points * n_points + (facet[:, None] * w + lo) * w + hi
-    key[:, 8] = n_points * n_points + len(loops) * w * w + np.arange(len(lab))
+    key[:, 8] = n_points * n_points + len(size) * w * w + np.arange(len(lab))
     key[edge] = a[edge] * n_points + b[edge]
     ids, first = first_seen(key[new])
     node = va.copy()
@@ -418,10 +420,8 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """
     pieces: list = []
     piece_facet: list = []
-    for fid, loop in enumerate(cs.loops):
-        if len(loop) < 3:
-            continue
-        rel = cs.points[loop] - cs.plane_point[fid]
+    for fid in np.flatnonzero(np.diff(cs.loop_start) >= 3).tolist():
+        rel = cs.points[cs.loop(fid)] - cs.plane_point[fid]
         uv = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
@@ -431,7 +431,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
 
     n_points = len(cs.points)
     quads, quad_slots, slots, xy, mids = number_patches(
-        pieces, piece_facet, cs.loops, n_points)
+        pieces, piece_facet, cs.loop_start, cs.loop_vertex, n_points)
     quad_facet = slots[quad_slots[:, 0], 0]
     nodes = np.empty((int(slots[:, 1].max(initial=n_points - 1)) + 1, 3))
     nodes[:n_points] = cs.points

@@ -12,10 +12,13 @@ A `VoronoiCellSet` holds its facets as one table: its facet columns have
 one row per facet id. A facet is stored once and shared by its two cells.
 Its loop runs counterclockwise about ``plane_normal``, which points from
 site_a to site_b, so cell site_a sees it CCW from outside and the other
-cell uses it reversed. Only repair changes a facet, and only its loop; a
-facet whose loop has fewer than 3 vertices is deleted, and no flag is
-stored. `VoronoiCellSet.facets` is a read-only view of the table, one
-record per facet, for code outside the package.
+cell uses it reversed. The loops are CSR arrays, one flat array of entries
+and one of start offsets (``loop_vertex``, ``loop_start``), and so are the
+cells' facet ids (``cell_facet``, ``cell_start``). Only repair changes a
+facet, and only its loop; a facet whose loop has fewer than 3 vertices is
+deleted (repair empties it), and no flag is stored. `VoronoiCellSet.facets`
+is a read-only view of the table, one record per facet, for code outside
+the package.
 """
 
 from __future__ import annotations
@@ -73,12 +76,13 @@ class FacetView(Sequence):
         self._cs = cs
 
     def __len__(self) -> int:
-        return len(self._cs.loops)
+        return len(self._cs.site_a)
 
     def __getitem__(self, fid: int) -> FacetRecord:
         cs = self._cs
-        loop = cs.loops[fid]
-        return FacetRecord(list(loop), int(cs.site_a[fid]), int(cs.site_b[fid]),
+        fid = range(len(self))[fid]
+        loop = cs.loop(fid).tolist()
+        return FacetRecord(loop, int(cs.site_a[fid]), int(cs.site_b[fid]),
                            cs.plane_point[fid], cs.plane_normal[fid], len(loop) < 3,
                            cs.e1[fid], cs.e2[fid])
 
@@ -86,14 +90,16 @@ class FacetView(Sequence):
 @dataclass
 class VoronoiCellSet:
     points: np.ndarray           # shared vertex pool, grows during repair
-    loops: list                  # per facet: its vertex ids, CCW about plane_normal
+    loop_start: np.ndarray       # (F + 1,) int64: where each facet's loop starts in loop_vertex
+    loop_vertex: np.ndarray      # int64 vertex ids of every loop, each CCW about plane_normal
     site_a: np.ndarray           # (F,) int64: the real site; site_a < site_b
     site_b: np.ndarray           # (F,) int64: a ghost site is numbered after every real one
     plane_point: np.ndarray      # (F, 3)
     plane_normal: np.ndarray     # (F, 3) unit normals, site_a -> site_b
     e1: np.ndarray               # (F, 3) in-plane bases, e1 x e2 = plane_normal
     e2: np.ndarray               # (F, 3)
-    cells: list                  # facet ids per real sphere
+    cell_start: np.ndarray       # (n_real + 1,) int64: where each cell starts in cell_facet
+    cell_facet: np.ndarray       # int64 facet ids of every real cell, each cell's ascending
     sites: np.ndarray            # real centers then ghosts
     n_real: int
     bed: SphereBed
@@ -102,13 +108,18 @@ class VoronoiCellSet:
     def facets(self) -> FacetView:
         return FacetView(self)
 
-    def cell_facets(self, i: int) -> list:
-        """The ids of the live facets of cell i."""
-        return [f for f in self.cells[i] if len(self.loops[f]) >= 3]
+    def loop(self, fid: int) -> np.ndarray:
+        """The vertex ids of facet fid's loop."""
+        return self.loop_vertex[self.loop_start[fid]:self.loop_start[fid + 1]]
 
-    def facet_loop_for_cell(self, fid: int, i: int) -> list:
+    def cell_facets(self, i: int) -> np.ndarray:
+        """The ids of the live facets of cell i."""
+        fids = self.cell_facet[self.cell_start[i]:self.cell_start[i + 1]]
+        return fids[np.diff(self.loop_start)[fids] >= 3]
+
+    def facet_loop_for_cell(self, fid: int, i: int) -> np.ndarray:
         """Facet loop ordered with outward normal for cell i."""
-        return list(self.loops[fid]) if self.site_a[fid] == i else self.loops[fid][::-1]
+        return self.loop(fid) if self.site_a[fid] == i else self.loop(fid)[::-1]
 
     def outward_normal(self, fid: int, i: int) -> np.ndarray:
         return self.plane_normal[fid] if self.site_a[fid] == i else -self.plane_normal[fid]
@@ -257,34 +268,32 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
 
     # each loop ordered CCW about its normal: by the angle about the
     # vertex centroid in the (e1, e2) plane, then by vertex id
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    starts = np.cumsum(counts) - counts
     ridge = np.repeat(np.arange(len(counts)), counts)
     pts = verts[vids]
     rel = pts - (np.add.reduceat(pts, starts, axis=0) / counts[:, None])[ridge]
     x, y = np.vecdot(rel, e1[ridge]), np.vecdot(rel, e2[ridge])
     order = np.lexsort((vids, np.arctan2(y, x), ridge))
-    loops = vids[order].tolist()
 
     # degenerate-area ridges (collinear after dedup) carry no volume; the
     # loops are padded to one size by repeating their last vertex, which
     # adds exact zero terms to each area
     at = starts[:, None] + np.minimum(np.arange(counts.max(initial=3)), counts[:, None] - 1)
     area = polygon_areas(x[order][at], y[order][at])
-    keep = np.flatnonzero(~(2.0 * np.abs(area) < 1e-20 * R * R))
+    kept = ~(2.0 * np.abs(area) < 1e-20 * R * R)
+    keep = np.flatnonzero(kept)
 
     sa, sb = sa[keep], sb[keep]
     # each cell's facet ids, in id order
     real_b = np.flatnonzero(sb < n)
     owner = np.concatenate([sa, sb[real_b]])
     fid = np.concatenate([np.arange(len(keep)), real_b])
-    fid = fid[np.lexsort((fid, owner))]
-    cells = [c.tolist() for c in np.split(fid, np.cumsum(np.bincount(owner, minlength=n))[:-1])]
-    cs = VoronoiCellSet(points=verts,
-                        loops=[loops[lo:hi] for lo, hi in zip(starts[keep].tolist(),
-                                                              ends[keep].tolist())],
+    cs = VoronoiCellSet(points=verts, loop_start=np.concatenate([[0], np.cumsum(counts[keep])]),
+                        loop_vertex=vids[order][kept[ridge]],
                         site_a=sa, site_b=sb, plane_point=plane_points[keep],
-                        plane_normal=normals[keep], e1=e1[keep], e2=e2[keep], cells=cells, sites=sites, n_real=n, bed=bed)
+                        plane_normal=normals[keep], e1=e1[keep], e2=e2[keep],
+                        cell_start=np.concatenate([[0], np.bincount(owner, minlength=n).cumsum()]),
+                        cell_facet=fid[np.lexsort((fid, owner))], sites=sites, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 
@@ -302,19 +311,15 @@ def _validate_cells(cs: VoronoiCellSet) -> None:
     """
     R = cs.bed.radius_nominal
     site_a, plane, normal = cs.site_a, cs.plane_point, cs.plane_normal
-    sizes = np.fromiter(map(len, cs.loops), dtype=np.int64, count=len(cs.loops))
+    sizes = np.diff(cs.loop_start)
     live = sizes >= 3
-    loop_start = np.cumsum(sizes) - sizes
-    flat = np.fromiter(chain.from_iterable(cs.loops), dtype=np.int64, count=int(sizes.sum()))
     n_pts = len(cs.points)
     for lo in range(0, cs.n_real, VALIDATE_BLOCK):
-        cells = cs.cells[lo:min(cs.n_real, lo + VALIDATE_BLOCK)]
-        n = len(cells)  # cell c of the block is cell lo + c
+        hi = min(cs.n_real, lo + VALIDATE_BLOCK)
+        n = hi - lo  # cell c of the block is cell lo + c
         # (cell, facet) rows of the live facets, in each cell's facet order
-        per_cell = np.array([len(c) for c in cells], dtype=np.int64)
-        cf_fid = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
-                             count=int(per_cell.sum()))
-        cf_cell = np.repeat(np.arange(n), per_cell)
+        cf_fid = cs.cell_facet[cs.cell_start[lo]:cs.cell_start[hi]]
+        cf_cell = np.repeat(np.arange(n), np.diff(cs.cell_start[lo:hi + 1]))
         keep = live[cf_fid]
         cf_fid, cf_cell = cf_fid[keep], cf_cell[keep]
         n_facets = np.bincount(cf_cell, minlength=n)
@@ -329,7 +334,7 @@ def _validate_cells(cs: VoronoiCellSet) -> None:
         row = np.repeat(np.arange(len(cf_fid)), m)
         first = np.repeat(np.cumsum(m) - m, m)
         k = np.arange(len(row)) - first
-        u = flat[loop_start[cf_fid][row] + np.where(forward[row], k, m[row] - 1 - k)]
+        u = cs.loop_vertex[cs.loop_start[cf_fid][row] + np.where(forward[row], k, m[row] - 1 - k)]
         nxt = first + (k + 1) % m[row]     # the directed edge is (u, u[nxt])
 
         # every vertex of the cell against every facet plane of the cell
@@ -395,7 +400,7 @@ def point_in_cell(cs: VoronoiCellSet, i: int, pts: np.ndarray, tol: float = 1e-9
 
 def dump_off(cs: VoronoiCellSet, path) -> None:
     """ASCII OFF polygon soup of all live facets, for external inspection."""
-    live = [loop for loop in cs.loops if len(loop) >= 3]
+    live = [cs.loop(f).tolist() for f in np.flatnonzero(np.diff(cs.loop_start) >= 3)]
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(cs.points)} {len(live)} 0\n")

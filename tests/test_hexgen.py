@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ from test_repair import ghost_tag
 
 from voidhex import fixtures
 from voidhex.bed import attach_domain, fit_annulus
-from voidhex.errors import TopologyError, ValidationError
+from voidhex.errors import GeometryError, TopologyError, ValidationError
 from voidhex.hexgen import (
     _FACES,
     ExtrusionSpec,
@@ -244,7 +245,7 @@ class TestAuditAgainstReference:
     @given(st.sampled_from(["swap", "mirror", "duplicate", "drop_tag", "add_tag", "orphan"]),
            st.integers(0, 2**31), st.integers(0, 7), st.integers(1, 7))
     def test_corrupted_mesh(self, cube_extruded, how, pick, corner, offset):
-        mesh = cube_extruded.copy()
+        mesh = copy.deepcopy(cube_extruded)
         e = pick % mesh.n_elements
         if how == "swap":
             other = (corner + offset) % 8
@@ -409,6 +410,28 @@ class TestExtrusionSpec:
     def test_no_duct_layers_allowed(self):
         spec = ExtrusionSpec(inlet_layers=0, outlet_layers=0)
         assert (spec.inlet_layers, spec.outlet_layers) == (0, 0)
+
+
+def lattice_extruded(spacing, spec=None):
+    bed = fixtures.simple_cubic(3, spacing=spacing)
+    cs = repair(build_cells(bed, generate_ghosts(bed)))
+    return extrude_layers(refine_radial(sweep(tessellate_cells(cs))), spec)
+
+
+class TestExtrusionScale:
+    """The sphere layer's floor, 0.5 R, is in units of R."""
+
+    def test_dense_lattice_meshes(self):
+        # at spacing 1.0, R = 0.5, the layer reaches 0.81 R = 0.404
+        assert len(lattice_extruded(1.0).elements) == 23040
+
+    def test_message_in_units_of_r(self):
+        messages = []
+        for spacing in (1.0, 2.0):
+            with pytest.raises(GeometryError, match="boundary-layer extrusion reaches") as exc:
+                lattice_extruded(spacing, ExtrusionSpec(t_bl=1.5))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.fixture(scope="module")

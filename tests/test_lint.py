@@ -20,7 +20,10 @@ them, imports a shape class or names one in an `isinstance` call: other
 modules loop over a container's walls. `__init__.py`, which re-exports the
 shapes, is exempt. Every `raise` in `src/voidhex/` names a class defined in
 `errors.py`, so that a caller catching `VoidhexError` catches every error
-the package raises; a bare re-raise is exempt.
+the package raises; a bare re-raise is exempt. Every field of
+`VoronoiCellSet` but ``bed`` and ``n_real`` is annotated ``np.ndarray``:
+its facet loops and cells are CSR arrays, not lists, from `build_cells`
+to `hexgen`.
 """
 
 import ast
@@ -234,3 +237,24 @@ def test_finds_a_foreign_raise():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_raises_only_package_errors(path):
     assert foreign_raises(path.read_text(), ERRORS) == [], f"foreign raise in {path.name}"
+
+
+def non_array_fields(source: str, name: str, exempt) -> list:
+    """(field, annotation) of each field of class ``name`` in ``source``,
+    but those in ``exempt``, that is not annotated ``np.ndarray``."""
+    cls = next(n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef) and n.name == name)
+    return sorted((stmt.target.id, ast.unparse(stmt.annotation)) for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in exempt and ast.unparse(stmt.annotation) != "np.ndarray")
+
+
+def test_finds_a_non_array_field():
+    src = ("class A:\n    x: np.ndarray\n    y: list\n    z: int\n"
+           "    def f(self) -> list:\n        w: list = []\n")
+    assert non_array_fields(src, "A", {"z"}) == [("y", "list")]
+
+
+def test_cell_set_fields_are_arrays():
+    source = (ROOT / "src/voidhex/voronoi.py").read_text()
+    assert non_array_fields(source, "VoronoiCellSet", {"bed", "n_real"}) == []

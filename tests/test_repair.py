@@ -38,6 +38,31 @@ from voidhex.repair import (
 from voidhex.voronoi import VoronoiCellSet, build_cells, generate_ghosts
 
 
+def csr(lists):
+    """(start, entries) int64 arrays of a list of int lists: the form of a
+    cell set's loops and of its cells."""
+    start = np.concatenate([[0], np.cumsum([len(x) for x in lists], dtype=np.int64)])
+    return start.astype(np.int64), np.array([v for x in lists for v in x], dtype=np.int64)
+
+
+def loops_of(cs) -> list:
+    """Every facet's loop, by facet id, as lists."""
+    return [cs.loop(f).tolist() for f in range(len(cs.site_a))]
+
+
+def cells_of(cs) -> list:
+    """Every real cell's facet ids, as lists."""
+    return [cs.cell_facet[a:b].tolist() for a, b in zip(cs.cell_start[:-1], cs.cell_start[1:])]
+
+
+def set_loops(cs, loops) -> None:
+    cs.loop_start, cs.loop_vertex = csr(loops)
+
+
+def set_cells(cs, cells) -> None:
+    cs.cell_start, cs.cell_facet = csr(cells)
+
+
 def make_synthetic(points, loops, n_centers=1):
     """Single-cell cell set around center(s) at the origin-ish for unit tests."""
     centers = np.zeros((n_centers, 3))
@@ -57,16 +82,20 @@ def make_synthetic(points, loops, n_centers=1):
     normals = np.array(normals)
     e1, e2 = plane_basis(normals)
     m = len(loops)
+    loop_start, loop_vertex = csr(loops)
+    cell_start, cell_facet = csr([range(m)] * n_centers)
     return VoronoiCellSet(
         points=np.asarray(points, dtype=float),
-        loops=[list(loop) for loop in loops],
+        loop_start=loop_start,
+        loop_vertex=loop_vertex,
         site_a=np.zeros(m, dtype=np.int64),
         site_b=np.full(m, n_centers, dtype=np.int64),
         plane_point=np.array(plane_points),
         plane_normal=normals,
         e1=e1,
         e2=e2,
-        cells=[list(range(m)) for _ in range(n_centers)],
+        cell_start=cell_start,
+        cell_facet=cell_facet,
         sites=np.vstack([centers, [[0.0, 0.0, -10.0]]]),
         n_real=n_centers,
         bed=bed,
@@ -154,7 +183,7 @@ class TestToleranceSchedule:
         collapse_edges(cs, RepairConfig(), oplog=oplog)
         assert [(r["op"], r["pass"], r["edge"], r["facets"]) for r in oplog] == [
             ("collapse", 6, [0, 1], [0]), ("collapse", 6, [2, 3], [1])]
-        assert [f.loop for f in cs.facets] == [[0, 3], [2, 4, 5]]
+        assert [f.loop for f in cs.facets] == [[], [2, 4, 5]]
         assert [f.deleted for f in cs.facets] == [True, False]
         assert np.array_equal(cs.points[0], 0.5 * (np.array(pts[0]) + np.array(pts[1])))
         assert np.array_equal(cs.points[2], 0.5 * (np.array(pts[2]) + np.array(pts[3])))
@@ -173,19 +202,20 @@ def _squeeze(loop):
     return out
 
 
-def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
+def reference_collapse_ok(cs, loops, u, v, mid, touched_fids) -> bool:
     """The former per-candidate check: would fusing v into u (at mid) keep
-    every touched facet loop valid? Kept as the reference for the batched
-    check of `_collapse_pass`."""
+    every touched facet loop (of the lists ``loops``) valid? Kept as the
+    reference for the batched check of `_collapse_pass`."""
+    R = cs.bed.radius_nominal
     for fid in touched_fids:
-        loop = _squeeze([u if w == v else w for w in cs.loops[fid]])
+        loop = _squeeze([u if w == v else w for w in loops[fid]])
         if len(loop) < 3:
             continue  # facet degenerates and will be deleted: allowed
         if len(set(loop)) != len(loop):
             return False  # pinched loop
         rel = np.array([mid if w == u else cs.points[w] for w in loop]) - cs.plane_point[fid]
         pts2 = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
-        if abs(polygon_area(pts2)) < 1e-16:
+        if abs(polygon_area(pts2)) < 1e-16 * R * R:
             return False
         if not loop_is_simple(pts2):
             return False
@@ -195,8 +225,10 @@ def reference_collapse_ok(cs, u, v, mid, touched_fids) -> bool:
 def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog, skipped) -> int:
     """The former collapse pass: candidates checked and applied one by one.
     An edge's skip is logged the first time only; ``skipped`` holds the
-    edges logged in earlier passes."""
-    edges = _edge_table(cs.points, _loop_rows(cs.loops))
+    edges logged in earlier passes. A facet that a collapse deletes is left
+    with an empty loop."""
+    edges = _edge_table(cs.points, _loop_rows(cs))
+    loops = loops_of(cs)
     tol = _base_tolerance(edges, facet_zone, cfg) * factor * R
     cand = np.flatnonzero(edges.length < tol)
     cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
@@ -210,9 +242,9 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog, skip
         if u in moved or v in moved:
             continue
         touched = sorted(fid for fid in {*incidence[u], *incidence[v]}
-                         if len(cs.loops[fid]) >= 3)
+                         if len(loops[fid]) >= 3)
         mid = 0.5 * (cs.points[u] + cs.points[v])
-        if not reference_collapse_ok(cs, u, v, mid, touched):
+        if not reference_collapse_ok(cs, loops, u, v, mid, touched):
             if (u, v) not in skipped:
                 skipped.add((u, v))
                 oplog.append({"op": "collapse_skipped", "pass": pass_no, "edge": [u, v],
@@ -220,12 +252,14 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog, skip
             continue
         cs.points[u] = mid
         for fid in touched:
-            cs.loops[fid] = _squeeze([u if w == v else w for w in cs.loops[fid]])
+            loop = _squeeze([u if w == v else w for w in loops[fid]])
+            loops[fid] = loop if len(loop) >= 3 else []
         moved.add(u)
         moved.add(v)
         n_done += 1
         oplog.append({"op": "collapse", "pass": pass_no, "edge": [u, v],
                       "length": L, "tolerance": tol_uv, "facets": touched})
+    set_loops(cs, loops)
     return n_done
 
 
@@ -323,7 +357,7 @@ class TestCollapseSkipped:
         collapse_edges(cs, RepairConfig(), oplog=oplog)
         assert pass_records(oplog, 6) == [("collapse", [0, 5]), *skipped,
                                           ("collapse_skipped", [3, 7])]
-        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [0, 6], [3, 7, 8], *loops[3:]]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4], [], [3, 7, 8], *loops[3:]]
         assert np.array_equal(cs.points[3], np.array(pts[3]))
 
     def test_later_candidate_on_a_skipped_endpoint(self):
@@ -340,7 +374,7 @@ class TestCollapseSkipped:
         done = [r for r in oplog if r["op"] == "collapse"]
         assert len(done) == 1 and done[0]["facets"] == [0, 1, 2]
         assert all(r["edge"] == [0, 3] for r in oplog if r["op"] == "collapse_skipped")
-        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4, 5], [0, 3, 6], [0, 8]]
+        assert [f.loop for f in cs.facets] == [[0, 1, 2, 3, 4, 5], [0, 3, 6], []]
         assert [f.deleted for f in cs.facets] == [False, False, True]
         assert np.array_equal(cs.points[0], 0.5 * (np.array(pts[0]) + np.array(pts[7])))
         assert np.array_equal(cs.points[7], np.array(pts[7]))
@@ -477,7 +511,7 @@ def reference_insert_vertices(run):
     cs = run.cs
     limit = run.cfg.max_edge * cs.bed.radius_nominal
     for _round in range(10):
-        edges = _edge_table(cs.points, _loop_rows(cs.loops))
+        edges = _edge_table(cs.points, _loop_rows(cs))
         long_edges = np.flatnonzero(edges.length > limit)
         if not len(long_edges):
             break
@@ -499,9 +533,10 @@ def reference_insert_vertices(run):
                                (1 - t) * cs.points[ends[:, 0]] + t * cs.points[ends[:, 1]]])
         is_long = np.zeros(len(edges.u), dtype=bool)
         is_long[long_edges] = True
+        loops = loops_of(cs)
         for fid in np.unique(edges.fid[is_long[edges.edge]]).tolist():
             out = []
-            loop = cs.loops[fid]
+            loop = loops[fid]
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 out.append(a)
                 key = (a, b) if a < b else (b, a)
@@ -509,8 +544,9 @@ def reference_insert_vertices(run):
                     ids = splits[key]
                     out.extend(ids if a < b else list(reversed(ids)))
                     recheck(run, ids, (fid,))
-            cs.loops[fid] = out
-        run.rows = _loop_rows(cs.loops)
+            loops[fid] = out
+        set_loops(cs, loops)
+        run.rows = _loop_rows(cs)
         run.guard_projection()
 
 
@@ -558,6 +594,7 @@ def _insert_outcome(insert, cs, cfg, projected):
         insert(run)
     except GeometryError as exc:
         return str(exc)
+    run.store()
     assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
                                        if not f.deleted}
     return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog, guard_rows)
@@ -756,6 +793,7 @@ class TestFullRepair:
         run = _Repair(cs, RepairConfig(), [])
         for stage in (run.collapse_edges, run.guard_projection, run.insert_vertices):
             stage()
+            run.store()
             assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
                                                if not f.deleted}
         assert any(r["op"] == "collapse" for r in run.oplog)
@@ -807,7 +845,7 @@ class TestFullRepair:
     def test_guard_invariant(self, repaired):
         cs, _ = repaired
         for i in range(cs.n_real):
-            vids = sorted(set(v for f in cs.cell_facets(i) for v in cs.loops[f]))
+            vids = np.unique(np.concatenate([cs.loop(f) for f in cs.cell_facets(i)]))
             d = np.linalg.norm(cs.points[vids] - cs.bed.centers[i], axis=1)
             assert d.min() >= GUARD_RADIUS - 1e-12
 
@@ -827,8 +865,8 @@ class TestFullRepair:
         for fid, f in enumerate(cs.facets):
             if f.deleted or f.site_b >= cs.n_real:
                 continue
-            assert fid in cs.cells[f.site_a]
-            assert fid in cs.cells[f.site_b]
+            assert fid in cs.cell_facets(f.site_a)
+            assert fid in cs.cell_facets(f.site_b)
 
     def test_repair_writes_oplog(self, tmp_path):
         bed = fixtures.simple_cubic(2)
@@ -837,6 +875,22 @@ class TestFullRepair:
         repair(cs, RepairConfig(), log_path=p)
         recs = [json.loads(line) for line in p.read_text().splitlines()]
         assert all("op" in r for r in recs)
+
+
+@pytest.mark.parametrize("k", [1e-7, 1.0])
+def test_op_counts_independent_of_scale(k):
+    """The same bed at sphere radius k repairs with the same operations:
+    the collapse check's flat-loop area is in units of R^2, so no collapse
+    is skipped at a small radius."""
+    bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+    bed = SphereBed(centers=bed.centers * k, radius_nominal=k, domain=bed.domain.scaled(k))
+    oplog = []
+    run = _Repair(build_cells(bed, generate_ghosts(bed)), RepairConfig(), oplog)
+    run.collapse_edges()
+    run.guard_projection()
+    run.insert_vertices()
+    ops = [r["op"] for r in oplog]
+    assert (ops.count("collapse"), ops.count("collapse_skipped"), ops.count("insert")) == (79, 0, 283)
 
 
 class TestBoundaryZone:
@@ -872,18 +926,17 @@ def ghost_tag(cs, ghosts, site_b: int):
 
 def cells_digest(cs, ghosts, oplog: bytes = b"") -> str:
     """sha256 of a cell set, bit for bit: the exact point bytes; per facet
-    its loop (empty once it is deleted), sites, the tag of its ghost (from
-    ``ghosts``), deleted flag and the plane_point, plane_normal, e1 and e2
-    bytes; the cells; and the JSONL repair oplog."""
+    its loop, sites, the tag of its ghost (from ``ghosts``), deleted flag
+    and the plane_point, plane_normal, e1 and e2 bytes; the cells; and the
+    JSONL repair oplog."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(cs.points, dtype="<f8").tobytes())
     for f in cs.facets:
-        loop = [] if f.deleted else [int(v) for v in f.loop]
-        h.update(repr((loop, int(f.site_a), int(f.site_b),
+        h.update(repr((f.loop, int(f.site_a), int(f.site_b),
                        ghost_tag(cs, ghosts, f.site_b), bool(f.deleted))).encode())
         for a in (f.plane_point, f.plane_normal, f.e1, f.e2):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    h.update(repr([[int(fid) for fid in c] for c in cs.cells]).encode())
+    h.update(repr(cells_of(cs)).encode())
     h.update(oplog)
     return h.hexdigest()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_repair import csr, loops_of
 
 from voidhex import fixtures
 from voidhex.bed import SphereBed
@@ -245,7 +246,7 @@ class TestNumberPatches:
         former get_node numbering."""
         pieces, facet, loops = case
         ref_quads, ref_slots, ref_xy, ref_mids = ref_number_patches(pieces, facet, loops, 12)
-        quads, quad_slots, slots, xy, mids = number_patches(pieces, facet, loops, 12)
+        quads, quad_slots, slots, xy, mids = number_patches(pieces, facet, *csr(loops), 12)
         assert quads.tolist() == [list(q) for q in ref_quads]
         assert slots.tolist() == [list(s) for s in ref_slots]
         assert xy.tobytes() == np.array(ref_xy, dtype=float).reshape(-1, 2).tobytes()
@@ -259,7 +260,7 @@ class TestNumberPatches:
         uv = [tuple(p) for k in range(6) for p in (hexa[k], np.add(hexa[k], hexa[(k + 1) % 6]) / 2)]
         pieces = split_facet(uv, group_edges(uv))
         assert any(12 in labels for _, labels in pieces)
-        quads, *_ = number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
+        quads, *_ = number_patches(pieces, [0] * len(pieces), *csr([range(12)]), 12)
         ref_quads, *_ = ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
         assert quads.tolist() == [list(q) for q in ref_quads]
 
@@ -269,7 +270,7 @@ class TestSubdivide:
         """The quads and slot positions of one facet's pieces, its loop the
         labels 0..n - 1 as vertex ids."""
         n = 1 + max(lab for _, labels in pieces for lab in labels)
-        quads, _, _, xy, _ = number_patches(pieces, [0] * len(pieces), [list(range(n))], n)
+        quads, _, _, xy, _ = number_patches(pieces, [0] * len(pieces), *csr([range(n)]), n)
         return quads, xy
 
     def test_quad_becomes_four(self):
@@ -322,7 +323,7 @@ def facet_patch(uv):
     barycenter, the midpoints of cut edges and the piece centroids."""
     n = len(uv)
     pieces = split_facet(uv, group_edges(uv))
-    quads, _, slots, xy, mids = number_patches(pieces, [0] * len(pieces), [list(range(n))], n)
+    quads, _, slots, xy, mids = number_patches(pieces, [0] * len(pieces), *csr([range(n)]), n)
     nodes = slots[:, 1].tolist()
     interior = [v for v in nodes if v >= n and v not in mids[:, 2]]
     return (dict(zip(nodes, map(tuple, xy.tolist()))), [tuple(q) for q in quads.tolist()],
@@ -656,7 +657,7 @@ class TestTessellateCells:
         for u, v, nid in tessellated.edge_midpoints.tolist():
             # the midpoint node must be used by every patch whose facet
             # contains the edge
-            for fid, loop in enumerate(cs.loops):
+            for fid, loop in enumerate(loops_of(cs)):
                 if len(loop) < 3:
                     continue
                 edges = {tuple(sorted(e)) for e in zip(loop, loop[1:] + loop[:1])}
@@ -690,10 +691,11 @@ class TestTessellateCells:
             assert len(mine) and mine.tolist() == theirs[:, ::-1].tolist()
 
 
-@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("k", [1e-7, 1e-6, 0.5, 1.0, 2.0])
 def test_quad_count_independent_of_scale(k):
     """The same bed at sphere radius k tessellates into the same quads:
-    every length threshold of the tessellator is in units of R."""
+    every length and area threshold of repair and the tessellator is in
+    units of R."""
     bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
     bed = SphereBed(centers=bed.centers * k, radius_nominal=k, domain=bed.domain.scaled(k))
     cs = build_cells(bed, generate_ghosts(bed))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi, cKDTree
-from test_repair import cells_digest, ghost_tag
+from test_repair import cells_digest, cells_of, csr, ghost_tag, loops_of, set_cells, set_loops
 
 from voidhex import fixtures, voronoi
 from voidhex.bed import (
@@ -107,7 +107,7 @@ class TestBuildCells:
         bed = fixtures.simple_cubic(3)
         cs = build_cells(bed, generate_ghosts(bed))
         i = 13  # (3,3,3), the interior sphere
-        loops = [cs.loops[f] for f in cs.cell_facets(i)]
+        loops = [cs.loop(f).tolist() for f in cs.cell_facets(i)]
         assert len(loops) == 6
         for loop in loops:
             assert len(loop) == 4
@@ -139,8 +139,8 @@ class TestBuildCells:
         cs = build_cells(bed, generate_ghosts(bed))
         for fid, f in enumerate(cs.facets):
             if f.site_b < cs.n_real:
-                assert fid in cs.cells[f.site_a]
-                assert fid in cs.cells[f.site_b]
+                assert fid in cs.cell_facets(f.site_a)
+                assert fid in cs.cell_facets(f.site_b)
 
     def test_unbounded_cell_raises(self):
         centers = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -252,7 +252,7 @@ def reference_validate_cells(cs) -> None:
         fl = cs.cell_facets(i)
         if len(fl) < 4:
             raise GeometryError(f"cell {i} has only {len(fl)} facets")
-        vids = sorted(set(v for f in fl for v in cs.loops[f]))
+        vids = sorted(set(v for f in fl for v in cs.loop(f).tolist()))
         pts = cs.points[vids]
         center = cs.sites[i]
         for f in fl:
@@ -266,7 +266,7 @@ def reference_validate_cells(cs) -> None:
                 raise GeometryError(f"site {i} is not strictly inside its cell")
         edges = {}
         for f in fl:
-            loop = cs.facet_loop_for_cell(f, i)
+            loop = cs.facet_loop_for_cell(f, i).tolist()
             for u, v in zip(loop, loop[1:] + loop[:1]):
                 edges[(u, v)] = edges.get((u, v), 0) + 1
         for (u, v), cnt in edges.items():
@@ -275,7 +275,9 @@ def reference_validate_cells(cs) -> None:
 
 
 def _few_facets(cs):
-    cs.cells[2] = cs.cells[2][:3]
+    cells = cells_of(cs)
+    cells[2] = cells[2][:3]
+    set_cells(cs, cells)
 
 
 def _vertex_outside(cs):
@@ -288,13 +290,17 @@ def _site_outside(cs):
 
 
 def _not_watertight(cs):
-    del cs.cells[3][1]
+    cells = cells_of(cs)
+    del cells[3][1]
+    set_cells(cs, cells)
 
 
 def _facet_deleted(cs):
     # a live facet whose loop is emptied, so deleted, leaves a hole in both
     # of its cells
-    cs.loops[cs.cells[6][2]] = []
+    loops = loops_of(cs)
+    loops[cells_of(cs)[6][2]] = []
+    set_loops(cs, loops)
 
 
 def _one_facet_both(cs):
@@ -380,16 +386,19 @@ def _broken_lattice(changes, n=3):
     a cell's list or deleted by emptying its loop, a vertex or a site moved
     along an axis."""
     cs = copy.deepcopy(_lattice_cells(n))
+    cells, loops = cells_of(cs), loops_of(cs)
     for kind, pick, axis, step in changes:
-        cell = cs.cells[pick % cs.n_real]
+        cell = cells[pick % cs.n_real]
         if kind == "drop" and cell:
             del cell[pick % len(cell)]
         elif kind == "delete":
-            cs.loops[pick % len(cs.loops)] = []
+            loops[pick % len(loops)] = []
         elif kind == "vertex":
             cs.points[pick % len(cs.points), axis] += step
         elif kind == "site":
             cs.sites[pick % cs.n_real, axis] += 3 * step
+    set_cells(cs, cells)
+    set_loops(cs, loops)
     return cs
 
 
@@ -474,10 +483,13 @@ def reference_build_cells(bed, ghosts):
             cells[b].append(len(kept))
         kept.append(k)
 
-    cs = VoronoiCellSet(points=verts, loops=[loops[starts[k]:ends[k]] for k in kept],
+    loop_start, loop_vertex = csr([loops[starts[k]:ends[k]] for k in kept])
+    cell_start, cell_facet = csr(cells)
+    cs = VoronoiCellSet(points=verts, loop_start=loop_start, loop_vertex=loop_vertex,
                         site_a=sa[kept], site_b=sb[kept], plane_point=plane_points[kept],
                         plane_normal=normals[kept], e1=e1[kept], e2=e2[kept],
-                        cells=cells, sites=sites, n_real=n, bed=bed)
+                        cell_start=cell_start, cell_facet=cell_facet, sites=sites, n_real=n,
+                        bed=bed)
     _validate_cells(cs)
     return cs
 
@@ -584,29 +596,30 @@ class TestFacetView:
 
     def test_records_are_column_rows(self, repaired_cylinder):
         cs = repaired_cylinder
-        assert len(cs.facets) == len(cs.loops) == len(cs.site_a)
+        loops = loops_of(cs)
+        assert len(cs.facets) == len(loops) == len(cs.site_a)
         for fid, f in enumerate(cs.facets):
-            assert f.loop == cs.loops[fid]
+            assert f.loop == loops[fid]
             assert (f.site_a, f.site_b) == (cs.site_a[fid], cs.site_b[fid])
             assert type(f.site_a) is int and type(f.site_b) is int
             for got, column in ((f.plane_point, cs.plane_point), (f.plane_normal, cs.plane_normal),
                                 (f.e1, cs.e1), (f.e2, cs.e2)):
                 assert got.tobytes() == column[fid].tobytes()
-        assert cs.facets[-1].loop == cs.loops[-1]
+        assert cs.facets[-1].loop == loops[-1]
         with pytest.raises(IndexError):
-            cs.facets[len(cs.loops)]
+            cs.facets[len(loops)]
 
     def test_deleted_is_a_short_loop(self, repaired_cylinder):
         cs = repaired_cylinder
         deleted = [f.deleted for f in cs.facets]
-        assert deleted == [len(loop) < 3 for loop in cs.loops]
+        assert deleted == (np.diff(cs.loop_start) < 3).tolist()
         assert any(deleted) and not all(deleted)
 
     def test_len_builds_no_record(self, repaired_cylinder, monkeypatch):
         built = []
         record = voronoi.FacetRecord
         monkeypatch.setattr(voronoi, "FacetRecord", lambda *row: built.append(row) or record(*row))
-        assert len(repaired_cylinder.facets) == len(repaired_cylinder.loops)
+        assert len(repaired_cylinder.facets) == len(repaired_cylinder.site_a)
         assert built == []
         repaired_cylinder.facets[0]
         assert len(built) == 1
