@@ -69,7 +69,7 @@ class HexMesh:
     elem_cell: np.ndarray              # (E,) owning sphere per element
     elem_layer: np.ndarray             # (E,) str layer label: '0', '1', 'bl', 'wall', ...
     sphere_centers: np.ndarray
-    radius: float = 1.0                # the bed's sphere radius R, set by `sweep`
+    radius: float                      # the bed's sphere radius R
 
     @property
     def n_elements(self) -> int:

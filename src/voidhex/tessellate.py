@@ -5,7 +5,9 @@ cuts it into pieces there, in `split_facet`: large facets first get a
 barycenter point with connectors from their near-straight boundary
 sections, then each piece is recursively peeled into quads and triangles
 by quality score. The per-facet loop ends at `split_facet`; the rest are
-array passes over the pieces of all facets at once.
+array passes over the pieces of all facets at once, and over the cell
+set's loop arrays (``loop_start``, ``loop_vertex``), which a corner label
+indexes. Every area threshold is in units of R^2.
 
 `number_patches` makes every patch all-quad by midside subdivision (quad
 to 4 quads, triangle to 3), one constant index template per piece size,
@@ -314,7 +316,7 @@ def number_patches(pieces: list, facet: list, loop_start: np.ndarray,
     size = np.diff(loop_start)
     n = size[facet][:, None]
     # label j of facet f is vertex[at[f] + j]; each loop is followed by -1, the barycenter
-    vertex = np.insert(np.asarray(loop_vertex, dtype=np.int64), loop_start[1:], -1)
+    vertex = np.insert(loop_vertex, loop_start[1:], -1)
     at = (loop_start[:-1] + np.arange(len(size)))[facet][:, None]
     # each node's label pair: (j, j) at corner j, its side's ends at a
     # midpoint, and the barycenter's (n, n) as a stand-in at the centroid

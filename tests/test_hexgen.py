@@ -89,7 +89,7 @@ def hand_mesh(nodes, elements):
         nodes=np.asarray(nodes, dtype=float), elements=elements,
         faces=faces, face_surface=np.zeros(len(faces), dtype=np.int64), surfaces=[PLANE],
         elem_cell=np.zeros(len(elements), dtype=np.int64), elem_layer=np.full(len(elements), "0"),
-        sphere_centers=np.zeros((1, 3)),
+        sphere_centers=np.zeros((1, 3)), radius=1.0,
     )
 
 
@@ -375,7 +375,7 @@ class TestRefine:
             elements=np.arange(8, dtype=np.int64)[None, :],
             faces=np.arange(6), face_surface=np.zeros(6, dtype=np.int64), surfaces=[PLANE],
             elem_cell=np.zeros(1, dtype=np.int64), elem_layer=np.array(["0"]),
-            sphere_centers=np.zeros((1, 3)),
+            sphere_centers=np.zeros((1, 3)), radius=1.0,
         )
         ref = refine_radial(prism, 0.5)
         d = corner_dets(ref.nodes, ref.elements)
