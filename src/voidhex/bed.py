@@ -5,9 +5,10 @@ center separation from the Delaunay pair-distance profile, rescales the
 bed to unit nominal radius, and computes void-fraction statistics.
 
 Each container shape lists its walls once, as `Wall` rows. The wall
-clearance and the inside test here, the ghost reflections in `voronoi` and
-the boundary-facet classification in `hexgen` all loop over that list, so
-no other module needs to know which shape a container is.
+clearance and the inside test here and the ghost reflections in `voronoi`
+loop over that list. Each ghost records the index of its wall in it, and
+`hexgen` gives each wall its own surface, so no other module needs to know
+which shape a container is.
 """
 
 from __future__ import annotations
@@ -44,23 +45,21 @@ class Wall(NamedTuple):
     A plane wall is ``x[axis] = value`` for axis 0, 1 or 2; a RADIAL wall
     is the cylinder of radius ``value`` about the container's z axis.
     ``sign`` is +1 where the outward normal points along +axis (away from
-    the container axis) and -1 where it points the other way. ``kind``
-    names the ghosts reflected across the wall.
+    the container axis) and -1 where it points the other way.
     """
 
     axis: int | str
     value: float
     sign: int
-    kind: str
 
 
 class _Walled:
     """What every container shape derives from its ``walls``: the distance
     to each wall, the clearance and the inside test. A shape lists its
-    walls once, as a tuple computed on first use. Its plane walls come
-    first, since a facet is tested against them more cheaply; ghost
-    generation takes the radial walls and then the planes, each in the
-    order listed."""
+    walls once, as a tuple computed on first use; a wall's index in it
+    names the wall for the ghosts and the mesh surfaces. Ghost generation
+    takes the radial walls and then the planes, each in the order
+    listed."""
 
     def wall_distance(self, wall: Wall, pts: np.ndarray) -> np.ndarray:
         """Distance of each point to one wall; positive inside."""
@@ -94,8 +93,7 @@ class Cylinder(_Walled):
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return (Wall(2, self.z0, -1, "z_bottom"), Wall(2, self.z0 + self.H, 1, "z_top"),
-                Wall(RADIAL, self.R_c, 1, "radial_outer"))
+        return Wall(2, self.z0, -1), Wall(2, self.z0 + self.H, 1), Wall(RADIAL, self.R_c, 1)
 
     def volume(self) -> float:
         return math.pi * self.R_c**2 * self.H
@@ -127,9 +125,8 @@ class Box(_Walled):
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return tuple(w for axis, name in enumerate("xyz")
-                     for w in (Wall(axis, self.lo[axis], -1, f"box_{name}_lo"),
-                               Wall(axis, self.hi[axis], 1, f"box_{name}_hi")))
+        return tuple(w for axis in range(3)
+                     for w in (Wall(axis, self.lo[axis], -1), Wall(axis, self.hi[axis], 1)))
 
     def volume(self) -> float:
         return math.prod(h - l for l, h in zip(self.lo, self.hi))
@@ -159,9 +156,8 @@ class Annulus(_Walled):
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return (Wall(2, self.z0, -1, "z_bottom"), Wall(2, self.z0 + self.H, 1, "z_top"),
-                Wall(RADIAL, self.R_o, 1, "radial_outer"),
-                Wall(RADIAL, self.R_i, -1, "radial_inner"))
+        return (Wall(2, self.z0, -1), Wall(2, self.z0 + self.H, 1), Wall(RADIAL, self.R_o, 1),
+                Wall(RADIAL, self.R_i, -1))
 
     def volume(self) -> float:
         return math.pi * (self.R_o**2 - self.R_i**2) * self.H
@@ -362,7 +358,8 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     """Unique Delaunay-connected index pairs, (m, 2) with i < j.
 
     Degenerate site sets (QhullError) are retried once with a deterministic
-    1e-9 jitter; pair distances are always taken from the original points.
+    jitter of 1e-9 times the centers' extent, so the pairs do not depend on
+    the units; pair distances are always taken from the original points.
     Small sets (< 5) fall back to all pairs.
     """
     n = len(centers)
@@ -375,7 +372,8 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
         tri = Delaunay(centers)
     except QhullError:
         rng = np.random.default_rng(0)
-        jittered = centers + rng.normal(scale=1e-9, size=centers.shape)
+        extent = float(np.ptp(centers, axis=0).max())
+        jittered = centers + rng.normal(scale=1e-9 * extent, size=centers.shape)
         tri = Delaunay(jittered)
     s = tri.simplices
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])

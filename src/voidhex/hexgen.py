@@ -17,6 +17,11 @@ f of element e, whose outward loop `_loops` reads off the element. Each
 tagged row carries the id of its surface, whose descriptor `surface_tag`
 names. Every new face that a step makes is a known local face of a new
 element, so its row is plain arithmetic.
+
+A mesh has one surface per sphere, one per container wall, one per wall
+for the facets that only face it, and one per duct top. A boundary facet's
+wall is read from the ghost behind it (`boundary_surfaces`), not from its
+plane, so no tolerance decides it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bed import RADIAL
+from .bed import RADIAL, Wall
 from .errors import GeometryError, TopologyError, ValidationError
 from .geometry import first_seen, norms
 from .tessellate import FacetQuadMesh
@@ -65,7 +70,7 @@ class HexMesh:
     elements: np.ndarray               # (E, 8) int64
     faces: np.ndarray                  # (F,) int64 face-table rows 6 * element + local face
     face_surface: np.ndarray           # (F,) int64 surface id of each row
-    surfaces: list                     # (S,) descriptor tuple of each surface
+    surfaces: list                     # (S,) descriptor of each surface; surface i is sphere i
     elem_cell: np.ndarray              # (E,) owning sphere per element
     elem_layer: np.ndarray             # (E,) str layer label: '0', '1', 'bl', 'wall', ...
     sphere_centers: np.ndarray
@@ -107,44 +112,37 @@ class HexMesh:
 
 
 def surface_tag(desc) -> str:
-    """The tag of a surface descriptor: 'sphere:i' on sphere i, 'inlet' or
-    'outlet' on a z plane by its outward sign, 'inner_wall' on an inward
-    facing cylinder, and 'wall' on any other container surface."""
+    """The tag of a surface descriptor: 'sphere:i' on sphere i; on a
+    `Wall`, 'inlet' or 'outlet' for a z plane by its outward sign,
+    'inner_wall' for an inward facing cylinder and 'wall' for any other;
+    and 'wall' on a surface that only faces a wall."""
     if desc[0] == "sphere":
         return f"sphere:{desc[1]}"
-    if desc[0] == "plane" and desc[1] == 2:
-        return "inlet" if desc[3] < 0 else "outlet"
-    if desc[0] == "cylinder" and desc[4] < 0:
+    if isinstance(desc, Wall) and desc.axis == 2:
+        return "inlet" if desc.sign < 0 else "outlet"
+    if isinstance(desc, Wall) and desc.axis == RADIAL and desc.sign < 0:
         return "inner_wall"
     return "wall"
 
 
-def classify_boundary_facet(p: np.ndarray, n: np.ndarray, domain, R: float):
-    """The surface descriptor of a boundary facet (one whose site_b is a
-    ghost), from its actual plane: the plane point ``p`` and the unit
-    normal ``n``.
+def boundary_surfaces(cs) -> tuple[list, np.ndarray]:
+    """The surfaces of a cell set's mesh, and each facet's surface id.
 
-    The facet lies on the first wall of ``domain.walls`` that it touches:
-    a radial wall when ``n`` is the wall's sign times the radial direction
-    at ``p`` and ``p`` is on that cylinder (a tangent plane of it); a plane
-    wall when ``n`` is along its axis and ``p`` is on that plane. Any other
-    facet, such as one against a neighbour's ghost or a chamfer from
-    chained corner reflections, touches no wall and is described by the
-    facet plane itself.
+    Surface i < n_real is sphere i. Then come the container's walls, as
+    their `Wall` rows, and then, per wall, a ('facing', wall) surface for
+    the facets that face the wall without lying on it. A live boundary
+    facet against ghost g lies on wall ``ghost_wall[g]`` exactly when g
+    reflects the facet's own site (``ghost_parent[g] == site_a``); against
+    a neighbour's ghost, or a ghost of a ghost, it only faces that wall.
+    Any other facet gets -1.
     """
-    tol = 1e-6 * R
-    px, nx = p.tolist(), n.tolist()  # Python floats: the same arithmetic, without numpy scalars
-    for axis, value, sign, _ in domain.walls:
-        if axis == RADIAL:
-            cx, cy = domain.center_xy
-            rad = np.hypot(px[0] - cx, px[1] - cy)
-            radial = np.array([(px[0] - cx) / max(rad, 1e-300), (px[1] - cy) / max(rad, 1e-300), 0.0])
-            if abs(float(n @ radial) - sign) < 1e-9 and abs(rad - value) < tol:
-                return ("cylinder", cx, cy, value, sign)
-        elif abs(abs(nx[axis]) - 1.0) < 1e-9 and abs(px[axis] - value) < tol:
-            return ("plane", axis, value, sign)
-    # on no wall: keep the facet plane
-    return ("facet_plane", *(float(x) for x in p), *(float(x) for x in n))
+    n, walls = cs.n_real, cs.bed.domain.walls
+    surfaces = [("sphere", i) for i in range(n)] + list(walls) + [("facing", w) for w in walls]
+    at = np.flatnonzero((cs.site_b >= n) & (np.diff(cs.loop_start) >= 3))
+    g = cs.site_b[at] - n
+    facet_surface = np.full(len(cs.site_b), -1)
+    facet_surface[at] = n + cs.ghost_wall[g] + len(walls) * (cs.ghost_parent[g] != cs.site_a[at])
+    return surfaces, facet_surface
 
 
 def _face_table(elements: np.ndarray):
@@ -209,20 +207,15 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
 
     Outer corners are the facet quad nodes; inner corners sit on the
     sphere of radius R0 about the cell center, along the center-node ray.
-    One element layer per cell results; boundary facet quads carry the
-    container surface association for later projection.
+    One element layer per cell results. Each element's sphere face is
+    tagged with its sphere, and its facet face, if the facet is on the
+    container, with the facet's surface from `boundary_surfaces`.
     """
     cs = patches.cellset
     R = cs.bed.radius_nominal
     centers = cs.bed.centers
     r_sweep = R0 * R
-    # surface i is sphere i; then one surface per live boundary facet
-    wall = np.flatnonzero((cs.site_b >= cs.n_real) & (np.diff(cs.loop_start) >= 3))
-    surfaces = [("sphere", i) for i in range(len(centers))] + [
-        classify_boundary_facet(cs.plane_point[fid], cs.plane_normal[fid], cs.bed.domain, R)
-        for fid in wall.tolist()]
-    facet_surface = np.full(len(cs.site_b), -1)
-    facet_surface[wall] = len(centers) + np.arange(len(wall))
+    surfaces, facet_surface = boundary_surfaces(cs)
     cell, facet, quads = patches.outward_quads()
     used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
 
@@ -429,9 +422,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     eid = out.faces[at] // 6
     corner = _FACES[0][::-1]
     rev = out.elements[eid[:, None], corner]
-    sphere = out.face_surface[at]
-    cell = np.array([d[1] if d[0] == "sphere" else -1 for d in out.surfaces],
-                    dtype=np.int64)[sphere]
+    cell = out.face_surface[at]  # surface i is sphere i
     ids, first = first_seen(rev.ravel())
     p, ci = rev.ravel()[first], cell[first // 4]
     thick = _line_lengths(out, eid)[:, corner].ravel()[first]
@@ -448,10 +439,10 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     e = len(out.elements) + np.arange(len(at))
     _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None],
           np.hstack([n + ids.reshape(-1, 4), rev]), cell, np.full(len(at), "bl"))
-    _replace(out, at, 6 * e, sphere)  # the base of each new element faces the sphere
+    _replace(out, at, 6 * e, cell)  # the base of each new element faces the sphere
 
     # --- curved-wall layers -------------------------------------------------
-    at = _select(out, lambda d: d[0] == "cylinder")
+    at = _select(out, lambda d: isinstance(d, Wall) and d.axis == RADIAL)
     if len(at):
         loops = _loops(out.elements, out.faces[at])
         eid = out.faces[at] // 6
@@ -484,8 +475,10 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
 
 
 def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
-    """Grow nlayers duct layers along z from the z plane that faces zdir."""
-    at = _select(mesh, lambda d: d[0] == "plane" and d[1] == 2 and d[3] == zdir)
+    """Grow nlayers duct layers along z from the z wall that faces zdir."""
+    wall = next((d for d in mesh.surfaces
+                 if isinstance(d, Wall) and d.axis == 2 and d.sign == zdir), None)
+    at = _select(mesh, lambda d: d == wall)
     if not len(at):
         return
     loops = _loops(mesh.elements, mesh.faces[at])
@@ -496,18 +489,17 @@ def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
     column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
     column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
     ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]
-    d = mesh.surfaces[mesh.face_surface[at[0]]]  # a container has one z wall per side
     e = len(mesh.elements)
     _grow(mesh, column.reshape(-1, 3),
           np.stack([np.hstack(ring[k:k + 2]) for k in range(nlayers)], axis=1).reshape(-1, 8),
           np.repeat(mesh.elem_cell[eid], nlayers),
-          np.tile([f"{surface_tag(d)}{k + 1}" for k in range(nlayers)], len(at)))
+          np.tile([f"{surface_tag(wall)}{k + 1}" for k in range(nlayers)], len(at)))
     # per face: its exposed sides layer by layer, then the top (1) of its
-    # last layer, on the moved plane: one new surface
+    # last layer, on the moved wall: one new surface
     sides, on = _sides(mesh, at, loops, e, nlayers, "duct")
     rows = np.hstack([sides, 6 * (e + np.arange(len(at)) * nlayers + nlayers - 1)[:, None] + 1])
     _replace(mesh, at, rows, np.hstack([on, np.full((len(at), 1), len(mesh.surfaces))]))
-    mesh.surfaces.append(("plane", d[1], d[2] + zdir * nlayers * t, d[3]))
+    mesh.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
 
 
 def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

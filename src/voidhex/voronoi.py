@@ -4,9 +4,9 @@ Centers near the container boundary are reflected outside it so every real
 cell comes out bounded; the reflected sites are called ghost spheres. The
 diagram itself is delegated to Qhull (scipy), after which facet loops are
 assembled, deduplicated, ordered and listed per real sphere. A facet lies
-on the container boundary when its site_b is a ghost (``site_b >= n_real``);
-the cell set stores no tag for it, and `hexgen` names its surface from the
-facet plane.
+on the container boundary when its site_b is a ghost (``site_b >= n_real``),
+and on that ghost's wall exactly when the ghost reflects its own site_a
+(`GhostSet`); no tolerance decides it, and the cell set stores no tag.
 
 A `VoronoiCellSet` holds its facets as one table: its facet columns have
 one row per facet id. A facet is stored once and shared by its two cells.
@@ -46,8 +46,9 @@ VALIDATE_BLOCK = 64  # cells per array pass of _validate_cells
 
 @dataclass(frozen=True)
 class GhostSet:
-    ghost_centers: np.ndarray
-    provenance: list  # (source sphere index, reflection kind) per ghost
+    ghost_centers: np.ndarray  # (G, 3): ghost g is site n + g
+    parent: np.ndarray  # (G,) int64 site reflected: a center i < n, or n + j for radial ghost j
+    wall: np.ndarray    # (G,) int64 index in domain.walls of the wall it was reflected across
 
     @property
     def n_ghosts(self) -> int:
@@ -101,6 +102,8 @@ class VoronoiCellSet:
     cell_start: np.ndarray       # (n_real + 1,) int64: where each cell starts in cell_facet
     cell_facet: np.ndarray       # int64 facet ids of every real cell, each cell's ascending
     sites: np.ndarray            # real centers then ghosts
+    ghost_parent: np.ndarray     # (G,) int64 GhostSet.parent, per ghost site n_real + g
+    ghost_wall: np.ndarray       # (G,) int64 GhostSet.wall
     n_real: int
     bed: SphereBed
 
@@ -146,37 +149,37 @@ def generate_ghosts(bed: SphereBed) -> GhostSet:
     within 2R of it is reflected across it. Then, for each plane wall in
     turn, every point of the augmented set (the centers plus the radial
     ghosts) within 2R of it is reflected across it; a box has no radial
-    walls, so its planes reflect the centers alone. A ghost's provenance is
-    its source center and the kind of the last wall it was reflected across.
+    walls, so its planes reflect the centers alone. A ghost's parent is the
+    point it reflects, by its index in that set (its site index).
     """
     if bed.domain is None:
         raise ValidationError("ghost generation needs a container")
     R = bed.radius_nominal
     dom = bed.domain
     centers = bed.centers
-    ghosts = [np.empty((0, 3))]
-    prov = []
-    radial = [w for w in dom.walls if w.axis == RADIAL]
-    planes = [w for w in dom.walls if w.axis != RADIAL]
-    for w in radial:
-        near = np.flatnonzero(dom.wall_distance(w, centers) < 2 * R)
-        ghosts.append(_reflect_radial(dom.center_xy, centers[near], w.value))
-        prov += [(s, w.kind) for s in near.tolist()]
-    aug = np.vstack([centers] + ghosts)
-    aug_src = np.array(list(range(len(centers))) + [s for s, _ in prov], dtype=np.int64)
-    for w in planes:
-        near = np.flatnonzero(dom.wall_distance(w, aug) < 2 * R)
-        refl = aug[near]
-        refl[:, w.axis] = 2 * w.value - refl[:, w.axis]
-        ghosts.append(refl)
-        prov += [(s, w.kind) for s in aug_src[near].tolist()]
+    ghosts, parent, wall = [], [], []
+    for k, w in enumerate(dom.walls):
+        if w.axis == RADIAL:
+            near = np.flatnonzero(dom.wall_distance(w, centers) < 2 * R)
+            ghosts.append(_reflect_radial(dom.center_xy, centers[near], w.value))
+            parent.append(near)
+            wall.append(np.full(len(near), k))
+    aug = np.vstack([centers, *ghosts])
+    for k, w in enumerate(dom.walls):
+        if w.axis != RADIAL:
+            near = np.flatnonzero(dom.wall_distance(w, aug) < 2 * R)
+            refl = aug[near]
+            refl[:, w.axis] = 2 * w.value - refl[:, w.axis]
+            ghosts.append(refl)
+            parent.append(near)
+            wall.append(np.full(len(near), k))
 
     gpts = np.vstack(ghosts)
     if len(gpts):
         inside = dom.contains(gpts, tol=-1e-12 * R)
         if inside.any():
             raise GeometryError(f"{int(inside.sum())} ghosts landed inside the domain")
-    return GhostSet(ghost_centers=gpts, provenance=prov)
+    return GhostSet(ghost_centers=gpts, parent=np.concatenate(parent), wall=np.concatenate(wall))
 
 
 def _dedup_vertices(verts: np.ndarray, tol: float):
@@ -293,7 +296,8 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
                         site_a=sa, site_b=sb, plane_point=plane_points[keep],
                         plane_normal=normals[keep], e1=e1[keep], e2=e2[keep],
                         cell_start=np.concatenate([[0], np.bincount(owner, minlength=n).cumsum()]),
-                        cell_facet=fid[np.lexsort((fid, owner))], sites=sites, n_real=n, bed=bed)
+                        cell_facet=fid[np.lexsort((fid, owner))], sites=sites,
+                        ghost_parent=ghosts.parent, ghost_wall=ghosts.wall, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 

@@ -160,7 +160,7 @@ class TestFitCylinder:
     def test_follows_z_origin(self, make, fit, dz):
         """A bed shifted along z gets a container shifted with it: its
         bottom R below the lowest center, its top R above the highest, and
-        each z-plane ghost mirrors its source center about that plane."""
+        each z-plane ghost mirrors its parent site about that plane."""
         bed = make()
         bed = SphereBed(centers=bed.centers + (0.0, 0.0, dz))
         dom = fit(bed)
@@ -169,11 +169,11 @@ class TestFitCylinder:
         bottom, top = z.min() - 1.0, z.max() + 1.0
         assert [w.value for w in dom.walls if w.axis == 2] == pytest.approx([bottom, top])
         ghosts = generate_ghosts(bed)
-        plane = {"z_bottom": bottom, "z_top": top}
-        mirrored = [(g[2], 2 * plane[kind] - z[src])
-                    for g, (src, kind) in zip(ghosts.ghost_centers, ghosts.provenance)
-                    if kind in plane]
-        assert {kind for _, kind in ghosts.provenance} >= set(plane)
+        site_z = np.concatenate([z, ghosts.ghost_centers[:, 2]])
+        mirrored = [(g[2], 2 * dom.walls[w].value - site_z[p])
+                    for g, p, w in zip(ghosts.ghost_centers, ghosts.parent, ghosts.wall)
+                    if dom.walls[w].axis == 2]
+        assert {dom.walls[w].sign for w in ghosts.wall if dom.walls[w].axis == 2} == {-1, 1}
         got, want = np.array(mirrored).T
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -430,7 +430,8 @@ def delaunay_pairs_reference(centers, seed=0):
         tri = Delaunay(centers)
     except QhullError:
         rng = np.random.default_rng(seed)
-        tri = Delaunay(centers + rng.normal(scale=1e-9, size=centers.shape))
+        extent = np.ptp(centers, axis=0).max()
+        tri = Delaunay(centers + rng.normal(scale=1e-9 * extent, size=centers.shape))
     s = tri.simplices
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)
@@ -478,3 +479,9 @@ class TestDelaunayPairs:
     def test_coplanar_grid_needs_the_retry(self):
         with pytest.raises(QhullError):
             Delaunay(COPLANAR_GRID)
+
+    @pytest.mark.parametrize("k", [1e-9, 1.0, 1e3])
+    def test_retry_independent_of_scale(self, k):
+        """The retry's jitter is in units of the centers' extent, so the
+        coplanar grid at any scale gives the pairs it gives at spacing 1."""
+        assert np.array_equal(delaunay_pairs(COPLANAR_GRID * k), delaunay_pairs(COPLANAR_GRID))

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from test_repair import ghost_tag
 
 from voidhex import fixtures
-from voidhex.bed import attach_domain, fit_annulus
+from voidhex.bed import (
+    RADIAL,
+    Wall,
+    attach_domain,
+    fit_annulus,
+    fit_cylinder,
+    rescale,
+    separation_profile,
+)
 from voidhex.errors import GeometryError, TopologyError, ValidationError
 from voidhex.hexgen import (
     _FACES,
@@ -16,7 +24,7 @@ from voidhex.hexgen import (
     HexMesh,
     _loops,
     audit_conformal,
-    classify_boundary_facet,
+    boundary_surfaces,
     corner_dets,
     corner_jacobians,
     extrude_layers,
@@ -70,7 +78,7 @@ class TestCornerJacobians:
         assert (dets < 0).all()
 
 
-PLANE = ("facet_plane", 0, 0, 0, 0, 0, 1)  # a descriptor tagged wall
+PLANE = Wall(0, 0.0, -1)  # a surface tagged wall
 
 
 def face_rows(elements, key):
@@ -153,7 +161,7 @@ class TestAuditConformal:
 
     def test_boundary_face_tagged_twice(self):
         mesh = hand_mesh(UNIT_CUBE, [LOWER])
-        tag_row(mesh, face_rows(mesh.elements, (4, 5, 6, 7))[0], ("plane", 2, 1.0, 1))
+        tag_row(mesh, face_rows(mesh.elements, (4, 5, 6, 7))[0], Wall(2, 1.0, 1))
         with pytest.raises(TopologyError, match=r"face \(4, 5, 6, 7\) tagged 2 times"):
             audit_conformal(mesh)
 
@@ -267,42 +275,59 @@ class TestAuditAgainstReference:
         assert got == verdict(audit_reference, mesh)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: fixtures.simple_cubic(3),
-    lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
-    lambda: fixtures.random_annulus_bed(100),
-], ids=["cube", "cylinder", "annulus"])
-def test_surface_tag_matches_ghost_provenance(make):
-    """Each container plane or cylinder a facet is classified onto names the
-    same tag as the ghost that made the facet."""
-    bed = make()
-    ghosts = generate_ghosts(bed)
-    cs = build_cells(bed, ghosts)
-    pairs = [(classify_boundary_facet(f.plane_point, f.plane_normal, bed.domain,
-                                      bed.radius_nominal), ghost_tag(cs, ghosts, f.site_b))
-             for f in cs.facets if f.site_b >= cs.n_real]
-    on_surface = [(d, b) for d, b in pairs if d[0] in ("plane", "cylinder")]
-    assert on_surface
-    assert [surface_tag(d) for d, _ in on_surface] == [b for _, b in on_surface]
-
-
-def test_fit_annulus_inner_wall():
-    """The annulus fitted to the annulus bed keeps a full R of wall
-    clearance, its ghosts reflect across the inner wall, and the facet
-    between a center and its own inner-wall ghost lies on the inner
-    cylinder, tagged inner_wall."""
+def fitted_annulus_bed():
+    """The annulus bed in the annulus fitted to it, with a full R of wall
+    clearance."""
     bed = fixtures.random_annulus_bed()
-    dom = fit_annulus(bed)
-    bed = attach_domain(bed, dom, fitted=True)
-    ghosts = generate_ghosts(bed)
-    cs = build_cells(bed, ghosts)
-    inner = [f for f in cs.facets if f.site_b >= cs.n_real
-             and ghosts.provenance[f.site_b - cs.n_real] == (f.site_a, "radial_inner")]
-    assert inner
-    for f in inner:
-        desc = classify_boundary_facet(f.plane_point, f.plane_normal, dom, bed.radius_nominal)
-        assert desc == ("cylinder", *dom.center_xy, dom.R_i, -1)
-        assert surface_tag(desc) == "inner_wall"
+    return attach_domain(bed, fit_annulus(bed), fitted=True)
+
+
+def cylinder_mesh_bed():
+    """The 100-sphere cylinder bed, fitted and rescaled as the mesh
+    benchmark meshes it."""
+    bed = fixtures.random_cylinder_bed(n=100, R_c=4.0, H=15.0, seed=7)
+    bed = attach_domain(bed, fit_cylinder(bed), fitted=True)
+    return rescale(bed, separation_profile(bed))
+
+
+@pytest.mark.parametrize("make, tags", [
+    (lambda: fixtures.simple_cubic(3), {"inlet", "outlet", "wall"}),
+    (lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
+     {"inlet", "outlet", "wall"}),
+    (fitted_annulus_bed, {"inlet", "outlet", "wall", "inner_wall"}),
+    (cylinder_mesh_bed, {"inlet", "outlet", "wall"}),
+], ids=["cube", "cylinder", "annulus_fitted", "cylinder_mesh"])
+def test_boundary_facets_on_their_walls(make, tags):
+    """A boundary facet whose ghost reflects the facet's own site lies on
+    the ghost's wall: its plane point within 1e-9 R of the analytic wall,
+    its normal the wall's sign times the wall normal there. Its surface is
+    that wall, tagged as the reference tags the ghost's wall. Every other
+    boundary facet gets its wall's 'facing' surface, tagged wall, and an
+    inner facet gets none."""
+    bed = make()
+    R, dom = bed.radius_nominal, bed.domain
+    cs = build_cells(bed, generate_ghosts(bed))
+    surfaces, facet_surface = boundary_surfaces(cs)
+    assert (facet_surface[cs.site_b < cs.n_real] == -1).all()
+    fids = np.flatnonzero(cs.site_b >= cs.n_real)
+    g = cs.site_b[fids] - cs.n_real
+    on = cs.ghost_parent[g] == cs.site_a[fids]
+    assert (facet_surface[fids] >= 0).all() and on.any()
+    for f, w, is_on in zip(fids, [dom.walls[k] for k in cs.ghost_wall[g]], on):
+        desc = surfaces[facet_surface[f]]
+        if not is_on:
+            assert desc == ("facing", w) and surface_tag(desc) == "wall"
+            continue
+        p = cs.plane_point[f]
+        if w.axis == RADIAL:
+            rel = p[:2] - dom.center_xy
+            normal = np.append(rel / np.hypot(*rel), 0.0)
+        else:
+            normal = np.eye(3)[w.axis]
+        assert abs(dom.wall_distance(w, p[None])[0]) <= 1e-9 * R
+        assert cs.plane_normal[f] == pytest.approx(w.sign * normal, abs=1e-12)
+        assert desc == w and surface_tag(desc) == ghost_tag(cs, cs.site_b[f])
+    assert {surface_tag(surfaces[s]) for s in facet_surface[fids[on]]} == tags
 
 
 class TestSweep:
@@ -488,8 +513,8 @@ class TestExtrude:
         # inlet floor is a constant-z plane below zero
         floors = [ext.surfaces[s] for s in ext.face_surface.tolist()
                   if surface_tag(ext.surfaces[s]) == "inlet"]
-        assert all(d[0] == "plane" and d[1] == 2 for d in floors)
-        zs = {round(d[2], 12) for d in floors}
+        assert all(isinstance(d, Wall) and d.axis == 2 for d in floors)
+        zs = {round(d.value, 12) for d in floors}
         assert len(zs) == 1
         assert next(iter(zs)) < 0
 
@@ -505,12 +530,13 @@ class TestExtrude:
             assert len(np.unique(ext.face_surface[tags == tag])) == 1
 
     def test_one_descriptor_per_surface(self, random_swept, extruded):
-        """A mesh lists each sphere and each boundary facet once, and the two
-        moved duct planes, however many faces lie on them."""
-        bed, cs, _ = random_swept
-        facets = sum(1 for f in cs.facets if f.site_b >= cs.n_real and not f.deleted)
+        """A mesh lists each sphere once, each wall twice (for the facets on
+        it and for those that only face it) and the two moved duct walls,
+        however many faces lie on them."""
+        bed, _, _ = random_swept
+        bound = bed.n_spheres + 2 * len(bed.domain.walls) + 2
         for mesh in extruded:
-            assert len(mesh.surfaces) <= bed.n_spheres + facets + 2 < len(mesh.faces)
+            assert len(mesh.surfaces) <= bound < len(mesh.faces)
 
     def test_layer_checks(self, extruded):
         base, ref, ext = extruded
@@ -532,8 +558,8 @@ class TestExtrude:
         # sphere layer reads its lines off the elements alone
         corners = 2.0 * UNIT_CUBE - 1.0
         mesh = hand_mesh(np.vstack([0.5 * corners, corners]), np.hstack([_FACES, _FACES + 8]))
-        mesh.surfaces = [PLANE, ("sphere", 0)]
-        mesh.face_surface = (mesh.faces % 6 == 0).astype(np.int64)
+        mesh.surfaces = [("sphere", 0), PLANE]
+        mesh.face_surface = (mesh.faces % 6 != 0).astype(np.int64)
         ext = extrude_layers(refine_radial(mesh))
         assert ext.elem_layer.tolist() == ["0", "1"] * 6 + ["bl"] * 6
         (cols,) = ext.columns

@@ -21,9 +21,10 @@ modules loop over a container's walls. `__init__.py`, which re-exports the
 shapes, is exempt. Every `raise` in `src/voidhex/` names a class defined in
 `errors.py`, so that a caller catching `VoidhexError` catches every error
 the package raises; a bare re-raise is exempt. Every field of
-`VoronoiCellSet` but ``bed`` and ``n_real`` is annotated ``np.ndarray``:
-its facet loops and cells are CSR arrays, not lists, from `build_cells`
-to `hexgen`.
+`VoronoiCellSet` but ``bed`` and ``n_real``, and every field of
+`GhostSet`, is annotated ``np.ndarray``: facet loops and cells are CSR
+arrays and the ghosts' provenance is two index arrays, not lists, from
+`generate_ghosts` to `hexgen`.
 """
 
 import ast
@@ -258,3 +259,4 @@ def test_finds_a_non_array_field():
 def test_cell_set_fields_are_arrays():
     source = (ROOT / "src/voidhex/voronoi.py").read_text()
     assert non_array_fields(source, "VoronoiCellSet", {"bed", "n_real"}) == []
+    assert non_array_fields(source, "GhostSet", set()) == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voidhex import fixtures
-from voidhex.bed import Box, SphereBed, attach_domain, rescale, separation_profile
+from voidhex.bed import RADIAL, Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError, ValidationError
 from voidhex.geometry import (
     GUARD_RADIUS,
@@ -97,6 +97,8 @@ def make_synthetic(points, loops, n_centers=1):
         cell_start=cell_start,
         cell_facet=cell_facet,
         sites=np.vstack([centers, [[0.0, 0.0, -10.0]]]),
+        ghost_parent=np.zeros(1, dtype=np.int64),     # one ghost, of center 0
+        ghost_wall=np.full(1, 4, dtype=np.int64),     # across the box's z_lo wall
         n_real=n_centers,
         bed=bed,
     )
@@ -902,38 +904,39 @@ class TestBoundaryZone:
         assert np.array_equal(zone, clear < 2.0)
 
 
-# The boundary tag of each ghost kind: the reference that the digests and
-# the tag tests read a boundary facet's tag from. The package itself names
-# a boundary surface from the facet plane (`hexgen.surface_tag`).
-KIND_TO_TAG = {
-    "radial_outer": "wall",
-    "radial_inner": "inner_wall",
-    "z_bottom": "inlet",
-    "z_top": "outlet",
-    "box_x_lo": "wall",
-    "box_x_hi": "wall",
-    "box_y_lo": "wall",
-    "box_y_hi": "wall",
-    "box_z_lo": "inlet",
-    "box_z_hi": "outlet",
+# The boundary tag of a ghost's wall, by the wall's axis and outward sign:
+# the reference that the digests and the tag tests read a boundary facet's
+# tag from. The package names a wall's surface with `hexgen.surface_tag`.
+WALL_TAG = {
+    (RADIAL, 1): "wall",
+    (RADIAL, -1): "inner_wall",
+    (0, -1): "wall",
+    (0, 1): "wall",
+    (1, -1): "wall",
+    (1, 1): "wall",
+    (2, -1): "inlet",
+    (2, 1): "outlet",
 }
 
 
-def ghost_tag(cs, ghosts, site_b: int):
-    """The KIND_TO_TAG tag of the ghost site_b, or None for a real site."""
-    return None if site_b < cs.n_real else KIND_TO_TAG[ghosts.provenance[site_b - cs.n_real][1]]
+def ghost_tag(cs, site_b: int):
+    """The WALL_TAG tag of the wall of the ghost site_b, or None for a real site."""
+    if site_b < cs.n_real:
+        return None
+    w = cs.bed.domain.walls[cs.ghost_wall[site_b - cs.n_real]]
+    return WALL_TAG[w.axis, w.sign]
 
 
-def cells_digest(cs, ghosts, oplog: bytes = b"") -> str:
+def cells_digest(cs, oplog: bytes = b"") -> str:
     """sha256 of a cell set, bit for bit: the exact point bytes; per facet
-    its loop, sites, the tag of its ghost (from ``ghosts``), deleted flag
-    and the plane_point, plane_normal, e1 and e2 bytes; the cells; and the
-    JSONL repair oplog."""
+    its loop, sites, the tag of its ghost's wall, deleted flag and the
+    plane_point, plane_normal, e1 and e2 bytes; the cells; and the JSONL
+    repair oplog."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(cs.points, dtype="<f8").tobytes())
     for f in cs.facets:
         h.update(repr((f.loop, int(f.site_a), int(f.site_b),
-                       ghost_tag(cs, ghosts, f.site_b), bool(f.deleted))).encode())
+                       ghost_tag(cs, f.site_b), bool(f.deleted))).encode())
         for a in (f.plane_point, f.plane_normal, f.e1, f.e2):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(repr(cells_of(cs)).encode())
@@ -953,27 +956,24 @@ GOLDEN = {
 class TestGoldenDigest:
     def test_cube_raw(self):
         bed = fixtures.simple_cubic(3)
-        ghosts = generate_ghosts(bed)
-        cs = build_cells(bed, ghosts)
-        assert cells_digest(cs, ghosts) == GOLDEN["cube_raw"]
+        cs = build_cells(bed, generate_ghosts(bed))
+        assert cells_digest(cs) == GOLDEN["cube_raw"]
 
     def test_cylinder_repaired(self, tmp_path):
         bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
         bed = rescale(bed, separation_profile(bed))
-        ghosts = generate_ghosts(bed)
-        cs = build_cells(bed, ghosts)
+        cs = build_cells(bed, generate_ghosts(bed))
         path = tmp_path / "ops.jsonl"
         repair(cs, RepairConfig(), log_path=path)
         oplog = path.read_bytes()
         assert any(json.loads(line)["op"] == "collapse" for line in oplog.splitlines())
-        assert cells_digest(cs, ghosts, oplog) == GOLDEN["cylinder_repaired"]
+        assert cells_digest(cs, oplog) == GOLDEN["cylinder_repaired"]
 
     def test_cylinder300_repaired(self, tmp_path):
         # 786 collapses over 10 passes and 2,204 insertions
         bed = fixtures.random_cylinder_bed(300, 6.0, 20.0, seed=1)
         bed = rescale(bed, separation_profile(bed))
-        ghosts = generate_ghosts(bed)
-        cs = build_cells(bed, ghosts)
+        cs = build_cells(bed, generate_ghosts(bed))
         path = tmp_path / "ops.jsonl"
         repair(cs, RepairConfig(), log_path=path)
-        assert cells_digest(cs, ghosts, path.read_bytes()) == GOLDEN["cylinder300_repaired"]
+        assert cells_digest(cs, path.read_bytes()) == GOLDEN["cylinder300_repaired"]

@@ -13,6 +13,7 @@ from test_repair import cells_digest, cells_of, csr, ghost_tag, loops_of, set_ce
 
 from voidhex import fixtures, voronoi
 from voidhex.bed import (
+    RADIAL,
     Annulus,
     Box,
     Cylinder,
@@ -49,7 +50,7 @@ class TestGhosts:
         g = generate_ghosts(bed)
         assert g.n_ghosts == 1
         assert np.allclose(g.ghost_centers[0], [10.5, 0.0, 10.0])
-        assert g.provenance[0] == (0, "radial_outer")
+        assert (g.parent.tolist(), g.wall.tolist()) == ([0], [2])  # walls[2] is the cylinder
 
     def test_interior_center_no_ghosts(self):
         bed = attach_domain(
@@ -67,6 +68,22 @@ class TestGhosts:
         got = {tuple(np.round(c, 9)) for c in g.ghost_centers}
         assert got == {(10.5, 0.0, 1.0), (9.5, 0.0, -1.0), (10.5, 0.0, -1.0)}
 
+    def test_chained_ghost_provenance(self):
+        """A one-sphere rim-corner bed: the cylinder, walls[2], reflects
+        the center into the radial ghost, site 1; the z_bottom wall,
+        walls[0], then reflects the center and the radial ghost into sites 2
+        and 3. The chained ghost's parent is the radial ghost's site, never a
+        center, so no facet lies on its wall."""
+        bed = attach_domain(
+            SphereBed(centers=np.array([[9.5, 0.0, 1.0]])),
+            Cylinder((0.0, 0.0), 10.0, 20.0),
+        )
+        g = generate_ghosts(bed)
+        assert np.allclose(g.ghost_centers, [(10.5, 0.0, 1.0), (9.5, 0.0, -1.0), (10.5, 0.0, -1.0)])
+        assert g.parent.tolist() == [0, 0, 1]
+        assert g.wall.tolist() == [2, 0, 0]
+        assert bed.domain.walls[0] == (2, 0.0, -1)
+
     def test_all_ghosts_outside(self):
         bed = fixtures.random_cylinder_bed(n=40, R_c=3.5, H=10.0, seed=2)
         g = generate_ghosts(bed)
@@ -79,9 +96,8 @@ class TestGhosts:
             Annulus((0.0, 0.0), 2.5, 6.0, 10.0),
         )
         g = generate_ghosts(bed)
-        kinds = {k for _, k in g.provenance}
-        assert "radial_inner" in kinds
-        inner = g.ghost_centers[[k == "radial_inner" for _, k in g.provenance]][0]
+        (inner,) = g.ghost_centers[g.wall == 3]  # walls[3] is the inner cylinder
+        assert bed.domain.walls[3] == (RADIAL, 2.5, -1)
         # wall distance 1.0 preserved on the other side of R_i
         assert np.hypot(inner[0], inner[1]) == pytest.approx(1.5)
 
@@ -119,10 +135,9 @@ class TestBuildCells:
 
     def test_boundary_tags(self):
         bed = fixtures.simple_cubic(3)
-        ghosts = generate_ghosts(bed)
-        cs = build_cells(bed, ghosts)
+        cs = build_cells(bed, generate_ghosts(bed))
         corner = 0  # (1,1,1)
-        tags = sorted(ghost_tag(cs, ghosts, cs.site_b[f]) for f in cs.cell_facets(corner)
+        tags = sorted(ghost_tag(cs, cs.site_b[f]) for f in cs.cell_facets(corner)
                       if cs.site_b[f] >= cs.n_real)
         assert tags == ["inlet", "wall", "wall"]
 
@@ -147,7 +162,8 @@ class TestBuildCells:
         bed = attach_domain(
             SphereBed(centers=centers), Box((-2.9, -1.9, -1.9), (2.9, 1.9, 1.9))
         )
-        empty = GhostSet(ghost_centers=np.empty((0, 3)), provenance=[])
+        none = np.empty(0, dtype=np.int64)
+        empty = GhostSet(ghost_centers=np.empty((0, 3)), parent=none, wall=none)
         with pytest.raises(GeometryError, match="unbounded"):
             build_cells(bed, empty)
 
@@ -488,15 +504,15 @@ def reference_build_cells(bed, ghosts):
     cs = VoronoiCellSet(points=verts, loop_start=loop_start, loop_vertex=loop_vertex,
                         site_a=sa[kept], site_b=sb[kept], plane_point=plane_points[kept],
                         plane_normal=normals[kept], e1=e1[kept], e2=e2[kept],
-                        cell_start=cell_start, cell_facet=cell_facet, sites=sites, n_real=n,
-                        bed=bed)
+                        cell_start=cell_start, cell_facet=cell_facet, sites=sites,
+                        ghost_parent=ghosts.parent, ghost_wall=ghosts.wall, n_real=n, bed=bed)
     _validate_cells(cs)
     return cs
 
 
 def _build_outcome(build, bed, ghosts):
     try:
-        return cells_digest(build(bed, ghosts), ghosts)
+        return cells_digest(build(bed, ghosts))
     except GeometryError as exc:
         return str(exc)
 
@@ -561,7 +577,7 @@ class TestBuildCellsReference:
         got = _build_outcome(build_cells, bed, ghosts)
         assert got == _build_outcome(reference_build_cells, bed, ghosts)
         plain.points = np.vstack([plain.points, line])
-        assert got == cells_digest(plain, ghosts)
+        assert got == cells_digest(plain)
 
     def test_unbounded_message(self, monkeypatch):
         """The error names sphere a of the first ridge of a real cell with a
