@@ -294,10 +294,11 @@ def cylinder_mesh_bed():
     (lambda: fixtures.simple_cubic(3), {"inlet", "outlet", "wall"}),
     (lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
      {"inlet", "outlet", "wall"}),
+    (lambda: fixtures.random_annulus_bed(100), {"inlet", "outlet", "wall", "inner_wall"}),
     (fitted_annulus_bed, {"inlet", "outlet", "wall", "inner_wall"}),
     (cylinder_mesh_bed, {"inlet", "outlet", "wall"}),
-], ids=["cube", "cylinder", "annulus_fitted", "cylinder_mesh"])
-def test_boundary_facets_on_their_walls(make, tags):
+], ids=["cube", "cylinder", "annulus", "annulus_fitted", "cylinder_mesh"])
+def test_surface_tag_matches_ghost_provenance(make, tags):
     """A boundary facet whose ghost reflects the facet's own site lies on
     the ghost's wall: its plane point within 1e-9 R of the analytic wall,
     its normal the wall's sign times the wall normal there. Its surface is
@@ -328,6 +329,28 @@ def test_boundary_facets_on_their_walls(make, tags):
         assert cs.plane_normal[f] == pytest.approx(w.sign * normal, abs=1e-12)
         assert desc == w and surface_tag(desc) == ghost_tag(cs, cs.site_b[f])
     assert {surface_tag(surfaces[s]) for s in facet_surface[fids[on]]} == tags
+
+
+def test_fit_annulus_inner_wall():
+    """The annulus fitted to the annulus bed keeps a full R of wall
+    clearance, its ghosts reflect across the inner wall, and the facet
+    between a center and its own inner-wall ghost lies on the inner
+    cylinder: its surface is the inner Wall, tagged inner_wall."""
+    bed = fitted_annulus_bed()
+    dom, R = bed.domain, bed.radius_nominal
+    inner_wall = dom.walls.index(Wall(RADIAL, dom.R_i, -1))
+    assert dom.wall_distance(dom.walls[inner_wall], bed.centers).min() == pytest.approx(R)
+    cs = build_cells(bed, generate_ghosts(bed))
+    surfaces, facet_surface = boundary_surfaces(cs)
+    fids = np.flatnonzero(cs.site_b >= cs.n_real)
+    g = cs.site_b[fids] - cs.n_real
+    inner = fids[(cs.ghost_parent[g] == cs.site_a[fids]) & (cs.ghost_wall[g] == inner_wall)]
+    assert inner.size
+    rho = np.hypot(*(cs.plane_point[inner, :2] - dom.center_xy).T)
+    assert rho == pytest.approx(dom.R_i, abs=1e-9 * R)
+    for f in inner:
+        assert surfaces[facet_surface[f]] == Wall(RADIAL, dom.R_i, -1)
+        assert surface_tag(surfaces[facet_surface[f]]) == "inner_wall"
 
 
 class TestSweep:
