@@ -35,9 +35,9 @@ edges, and each hit facet's new loop is its loop rows with the new ids of
 each long row spliced in.
 
 Guard projection checks every vertex the first time in a repair, and after
-that only the vertices moved since: collapse survivors, inserted vertices
-and pushed ones, each against the facets that may hold it, kept as two
-flat lists of vertices and facets (`_Repair`).
+that only the loop rows of the vertices moved since: collapse survivors,
+inserted vertices and pushed ones, marked in one mask over the points
+(`_Repair`).
 """
 
 from __future__ import annotations
@@ -322,10 +322,9 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.nda
 
 
 class _Repair:
-    """One repair of a cell set: its oplog, the mask of its deleted facets
-    (``deleted``, from the loop lengths, set as collapses delete them), the
-    loop rows of its live facets, the edges whose skipped collapse it has
-    logged, and the vertices its next guard projection checks.
+    """One repair of a cell set: its oplog, the loop rows of its live
+    facets, the edges whose skipped collapse it has logged, and the
+    vertices its next guard projection checks.
 
     ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
     facet, each facet's rows together and in loop order, though the
@@ -335,32 +334,31 @@ class _Repair:
     pass-start rows (`_Pass`) and gathers the rows of the loops it changed
     once at its end.
 
-    ``pending`` holds two flat lists, vertices and facets, with one entry
-    in each for a vertex moved since the last guard projection and a facet
-    that holds it; it is None until the first projection, which checks
-    every vertex. A vertex that has not moved keeps its position and can
-    only lose facets, so it stays outside its guards.
+    ``moved`` marks, over the points, each vertex moved since the last
+    guard projection; every vertex is marked before the first one, and a
+    vertex numbered past the mask was inserted since. A vertex that has not
+    moved keeps its position and can only lose facets, so it stays outside
+    its guards.
     """
 
     def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
         self.cs, self.cfg = cs, cfg
         self.oplog = [] if oplog is None else oplog
-        self.deleted = np.diff(cs.loop_start) < 3
         self.rows = _loop_rows(cs)
         self.skipped: set = set()
-        self.pending: tuple[list, list] | None = None
+        self.moved = np.ones(len(cs.points), dtype=bool)
 
     def store(self) -> VoronoiCellSet:
         """Write the loop rows to the cell set's two loop arrays."""
         fid, vertex, _ = self.rows
         self.cs.loop_vertex = vertex[fid.argsort(kind="stable")]
         self.cs.loop_start = np.concatenate(
-            [[0], np.bincount(fid, minlength=len(self.deleted)).cumsum()])
+            [[0], np.bincount(fid, minlength=len(self.cs.site_a)).cumsum()])
         return self.cs
 
     def _replace_rows(self, fids, new_rows) -> None:
         """Drop the loop rows of the facets ``fids`` and append ``new_rows``."""
-        hit = np.zeros(len(self.deleted), dtype=bool)
+        hit = np.zeros(len(self.cs.site_a), dtype=bool)
         hit[fids] = True
         keep = ~hit[self.rows[0]]
         self.rows = tuple(np.concatenate([r[keep], n]) for r, n in zip(self.rows, new_rows))
@@ -391,7 +389,7 @@ class _Repair:
         if not len(cand):
             return 0
         cand = cand[np.lexsort((edges.v[cand], edges.u[cand], edges.length[cand]))]
-        p = _Pass(edges, cand, tol, cs.points, len(self.deleted))
+        p = _Pass(edges, cand, tol, cs.points, len(cs.site_a))
         busy = set()  # the ends of the applied collapses, and of the walk
         n_done = 0
         start, width = 0, len(cand)
@@ -435,7 +433,6 @@ class _Repair:
         if not n:
             return 0
         done = w.touched & (w.cand < fail)
-        self.deleted[w.fid[done & (w.length < 3)]] = True
         fid, cand, adjacent, _, u_row, v_row, drop = p.pairs[:, np.sort(w.pair[done])]
         p.alive[drop] = 0
         p.at[u_row] = p.at[v_row] = cand + p.n_points
@@ -445,6 +442,7 @@ class _Repair:
 
         applied = w.walk[:n]
         self.cs.points[p.u[applied]] = p.mids[applied]
+        self.moved[p.u[applied]] = True
         fids = fid.tolist()   # candidate, then facet order
         a = 0
         for i, b in zip(applied, cand.searchsorted(applied, side="right").tolist()):
@@ -452,9 +450,6 @@ class _Repair:
                                "length": p.lengths[i], "tolerance": p.tols[i],
                                "facets": fids[a:b]})
             a = b
-        if self.pending is not None:
-            self.pending[0].extend(p.u[cand].tolist())
-            self.pending[1].extend(fids)
         return n
 
     def _regather(self, p: _Pass, row_fid) -> None:
@@ -465,7 +460,7 @@ class _Repair:
         fid, vertex = row_fid[sel], p.vertex[sel]
         first = np.flatnonzero(np.diff(fid, prepend=-1))
         hit, lens = fid[first], np.diff(first, append=len(fid))
-        live = ~self.deleted[hit]
+        live = p.length[hit] >= 3
         self._replace_rows(hit, _rows(hit[live], lens[live], vertex[live.repeat(lens)]))
 
     def _check(self, fid, size, rows, table) -> np.ndarray:
@@ -542,7 +537,7 @@ class _Repair:
         long_of = np.full(len(edges.u), -1)
         long_of[long_edges] = np.arange(len(long_edges))
         row_long = long_of[edges.edge]
-        hit = np.zeros(len(self.deleted), dtype=bool)
+        hit = np.zeros(len(cs.site_a), dtype=bool)
         hit[fid[row_long >= 0]] = True
         sel = np.flatnonzero(hit[fid])
         count = 1 + np.where(row_long[sel] >= 0, k[row_long[sel]], 0)
@@ -555,23 +550,15 @@ class _Repair:
         starts = np.flatnonzero(np.diff(fid[sel], prepend=-1))
         hit_fids = fid[sel[starts]]
         self._replace_rows(hit_fids, _rows(hit_fids, np.add.reduceat(count, starts), out))
-        if self.pending is not None:
-            self.pending[0].extend(out[pos > 0].tolist())
-            self.pending[1].extend(fid[row[pos > 0]].tolist())
 
     def guard_projection(self) -> None:
         cs = self.cs
-        if self.pending is None:
-            fid, verts, _ = self.rows
-        else:
-            # a moved vertex stays in the facets that held it, unless a
-            # later collapse deleted one; a pushed vertex that a collapse
-            # fused away keeps stale rows, but it has not moved since it
-            # was pushed clear of those very owners
-            verts = np.array(self.pending[0], dtype=np.int64)
-            fid = np.array(self.pending[1], dtype=np.int64)
-            live = ~self.deleted[fid]
-            verts, fid = verts[live], fid[live]
+        # a vertex numbered past the mask was inserted since the last projection
+        moved = np.ones(len(cs.points), dtype=bool)
+        moved[:len(self.moved)] = self.moved
+        fid, verts, _ = self.rows
+        check = moved[verts]
+        fid, verts = fid[check], verts[check]
         site_a, site_b = cs.site_a[fid], cs.site_b[fid]
         real = site_b < cs.n_real
         pairs = np.vstack([np.column_stack([verts, site_a]),
@@ -580,8 +567,8 @@ class _Repair:
         pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
         self.oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
                           for v, c, d in pushes)
-        again = np.isin(verts, [v for v, _, _ in pushes])
-        self.pending = (verts[again].tolist(), fid[again].tolist())
+        self.moved = np.zeros(len(cs.points), dtype=bool)
+        self.moved[[v for v, _, _ in pushes]] = True
 
 
 def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -623,18 +610,19 @@ def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None =
 def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -> VoronoiCellSet:
     """Full repair: collapse passes, guard projection, vertex insertion.
     After the first guard projection, each one checks only the vertices
-    moved since the one before."""
-    cfg = cfg or RepairConfig()
-    oplog: list = []
-    run = _Repair(cs, cfg, oplog)
-    run.collapse_edges()
-    run.guard_projection()
-    run.insert_vertices()
-    run.store()
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            for rec in oplog:
-                fh.write(json.dumps(rec) + "\n")
+    moved since the one before. ``log_path`` gets the oplog as JSON lines,
+    also the records made before a failure."""
+    run = _Repair(cs, cfg or RepairConfig(), None)
+    try:
+        run.collapse_edges()
+        run.guard_projection()
+        run.insert_vertices()
+        run.store()
+    finally:
+        if log_path is not None:
+            with open(log_path, "w") as fh:
+                for rec in run.oplog:
+                    fh.write(json.dumps(rec) + "\n")
     return cs
 
 

@@ -495,15 +495,14 @@ class TestInsertVertices:
         assert all(cnt >= 2 for cnt in seen.values())
 
 
-def recheck(run, vertices, fids) -> None:
-    """The former `_Repair.recheck`: each of ``vertices`` moved, and each
-    of ``fids`` holds it, so the next guard projection of ``run`` checks
-    them."""
-    if run.pending is not None:
-        pv, pf = run.pending
-        for v in vertices:
-            pv += [v] * len(fids)
-            pf += fids
+def guard_rows(run) -> list:
+    """The sorted (vertex, facet) loop rows the next guard projection of
+    ``run`` checks: those of the vertices marked moved, and of the vertices
+    inserted since the last projection, which are past the mask."""
+    fid, vertex, _ = run.rows
+    moved = np.append(run.moved, np.ones(len(run.cs.points) - len(run.moved), dtype=bool))
+    check = moved[vertex]
+    return sorted(zip(vertex[check].tolist(), fid[check].tolist()))
 
 
 def reference_insert_vertices(run):
@@ -545,7 +544,6 @@ def reference_insert_vertices(run):
                 if key in splits:
                     ids = splits[key]
                     out.extend(ids if a < b else list(reversed(ids)))
-                    recheck(run, ids, (fid,))
             loops[fid] = out
         set_loops(cs, loops)
         run.rows = _loop_rows(cs)
@@ -578,17 +576,17 @@ def _annulus_cells():
 def _insert_outcome(insert, cs, cfg, projected):
     """Points bytes, (loop, deleted) per facet, oplog, and the sorted
     (vertex, facet) guard rows each guard projection of the insertion
-    checks (None for a full one), after ``insert`` runs on a `_Repair`;
-    ``projected``: a full guard projection runs first, as in `repair`."""
+    checks, after ``insert`` runs on a `_Repair`; ``projected``: a full
+    guard projection runs first, as in `repair`."""
     oplog = []
     run = _Repair(cs, cfg, oplog)
     if projected:
         run.guard_projection()
-    guard_rows = []
+    checked = []
     project = run.guard_projection
 
     def recorded():
-        guard_rows.append(None if run.pending is None else sorted(zip(*run.pending)))
+        checked.append(guard_rows(run))
         project()
 
     run.guard_projection = recorded
@@ -599,7 +597,7 @@ def _insert_outcome(insert, cs, cfg, projected):
     run.store()
     assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
                                        if not f.deleted}
-    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog, guard_rows)
+    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog, checked)
 
 
 class TestInsertProperty:
@@ -729,20 +727,20 @@ class TestMovedOnlyGuard:
         run = _Repair(cs, RepairConfig(), oplog)
         run.guard_projection()  # the first pass is full
         assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9)]
-        assert sorted(zip(*run.pending)) == [(0, 0), (0, 1), (0, 2)]
+        assert guard_rows(run) == [(0, 0), (0, 1), (0, 2)]
         cs.points[0] = (0.8, 0.0, 0.0)  # back inside, unseen by the repair
         run.guard_projection()
         assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9), (0, 0.8)]
         assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
         run.guard_projection()
-        assert len(oplog) == 2 and run.pending == ([], [])
+        assert len(oplog) == 2 and guard_rows(run) == []
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.8, 0.99)),
                                        min_size=1, max_size=12))
     def test_matches_full_projection(self, seed, moves):
         """An already projected cell set; some vertices moved toward one of
-        their spheres and passed to `recheck`. The moved-only projection
+        their spheres and marked in ``run.moved``. The moved-only projection
         pushes what a full one pushes, in the same order, to the same bits,
         or raises the same error."""
         cs = copy.deepcopy(_small_bed_cells(seed))
@@ -757,7 +755,7 @@ class TestMovedOnlyGuard:
             center = cs.bed.centers[cs.facets[holders[v][0]].site_a]
             ray = cs.points[v] - center
             cs.points[v] = center + ray * (r * GUARD_RADIUS / np.linalg.norm(ray))
-            recheck(run, (v,), holders[v])
+            run.moved[v] = True
         full = copy.deepcopy(cs)
         full_log = []
         run.oplog = []
@@ -877,6 +875,25 @@ class TestFullRepair:
         repair(cs, RepairConfig(), log_path=p)
         recs = [json.loads(line) for line in p.read_text().splitlines()]
         assert all("op" in r for r in recs)
+
+    def test_failed_repair_writes_its_records(self, tmp_path):
+        """The annulus bed, preconditioned, fails in the guard push of an
+        insertion round; its log still holds every record made before,
+        those the repair's stages give on the same cells."""
+        bed = fixtures.random_annulus_bed()
+        bed = rescale(bed, separation_profile(bed))
+        cs = build_cells(bed, generate_ghosts(bed))
+        oplog = []
+        run = _Repair(copy.deepcopy(cs), RepairConfig(), oplog)
+        run.collapse_edges()
+        run.guard_projection()
+        with pytest.raises(GeometryError, match="cannot clear the guard spheres"):
+            run.insert_vertices()
+        p = tmp_path / "ops.jsonl"
+        with pytest.raises(GeometryError, match="cannot clear the guard spheres"):
+            repair(cs, RepairConfig(), log_path=p)
+        assert {r["op"] for r in oplog} == {"collapse", "insert"}
+        assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
 
 
 @pytest.mark.parametrize("k", [1e-7, 1.0])
