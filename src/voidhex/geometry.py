@@ -177,16 +177,16 @@ def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -
     if a point is still inside after 10 pushes.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    n = len(centers)
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    pts, owner = keys // n, keys % n
-    ray = points[pts] - centers[owner]
     clear = guard * (1.0 - GUARD_SLACK)
-    inside = np.unique(pts[norms(ray) < clear])
-    lo = np.searchsorted(pts, inside, side="left").tolist()
-    hi = np.searchsorted(pts, inside, side="right").tolist()
+    hit = np.zeros(len(points), dtype=bool)  # only the pairs of a point inside are sorted
+    hit[pairs[norms(points[pairs[:, 0]] - centers[pairs[:, 1]]) < clear, 0]] = True
+    pairs = pairs[hit[pairs[:, 0]]]
+    n = len(centers)
+    pts, owner = np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n)
+    inside, lo = np.unique(pts, return_index=True)
+    hi = np.append(lo[1:], len(pts)).tolist()
     pushes = []
-    for p, a, b in zip(inside.tolist(), lo, hi):
+    for p, a, b in zip(inside.tolist(), lo.tolist(), hi):
         cells = owner[a:b].tolist()
         for _ in range(10):
             worst, dworst = None, clear
