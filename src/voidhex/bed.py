@@ -359,8 +359,9 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
 
     Degenerate site sets (QhullError) are retried once with a deterministic
     jitter of 1e-9 times the centers' extent, so the pairs do not depend on
-    the units; pair distances are always taken from the original points.
-    Small sets (< 5) fall back to all pairs.
+    the units, and a second failure raises GeometryError; pair distances
+    are always taken from the original points. Small sets (< 5) fall back
+    to all pairs.
     """
     n = len(centers)
     if n < 2:
@@ -373,8 +374,10 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     except QhullError:
         rng = np.random.default_rng(0)
         extent = float(np.ptp(centers, axis=0).max())
-        jittered = centers + rng.normal(scale=1e-9 * extent, size=centers.shape)
-        tri = Delaunay(jittered)
+        try:
+            tri = Delaunay(centers + rng.normal(scale=1e-9 * extent, size=centers.shape))
+        except QhullError as exc:
+            raise GeometryError(f"Delaunay triangulation failed twice: {exc}") from None
     s = tri.simplices
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)

@@ -485,3 +485,9 @@ class TestDelaunayPairs:
         """The retry's jitter is in units of the centers' extent, so the
         coplanar grid at any scale gives the pairs it gives at spacing 1."""
         assert np.array_equal(delaunay_pairs(COPLANAR_GRID * k), delaunay_pairs(COPLANAR_GRID))
+
+    def test_second_failure_raises_geometry_error(self):
+        """Coincident centers have extent 0, so the retry's jitter is 0 and
+        Qhull fails again: that is a GeometryError, as in `build_cells`."""
+        with pytest.raises(GeometryError, match="Delaunay triangulation failed twice"):
+            separation_profile(SphereBed(centers=np.zeros((5, 3))))
