@@ -60,8 +60,9 @@ class ExtrusionSpec:
         if not self.t_bl > 0:
             raise ValidationError(f"need t_bl > 0, got {self.t_bl}")
         for name in ("inlet_layers", "outlet_layers"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"need {name} >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValidationError(f"need an integer {name} >= 0, got {value}")
 
 
 @dataclass
@@ -404,11 +405,16 @@ def _line_lengths(mesh: HexMesh, eid: np.ndarray) -> np.ndarray:
 def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     """Add boundary layers: spheres inward, curved walls outward, z ducts.
 
-    Sphere faces gain one thin layer toward the sphere (fraction t_bl of
-    the local radial layer; the new surface radius feeds the final
-    projection). Curved-wall faces gain one thin outward layer whose outer
-    surface later lands on the analytic wall. The inlet plane grows 3 duct
-    layers downward and the outlet 7 upward.
+    Sphere faces gain one thin layer toward the sphere: each node moves
+    radially inward by t_bl times the length of its sweep line, so the new
+    faces, which take the sphere's surface, lie at no one radius.
+    Curved-wall faces gain one outward layer, t_bl times the mean sweep
+    line of the wall hexes thick, along each node's mean face normal; its
+    outer faces keep the wall's surface but are not moved onto the
+    analytic wall. The bottom z wall grows ``inlet_layers`` duct layers
+    downward and the top one ``outlet_layers`` upward, each as thick as the
+    mean sweep line of its wall hexes, and the last layer's top is a new
+    wall surface moved to match.
     """
     spec = spec or ExtrusionSpec()
     if not (mesh.elem_layer == "1").any():

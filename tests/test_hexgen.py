@@ -448,10 +448,11 @@ class TestRefine:
 
 class TestExtrusionSpec:
     @pytest.mark.parametrize("field, value", [("t_bl", 0.0), ("t_bl", -0.25), ("t_bl", np.nan),
-                                              ("inlet_layers", -2), ("outlet_layers", -1)])
+                                              ("inlet_layers", -2), ("outlet_layers", -1),
+                                              ("inlet_layers", 2.5)])
     def test_bad_value_raises(self, field, value):
         # t_bl <= 0 turns the whole 'bl' layer inside out; a negative layer
-        # count would build no duct
+        # count would build no duct, and a fractional one fails in numpy
         with pytest.raises(ValidationError, match=field):
             ExtrusionSpec(**{field: value})
 
