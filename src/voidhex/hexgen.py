@@ -16,7 +16,9 @@ The boundary faces are rows of the face table: row 6 * e + f is local face
 f of element e, whose outward loop `_loops` reads off the element. Each
 tagged row carries the id of its surface, whose descriptor `surface_tag`
 names. Every new face that a step makes is a known local face of a new
-element, so its row is plain arithmetic.
+element, so its row is plain arithmetic. The sphere, wall and duct layers
+all grow through one routine, `_grow_layers`, which alone appends their
+nodes, elements and face rows.
 
 A mesh has one surface per sphere, one per container wall, one per wall
 for the facets that only face it, and one per duct top. A boundary facet's
@@ -186,23 +188,6 @@ def _select(mesh: HexMesh, keep) -> np.ndarray:
     return at[np.lexsort(keys.T[::-1])]
 
 
-def _replace(mesh: HexMesh, at: np.ndarray, rows: np.ndarray, surface: np.ndarray) -> None:
-    """Drop the tag-table positions at, then append the rows on their
-    surface ids; a row on surface -1 is not a boundary face and is skipped."""
-    keep = np.ones(len(mesh.faces), dtype=bool)
-    keep[at] = False
-    new = surface >= 0
-    mesh.faces = np.concatenate([mesh.faces[keep], rows[new]])
-    mesh.face_surface = np.concatenate([mesh.face_surface[keep], surface[new]])
-
-
-def _grow(mesh: HexMesh, nodes, elements, cells, layers) -> None:
-    mesh.nodes = np.vstack([mesh.nodes, nodes])
-    mesh.elements = np.vstack([mesh.elements, elements])
-    mesh.elem_cell = np.concatenate([mesh.elem_cell, cells])
-    mesh.elem_layer = np.concatenate([mesh.elem_layer, layers])
-
-
 def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     """Sweep every facet quad onto its cell sphere and merge the cells.
 
@@ -354,20 +339,19 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     return out
 
 
-def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, nlayers: int,
-           what: str):
-    """The side faces of nlayers layers grown from the tagged faces at
+def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, labels):
+    """The side faces of len(labels) layers grown from the tagged faces at
     positions `at`, whose outward loops are `loops`.
 
-    Face j grows elements first + j * nlayers + k, k < nlayers, whose side
-    s is local face 2 + s, over side s of loops[j], from corner s to corner
-    s + 1. A side shared by two faces of the set stays inside the new layer
-    and gets surface -1. Any other side becomes an exposed face that copies
-    the surface of its donor: the first tagged face in table order, outside
-    the set, that has the same edge. Returns the (F, nlayers * 4) rows and
-    surface ids of the sides, layer by layer.
+    Face j grows elements first + j * L + k, k < L = len(labels), whose
+    side s is local face 2 + s, over side s of loops[j], from corner s to
+    corner s + 1. A side shared by two faces of the set stays inside the
+    new layers and gets surface -1. Any other side becomes an exposed face
+    that copies the surface of its donor: the first tagged face in table
+    order, outside the set, that has the same edge. Returns the (F, L * 4)
+    rows and surface ids of the sides, layer by layer.
     """
-    n = len(mesh.nodes)
+    n, nlayers = len(mesh.nodes), len(labels)
 
     def edges(lp):
         b = np.roll(lp, -1, axis=1)
@@ -389,11 +373,46 @@ def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, nlayers
     missing = np.argwhere(exposed & ~found)
     if len(missing):
         e = int(mine[tuple(missing[0])])
-        raise TopologyError(f"exposed {what} side at edge {(e // n, e % n)} has no donor tag")
+        raise TopologyError(f"exposed {labels[0]} side at edge {(e // n, e % n)} has no donor tag")
     donor = np.full(mine.shape, -1)
     donor[exposed] = mesh.face_surface[others[by[pos[exposed]] // 4]]
     e = first + np.arange(len(at))[:, None] * nlayers + np.arange(nlayers)
     return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(at), -1), np.tile(donor, nlayers)
+
+
+def _grow_layers(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, ids: np.ndarray,
+                 xyz: np.ndarray, labels, far, inward: bool = False) -> None:
+    """Grow L = len(labels) layers from the tagged faces at positions `at`.
+
+    Face j grows on its loop loops[j]: the node of its corner c in layer
+    k + 1 is n + ids[j, c] * L + k, at xyz[ids[j, c], k], and its layer k
+    element spans from layer k to k + 1 on the base, or from k + 1 to k
+    ``inward``, so that corners k + 4 -> k still step toward the sphere.
+    Each new element takes its source element's cell and its layer's
+    label. The face's tag moves to the far face of its last layer, on
+    surface far[j], and the exposed sides take their donors' surfaces
+    (`_sides`); inward layers close a sphere and have none.
+    """
+    n, first, nlayers = len(mesh.nodes), len(mesh.elements), len(labels)
+    ring = [loops] + [n + ids * nlayers + k for k in range(nlayers)]
+    base, top = (ring[1:], ring[:-1]) if inward else (ring[:-1], ring[1:])
+    mesh.nodes = np.vstack([mesh.nodes, xyz.reshape(-1, 3)])
+    mesh.elements = np.vstack([mesh.elements, np.stack(
+        [np.hstack(bt) for bt in zip(base, top)], axis=1).reshape(-1, 8)])
+    mesh.elem_cell = np.concatenate(
+        [mesh.elem_cell, np.repeat(mesh.elem_cell[mesh.faces[at] // 6], nlayers)])
+    mesh.elem_layer = np.concatenate([mesh.elem_layer, np.tile(labels, len(at))])
+    # the far face of each face's last layer: its base (0) inward, else its top (1)
+    rows = 6 * (first + np.arange(len(at)) * nlayers + nlayers - 1)[:, None] + (0 if inward else 1)
+    surface = np.asarray(far)[:, None]
+    if not inward:
+        sides, on = _sides(mesh, at, loops, first, labels)
+        rows, surface = np.hstack([sides, rows]), np.hstack([on, surface])
+    keep = np.ones(len(mesh.faces), dtype=bool)
+    keep[at] = False
+    new = surface >= 0  # a side inside the new layers is not a boundary face
+    mesh.faces = np.concatenate([mesh.faces[keep], rows[new]])
+    mesh.face_surface = np.concatenate([mesh.face_surface[keep], surface[new]])
 
 
 def _line_lengths(mesh: HexMesh, eid: np.ndarray) -> np.ndarray:
@@ -414,7 +433,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     analytic wall. The bottom z wall grows ``inlet_layers`` duct layers
     downward and the top one ``outlet_layers`` upward, each as thick as the
     mean sweep line of its wall hexes, and the last layer's top is a new
-    wall surface moved to match.
+    wall surface moved to match. Every layer grows through `_grow_layers`.
     """
     spec = spec or ExtrusionSpec()
     if not (mesh.elem_layer == "1").any():
@@ -441,19 +460,15 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
             f"sphere {ci[low[0]]}: boundary-layer extrusion reaches "
             f"{target[low[0]] / out.radius:.3f}R"
         )
-    n = len(out.nodes)
-    e = len(out.elements) + np.arange(len(at))
-    _grow(out, out.sphere_centers[ci] + ray * (target / rho)[:, None],
-          np.hstack([n + ids.reshape(-1, 4), rev]), cell, np.full(len(at), "bl"))
-    _replace(out, at, 6 * e, cell)  # the base of each new element faces the sphere
+    xyz = out.sphere_centers[ci] + ray * (target / rho)[:, None]
+    _grow_layers(out, at, rev, ids.reshape(-1, 4), xyz[:, None], ["bl"], cell, inward=True)
 
     # --- curved-wall layers -------------------------------------------------
     at = _select(out, lambda d: isinstance(d, Wall) and d.axis == RADIAL)
     if len(at):
         loops = _loops(out.elements, out.faces[at])
-        eid = out.faces[at] // 6
         # uniform thickness from the mean sweep thickness of the wall hexes
-        t_w = spec.t_bl * float(np.mean(_line_lengths(out, eid).ravel()))
+        t_w = spec.t_bl * float(np.mean(_line_lengths(out, out.faces[at] // 6).ravel()))
         pts = out.nodes[loops]
         normal = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
         normal /= norms(normal)[:, None]
@@ -463,49 +478,29 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
         np.add.at(mean, inv, np.repeat(normal, 4, axis=0))
         mean /= np.bincount(inv)[:, None]
         mean /= norms(mean)[:, None]
-        w = len(out.nodes) + inv.reshape(-1, 4)
-        e = len(out.elements)
-        _grow(out, out.nodes[v] + t_w * mean, np.hstack([loops, w]), out.elem_cell[eid],
-              np.full(len(at), "wall"))
-        # per face: its top (1), on the wall, then its exposed sides
-        sides, on = _sides(out, at, loops, e, 1, "wall-layer")
-        rows = np.hstack([6 * (e + np.arange(len(at)))[:, None] + 1, sides])
-        _replace(out, at, rows, np.hstack([out.face_surface[at][:, None], on]))
+        _grow_layers(out, at, loops, inv.reshape(-1, 4), (out.nodes[v] + t_w * mean)[:, None],
+                     ["wall"], out.face_surface[at])
 
     # --- inlet / outlet ducts ------------------------------------------------
+    # nlayers along z from the z wall facing zdir, a column of nodes above each
+    # surface node in order of first use; the last top is on a new, moved wall
     for zdir, nlayers in ((-1.0, spec.inlet_layers), (1.0, spec.outlet_layers)):
-        if nlayers > 0:
-            _extrude_duct(out, zdir, nlayers)
+        wall = next((d for d in out.surfaces
+                     if isinstance(d, Wall) and d.axis == 2 and d.sign == zdir), None)
+        at = _select(out, lambda d: d == wall)
+        if nlayers == 0 or not len(at):
+            continue
+        loops = _loops(out.elements, out.faces[at])
+        t = float(np.mean(_line_lengths(out, out.faces[at] // 6).ravel()))
+        ids, first = first_seen(loops.ravel())
+        column = np.repeat(out.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
+        column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
+        _grow_layers(out, at, loops, ids.reshape(-1, 4), column,
+                     [f"{surface_tag(wall)}{k + 1}" for k in range(nlayers)],
+                     np.full(len(at), len(out.surfaces)))
+        out.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
     audit_conformal(out)
     return out
-
-
-def _extrude_duct(mesh: HexMesh, zdir: float, nlayers: int) -> None:
-    """Grow nlayers duct layers along z from the z wall that faces zdir."""
-    wall = next((d for d in mesh.surfaces
-                 if isinstance(d, Wall) and d.axis == 2 and d.sign == zdir), None)
-    at = _select(mesh, lambda d: d == wall)
-    if not len(at):
-        return
-    loops = _loops(mesh.elements, mesh.faces[at])
-    eid = mesh.faces[at] // 6
-    t = float(np.mean(_line_lengths(mesh, eid).ravel()))
-    # a column of nlayers nodes above each surface node, in order of first use
-    ids, first = first_seen(loops.ravel())
-    column = np.repeat(mesh.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
-    column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
-    ring = [loops] + [len(mesh.nodes) + ids.reshape(-1, 4) * nlayers + k for k in range(nlayers)]
-    e = len(mesh.elements)
-    _grow(mesh, column.reshape(-1, 3),
-          np.stack([np.hstack(ring[k:k + 2]) for k in range(nlayers)], axis=1).reshape(-1, 8),
-          np.repeat(mesh.elem_cell[eid], nlayers),
-          np.tile([f"{surface_tag(wall)}{k + 1}" for k in range(nlayers)], len(at)))
-    # per face: its exposed sides layer by layer, then the top (1) of its
-    # last layer, on the moved wall: one new surface
-    sides, on = _sides(mesh, at, loops, e, nlayers, "duct")
-    rows = np.hstack([sides, 6 * (e + np.arange(len(at)) * nlayers + nlayers - 1)[:, None] + 1])
-    _replace(mesh, at, rows, np.hstack([on, np.full((len(at), 1), len(mesh.surfaces))]))
-    mesh.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
 
 
 def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from voidhex.hexgen import (
     _FACES,
     ExtrusionSpec,
     HexMesh,
+    _grow_layers,
     _loops,
     audit_conformal,
     boundary_surfaces,
@@ -608,6 +609,20 @@ class TestExtrude:
         ext = extrude_layers(refine_radial(mesh))
         dets = corner_dets(ext.nodes, ext.elements)
         assert (dets > 0).all()
+
+
+class TestGrowLayers:
+    def test_exposed_side_without_donor(self):
+        """A growing face whose edges border no other tagged face leaves
+        its exposed sides without a surface to copy."""
+        mesh = hand_mesh(UNIT_CUBE, [LOWER])
+        top = face_rows(mesh.elements, [4, 5, 6, 7])
+        mesh.faces, mesh.face_surface = top, np.zeros(1, dtype=np.int64)
+        loops = _loops(mesh.elements, top)
+        with pytest.raises(TopologyError,
+                           match=r"exposed wall side at edge \(4, 5\) has no donor tag"):
+            _grow_layers(mesh, np.array([0]), loops, np.arange(4)[None],
+                         (UNIT_CUBE[4:] + [0, 0, 1])[:, None], ["wall"], [0])
 
 
 def _canon(x):

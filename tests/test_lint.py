@@ -24,7 +24,11 @@ the package raises; a bare re-raise is exempt. Every field of
 `VoronoiCellSet` but ``bed`` and ``n_real``, and every field of
 `GhostSet`, is annotated ``np.ndarray``: facet loops and cells are CSR
 arrays and the ghosts' provenance is two index arrays, not lists, from
-`generate_ghosts` to `hexgen`.
+`generate_ghosts` to `hexgen`. In `src/voidhex/hexgen.py` no function but
+`_grow_layers`, the one routine that grows a boundary layer, assigns to a
+mesh's `nodes`, `elements`, `elem_cell`, `elem_layer`, `faces` or
+`face_surface`, or to an item of one; `sweep` and `refine_radial` build new
+meshes instead.
 """
 
 import ast
@@ -41,6 +45,7 @@ VIEWS = {"facets", "patches"}   # record views for code outside the package
 SHAPES = {"Cylinder", "Annulus", "Box"}   # the container shapes of bed.py
 ERRORS = {n.name for n in ast.parse((ROOT / "src/voidhex/errors.py").read_text()).body
           if isinstance(n, ast.ClassDef)}
+MESH_ARRAYS = {"nodes", "elements", "elem_cell", "elem_layer", "faces", "face_surface"}
 
 
 def unused_imports(source: str) -> list:
@@ -260,3 +265,41 @@ def test_cell_set_fields_are_arrays():
     source = (ROOT / "src/voidhex/voronoi.py").read_text()
     assert non_array_fields(source, "VoronoiCellSet", {"bed", "n_real"}) == []
     assert non_array_fields(source, "GhostSet", set()) == []
+
+
+def _written(target) -> list:
+    """The attributes an assignment target writes: an attribute, one whose
+    item is assigned, or those in a tuple or list of targets."""
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for t in target.elts for a in _written(t)]
+    return [target] if isinstance(target, ast.Attribute) else []
+
+
+def attribute_writes(source: str, names) -> list:
+    """(line, function, attribute) of each assignment to an attribute in
+    ``names``, or to an item of one, with the top-level function or class
+    whose body makes it."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for n in ast.walk(stmt):
+            targets = n.targets if isinstance(n, ast.Assign) else (
+                [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])
+            found += [(a.lineno, getattr(stmt, "name", None), a.attr)
+                      for t in targets for a in _written(t) if a.attr in names]
+    return sorted(found)
+
+
+def test_finds_a_mesh_write():
+    src = ("def f(m):\n    m.nodes = 1\n    m.faces[0] = 2\n    a, m.elem_cell = 1, 2\n"
+           "    x[m.elements] = 3\n    m.radius = 4\n    y = m.nodes\n"
+           "class C:\n    def g(self, m):\n        m.elem_layer += 1\n")
+    assert attribute_writes(src, MESH_ARRAYS) == [
+        (2, "f", "nodes"), (3, "f", "faces"), (4, "f", "elem_cell"), (10, "C", "elem_layer")]
+
+
+def test_one_routine_grows_the_mesh():
+    writes = attribute_writes((ROOT / "src/voidhex/hexgen.py").read_text(), MESH_ARRAYS)
+    assert {name for _, fn, name in writes if fn == "_grow_layers"} == MESH_ARRAYS
+    assert [w for w in writes if w[1] != "_grow_layers"] == [], "a mesh array assigned elsewhere"
