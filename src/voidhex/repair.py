@@ -610,14 +610,19 @@ def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None =
 def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -> VoronoiCellSet:
     """Full repair: collapse passes, guard projection, vertex insertion.
     After the first guard projection, each one checks only the vertices
-    moved since the one before. ``log_path`` gets the oplog as JSON lines,
-    also the records made before a failure."""
+    moved since the one before. A repair that raises leaves the cell set
+    as it was given. ``log_path`` gets the oplog as JSON lines, also the
+    records made before a failure."""
+    given = cs.points.copy()  # the loop arrays are written only at the end
     run = _Repair(cs, cfg or RepairConfig(), None)
     try:
         run.collapse_edges()
         run.guard_projection()
         run.insert_vertices()
         run.store()
+    except BaseException:
+        cs.points = given
+        raise
     finally:
         if log_path is not None:
             with open(log_path, "w") as fh:

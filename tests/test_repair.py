@@ -895,6 +895,36 @@ class TestFullRepair:
         assert {r["op"] for r in oplog} == {"collapse", "insert"}
         assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
 
+    def test_failed_repair_leaves_the_cells_as_given(self, monkeypatch, tmp_path):
+        """A repair that raises, here in the guard push of its first
+        insertion round, leaves the points and both loop arrays byte-equal
+        to the input's, and its log holds the records made before."""
+        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+        cs = build_cells(bed, generate_ghosts(bed))
+        n = len(cs.points)
+
+        def push(points, *args):
+            if len(points) > n:  # a vertex was inserted
+                raise GeometryError("push failed")
+            return push_outside(points, *args)
+
+        monkeypatch.setattr("voidhex.repair.push_outside", push)
+        given = copy.deepcopy(cs)
+        oplog = []
+        run = _Repair(copy.deepcopy(cs), RepairConfig(), oplog)
+        run.collapse_edges()
+        run.guard_projection()
+        with pytest.raises(GeometryError, match="push failed"):
+            run.insert_vertices()
+        p = tmp_path / "ops.jsonl"
+        with pytest.raises(GeometryError, match="push failed"):
+            repair(cs, RepairConfig(), log_path=p)
+        for name in ("points", "loop_start", "loop_vertex"):
+            a, b = getattr(cs, name), getattr(given, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert {r["op"] for r in oplog} == {"collapse", "insert"}
+        assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
+
 
 @pytest.mark.parametrize("k", [1e-7, 1.0])
 def test_op_counts_independent_of_scale(k):
