@@ -20,9 +20,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
+from .geometry import qhull_retry
 
 log = logging.getLogger(__name__)
 
@@ -357,11 +358,10 @@ def fit_annulus(bed: SphereBed) -> Annulus:
 def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     """Unique Delaunay-connected index pairs, (m, 2) with i < j.
 
-    Degenerate site sets (QhullError) are retried once with a deterministic
-    jitter of 1e-9 times the centers' extent, so the pairs do not depend on
-    the units, and a second failure raises GeometryError; pair distances
-    are always taken from the original points. Small sets (< 5) fall back
-    to all pairs.
+    A degenerate site set is retried once by `geometry.qhull_retry`, with
+    a jitter of 1e-9 times the centers' extent, so the pairs do not depend
+    on the units; pair distances are always taken from the original points.
+    Small sets (< 5) fall back to all pairs.
     """
     n = len(centers)
     if n < 2:
@@ -369,16 +369,8 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     if n < 5:
         i, j = np.triu_indices(n, k=1)
         return np.column_stack([i, j])
-    try:
-        tri = Delaunay(centers)
-    except QhullError:
-        rng = np.random.default_rng(0)
-        extent = float(np.ptp(centers, axis=0).max())
-        try:
-            tri = Delaunay(centers + rng.normal(scale=1e-9 * extent, size=centers.shape))
-        except QhullError as exc:
-            raise GeometryError(f"Delaunay triangulation failed twice: {exc}") from None
-    s = tri.simplices
+    extent = float(np.ptp(centers, axis=0).max())
+    s = qhull_retry(Delaunay, centers, extent, "Delaunay triangulation").simplices
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)
     code = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])

@@ -23,7 +23,6 @@ the package.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -32,13 +31,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import QhullError, Voronoi, cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 from .bed import RADIAL, SphereBed
 from .errors import GeometryError, ValidationError
-from .geometry import norms, plane_basis, polygon_areas
-
-log = logging.getLogger(__name__)
+from .geometry import norms, plane_basis, polygon_areas, qhull_retry
 
 VERTEX_DEDUP_TOL = 1e-10
 PLANARITY_TOL = 1e-9
@@ -236,7 +233,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     passes over all of them at once, and the kept ridges' rows of those
     arrays are the facet table. Raises GeometryError if any real cell is
     unbounded (insufficient ghosts). A degenerate site set is retried once
-    with a deterministic 1e-9 R jitter.
+    by `geometry.qhull_retry`, with a 1e-9 R jitter.
     """
     R = bed.radius_nominal
     n = bed.n_spheres
@@ -250,15 +247,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     if dup:
         i, j = sorted(next(iter(dup)))
         raise ValidationError(f"duplicate augmented sites {i} and {j}")
-    try:
-        vor = Voronoi(sites)
-    except QhullError:
-        log.warning("degenerate site configuration; retrying with 1e-9 jitter")
-        rng = np.random.default_rng(0)
-        try:
-            vor = Voronoi(sites + rng.normal(scale=1e-9 * R, size=sites.shape))
-        except QhullError as exc:
-            raise GeometryError(f"Voronoi construction failed twice: {exc}") from None
+    vor = qhull_retry(Voronoi, sites, R, "Voronoi construction")
 
     verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
     sa, sb, counts, vids = _kept_ridges(vor.ridge_points, vor.ridge_vertices, remap, n)
