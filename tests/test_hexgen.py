@@ -291,6 +291,17 @@ def cylinder_mesh_bed():
     return rescale(bed, separation_profile(bed))
 
 
+def test_cylinder_mesh_has_no_inverted_hex():
+    """The cylinder_mesh bed, repaired by default, meshes with a positive
+    corner det at every corner of every hex."""
+    bed = cylinder_mesh_bed()
+    cs = build_cells(bed, generate_ghosts(bed))
+    repair(cs, RepairConfig())
+    mesh = extrude_layers(refine_radial(sweep(tessellate_cells(cs))))
+    worst = corner_dets(mesh.nodes, mesh.elements).min(axis=1)
+    assert (worst > 0).all(), f"{int((worst <= 0).sum())} of {len(worst)} hexes inverted"
+
+
 @pytest.mark.parametrize("make, tags", [
     (lambda: fixtures.simple_cubic(3), {"inlet", "outlet", "wall"}),
     (lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),

@@ -107,6 +107,40 @@ class TestSplitFacet:
         assert len(uv) in labels  # the barycenter's label
 
 
+@st.composite
+def cut_convex_polygons(draw):
+    """Convex CCW polygons of 3-8 corners on a circle of radius 0.3-2 R,
+    each edge cut into 2^m equal collinear pieces (m = 0-2), as
+    `insert_vertices` cuts a Voronoi edge; R is 1e-6 or 1."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+    theta = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    R = draw(st.sampled_from([1e-6, 1.0]))
+    radius = R * draw(st.floats(0.3, 2.0))
+    corners = (radius * np.column_stack([np.cos(theta), np.sin(theta)])).tolist()
+    uv = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        m = 2 ** draw(st.integers(0, 2))
+        uv += [(p[0] + j / m * (q[0] - p[0]), p[1] + j / m * (q[1] - p[1])) for j in range(m)]
+    return uv, R
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cut_convex_polygons())
+def test_split_facet_pieces_valid(case):
+    """Every piece of a convex facet with cut edges has an area over
+    1e-14 R^2 and every angle under pi - 1e-9, and the pieces cover the
+    facet."""
+    uv, R = case
+    pieces = split_facet(uv, group_edges(uv), facet_id=0, R=R)
+    for pts, _ in pieces:
+        assert len(pts) in (3, 4)
+        assert polygon_area(pts) > 1e-14 * R * R
+        assert max(interior_angles(pts)) < math.pi - 1e-9
+    total = sum(polygon_area(pts) for pts, _ in pieces)
+    assert total == pytest.approx(polygon_area(uv), rel=1e-9)
+
+
 def ref_edge_key(a, b):
     """Canonical undirected key for piece labels (ints or the 'bc' tag)."""
     if isinstance(a, int) and isinstance(b, int):
