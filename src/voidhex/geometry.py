@@ -5,17 +5,20 @@
 pairs: a list of float pairs, or an (m, 2) array, which they turn into
 such a list once. They loop in plain floats, because they are meant for
 small polygons (a Voronoi facet has 3 to about 16 vertices), where one
-numpy call costs more than the arithmetic it does. `polygon_areas` and
-`loops_are_simple` are their row-wise forms, for many polygons of one size
-held as (S, m) coordinate arrays; each row gets the bits, or the answer,
-that the plain-float helper gives on that polygon alone.
+numpy call costs more than the arithmetic it does: `tessellate.split_facet`
+takes the area and the interior angles of each facet and piece.
+`polygon_areas` and `loops_are_simple` are the row-wise forms of
+`polygon_area` and `loop_is_simple`, for many polygons of one size held as
+(S, m) coordinate arrays, as repair's collapse check holds them; each row
+gets the bits, or the answer, that the plain-float helper gives on that
+polygon alone.
 
 `push_outside` is the one guard push: repair applies it to facet vertices
 and tessellation to its nodes, both with the guard sphere radius
 `GUARD_RADIUS`. `norms` is the one array norm, for rows of vectors.
 `first_seen` numbers values in order of first use: the tessellation's new
-nodes, and hexgen's. `qhull_retry` is the one policy for a degenerate
-point set, for `bed.delaunay_pairs` and `voronoi.build_cells`.
+nodes, and hexgen's. `qhull_retry` is the one retry of a degenerate point
+set, for `bed.delaunay_pairs`, where a flat monolayer of centers needs it.
 """
 
 from __future__ import annotations
@@ -169,21 +172,6 @@ def interior_angles(uv) -> list:
     """Interior angle (radians) at each vertex of a CCW polygon."""
     uv = as_pairs(uv)
     return [corner_angle(p, c, n) for p, c, n in zip(uv[-1:] + uv[:-1], uv, uv[1:] + uv[:1])]
-
-
-def point_in_polygon(pt, uv) -> bool:
-    """Winding-free even-odd test; boundary points are unspecified."""
-    x, y = pt
-    inside = False
-    uv = as_pairs(uv)
-    x1, y1 = uv[-1]
-    for x2, y2 in uv:
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                inside = not inside
-        x1, y1 = x2, y2
-    return inside
 
 
 def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -> list:

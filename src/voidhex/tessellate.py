@@ -1,13 +1,13 @@
 """All-quad tessellation of Voronoi facets.
 
 One Python loop over the facets projects each onto its bisecting plane and
-cuts it into pieces there, in `split_facet`: large facets first get a
-barycenter point with connectors from their near-straight boundary
-sections, then each piece is recursively peeled into quads and triangles
-by quality score. The per-facet loop ends at `split_facet`; the rest are
+cuts it into pieces there, in `split_facet`: spokes from the facet's
+barycenter to its near-straight vertices and to every other corner between
+them cut it into triangles and quads, each valid by construction or the
+split raises. The per-facet loop ends at `split_facet`; the rest are
 array passes over the pieces of all facets at once, and over the cell
 set's loop arrays (``loop_start``, ``loop_vertex``), which a corner label
-indexes. Every area threshold is in units of R^2.
+indexes. The area threshold is in units of R^2.
 
 `number_patches` makes every patch all-quad by midside subdivision (quad
 to 4 quads, triangle to 3), one constant index template per piece size,
@@ -36,11 +36,8 @@ from .errors import GeometryError
 from .geometry import (
     GUARD_RADIUS,
     as_pairs,
-    corner_angle,
     first_seen,
     interior_angles,
-    loop_is_simple,
-    point_in_polygon,
     polygon_area,
     polygon_areas,
     push_outside,
@@ -49,11 +46,8 @@ from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
 
-ANGLE_THRESHOLD = math.radians(155.0)
-BIG_VERTICES = 7     # barycenter trigger: vertex count
-BIG_AREA = 1.0       # barycenter trigger: facet area, units of R^2
+ANGLE_THRESHOLD = math.radians(155.0)  # a vertex over this angle is near-straight
 SMOOTH_ITERS = 20    # Jacobi sweeps of in-plane Laplacian smoothing
-QUAD_BIAS = 0.9      # multiplicative score bias toward quads
 
 
 @dataclass
@@ -94,62 +88,6 @@ class FacetQuadMesh:
         return cell[order], facet[order], quads[order]
 
 
-def group_edges(uv) -> list:
-    """Partition boundary vertex indices into runs of near-straight vertices.
-
-    Maximal circular runs of vertices whose interior angle exceeds
-    ANGLE_THRESHOLD form one group each; every other vertex is its own
-    group. The partition is returned in boundary order.
-    """
-    flagged = [a > ANGLE_THRESHOLD for a in interior_angles(uv)]
-    n = len(flagged)
-    if all(flagged):
-        return [list(range(n))]
-    # start at an unflagged vertex so runs never wrap the seam
-    start = flagged.index(False)
-    order = [(start + k) % n for k in range(n)]
-    groups = []
-    run = []
-    for idx in order:
-        if flagged[idx]:
-            run.append(idx)
-        else:
-            if run:
-                groups.append(run)
-                run = []
-            groups.append([idx])
-    if run:
-        groups.append(run)
-    groups.sort(key=lambda g: g[0])
-    return groups
-
-
-def _piece_score(edges: list, max_angle: float, is_quad: bool) -> float:
-    """Quality score of a candidate piece from its edge lengths, in boundary
-    order, and its largest interior angle; lower is better."""
-    m = len(edges)
-    mean = sum(edges) / m
-    cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
-    score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
-    return score * (QUAD_BIAS if is_quad else 1.0)
-
-
-def _fits_concave(poly_uv: list, piece: list, pts: list, R: float) -> bool:
-    """Can the piece (indices ``piece``, points ``pts``) be cut off a
-    non-convex polygon? No other polygon vertex may lie inside it, and what
-    is left must be a simple loop of area over 1e-14 R^2."""
-    for k in range(len(poly_uv)):
-        if k not in piece and point_in_polygon(poly_uv[k], pts):
-            return False
-    rem_pts = [p for k, p in enumerate(poly_uv) if k not in piece[1:-1]]
-    if len(rem_pts) >= 3:
-        if polygon_area(rem_pts) <= 1e-14 * R * R:
-            return False
-        if not loop_is_simple(rem_pts):
-            return False
-    return True
-
-
 def _centroid(pts: list) -> tuple:
     """Mean of (x, y) pairs, summed left to right and then divided by the
     count: the same bits as numpy's mean over the stacked rows."""
@@ -161,122 +99,48 @@ def _centroid(pts: list) -> tuple:
     return sx / m, sy / m
 
 
-def split_facet(uv, groups: list, facet_id: int = -1, R: float = 1.0) -> list:
-    """Divide a polygon into quads and triangles.
+def _valid(pts: list, R: float) -> bool:
+    """A piece is valid when its area is over 1e-14 R^2 and every angle is
+    under 180 degrees less 1e-9 rad."""
+    return polygon_area(pts) > 1e-14 * R * R and max(interior_angles(pts)) < math.pi - 1e-9
 
-    Phase one inserts a barycenter on large facets and connects one
-    near-bisector vertex from every near-straight group, splitting the
-    polygon into wedges; a facet is large from BIG_VERTICES vertices or
-    BIG_AREA * R^2 area on, with R the bed's sphere radius, and a wedge or
-    piece needs more than 1e-14 R^2 of area. Phase two
-    recursively peels the best-scoring quad or triangle from each piece.
-    Returns a list of (points, labels)
-    polygons: points are (x, y) pairs, labels their indices into uv, or
-    len(uv) for the barycenter.
+
+def split_facet(uv, facet_id: int = -1, R: float = 1.0) -> list:
+    """Divide a polygon into quads and triangles about its barycenter.
+
+    A vertex is near-straight when its interior angle is over
+    ANGLE_THRESHOLD. A valid polygon of at most 4 vertices, none
+    near-straight, is one piece. Otherwise spokes run from the barycenter
+    to every near-straight vertex and, in each run of corners between two
+    of them, to every other corner from the run's second on; with no
+    near-straight vertex, to vertices 0, 2, 4, ... Each span between
+    consecutive spokes makes one piece with the barycenter: a triangle, or
+    a quad about the span's one corner, which splits at that corner into
+    two triangles if it is not valid (`_valid`, with R the bed's sphere
+    radius). Returns a list of (points, labels) pieces: points are (x, y)
+    pairs, labels their indices into uv, or len(uv) for the barycenter.
+    Raises GeometryError if a piece is still not valid.
     """
     uv = as_pairs(uv)
     n = len(uv)
-    pieces_idx: list = []
-    bc = None
-
-    def connectors():
-        bx, by = bc
-        picks = []
-        ang = interior_angles(uv)
-        for g in groups:
-            cand = [k for k in g if ang[k] > ANGLE_THRESHOLD]
-            if not cand:
-                continue
-            best, best_bias = None, math.inf
-            for k in cand:
-                x, y = uv[k]
-                to_bc = (bx - x, by - y)
-                (ax, ay), (cx, cy) = uv[(k - 1) % n], uv[(k + 1) % n]
-                a1 = _angle_between((ax - x, ay - y), to_bc)
-                a2 = _angle_between(to_bc, (cx - x, cy - y))
-                bias = abs(a1 - a2)
-                if bias < best_bias:
-                    best, best_bias = k, bias
-            picks.append(best)
-        return sorted(set(picks))
-
-    if n >= BIG_VERTICES or polygon_area(uv) >= BIG_AREA * R * R:
-        bc = _centroid(uv)
-        picks = connectors()
-        if len(picks) >= 2:
-            wedges = []
-            for a, b in zip(picks, picks[1:] + [picks[0] + n]):
-                arc = [(k % n) for k in range(a, b + 1)]
-                pts = [bc] + [uv[k] for k in arc]
-                if polygon_area(pts) <= 1e-14 * R * R or not loop_is_simple(pts):
-                    break
-                wedges.append([n] + arc)
-            else:
-                pieces_idx = wedges
-    if not pieces_idx:
-        pieces_idx = [list(range(n))]
-
+    straight = [k for k, a in enumerate(interior_angles(uv)) if a > ANGLE_THRESHOLD]
+    if n <= 4 and not straight and _valid(uv, R):
+        return [(uv, list(range(n)))]
+    spokes = [] if straight else list(range(0, n, 2))
+    for a, b in zip(straight, straight[1:] + straight[:1]):
+        spokes += [a] + [k % n for k in range(a + 1, b + n * (b <= a))][1::2]
+    bc = _centroid(uv)
     out = []
-    for piece in pieces_idx:
-        pts = [bc if k == n else uv[k] for k in piece]
-        out.extend(_peel(pts, list(piece), facet_id, R))
-    return out
-
-
-def _angle_between(a, b) -> float:
-    return math.atan2(abs(a[0] * b[1] - a[1] * b[0]), a[0] * b[0] + a[1] * b[1])
-
-
-def _peel(pts: list, labels: list, facet_id: int, R: float = 1.0) -> list:
-    """Recursively peel quads/triangles off a polygon; returns (pts, labels) pieces.
-
-    Each step computes the polygon's interior angles and edge lengths once.
-    A candidate piece of consecutive vertices shares its inner corners and
-    all but one edge with the polygon, so it computes only its two end
-    angles and its closing chord. A piece is valid when its area is over
-    1e-14 R^2, every angle is under 180 degrees and, on a non-convex polygon,
-    it fits (`_fits_concave`); the valid piece of lowest `_piece_score`
-    wins, quads before triangles on a tie.
-    """
-    out = []
-    while len(pts) > 4:
-        m = len(pts)
-        ang = interior_angles(pts)
-        edge = [math.hypot(bx - ax, by - ay)
-                for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
-        convex = max(ang) <= math.pi + 1e-12
-        best = None
-        best_score = math.inf
-        for size in (4, 3):
-            for s in range(m):
-                piece = [(s + t) % m for t in range(size)]
-                corners = [pts[k] for k in piece]
-                if polygon_area(corners) <= 1e-14 * R * R:
-                    continue
-                first, last = corners[0], corners[-1]
-                max_angle = max(corner_angle(last, first, corners[1]),
-                                corner_angle(corners[-2], last, first),
-                                *(ang[k] for k in piece[1:-1]))
-                if max_angle > math.pi - 1e-9:
-                    continue
-                if not convex and not _fits_concave(pts, piece, corners, R):
-                    continue
-                edges = [edge[k] for k in piece[:-1]]
-                edges.append(math.hypot(first[0] - last[0], first[1] - last[1]))
-                score = _piece_score(edges, max_angle, size == 4)
-                if score < best_score:
-                    best, best_score = piece, score
-        if best is None:
-            raise GeometryError(
-                f"facet {facet_id}: no viable quad or triangle peel "
-                "(projected loop may self-intersect)"
-            )
-        out.append(([pts[k] for k in best], [labels[k] for k in best]))
-        drop = set(best[1:-1])
-        keep = [k for k in range(m) if k not in drop]
-        pts = [pts[k] for k in keep]
-        labels = [labels[k] for k in keep]
-    out.append((pts, labels))
+    for a, b in zip(spokes, spokes[1:] + spokes[:1]):
+        arc = [k % n for k in range(a, b + n * (b <= a) + 1)]
+        pieces = [arc]
+        if len(arc) == 3 and not _valid([bc] + [uv[k] for k in arc], R):
+            pieces = [arc[:2], arc[1:]]
+        for piece in pieces:
+            pts = [bc] + [uv[k] for k in piece]
+            if not _valid(pts, R):
+                raise GeometryError(f"facet {facet_id}: not star-shaped about its barycenter")
+            out.append((pts, [n] + piece))
     return out
 
 
@@ -427,7 +291,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
         uv = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
         if polygon_area(uv) <= 0:
             raise GeometryError(f"facet {fid} projects to a non-positive area loop")
-        split = split_facet(uv, group_edges(uv), facet_id=fid, R=cs.bed.radius_nominal)
+        split = split_facet(uv, facet_id=fid, R=cs.bed.radius_nominal)
         pieces += split
         piece_facet += [fid] * len(split)
 

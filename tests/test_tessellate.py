@@ -16,16 +16,12 @@ from voidhex.geometry import (
     interior_angles,
     loop_is_simple,
     loops_are_simple,
-    point_in_polygon,
     polygon_area,
     polygon_areas,
 )
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
-    QUAD_BIAS,
     FacetQuadMesh,
-    _peel,
-    group_edges,
     number_patches,
     smooth_patches,
     split_facet,
@@ -39,54 +35,25 @@ def regular_polygon(n, radius=1.0):
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
 
 
-class TestGroupEdges:
-    def test_hexagon_all_singletons(self):
-        groups = group_edges(regular_polygon(6))
-        assert len(groups) == 6
-        assert all(len(g) == 1 for g in groups)
-
-    def test_triangle_singletons(self):
-        groups = group_edges(regular_polygon(3))
-        assert len(groups) == 3
-
-    def test_near_collinear_run_groups_together(self):
-        # square with three extra nearly-straight vertices on the bottom edge
-        poly = np.array([
-            (0.0, 0.0), (1.0, 0.001), (2.0, 0.0), (3.0, 0.001),
-            (4.0, 0.0), (4.0, 4.0), (0.0, 4.0),
-        ])
-        ang = np.degrees(interior_angles(poly))
-        assert (ang[1:4] > 155).all()
-        groups = group_edges(poly)
-        assert [1, 2, 3] in groups
-        assert sum(len(g) for g in groups) == 7
-
-    def test_ordered_partition(self):
-        poly = regular_polygon(5)
-        groups = group_edges(poly)
-        flat = [i for g in groups for i in g]
-        assert sorted(flat) == list(range(5))
-
-
 class TestSplitFacet:
     def test_square_single_quad(self):
         uv = regular_polygon(4, radius=0.5)
-        pieces = split_facet(uv, group_edges(uv))
+        pieces = split_facet(uv)
         assert len(pieces) == 1
         assert len(pieces[0][0]) == 4
 
     def test_pentagon_tri_plus_quad(self):
         uv = regular_polygon(5, radius=0.5)
-        pieces = split_facet(uv, group_edges(uv))
+        pieces = split_facet(uv)
         sizes = sorted(len(p[0]) for p in pieces)
-        assert sizes == [3, 4]
+        assert sizes == [3, 4, 4]
 
     def test_pieces_have_positive_area_and_cover(self):
         rng = np.random.default_rng(0)
         for n in (5, 6, 7, 9, 12):
             base = regular_polygon(n)
             uv = base * (1.0 + 0.15 * rng.random((n, 1)))
-            pieces = split_facet(uv, group_edges(uv))
+            pieces = split_facet(uv)
             total = sum(polygon_area(p[0]) for p in pieces)
             assert total == pytest.approx(polygon_area(uv), rel=1e-9)
             for pts, _ in pieces:
@@ -102,9 +69,23 @@ class TestSplitFacet:
             uv.append(hexa[k])
             uv.append(0.5 * (hexa[k] + hexa[(k + 1) % 6]))
         uv = np.array(uv)
-        pieces = split_facet(uv, group_edges(uv))
+        pieces = split_facet(uv)
         labels = {lab for _, labs in pieces for lab in labs}
         assert len(uv) in labels  # the barycenter's label
+
+    def test_invalid_quad_splits_at_its_corner(self):
+        # the barycenter lies inside triangle (0, 1, 2), so the quad
+        # (bc, 0, 1, 2) has a reflex angle at bc and splits at corner 1
+        uv = [(-1.0, -0.3), (3.0, 0.0), (-1.0, 0.3), (-1.2, 0.2), (-1.2, -0.2)]
+        pieces = split_facet(uv)
+        assert [labels for _, labels in pieces] == [[5, 0, 1], [5, 1, 2], [5, 2, 3, 4], [5, 4, 0]]
+        assert sum(polygon_area(pts) for pts, _ in pieces) == pytest.approx(polygon_area(uv))
+
+    def test_not_star_shaped_raises(self):
+        # an L whose barycenter (1.4, 1.4) lies outside it
+        uv = [(0.0, 0.0), (4.0, 0.0), (4.0, 0.2), (0.2, 0.2), (0.2, 4.0), (0.0, 4.0)]
+        with pytest.raises(GeometryError, match="^facet 7: not star-shaped about its barycenter$"):
+            split_facet(uv, facet_id=7)
 
 
 @st.composite
@@ -132,7 +113,7 @@ def test_split_facet_pieces_valid(case):
     1e-14 R^2 and every angle under pi - 1e-9, and the pieces cover the
     facet."""
     uv, R = case
-    pieces = split_facet(uv, group_edges(uv), facet_id=0, R=R)
+    pieces = split_facet(uv, facet_id=0, R=R)
     for pts, _ in pieces:
         assert len(pts) in (3, 4)
         assert polygon_area(pts) > 1e-14 * R * R
@@ -247,8 +228,8 @@ def ref_number_patches(pieces, facet, loops, n_points):
 @st.composite
 def split_facets(draw):
     """The split_facet pieces of 1-4 convex polygons, each on a circle of
-    radius 0.3-2 (from 1 R^2 of area or 7 vertices on, a facet gets a
-    barycenter), with points inserted along some edges. Their loops take
+    radius 0.3-2, with points inserted along some edges (a facet of over 4
+    vertices, or with a near-straight one, gets a barycenter). Their loops take
     vertex ids from a pool of 12, so that facets share edges."""
     pieces, facet, loops = [], [], []
     for fid in range(draw(st.integers(1, 4))):
@@ -265,7 +246,7 @@ def split_facets(draw):
                 t = j / (split[k] + 1)
                 uv.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         uv = uv[:12]
-        got = split_facet(uv, group_edges(uv), facet_id=fid)
+        got = split_facet(uv, facet_id=fid)
         loops.append(draw(st.permutations(range(12)))[:len(uv)])
         pieces += got
         facet += [fid] * len(got)
@@ -292,7 +273,7 @@ class TestNumberPatches:
         wedges share the barycenter and their cut edges."""
         hexa = regular_polygon(6, 1.5).tolist()
         uv = [tuple(p) for k in range(6) for p in (hexa[k], np.add(hexa[k], hexa[(k + 1) % 6]) / 2)]
-        pieces = split_facet(uv, group_edges(uv))
+        pieces = split_facet(uv)
         assert any(12 in labels for _, labels in pieces)
         quads, *_ = number_patches(pieces, [0] * len(pieces), *csr([range(12)]), 12)
         ref_quads, *_ = ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
@@ -356,7 +337,7 @@ def facet_patch(uv):
     ({node: (x, y)}, quads, interior nodes). Interior nodes are the
     barycenter, the midpoints of cut edges and the piece centroids."""
     n = len(uv)
-    pieces = split_facet(uv, group_edges(uv))
+    pieces = split_facet(uv)
     quads, _, slots, xy, mids = number_patches(pieces, [0] * len(pieces), *csr([range(n)]), n)
     nodes = slots[:, 1].tolist()
     interior = [v for v in nodes if v >= n and v not in mids[:, 2]]
@@ -545,121 +526,6 @@ class TestPolygonHelpers:
         assert loop_is_simple([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])  # collinear
 
 
-def ref_piece_score(pts, is_quad):
-    """The former score of a candidate piece, kept as a reference."""
-    m = len(pts)
-    edges = [math.hypot(bx - ax, by - ay)
-             for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
-    max_angle = max(interior_angles(pts))
-    mean = sum(edges) / m
-    cv = math.sqrt(sum((e - mean) ** 2 for e in edges) / m) / max(mean, 1e-300)
-    score = cv + 0.5 * max(0.0, math.degrees(max_angle) - 120.0) / 60.0
-    return score * (QUAD_BIAS if is_quad else 1.0)
-
-
-def ref_piece_valid(poly_uv, piece, poly_convex):
-    """The former validity test of a candidate piece, kept as a reference."""
-    pts = [poly_uv[k] for k in piece]
-    if polygon_area(pts) <= 1e-14:
-        return False
-    if max(interior_angles(pts)) > math.pi - 1e-9:
-        return False
-    if poly_convex:
-        return True
-    for k in range(len(poly_uv)):
-        if k not in piece and point_in_polygon(poly_uv[k], pts):
-            return False
-    rem_pts = [p for k, p in enumerate(poly_uv) if k not in piece[1:-1]]
-    if len(rem_pts) >= 3:
-        if polygon_area(rem_pts) <= 1e-14:
-            return False
-        if not loop_is_simple(rem_pts):
-            return False
-    return True
-
-
-def ref_peel(pts, labels, facet_id):
-    """The former peel, which recomputed every candidate's geometry, kept
-    as a reference."""
-    out = []
-    while len(pts) > 4:
-        m = len(pts)
-        convex = max(interior_angles(pts)) <= math.pi + 1e-12
-        best = None
-        best_score = math.inf
-        for size in (4, 3):
-            for s in range(m):
-                piece = [(s + t) % m for t in range(size)]
-                if not ref_piece_valid(pts, piece, convex):
-                    continue
-                score = ref_piece_score([pts[k] for k in piece], size == 4)
-                if score < best_score:
-                    best, best_score = piece, score
-        if best is None:
-            raise GeometryError(
-                f"facet {facet_id}: no viable quad or triangle peel "
-                "(projected loop may self-intersect)"
-            )
-        out.append(([pts[k] for k in best], [labels[k] for k in best]))
-        drop = set(best[1:-1])
-        keep = [k for k in range(m) if k not in drop]
-        pts = [pts[k] for k in keep]
-        labels = [labels[k] for k in keep]
-    out.append((pts, labels))
-    return out
-
-
-@st.composite
-def peel_polygons(draw):
-    """CCW polygons of 3-32 vertices for the peel: regular (equal scores
-    tie), star-shaped and often non-convex, or either with extra points on
-    some edges, at the midpoint or anywhere along it, as repair's inserted
-    points are. Some polygons get a barycenter label at their first
-    vertex, as the wedges of a large facet do."""
-    kind = draw(st.sampled_from(["regular", "star"]))
-    if kind == "regular":
-        n = draw(st.integers(3, 12))
-        radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
-        phase = draw(st.sampled_from([0.0, 0.3]))
-        theta = phase + 2.0 * np.pi * np.arange(n) / n
-        uv = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]).tolist()
-    else:
-        uv = draw(star_polygons()).tolist()
-    split = draw(st.lists(st.booleans(), min_size=len(uv), max_size=len(uv)))
-    at = draw(st.sampled_from([0.5, None]))
-    pts = []
-    for k, p in enumerate(uv):
-        pts.append(tuple(p))
-        if split[k]:
-            q = uv[(k + 1) % len(uv)]
-            t = at if at is not None else draw(st.floats(0.1, 0.9))
-            pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    labels = list(range(len(pts)))
-    if draw(st.booleans()):
-        labels[0] = len(pts)  # the barycenter's label
-    return pts, labels
-
-
-def peel_outcome(peel, pts, labels):
-    """Pieces as (point bytes, labels), or the error message."""
-    try:
-        pieces = peel(list(pts), list(labels), 7)
-    except GeometryError as exc:
-        return str(exc)
-    return [(np.array(p, dtype=float).tobytes(), lab) for p, lab in pieces]
-
-
-class TestPeel:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(peel_polygons())
-    @example(([tuple(p) for p in regular_polygon(8).tolist()], list(range(8))))
-    @example(([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0)],
-              list(range(6))))
-    def test_matches_reference(self, poly):
-        pts, labels = poly
-        assert peel_outcome(_peel, pts, labels) == peel_outcome(ref_peel, pts, labels)
-
-
 @pytest.fixture(scope="module")
 def tessellated():
     bed = fixtures.random_cylinder_bed(n=40, R_c=3.2, H=10.0, seed=4)
@@ -734,7 +600,7 @@ def test_quad_count_independent_of_scale(k):
     bed = SphereBed(centers=bed.centers * k, radius_nominal=k, domain=bed.domain.scaled(k))
     cs = build_cells(bed, generate_ghosts(bed))
     repair(cs, RepairConfig())
-    assert len(tessellate_cells(cs).quads) == 5474
+    assert len(tessellate_cells(cs).quads) == 5816
 
 
 def interior_nodes(qm: FacetQuadMesh, fid: int) -> list:
@@ -785,7 +651,7 @@ class TestGoldenDigest:
 
     def test_lattice_repaired(self):
         # the lattice_box bed: congruent facets with repair's collinear
-        # inserted points, whose peel candidates tie exactly on score
+        # inserted points, each a near-straight vertex and so a spoke
         bed = fixtures.simple_cubic(4)
         cs = build_cells(bed, generate_ghosts(bed))
         repair(cs, RepairConfig())
