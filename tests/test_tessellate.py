@@ -632,8 +632,8 @@ def quadmesh_digest(qm: FacetQuadMesh) -> str:
 # keeps behaviour keeps these; node coordinates are compared bit for bit.
 GOLDEN = {
     "cube_raw": "7e329dd29c8fbada3fa8bf68efa3d609acd05e4c87b0971226d837588828c66f",
-    "cylinder_repaired": "2e77d0ad32fd1aa10420bed28edf0333fefdd6a217c5e1d41af9e724e5cfa61f",
-    "lattice_repaired": "9daca8bfe07abf0bd48ce06aab49887d258e0a549b6d172e244a5fab7a479dac",
+    "cylinder_repaired": "0886cf9debdcf8b6b2afaa55e9228ee3c7a4fbf5ea56b967d08376f9df7f090a",
+    "lattice_repaired": "f6c90a00d2f4a7fea94ec27ccaf56617cc0e9d94d921a12f0d427e238f8a4d0e",
 }
 
 
