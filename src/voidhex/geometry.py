@@ -59,10 +59,9 @@ def first_seen(values: np.ndarray):
 
 def qhull_retry(build, points: np.ndarray, scale: float, what: str):
     """``build(points)``, for a scipy.spatial Qhull builder such as
-    `Delaunay` or `Voronoi`. A degenerate point set (QhullError) is logged
-    and retried once on the points moved by a seeded normal jitter of
-    1e-9 * scale; a second failure raises GeometryError "<what> failed
-    twice"."""
+    `Delaunay`. A degenerate point set (QhullError) is logged and retried
+    once on the points moved by a seeded normal jitter of 1e-9 * scale; a
+    second failure raises GeometryError "<what> failed twice"."""
     try:
         return build(points)
     except QhullError:

@@ -31,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import QhullError, Voronoi, cKDTree
 
 from .bed import RADIAL, SphereBed
 from .errors import GeometryError, ValidationError
-from .geometry import norms, plane_basis, polygon_areas, qhull_retry
+from .geometry import norms, plane_basis, polygon_areas
 
 VERTEX_DEDUP_TOL = 1e-10
 PLANARITY_TOL = 1e-9
@@ -232,8 +232,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     the CCW order of their loops and the degenerate-area test are array
     passes over all of them at once, and the kept ridges' rows of those
     arrays are the facet table. Raises GeometryError if any real cell is
-    unbounded (insufficient ghosts). A degenerate site set is retried once
-    by `geometry.qhull_retry`, with a 1e-9 R jitter.
+    unbounded (insufficient ghosts), and if Qhull fails on the sites.
     """
     R = bed.radius_nominal
     n = bed.n_spheres
@@ -247,7 +246,10 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     if dup:
         i, j = sorted(next(iter(dup)))
         raise ValidationError(f"duplicate augmented sites {i} and {j}")
-    vor = qhull_retry(Voronoi, sites, R, "Voronoi construction")
+    try:
+        vor = Voronoi(sites)
+    except QhullError as exc:
+        raise GeometryError(f"Voronoi construction failed: {exc}") from None
 
     verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
     sa, sb, counts, vids = _kept_ridges(vor.ridge_points, vor.ridge_vertices, remap, n)

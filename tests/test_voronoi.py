@@ -1,5 +1,4 @@
 import copy
-import logging
 import re
 from functools import cache
 from itertools import chain
@@ -218,48 +217,20 @@ class TestBuildCells:
         verts = np.array([[float(v) for v in line.split()] for line in head[2:2 + nv]])
         assert verts.tobytes() == cs.points.tobytes()
 
-    @pytest.mark.parametrize("make", [
-        lambda: fixtures.simple_cubic(3),
-        pytest.param(
-            lambda: fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5),
-            marks=pytest.mark.xfail(
-                strict=True, raises=GeometryError,
-                reason="the jittered diagram puts a vertex 3.6e-8 R outside a facet plane, "
-                       "past the 1e-8 R convexity check")),
-    ], ids=["cubic_lattice", "random_cylinder"])
-    def test_degenerate_sites_retried_once(self, make, monkeypatch, caplog):
-        """A first QhullError is logged and retried once on the sites moved
-        by a seeded jitter of 1e-9 R, which gives valid cells with every
-        neighbour pair of the unjittered ones; the jitter may split a
-        degenerate vertex, which adds tiny facets."""
-        bed = make()
-        ghosts = generate_ghosts(bed)
-        plain = build_cells(bed, ghosts)
+    def test_qhull_failure_raises_geometry_error(self, monkeypatch):
+        """A QhullError raises GeometryError at once: Voronoi is called once,
+        with no retry."""
         calls = []
 
-        def flaky(sites):
-            calls.append(sites)
-            if len(calls) == 1:
-                raise QhullError("degenerate")
-            return Voronoi(sites)
-
-        monkeypatch.setattr(voronoi, "Voronoi", flaky)
-        with caplog.at_level(logging.WARNING):
-            cs = build_cells(bed, ghosts)
-        assert "degenerate site configuration; retrying with 1e-9 jitter" in caplog.text
-        assert len(calls) == 2
-        assert 0 < np.abs(calls[1] - calls[0]).max() < 1e-8 * bed.radius_nominal
-        pairs = set(zip(cs.site_a.tolist(), cs.site_b.tolist()))
-        assert set(zip(plain.site_a.tolist(), plain.site_b.tolist())) <= pairs
-
-    def test_second_qhull_failure_raises_geometry_error(self, monkeypatch):
         def degenerate(sites):
+            calls.append(sites)
             raise QhullError("degenerate")
 
         monkeypatch.setattr(voronoi, "Voronoi", degenerate)
         bed = fixtures.simple_cubic(2)
-        with pytest.raises(GeometryError, match="Voronoi construction failed twice"):
+        with pytest.raises(GeometryError, match="^Voronoi construction failed: degenerate$"):
             build_cells(bed, generate_ghosts(bed))
+        assert len(calls) == 1
 
 
 def union_find_dedup(verts, tol):
