@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -668,6 +669,36 @@ def mesh_digest(mesh) -> str:
     return h.hexdigest()
 
 
+def canonical_digest(mesh) -> str:
+    """sha256 of a final mesh up to its node and element numbering.
+
+    Nodes are hashed as their sorted coordinates, rounded to 1e-12. An
+    element is its layer, its cell and its corner coordinates, with base
+    and top rotated together so that the base starts at its least corner;
+    a tagged face is its sorted corner coordinates with its surface; a
+    sweep line is its sorted (role, coordinate) pairs. Each kind is hashed
+    as a sorted list, so renumbering nodes or elements keeps the digest."""
+    x = np.round(mesh.nodes, 12) + 0.0
+    h = hashlib.sha256()
+    h.update(x[np.lexsort(x.T[::-1])].astype("<f8").tobytes())
+    xyz = x.tolist()
+    elements = []
+    for layer, cell, el in zip(mesh.elem_layer.tolist(), mesh.elem_cell.tolist(),
+                               mesh.elements.tolist()):
+        c = [xyz[n] for n in el]
+        s = min(range(4), key=lambda s: c[s:4] + c[:s])
+        elements.append((layer, cell, c[s:4] + c[:s] + c[4 + s:] + c[4:4 + s]))
+    h.update(repr(sorted(elements)).encode())
+    loops = _loops(mesh.elements, mesh.faces).tolist()
+    descs = [mesh.surfaces[s] for s in mesh.face_surface.tolist()]
+    h.update(repr(sorted((sorted(xyz[n] for n in loop), surface_tag(d), _canon(d))
+                         for loop, d in zip(loops, descs))).encode())
+    cols = [sorted(sorted((r, xyz[n]) for r, n in roles.items()) for roles in c.values())
+            for c in mesh.columns]
+    h.update(repr(cols).encode())
+    return h.hexdigest()
+
+
 # Digests of the final meshes (sweep, refine_radial, extrude_layers) of the
 # two fixtures. A change to hexgen that keeps behaviour keeps these.
 GOLDEN = {
@@ -684,3 +715,45 @@ class TestGoldenDigest:
     def test_cylinder_repaired(self, extruded):
         _, _, ext = extruded
         assert mesh_digest(ext) == GOLDEN["cylinder_repaired"]
+
+
+def renumbered(mesh, seed=0):
+    """The mesh with its nodes and elements shuffled and every element's
+    corners rotated one step, base and top together: the same mesh under
+    another numbering."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(len(mesh.nodes))
+    order = rng.permutation(mesh.n_elements)
+    new_pos = np.argsort(order)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new_id] = mesh.nodes
+    e, f = np.divmod(mesh.faces, 6)
+    # after the rotation old side 2 + s runs from new corner s - 1 to s
+    f = np.where(f < 2, f, 2 + (f - 3) % 4)
+    return replace(
+        mesh, nodes=nodes, elements=new_id[mesh.elements[order]][:, [1, 2, 3, 0, 5, 6, 7, 4]],
+        faces=6 * new_pos[e] + f, elem_cell=mesh.elem_cell[order],
+        elem_layer=mesh.elem_layer[order])
+
+
+# Numbering-free digests of the same final meshes as GOLDEN: they hold
+# across a change that renumbers nodes or elements but keeps the mesh.
+CANONICAL = {
+    "cube_raw": "5fdad3b3d23fd1ae5e891743f719ba0a1f34f876d2298f9c620e29bbf383ae21",
+    "cylinder_repaired": "71d4968c85f8df82cd7db649d3c7f93aaeff43874260a1a22a3ab3d1ff3eecb2",
+}
+
+
+class TestCanonicalDigest:
+    def test_numbering_free(self, cube_extruded):
+        other = renumbered(cube_extruded)
+        audit_conformal(other)
+        assert mesh_digest(other) != mesh_digest(cube_extruded)
+        assert canonical_digest(other) == canonical_digest(cube_extruded)
+
+    def test_cube_raw(self, cube_extruded):
+        assert canonical_digest(cube_extruded) == CANONICAL["cube_raw"]
+
+    def test_cylinder_repaired(self, extruded):
+        _, _, ext = extruded
+        assert canonical_digest(ext) == CANONICAL["cylinder_repaired"]
