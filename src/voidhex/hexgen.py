@@ -1,11 +1,13 @@
 """Hex mesh generation: sweep, merge, radial refinement, extrusion.
 
 Every facet quad is swept onto the sphere bounded by its cell, giving one
-hex layer per cell. Cells merge into a single conformal mesh through the
-shared tessellation node pool. The layer is then split 55/45 along the
-sweep direction, and extra layers are extruded: one inward on every
-sphere, one outward on curved container walls, and inlet/outlet duct
-layers on the z planes.
+hex layer, '0', per cell. Cells merge into a single conformal mesh through
+the shared tessellation node pool. Every later layer grows through one
+routine, `_grow_layers`, which alone appends nodes, elements and face rows.
+The radial split moves each swept node 55% of the way along its sweep line
+and grows layer '1' from there back to the sphere. Then one layer grows
+inward on every sphere, one outward on curved container walls, and
+inlet/outlet duct layers on the z planes.
 
 The elements are the one record of the sweep lines: corners k + 4 -> k of
 a hex in layer 0, 1 or 'bl' step inward along one line, from the facet
@@ -16,9 +18,7 @@ The boundary faces are rows of the face table: row 6 * e + f is local face
 f of element e, whose outward loop `_loops` reads off the element. Each
 tagged row carries the id of its surface, whose descriptor `surface_tag`
 names. Every new face that a step makes is a known local face of a new
-element, so its row is plain arithmetic. The sphere, wall and duct layers
-all grow through one routine, `_grow_layers`, which alone appends their
-nodes, elements and face rows.
+element, so its row is plain arithmetic.
 
 A mesh has one surface per sphere, one per container wall, one per wall
 for the facets that only face it, and one per duct top. A boundary facet's
@@ -86,9 +86,9 @@ class HexMesh:
     @property
     def columns(self) -> list:
         """Per cell, {q: {role: node}} of its sweep lines: roles q, p after
-        `sweep`, q, m, p after `refine_radial` and q, m, p, b after
-        `extrude_layers`. A read-only view of the layer 0, 1 and 'bl'
-        elements, built on each call."""
+        `sweep`, q, m, p after `refine_radial`, whose m keeps the swept p's
+        id, and q, m, p, b after `extrude_layers`. A read-only view of the
+        layer 0, 1 and 'bl' elements, built on each call."""
         layer = self.elem_layer
         el, cell = self.elements[layer == "0"], np.repeat(self.elem_cell[layer == "0"], 4)
         # a facet node q is shared by the cells of its facet; no node below it is
@@ -304,39 +304,42 @@ def audit_conformal(mesh: HexMesh) -> dict:
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     """Split each swept hex in two along the sweep direction.
 
-    The cut sits at `split` of the thickness from the facet side, so the
-    facet-side child is thicker (55/45 by default) and the element count
-    exactly doubles. Refinement is radial per cell, so conformality with
-    other cells is untouched.
+    Each sphere-face node p moves to `split` of the way from its facet
+    node q, so the facet-side child is thicker (55/45 by default), and the
+    sphere-side child grows back to p's old place as the inward layer '1'.
+    The element count exactly doubles; no other cell is touched.
     """
     if not (0.0 < split < 1.0):
         raise ValidationError("split must lie in (0, 1)")
     if (mesh.elem_layer != "0").any():
         raise ValidationError("refine_radial supports exactly one split; mesh already refined")
-    n = len(mesh.nodes)
-    p, q = mesh.elements[:, :4], mesh.elements[:, 4:]
-    # one mid node per sweep edge (p, q), numbered in order of first use
-    ids, first = first_seen(p.ravel() * n + q.ravel())
-    pu, qu = p.ravel()[first], q.ravel()[first]
-    m = n + ids.reshape(-1, 4)
-    elements = np.empty((2 * len(p), 8), dtype=np.int64)
-    elements[0::2] = np.hstack([m, q])  # facet-side child, layer 0
-    elements[1::2] = np.hstack([p, m])  # sphere-side child, layer 1
-
-    # a tagged face passes to the child that holds it: the sphere face to
-    # the sphere-side child 2e + 1, the facet face to the facet-side child
-    # 2e, and a lateral face splits onto both, facet side first
-    e, f = np.divmod(mesh.faces, 6)
-    src = np.repeat(np.arange(len(f)), 1 + (f >= 2))
-    second = np.zeros(len(src), dtype=bool)
-    second[1:] = src[1:] == src[:-1]
-    out = replace(
-        mesh, nodes=np.vstack([mesh.nodes, mesh.nodes[qu] + split * (mesh.nodes[pu] - mesh.nodes[qu])]),
-        elements=elements, faces=6 * (2 * e[src] + (f[src] == 0) + second) + f[src],
-        face_surface=mesh.face_surface[src], surfaces=list(mesh.surfaces),
-        elem_cell=np.repeat(mesh.elem_cell, 2), elem_layer=np.tile(["0", "1"], len(p)))
+    at, rev, ids, p, q, _ = _sphere_faces(mesh)
+    nodes = mesh.nodes.copy()
+    nodes[p] = mesh.nodes[q] + split * (mesh.nodes[p] - mesh.nodes[q])
+    out = replace(mesh, nodes=nodes)
+    _grow_layers(out, at, rev, ids, mesh.nodes[p][:, None], ["1"], mesh.face_surface[at],
+                 inward=True)
     audit_conformal(out)
     return out
+
+
+def _sphere_faces(mesh: HexMesh):
+    """(at, rev, ids, p, up, cell) of the sphere faces, each face 0 of its
+    element: their positions in the tag table (`_select`), their reversed
+    loops over corners (1, 2, 3, 0), those loops' first-use ids and nodes
+    p, the node at corner k + 4 above each p and each p's sphere. Raises
+    ValidationError unless there is one sphere face per layer-0 element."""
+    at = _select(mesh, lambda d: d[0] == "sphere")
+    n0 = int((mesh.elem_layer == "0").sum())
+    if len(at) != n0:
+        raise ValidationError(
+            f"need one sphere face per layer-0 element, got {len(at)} for {n0}")
+    eid = mesh.faces[at] // 6
+    corner = _FACES[0][::-1]
+    rev = mesh.elements[eid[:, None], corner]
+    ids, first = first_seen(rev.ravel())
+    up = mesh.elements[eid[:, None], corner + 4].ravel()[first]
+    return at, rev, ids.reshape(-1, 4), rev.ravel()[first], up, mesh.face_surface[at][first // 4]
 
 
 def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, labels):
@@ -441,16 +444,9 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
     out = replace(mesh, surfaces=list(mesh.surfaces))  # the duct step appends a surface
 
     # --- sphere boundary layers -------------------------------------------
-    # a sphere face is face 0 of its element: the reversed loop runs over
-    # corners (1, 2, 3, 0), the p nodes, and corner k + 4 above each is m
-    at = _select(out, lambda d: d[0] == "sphere")
-    eid = out.faces[at] // 6
-    corner = _FACES[0][::-1]
-    rev = out.elements[eid[:, None], corner]
-    cell = out.face_surface[at]  # surface i is sphere i
-    ids, first = first_seen(rev.ravel())
-    p, ci = rev.ravel()[first], cell[first // 4]
-    thick = _line_lengths(out, eid)[:, corner].ravel()[first]
+    # corner k + 4 above each p is its split node m; surface i is sphere i
+    at, rev, ids, p, m, ci = _sphere_faces(out)
+    thick = norms(out.nodes[p] - out.nodes[m])
     ray = out.nodes[p] - out.sphere_centers[ci]
     rho = norms(ray)
     target = rho - spec.t_bl * thick
@@ -461,7 +457,7 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
             f"{target[low[0]] / out.radius:.3f}R"
         )
     xyz = out.sphere_centers[ci] + ray * (target / rho)[:, None]
-    _grow_layers(out, at, rev, ids.reshape(-1, 4), xyz[:, None], ["bl"], cell, inward=True)
+    _grow_layers(out, at, rev, ids, xyz[:, None], ["bl"], out.face_surface[at], inward=True)
 
     # --- curved-wall layers -------------------------------------------------
     at = _select(out, lambda d: isinstance(d, Wall) and d.axis == RADIAL)

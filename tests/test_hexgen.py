@@ -429,8 +429,9 @@ class TestRefine:
                 near_facet = np.linalg.norm(m - q)
                 assert near_facet / total == pytest.approx(0.55, abs=1e-12)
 
-    def test_symmetric_split_congruent_children(self):
-        # a prismatic element split at 0.5 yields two congruent children
+    def test_no_sphere_face_rejected(self):
+        # a prism with every face on a plane has no sphere face to grow the
+        # sphere-side child from, so it would not double
         prism = HexMesh(
             nodes=UNIT_CUBE.copy(),
             elements=np.arange(8, dtype=np.int64)[None, :],
@@ -438,10 +439,9 @@ class TestRefine:
             elem_cell=np.zeros(1, dtype=np.int64), elem_layer=np.array(["0"]),
             sphere_centers=np.zeros((1, 3)), radius=1.0,
         )
-        ref = refine_radial(prism, 0.5)
-        d = corner_dets(ref.nodes, ref.elements)
-        assert np.allclose(d[0], d[1])
-        assert np.allclose(d[0], 0.125 / 2)
+        with pytest.raises(ValidationError, match=r"^need one sphere face per layer-0 element, "
+                                                  r"got 0 for 1$"):
+            refine_radial(prism, 0.5)
 
     def test_double_refine_rejected(self, cube_swept):
         _, _, mesh = cube_swept
@@ -598,7 +598,7 @@ class TestExtrude:
         mesh.surfaces = [("sphere", 0), PLANE]
         mesh.face_surface = (mesh.faces % 6 != 0).astype(np.int64)
         ext = extrude_layers(refine_radial(mesh))
-        assert ext.elem_layer.tolist() == ["0", "1"] * 6 + ["bl"] * 6
+        assert ext.elem_layer.tolist() == ["0"] * 6 + ["1"] * 6 + ["bl"] * 6
         (cols,) = ext.columns
         assert sorted(cols) == list(range(8, 16))
         for q, roles in cols.items():
