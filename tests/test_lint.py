@@ -25,10 +25,11 @@ the package raises; a bare re-raise is exempt. Every field of
 `GhostSet`, is annotated ``np.ndarray``: facet loops and cells are CSR
 arrays and the ghosts' provenance is two index arrays, not lists, from
 `generate_ghosts` to `hexgen`. In `src/voidhex/hexgen.py` no function but
-`_grow_layers`, the one routine that grows a boundary layer, assigns to a
+`_grow_layers`, the one routine that grows a layer, assigns to a
 mesh's `nodes`, `elements`, `elem_cell`, `elem_layer`, `faces` or
-`face_surface`, or to an item of one; `sweep` and `refine_radial` build new
-meshes instead.
+`face_surface`, or to an item of one, and no `replace(...)` call passes
+any of them but `nodes`: `sweep` builds the first layer and `_grow_layers`
+every later one.
 """
 
 import ast
@@ -299,7 +300,24 @@ def test_finds_a_mesh_write():
         (2, "f", "nodes"), (3, "f", "faces"), (4, "f", "elem_cell"), (10, "C", "elem_layer")]
 
 
+def replace_passes(source: str, names) -> list:
+    """(line, keyword) of each keyword in ``names`` passed to a call of
+    ``replace`` or of an attribute ``replace``."""
+    return sorted((n.lineno, k.arg) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) == "replace"
+                  for k in n.keywords if k.arg in names)
+
+
+def test_finds_a_mesh_replace():
+    src = ("def f(m):\n    a = replace(m, nodes=1, faces=2)\n    b = replace(m, surfaces=[])\n"
+           "    c = dataclasses.replace(m, elem_layer=3)\n    d = s.strip(faces=4)\n")
+    assert replace_passes(src, MESH_ARRAYS - {"nodes"}) == [(2, "faces"), (4, "elem_layer")]
+
+
 def test_one_routine_grows_the_mesh():
-    writes = attribute_writes((ROOT / "src/voidhex/hexgen.py").read_text(), MESH_ARRAYS)
+    source = (ROOT / "src/voidhex/hexgen.py").read_text()
+    writes = attribute_writes(source, MESH_ARRAYS)
     assert {name for _, fn, name in writes if fn == "_grow_layers"} == MESH_ARRAYS
     assert [w for w in writes if w[1] != "_grow_layers"] == [], "a mesh array assigned elsewhere"
+    assert replace_passes(source, MESH_ARRAYS - {"nodes"}) == [], "a layer built outside the routine"
