@@ -20,10 +20,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
-from .geometry import qhull_retry
 
 log = logging.getLogger(__name__)
 
@@ -358,10 +357,11 @@ def fit_annulus(bed: SphereBed) -> Annulus:
 def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     """Unique Delaunay-connected index pairs, (m, 2) with i < j.
 
-    A degenerate site set is retried once by `geometry.qhull_retry`, with
-    a jitter of 1e-9 times the centers' extent, so the pairs do not depend
-    on the units; pair distances are always taken from the original points.
-    Small sets (< 5) fall back to all pairs.
+    A degenerate site set (QhullError), such as a flat monolayer, is
+    logged and retried once with a seeded normal jitter of 1e-9 times the
+    centers' extent, so the pairs do not depend on the units; a second
+    failure raises GeometryError. Pair distances are always taken from the
+    original points. Small sets (< 5) fall back to all pairs.
     """
     n = len(centers)
     if n < 2:
@@ -370,7 +370,15 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
         i, j = np.triu_indices(n, k=1)
         return np.column_stack([i, j])
     extent = float(np.ptp(centers, axis=0).max())
-    s = qhull_retry(Delaunay, centers, extent, "Delaunay triangulation").simplices
+    try:
+        s = Delaunay(centers).simplices
+    except QhullError:
+        log.warning("degenerate site configuration; retrying with 1e-9 jitter")
+        jitter = np.random.default_rng(0).normal(scale=1e-9 * extent, size=centers.shape)
+        try:
+            s = Delaunay(centers + jitter).simplices
+        except QhullError as exc:
+            raise GeometryError(f"Delaunay triangulation failed twice: {exc}") from None
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)
     code = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])

@@ -17,22 +17,17 @@ polygon alone.
 and tessellation to its nodes, both with the guard sphere radius
 `GUARD_RADIUS`. `norms` is the one array norm, for rows of vectors.
 `first_seen` numbers values in order of first use: the tessellation's new
-nodes, and hexgen's. `qhull_retry` is the one retry of a degenerate point
-set, for `bed.delaunay_pairs`, where a flat monolayer of centers needs it.
+nodes, and hexgen's.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import cache
 
 import numpy as np
-from scipy.spatial import QhullError
 
 from .errors import GeometryError
-
-log = logging.getLogger(__name__)
 
 GUARD_RADIUS = 0.93  # guard sphere radius, units of R; just above the sweep radius
 GUARD_SLACK = 1e-12  # a point at GUARD_RADIUS * (1 - GUARD_SLACK) counts as clear
@@ -55,22 +50,6 @@ def first_seen(values: np.ndarray):
     rank = np.empty_like(seen)
     rank[seen] = np.arange(len(seen))
     return rank[inverse], first[seen]
-
-
-def qhull_retry(build, points: np.ndarray, scale: float, what: str):
-    """``build(points)``, for a scipy.spatial Qhull builder such as
-    `Delaunay`. A degenerate point set (QhullError) is logged and retried
-    once on the points moved by a seeded normal jitter of 1e-9 * scale; a
-    second failure raises GeometryError "<what> failed twice"."""
-    try:
-        return build(points)
-    except QhullError:
-        log.warning("degenerate site configuration; retrying with 1e-9 jitter")
-        rng = np.random.default_rng(0)
-        try:
-            return build(points + rng.normal(scale=1e-9 * scale, size=points.shape))
-        except QhullError as exc:
-            raise GeometryError(f"{what} failed twice: {exc}") from None
 
 
 def plane_basis(normals: np.ndarray):
