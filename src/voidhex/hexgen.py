@@ -314,11 +314,10 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     if (mesh.elem_layer != "0").any():
         raise ValidationError("refine_radial supports exactly one split; mesh already refined")
     at, rev, ids, p, q, _ = _sphere_faces(mesh)
-    nodes = mesh.nodes.copy()
-    nodes[p] = mesh.nodes[q] + split * (mesh.nodes[p] - mesh.nodes[q])
+    nodes, swept = mesh.nodes.copy(), mesh.nodes[p]
+    nodes[p] = mesh.nodes[q] + split * (swept - mesh.nodes[q])
     out = replace(mesh, nodes=nodes)
-    _grow_layers(out, at, rev, ids, mesh.nodes[p][:, None], ["1"], mesh.face_surface[at],
-                 inward=True)
+    _grow_layers(out, at, rev, ids, swept[:, None], ["1"], mesh.face_surface[at], inward=True)
     audit_conformal(out)
     return out
 
