@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -628,6 +630,59 @@ def quadmesh_digest(qm: FacetQuadMesh) -> str:
     return h.hexdigest()
 
 
+@cache
+def repaired_tessellation(name: str) -> FacetQuadMesh:
+    """The tessellation of a repaired fixture bed: ``cylinder_repaired``, a
+    random cylinder bed, or ``lattice_repaired``, the lattice_box bed, whose
+    facets are congruent with repair's collinear inserted points, each a
+    near-straight vertex and so a spoke."""
+    if name == "cylinder_repaired":
+        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
+    else:
+        bed = fixtures.simple_cubic(4)
+    cs = build_cells(bed, generate_ghosts(bed))
+    repair(cs, RepairConfig())
+    return tessellate_cells(cs)
+
+
+# A patch's quad areas may sum to its loop's area only up to rounding: both
+# are sums of products of coordinates of size R, projected onto the facet's
+# plane, in different orders.
+AREA_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("name", ["cylinder_repaired", "lattice_repaired"])
+def test_patches_partition_their_facets(name):
+    """Each patch tiles its facet's loop, in the facet's (e1, e2) plane:
+    its quad areas are positive and sum to the projected loop's area within
+    AREA_RTOL of it (a signed sum alone would not see a folded quad), each
+    edge inside the patch is used by exactly two of its quads, and each
+    loop-boundary segment, half of a loop edge, by exactly one."""
+    qm = repaired_tessellation(name)
+    cs = qm.cellset
+    mid = {(a, b): m for a, b, m in qm.edge_midpoints.tolist()}
+    fids, start = np.unique(qm.quad_facet, return_index=True)
+    for fid, quads in zip(fids.tolist(), np.split(qm.quads, start[1:])):
+        e1, e2 = cs.e1[fid], cs.e2[fid]
+        rel = qm.nodes[quads] - cs.plane_point[fid]
+        quad_area = polygon_areas(rel @ e1, rel @ e2)
+        loop = cs.loop(fid).tolist()
+        rel = cs.points[loop] - cs.plane_point[fid]
+        loop_area = polygon_area(np.column_stack([rel @ e1, rel @ e2]))
+        assert (quad_area > 0).all(), fid
+        assert abs(quad_area.sum() - loop_area) <= AREA_RTOL * loop_area, fid
+
+        uses = collections.Counter(tuple(sorted(e)) for q in quads.tolist()
+                                   for e in zip(q, q[1:] + q[:1]))
+        boundary = set()
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            m = mid[min(a, b), max(a, b)]
+            boundary |= {tuple(sorted((a, m))), tuple(sorted((m, b)))}
+        assert {e: uses[e] for e in boundary} == dict.fromkeys(boundary, 1), fid
+        assert {e: n for e, n in uses.items() if e not in boundary} == \
+            dict.fromkeys(uses.keys() - boundary, 2), fid
+
+
 # Digests of the tessellations of two fixtures. A change to tessellate that
 # keeps behaviour keeps these; node coordinates are compared bit for bit.
 GOLDEN = {
@@ -644,15 +699,9 @@ class TestGoldenDigest:
         assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["cube_raw"]
 
     def test_cylinder_repaired(self):
-        bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
-        cs = build_cells(bed, generate_ghosts(bed))
-        repair(cs, RepairConfig())
-        assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["cylinder_repaired"]
+        qm = repaired_tessellation("cylinder_repaired")
+        assert quadmesh_digest(qm) == GOLDEN["cylinder_repaired"]
 
     def test_lattice_repaired(self):
-        # the lattice_box bed: congruent facets with repair's collinear
-        # inserted points, each a near-straight vertex and so a spoke
-        bed = fixtures.simple_cubic(4)
-        cs = build_cells(bed, generate_ghosts(bed))
-        repair(cs, RepairConfig())
-        assert quadmesh_digest(tessellate_cells(cs)) == GOLDEN["lattice_repaired"]
+        qm = repaired_tessellation("lattice_repaired")
+        assert quadmesh_digest(qm) == GOLDEN["lattice_repaired"]
