@@ -13,9 +13,10 @@ takes the area and the interior angles of each facet and piece.
 gets the bits, or the answer, that the plain-float helper gives on that
 polygon alone.
 
-`push_outside` is the one guard push: repair applies it to facet vertices
-and tessellation to its nodes, both with the guard sphere radius
-`GUARD_RADIUS`. `norms` is the one array norm, for rows of vectors.
+`check_guard` is the one guard check, a pure one: repair runs it on its
+facet vertices at its end and tessellation on its nodes at its end, both
+with the guard sphere radius `GUARD_RADIUS`. Nothing moves a point to clear
+a guard. `norms` is the one array norm, for rows of vectors.
 `first_seen` numbers values in order of first use: the tessellation's new
 nodes, and hexgen's.
 """
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import GeometryError
 
 GUARD_RADIUS = 0.93  # guard sphere radius, units of R; just above the sweep radius
-GUARD_SLACK = 1e-12  # a point at GUARD_RADIUS * (1 - GUARD_SLACK) counts as clear
 
 
 def norms(v: np.ndarray) -> np.ndarray:
@@ -152,44 +152,19 @@ def interior_angles(uv) -> list:
     return [corner_angle(p, c, n) for p, c, n in zip(uv[-1:] + uv[:-1], uv, uv[1:] + uv[:1])]
 
 
-def push_outside(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -> list:
-    """Push points out of their owner spheres' guard spheres, in place.
+def check_guard(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -> None:
+    """Raise GeometryError if a point lies inside an owner's guard sphere.
 
-    ``pairs`` holds (point, owner sphere) rows. One array pass finds the
-    points inside some owner's guard sphere of radius ``guard``; only those
-    are pushed, in point order, one sphere at a time: the nearest owner
-    whose guard sphere holds the point moves it radially onto that guard
-    sphere. A point counts as clear from ``guard * (1 - GUARD_SLACK)`` on,
-    since a push may round to just under the guard radius. Returns the
-    (point, sphere, distance before the push) pushes. Raises GeometryError
-    if a point is still inside after 10 pushes.
+    ``pairs`` holds (point, owner sphere) rows; a point is inside when its
+    distance to an owner's center is under ``guard``. The error names the
+    lowest-numbered such point and all of its owners, sorted.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    clear = guard * (1.0 - GUARD_SLACK)
-    hit = np.zeros(len(points), dtype=bool)  # only the pairs of a point inside are sorted
-    hit[pairs[norms(points[pairs[:, 0]] - centers[pairs[:, 1]]) < clear, 0]] = True
-    pairs = pairs[hit[pairs[:, 0]]]
-    n = len(centers)
-    pts, owner = np.divmod(np.unique(pairs[:, 0] * n + pairs[:, 1]), n)
-    inside, lo = np.unique(pts, return_index=True)
-    hi = np.append(lo[1:], len(pts)).tolist()
-    pushes = []
-    for p, a, b in zip(inside.tolist(), lo.tolist(), hi):
-        cells = owner[a:b].tolist()
-        for _ in range(10):
-            worst, dworst = None, clear
-            for c in cells:
-                d = float(np.linalg.norm(points[p] - centers[c]))
-                if d < dworst:
-                    worst, dworst = c, d
-            if worst is None:
-                break
-            center = centers[worst]
-            points[p] = center + (points[p] - center) * (guard / dworst)
-            pushes.append((p, worst, dworst))
-        else:
-            raise GeometryError(
-                f"point {p} cannot clear the guard spheres of cells {cells}; "
-                "packing too tight for the guard radius"
-            )
-    return pushes
+    inside = pairs[norms(points[pairs[:, 0]] - centers[pairs[:, 1]]) < guard, 0]
+    if len(inside):
+        p = int(inside.min())
+        cells = np.unique(pairs[pairs[:, 0] == p, 1]).tolist()
+        raise GeometryError(
+            f"point {p} cannot clear the guard spheres of cells {cells}; "
+            "packing too tight for the guard radius"
+        )

@@ -1,9 +1,10 @@
-"""Cell repair: sliver removal, long-edge splitting, guard projection.
+"""Cell repair: sliver removal, long-edge splitting, guard check.
 
 Edge collapse runs in several passes with a geometric tolerance ramp so the
 shortest edges disappear first, and no vertex moves twice in one pass. Long
-edges are then bisected until they drop under the maximum, and every vertex
-is kept outside a guard sphere slightly larger than the sweep radius.
+edges are then bisected until they drop under the maximum. A repair ends
+with one guard check: every vertex must lie outside the guard sphere,
+slightly larger than the sweep radius, of each real cell its facets bound.
 
 A repair reads the cell set's loop arrays once, into (facet, vertex, next
 vertex) loop rows of the live facets, each facet's rows together and in
@@ -34,10 +35,9 @@ parameters and points come from `cumsum` and `repeat` over the long
 edges, and each hit facet's new loop is its loop rows with the new ids of
 each long row spliced in.
 
-Guard projection checks every vertex the first time in a repair, and after
-that only the loop rows of the vertices moved since: collapse survivors,
-inserted vertices and pushed ones, marked in one mask over the points
-(`_Repair`).
+The guard check (`geometry.check_guard`) runs once, over the (vertex, real
+owner cell) pairs of the final loop rows, before `store`; it moves no
+vertex.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import GUARD_RADIUS, loops_are_simple, norms, polygon_areas, push_outside
+from .geometry import GUARD_RADIUS, check_guard, loops_are_simple, norms, polygon_areas
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -323,8 +323,7 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.nda
 
 class _Repair:
     """One repair of a cell set: its oplog, the loop rows of its live
-    facets, the edges whose skipped collapse it has logged, and the
-    vertices its next guard projection checks.
+    facets, and the edges whose skipped collapse it has logged.
 
     ``rows`` holds the (facet, vertex, next vertex) loop rows of every live
     facet, each facet's rows together and in loop order, though the
@@ -333,12 +332,6 @@ class _Repair:
     them to the cell set. A collapse pass changes its own copy of the
     pass-start rows (`_Pass`) and gathers the rows of the loops it changed
     once at its end.
-
-    ``moved`` marks, over the points, each vertex moved since the last
-    guard projection; every vertex is marked before the first one, and a
-    vertex numbered past the mask was inserted since. A vertex that has not
-    moved keeps its position and can only lose facets, so it stays outside
-    its guards.
     """
 
     def __init__(self, cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None):
@@ -346,7 +339,6 @@ class _Repair:
         self.oplog = [] if oplog is None else oplog
         self.rows = _loop_rows(cs)
         self.skipped: set = set()
-        self.moved = np.ones(len(cs.points), dtype=bool)
 
     def store(self) -> VoronoiCellSet:
         """Write the loop rows to the cell set's two loop arrays."""
@@ -379,7 +371,6 @@ class _Repair:
             changed = self.collapse_pass(facet_zone, factor, k)
             if k >= COLLAPSE_PASSES and not changed:
                 break
-            self.guard_projection()
 
     def collapse_pass(self, facet_zone, factor, pass_no) -> int:
         cs = self.cs
@@ -442,7 +433,6 @@ class _Repair:
 
         applied = w.walk[:n]
         self.cs.points[p.u[applied]] = p.mids[applied]
-        self.moved[p.u[applied]] = True
         fids = fid.tolist()   # candidate, then facet order
         a = 0
         for i, b in zip(applied, cand.searchsorted(applied, side="right").tolist()):
@@ -502,7 +492,6 @@ class _Repair:
             if not len(long_edges):
                 break
             self._split(edges, long_edges, limit)
-            self.guard_projection()
         else:
             log.warning("vertex insertion did not settle after 10 rounds")
 
@@ -551,24 +540,16 @@ class _Repair:
         hit_fids = fid[sel[starts]]
         self._replace_rows(hit_fids, _rows(hit_fids, np.add.reduceat(count, starts), out))
 
-    def guard_projection(self) -> None:
+    def check_guard(self) -> None:
+        """Raise GeometryError if a loop vertex lies inside the guard sphere
+        of a real cell its facet bounds (`geometry.check_guard`)."""
         cs = self.cs
-        # a vertex numbered past the mask was inserted since the last projection
-        moved = np.ones(len(cs.points), dtype=bool)
-        moved[:len(self.moved)] = self.moved
         fid, verts, _ = self.rows
-        check = moved[verts]
-        fid, verts = fid[check], verts[check]
         site_a, site_b = cs.site_a[fid], cs.site_b[fid]
         real = site_b < cs.n_real
         pairs = np.vstack([np.column_stack([verts, site_a]),
                            np.column_stack([verts[real], site_b[real]])])
-        guard = self.cfg.guard_radius * cs.bed.radius_nominal
-        pushes = push_outside(cs.points, pairs, cs.bed.centers, guard)
-        self.oplog.extend({"op": "guard_push", "vertex": v, "cell": c, "from_distance": d}
-                          for v, c, d in pushes)
-        self.moved = np.zeros(len(cs.points), dtype=bool)
-        self.moved[[v for v, _, _ in pushes]] = True
+        check_guard(cs.points, pairs, cs.bed.centers, self.cfg.guard_radius * cs.bed.radius_nominal)
 
 
 def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
@@ -580,7 +561,7 @@ def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = N
     self-intersect a facet loop is skipped, and tried again in later
     passes; its first skip is logged. Cleanup passes at
     the full tolerance run after the schedule until no edge is left
-    below it. A guard projection follows each pass but the last.
+    below it.
     """
     run = _Repair(cs, cfg, oplog)
     run.collapse_edges()
@@ -592,33 +573,24 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
 
     Splitting is recursive: an edge of length L gets 2^m - 1 equally spaced
     points with m = ceil(log2(L / max_edge)), which is what repeated
-    midpoint bisection produces for a straight edge. A guard projection
-    follows each round.
+    midpoint bisection produces for a straight edge.
     """
     run = _Repair(cs, cfg, oplog)
     run.insert_vertices()
     return run.store()
 
 
-def guard_projection(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = None) -> VoronoiCellSet:
-    """Push any vertex inside the guard sphere of a real cell it bounds out
-    to the guard radius (see `geometry.push_outside`)."""
-    _Repair(cs, cfg, oplog).guard_projection()
-    return cs
-
-
 def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -> VoronoiCellSet:
-    """Full repair: collapse passes, guard projection, vertex insertion.
-    After the first guard projection, each one checks only the vertices
-    moved since the one before. A repair that raises leaves the cell set
-    as it was given. ``log_path`` gets the oplog as JSON lines, also the
-    records made before a failure."""
+    """Full repair: collapse passes, vertex insertion, then the guard check.
+    A repair that raises, also in the guard check, leaves the cell set as it
+    was given. ``log_path`` gets the oplog as JSON lines, also the records
+    made before a failure."""
     given = cs.points.copy()  # the loop arrays are written only at the end
     run = _Repair(cs, cfg or RepairConfig(), None)
     try:
         run.collapse_edges()
-        run.guard_projection()
         run.insert_vertices()
+        run.check_guard()
         run.store()
     except BaseException:
         cs.points = given

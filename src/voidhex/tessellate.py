@@ -22,6 +22,9 @@ patch uses them), and its boundary nodes, which patches share, never
 move, so no patch reads a node another patch writes. Each patch node is a
 slot holding its position in its own facet's plane, and a shared boundary
 node gets one slot per patch.
+
+The tessellation ends with one guard check over every (node, real owner
+cell) row (`geometry.check_guard`); it moves no node.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from .errors import GeometryError
 from .geometry import (
     GUARD_RADIUS,
     as_pairs,
+    check_guard,
     first_seen,
     interior_angles,
     polygon_area,
     polygon_areas,
-    push_outside,
 )
 from .voronoi import VoronoiCellSet
 
@@ -281,8 +284,8 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     all facets into numbered quads, and every patch is smoothed in one
     `smooth_patches` pass, keyed by facet id, with each patch's slots in
     node id order. The interior nodes are lifted back to 3D in one array
-    expression, and every node is pushed out of its owner cells' guard
-    spheres.
+    expression. Raises GeometryError if a node lies inside the guard sphere
+    of a real cell its facet bounds (`geometry.check_guard`).
     """
     pieces: list = []
     piece_facet: list = []
@@ -320,5 +323,5 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     mesh = FacetQuadMesh(nodes=nodes, quads=quads, quad_facet=quad_facet,
                          owners=np.column_stack([owned // m, owned % m]),
                          edge_midpoints=mids, cellset=cs)
-    push_outside(mesh.nodes, mesh.owners, cs.bed.centers, GUARD_RADIUS * cs.bed.radius_nominal)
+    check_guard(mesh.nodes, mesh.owners, cs.bed.centers, GUARD_RADIUS * cs.bed.radius_nominal)
     return mesh

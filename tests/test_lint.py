@@ -29,7 +29,10 @@ arrays and the ghosts' provenance is two index arrays, not lists, from
 mesh's `nodes`, `elements`, `elem_cell`, `elem_layer`, `faces` or
 `face_surface`, or to an item of one, and no `replace(...)` call passes
 any of them but `nodes`: `sweep` builds the first layer and `_grow_layers`
-every later one.
+every later one. No function in `src/voidhex/geometry.py` assigns to an
+item or an attribute of one of its parameters, also after rebinding the
+name (`np.asarray` of an array is that array): its helpers return what
+they compute, and the guard stays a check that moves no point.
 """
 
 import ast
@@ -321,3 +324,43 @@ def test_one_routine_grows_the_mesh():
     assert {name for _, fn, name in writes if fn == "_grow_layers"} == MESH_ARRAYS
     assert [w for w in writes if w[1] != "_grow_layers"] == [], "a mesh array assigned elsewhere"
     assert replace_passes(source, MESH_ARRAYS - {"nodes"}) == [], "a layer built outside the routine"
+
+
+def parameter_writes(source: str) -> list:
+    """(line, function, parameter) of each assignment, plain or augmented,
+    to an item or an attribute of a parameter of the function, or of a
+    function nested in it, that makes it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None}
+        for n in ast.walk(fn):
+            targets = n.targets if isinstance(n, ast.Assign) else (
+                [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])
+            for t in targets:
+                for part in t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]:
+                    if not isinstance(part, (ast.Subscript, ast.Attribute)):
+                        continue
+                    while isinstance(part, (ast.Subscript, ast.Attribute)):
+                        part = part.value
+                    if isinstance(part, ast.Name) and part.id in params:
+                        found.append((n.lineno, fn.name, part.id))
+    return sorted(set(found))
+
+
+def test_finds_a_parameter_write():
+    src = ("def f(points, pairs, *rest, guard=1.0):\n"
+           "    points[0] = 1.0\n    pairs = np.asarray(pairs)\n    pairs[:, 0] += 1\n"
+           "    a, rest[0].x = 1, 2\n    guard = 2.0\n    local = points.copy()\n"
+           "    local[0] = guard\n    x = points[0]\n"
+           "def g(mesh):\n    mesh.nodes.flags.writeable = False\n")
+    assert parameter_writes(src) == [(2, "f", "points"), (4, "f", "pairs"), (5, "f", "rest"),
+                                     (11, "g", "mesh")]
+
+
+def test_geometry_writes_no_parameter():
+    source = (ROOT / "src/voidhex/geometry.py").read_text()
+    assert parameter_writes(source) == [], "a geometry helper writes into its argument"

@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 from voidhex import fixtures
 from voidhex.bed import RADIAL, Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError, ValidationError
-from voidhex.geometry import (
-    GUARD_RADIUS,
-    GUARD_SLACK,
-    loop_is_simple,
-    plane_basis,
-    polygon_area,
-    push_outside,
-)
+from voidhex.geometry import GUARD_RADIUS, check_guard, loop_is_simple, plane_basis, polygon_area
 from voidhex.repair import (
     COLLAPSE_PASSES,
     RepairConfig,
@@ -31,7 +24,6 @@ from voidhex.repair import (
     boundary_zone,
     collapse_edges,
     edge_lengths,
-    guard_projection,
     insert_vertices,
     repair,
 )
@@ -266,8 +258,7 @@ def reference_collapse_pass(cs, cfg, facet_zone, factor, pass_no, R, oplog, skip
 
 
 def reference_collapse_edges(cs, cfg, oplog):
-    """The former `collapse_edges`: sequential passes, and a full guard
-    projection after each one."""
+    """The former `collapse_edges`: sequential passes."""
     facet_zone = _facet_zone(cs)
     skipped = set()
     k = extra = 0
@@ -282,7 +273,6 @@ def reference_collapse_edges(cs, cfg, oplog):
                                           cs.bed.radius_nominal, oplog, skipped)
         if k >= COLLAPSE_PASSES and not changed:
             break
-        guard_projection(cs, cfg, oplog=oplog)
     return cs
 
 
@@ -390,10 +380,7 @@ def _small_bed_cells(seed):
 
 def _collapse_outcome(fn, cs, cfg):
     oplog = []
-    try:
-        fn(cs, cfg, oplog=oplog)
-    except GeometryError as exc:
-        return str(exc), oplog
+    fn(cs, cfg, oplog=oplog)
     return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets]), oplog
 
 
@@ -495,16 +482,6 @@ class TestInsertVertices:
         assert all(cnt >= 2 for cnt in seen.values())
 
 
-def guard_rows(run) -> list:
-    """The sorted (vertex, facet) loop rows the next guard projection of
-    ``run`` checks: those of the vertices marked moved, and of the vertices
-    inserted since the last projection, which are past the mask."""
-    fid, vertex, _ = run.rows
-    moved = np.append(run.moved, np.ones(len(run.cs.points) - len(run.moved), dtype=bool))
-    check = moved[vertex]
-    return sorted(zip(vertex[check].tolist(), fid[check].tolist()))
-
-
 def reference_insert_vertices(run):
     """The former list-based insertion rounds of `_Repair.insert_vertices`,
     each from an edge table of loop rows gathered afresh from the facets;
@@ -547,7 +524,6 @@ def reference_insert_vertices(run):
             loops[fid] = out
         set_loops(cs, loops)
         run.rows = _loop_rows(cs)
-        run.guard_projection()
 
 
 def rows_by_facet(rows) -> dict:
@@ -573,45 +549,30 @@ def _annulus_cells():
     return build_cells(bed, generate_ghosts(bed))
 
 
-def _insert_outcome(insert, cs, cfg, projected):
-    """Points bytes, (loop, deleted) per facet, oplog, and the sorted
-    (vertex, facet) guard rows each guard projection of the insertion
-    checks, after ``insert`` runs on a `_Repair`; ``projected``: a full
-    guard projection runs first, as in `repair`."""
+def _insert_outcome(insert, cs, cfg):
+    """Points bytes, (loop, deleted) per facet and oplog after ``insert``
+    runs on a `_Repair`."""
     oplog = []
     run = _Repair(cs, cfg, oplog)
-    if projected:
-        run.guard_projection()
-    checked = []
-    project = run.guard_projection
-
-    def recorded():
-        checked.append(guard_rows(run))
-        project()
-
-    run.guard_projection = recorded
-    try:
-        insert(run)
-    except GeometryError as exc:
-        return str(exc)
+    insert(run)
     run.store()
     assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
                                        if not f.deleted}
-    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog, checked)
+    return (cs.points.tobytes(), [(f.loop, f.deleted) for f in cs.facets], oplog)
 
 
 class TestInsertProperty:
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.sampled_from([1, 2, 3, 4, "annulus"]), st.floats(0.3, 1.5), st.booleans())
-    def test_matches_reference(self, bed, max_edge, projected):
+    @given(st.sampled_from([1, 2, 3, 4, "annulus"]), st.floats(0.3, 1.5))
+    def test_matches_reference(self, bed, max_edge):
         """Small cylinder beds and the annulus bed, with thresholds that
         put 1 to 31 new vertices on an edge: the array insertion gives the
-        points, loops, oplog and guard rows of the list-based reference,
-        bit for bit, and keeps its loop rows equal to the loops."""
+        points, loops and oplog of the list-based reference, bit for bit,
+        and keeps its loop rows equal to the loops."""
         cells = _annulus_cells() if bed == "annulus" else _small_bed_cells(bed)
         cfg = RepairConfig(tol_inf=0.2, tol_boundary=0.2, max_edge=max_edge)
-        ref = _insert_outcome(reference_insert_vertices, copy.deepcopy(cells), cfg, projected)
-        got = _insert_outcome(_Repair.insert_vertices, copy.deepcopy(cells), cfg, projected)
+        ref = _insert_outcome(reference_insert_vertices, copy.deepcopy(cells), cfg)
+        got = _insert_outcome(_Repair.insert_vertices, copy.deepcopy(cells), cfg)
         assert got == ref
 
     @pytest.mark.parametrize("bed", [1, 2, 3, 4, "annulus"])
@@ -624,19 +585,30 @@ class TestInsertProperty:
         assert {2, 4, 8} <= {r["pieces"] for r in oplog if r["op"] == "insert"}
 
 
+def guard_error(point, cells) -> str:
+    """The exact message of `geometry.check_guard` for ``point``."""
+    return (f"point {point} cannot clear the guard spheres of cells {cells}; "
+            "packing too tight for the guard radius")
+
+
 class TestGuardProjection:
+    """The guard check moves no vertex: a vertex inside a guard sphere
+    fails the repair, and one outside passes."""
+
     def test_push_to_guard(self):
+        # vertex 0 sits at 0.9 R, inside the 0.93 R guard of cell 0
         pts = [(0.9, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
         cs = make_synthetic(pts, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 2, 3]])
-        guard_projection(cs, RepairConfig())
-        assert np.linalg.norm(cs.points[0]) == pytest.approx(0.93)
-        assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
+        with pytest.raises(GeometryError) as exc:
+            repair(cs, RepairConfig())
+        assert str(exc.value) == guard_error(0, [0])
+        assert np.array_equal(cs.points, np.array(pts))
 
     def test_outside_guard_unchanged(self):
         pts = [(1.2, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
         cs = make_synthetic(pts, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 2, 3]])
         before = cs.points.copy()
-        guard_projection(cs, RepairConfig())
+        _Repair(cs, RepairConfig(), []).check_guard()
         assert np.array_equal(cs.points, before)
 
     def test_guard_radius_is_fixed(self):
@@ -645,42 +617,47 @@ class TestGuardProjection:
             RepairConfig(guard_radius=0.9)
 
     def test_deadlock_raises(self):
-        # one point owned by two spheres 1.0 R apart, between them: a push
-        # along the axis out of one guard sphere lands it inside the other
+        # one point owned by two spheres 1.0 R apart, between them: it lies
+        # inside both guard spheres, and the error names both owners
         centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         points = np.array([[0.4, 0.0, 0.0]])
-        with pytest.raises(GeometryError, match=r"point 0 .* cells \[0, 1\]"):
-            push_outside(points, [(0, 0), (0, 1)], centers, GUARD_RADIUS)
+        with pytest.raises(GeometryError) as exc:
+            check_guard(points, [(0, 0), (0, 1)], centers, GUARD_RADIUS)
+        assert str(exc.value) == guard_error(0, [0, 1])
 
-    def test_single_owner_pushed_once(self):
-        # a radial push often rounds to GUARD_RADIUS * (1 - eps); that point
-        # counts as clear, so each single-owner point at 0.9 R takes one push
-        rng = np.random.default_rng(0)
-        centers = rng.uniform(-5.0, 5.0, (2000, 3))
-        ray = rng.normal(size=(2000, 3))
-        points = centers + 0.9 * ray / np.linalg.norm(ray, axis=1)[:, None]
-        pushes = push_outside(points, np.repeat(np.arange(2000), 2).reshape(-1, 2),
-                              centers, GUARD_RADIUS)
-        assert [p for p, _, _ in pushes] == list(range(2000))
-        d = np.linalg.norm(points - centers, axis=1)
-        assert (d >= GUARD_RADIUS * (1.0 - GUARD_SLACK)).all()
-        assert np.allclose(d, GUARD_RADIUS, rtol=1e-15, atol=0)
+    def test_lowest_point_and_all_its_owners_named(self):
+        # points 1 and 3 are inside a guard; point 1, the lower, is named
+        # with all three of its owners, sorted, though only sphere 2's guard
+        # holds it; nothing moves
+        centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        points = np.array([[2.0, 2.0, 0.0], [0.0, 4.2, 0.0], [2.5, 0.0, 0.0], [4.5, 0.0, 0.0]])
+        pairs = [(3, 1), (1, 2), (0, 0), (1, 1), (2, 0), (1, 0), (0, 2)]
+        before = points.copy()
+        with pytest.raises(GeometryError) as exc:
+            check_guard(points, pairs, centers, GUARD_RADIUS)
+        assert str(exc.value) == guard_error(1, [0, 1, 2])
+        assert np.array_equal(points, before)
+        check_guard(points, [(0, 0), (2, 0), (3, 0)], centers, GUARD_RADIUS)
 
     def test_tangent_edge_midpoint_pushed(self):
-        # edge grazing the sphere: midpoint dips to 0.91 < guard
+        # edge grazing the sphere: its inserted midpoint, vertex 5, dips to
+        # 0.91 < guard; insertion leaves it there and the check names it
         a = np.array([0.91, -1.0, 0.0])
         b = np.array([0.91, 1.0, 0.0])
         pts = [a, b, (2.0, 0.0, 1.5), (2.0, 0.0, -1.5)]
         cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
-        insert_vertices(cs, RepairConfig())  # splits the 2.0-long edges
-        R = 1.0
-        for i, p in enumerate(cs.points):
-            assert np.linalg.norm(p) >= 0.93 * R - 1e-12, f"vertex {i} inside guard"
+        run = _Repair(cs, RepairConfig(), [])
+        run.insert_vertices()  # splits the 2.0-long edges
+        assert np.array_equal(cs.points[5], (0.91, 0.0, 0.0))
+        with pytest.raises(GeometryError) as exc:
+            run.check_guard()
+        assert str(exc.value) == guard_error(5, [0])
 
 
 class TestMovedOnlyGuard:
-    """After its first full pass, a repair's guard projection checks only
-    the vertices moved since the last one."""
+    """A vertex that a collapse or an insertion moves into a guard sphere
+    stays there and fails the repair's one guard check; the guards of
+    cells a vertex no longer bounds do not apply."""
 
     def test_collapse_midpoint_pushed(self):
         # both ends of the 0.3-long edge (0, 1) clear the 0.93 guard, but
@@ -688,11 +665,11 @@ class TestMovedOnlyGuard:
         pts = [(0.92, -0.15, 0.0), (0.92, 0.15, 0.0), (2.0, 0.0, 1.5), (2.0, 0.0, -1.5)]
         cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
         oplog = []
-        collapse_edges(cs, RepairConfig(), oplog=oplog)
-        assert [(r["op"], r.get("pass")) for r in oplog] == [("collapse", 8), ("guard_push", None)]
-        assert oplog[1] == {"op": "guard_push", "vertex": 0, "cell": 0,
-                            "from_distance": pytest.approx(0.92)}
-        assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
+        collapse_edges(copy.deepcopy(cs), RepairConfig(), oplog=oplog)
+        assert [(r["op"], r["pass"], r["edge"]) for r in oplog] == [("collapse", 8, [0, 1])]
+        with pytest.raises(GeometryError) as exc:
+            repair(cs, RepairConfig())
+        assert str(exc.value) == guard_error(0, [0])
 
     def test_deleted_facet_owner_ignored(self):
         # the triangle [0, 1, 2] also bounds cell 1; collapsing its 0.3-long
@@ -702,74 +679,28 @@ class TestMovedOnlyGuard:
         cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]], n_centers=2)
         cs.site_b[0] = 1
         oplog = []
-        collapse_edges(cs, RepairConfig(), oplog=oplog)
+        run = _Repair(cs, RepairConfig(), oplog)
+        run.collapse_edges()
+        run.check_guard()
+        run.store()
         assert [(r["op"], r["facets"]) for r in oplog] == [("collapse", [0, 1, 2, 3])]
         assert [f.deleted for f in cs.facets] == [True, True, False, False]
         assert np.array_equal(cs.points[0], (0.0, 0.0, 3.08))
 
     def test_inserted_midpoint_pushed_in_repair(self, tmp_path):
-        # the edge (0, 1) grazes sphere 0: its inserted midpoint lands at
-        # 0.91 R, inside the guard, after the repair's first full projection
+        # the edge (0, 1) grazes sphere 0: its inserted midpoint, vertex 5,
+        # lands at 0.91 R, inside the guard; the repair fails in its guard
+        # check, logs the insertions and leaves the cells as given
         pts = [(0.91, -1.0, 0.0), (0.91, 1.0, 0.0), (2.0, 0.0, 1.5), (2.0, 0.0, -1.5)]
         cs = make_synthetic(pts, [[0, 1, 2], [1, 0, 3], [0, 2, 3], [1, 3, 2]])
         path = tmp_path / "ops.jsonl"
-        repair(cs, RepairConfig(), log_path=path)
+        with pytest.raises(GeometryError) as exc:
+            repair(cs, RepairConfig(), log_path=path)
+        assert str(exc.value) == guard_error(5, [0])
         recs = [json.loads(line) for line in path.read_text().splitlines()]
         assert recs[0]["edge"] == [0, 1] and recs[0]["new_vertices"] == [4, 5, 6]
-        pushes = [(r["vertex"], r["from_distance"]) for r in recs if r["op"] == "guard_push"]
-        assert pushes[0] == (5, 0.91) and {v for v, _ in pushes} == {5}
-        assert np.allclose(cs.points[5], (0.93, 0.0, 0.0))
-
-    def test_pushed_vertex_checked_again(self):
-        pts = [(0.9, 0.0, 0.0), (2.0, -1.0, -1.0), (2.0, 1.0, -1.0), (2.0, 0.0, 1.0)]
-        cs = make_synthetic(pts, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 2, 3]])
-        oplog = []
-        run = _Repair(cs, RepairConfig(), oplog)
-        run.guard_projection()  # the first pass is full
-        assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9)]
-        assert guard_rows(run) == [(0, 0), (0, 1), (0, 2)]
-        cs.points[0] = (0.8, 0.0, 0.0)  # back inside, unseen by the repair
-        run.guard_projection()
-        assert [(r["vertex"], r["from_distance"]) for r in oplog] == [(0, 0.9), (0, 0.8)]
-        assert np.allclose(cs.points[0], (0.93, 0.0, 0.0))
-        run.guard_projection()
-        assert len(oplog) == 2 and guard_rows(run) == []
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.8, 0.99)),
-                                       min_size=1, max_size=12))
-    def test_matches_full_projection(self, seed, moves):
-        """An already projected cell set; some vertices moved toward one of
-        their spheres and marked in ``run.moved``. The moved-only projection
-        pushes what a full one pushes, in the same order, to the same bits,
-        or raises the same error."""
-        cs = copy.deepcopy(_small_bed_cells(seed))
-        run = _Repair(cs, RepairConfig(), [])
-        run.guard_projection()
-        holders = {}
-        for fid, f in enumerate(cs.facets):
-            for v in f.loop:
-                holders.setdefault(v, []).append(fid)
-        for pick, r in moves:
-            v = sorted(holders)[pick % len(holders)]
-            center = cs.bed.centers[cs.facets[holders[v][0]].site_a]
-            ray = cs.points[v] - center
-            cs.points[v] = center + ray * (r * GUARD_RADIUS / np.linalg.norm(ray))
-            run.moved[v] = True
-        full = copy.deepcopy(cs)
-        full_log = []
-        run.oplog = []
-        outcomes = []
-        for project, cells in ((lambda: guard_projection(full, RepairConfig(), full_log), full),
-                               (run.guard_projection, cs)):
-            try:
-                project()
-                outcomes.append(cells.points.tobytes())
-            except GeometryError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        assert full_log == run.oplog
-        assert full_log or isinstance(outcomes[0], str)
+        assert {r["op"] for r in recs} == {"insert"}
+        assert np.array_equal(cs.points, np.array(pts))
 
 
 @pytest.fixture(scope="module")
@@ -779,7 +710,6 @@ def repaired():
     oplog = []
     cfg = RepairConfig()
     collapse_edges(cs, cfg, oplog=oplog)
-    guard_projection(cs, cfg, oplog=oplog)
     insert_vertices(cs, cfg, oplog=oplog)
     return cs, oplog
 
@@ -791,7 +721,7 @@ class TestFullRepair:
         bed = fixtures.random_cylinder_bed(n=40, R_c=3.2, H=10.0, seed=4)
         cs = build_cells(bed, generate_ghosts(bed))
         run = _Repair(cs, RepairConfig(), [])
-        for stage in (run.collapse_edges, run.guard_projection, run.insert_vertices):
+        for stage in (run.collapse_edges, run.insert_vertices):
             stage()
             run.store()
             assert rows_by_facet(run.rows) == {fid: f.loop for fid, f in enumerate(cs.facets)
@@ -877,18 +807,18 @@ class TestFullRepair:
         assert all("op" in r for r in recs)
 
     def test_failed_repair_writes_its_records(self, tmp_path):
-        """The annulus bed, preconditioned, fails in the guard push of an
-        insertion round; its log still holds every record made before,
-        those the repair's stages give on the same cells."""
+        """The annulus bed, preconditioned, fails in the repair's guard
+        check; its log still holds every record made before, those the
+        repair's stages give on the same cells."""
         bed = fixtures.random_annulus_bed()
         bed = rescale(bed, separation_profile(bed))
         cs = build_cells(bed, generate_ghosts(bed))
         oplog = []
         run = _Repair(copy.deepcopy(cs), RepairConfig(), oplog)
         run.collapse_edges()
-        run.guard_projection()
+        run.insert_vertices()
         with pytest.raises(GeometryError, match="cannot clear the guard spheres"):
-            run.insert_vertices()
+            run.check_guard()
         p = tmp_path / "ops.jsonl"
         with pytest.raises(GeometryError, match="cannot clear the guard spheres"):
             repair(cs, RepairConfig(), log_path=p)
@@ -896,28 +826,26 @@ class TestFullRepair:
         assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
 
     def test_failed_repair_leaves_the_cells_as_given(self, monkeypatch, tmp_path):
-        """A repair that raises, here in the guard push of its first
-        insertion round, leaves the points and both loop arrays byte-equal
-        to the input's, and its log holds the records made before."""
+        """A repair that raises, here in its guard check after every
+        collapse and insertion, leaves the points and both loop arrays
+        byte-equal to the input's, and its log holds the records made
+        before."""
         bed = fixtures.random_cylinder_bed(n=30, R_c=3.0, H=9.0, seed=5)
         cs = build_cells(bed, generate_ghosts(bed))
-        n = len(cs.points)
 
-        def push(points, *args):
-            if len(points) > n:  # a vertex was inserted
-                raise GeometryError("push failed")
-            return push_outside(points, *args)
+        def check(*args):
+            raise GeometryError("check failed")
 
-        monkeypatch.setattr("voidhex.repair.push_outside", push)
+        monkeypatch.setattr("voidhex.repair.check_guard", check)
         given = copy.deepcopy(cs)
         oplog = []
         run = _Repair(copy.deepcopy(cs), RepairConfig(), oplog)
         run.collapse_edges()
-        run.guard_projection()
-        with pytest.raises(GeometryError, match="push failed"):
-            run.insert_vertices()
+        run.insert_vertices()
+        with pytest.raises(GeometryError, match="check failed"):
+            run.check_guard()
         p = tmp_path / "ops.jsonl"
-        with pytest.raises(GeometryError, match="push failed"):
+        with pytest.raises(GeometryError, match="check failed"):
             repair(cs, RepairConfig(), log_path=p)
         for name in ("points", "loop_start", "loop_vertex"):
             a, b = getattr(cs, name), getattr(given, name)
@@ -936,7 +864,6 @@ def test_op_counts_independent_of_scale(k):
     oplog = []
     run = _Repair(build_cells(bed, generate_ghosts(bed)), RepairConfig(), oplog)
     run.collapse_edges()
-    run.guard_projection()
     run.insert_vertices()
     ops = [r["op"] for r in oplog]
     assert (ops.count("collapse"), ops.count("collapse_skipped"), ops.count("insert")) == (79, 0, 283)
