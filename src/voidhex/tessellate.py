@@ -135,15 +135,17 @@ def split_facet(uv, facet_id: int = -1, R: float = 1.0) -> list:
     bc = _centroid(uv)
     out = []
     for a, b in zip(spokes, spokes[1:] + spokes[:1]):
-        arc = [k % n for k in range(a, b + n * (b <= a) + 1)]
-        pieces = [arc]
-        if len(arc) == 3 and not _valid([bc] + [uv[k] for k in arc], R):
-            pieces = [arc[:2], arc[1:]]
-        for piece in pieces:
+        # the span's corners: two for a triangle, three for a quad
+        todo = [[k % n for k in range(a, b + n * (b <= a) + 1)]]
+        while todo:
+            piece = todo.pop()
             pts = [bc] + [uv[k] for k in piece]
-            if not _valid(pts, R):
+            if _valid(pts, R):
+                out.append((pts, [n] + piece))
+            elif len(piece) == 3:   # the quad splits at its corner, first half first
+                todo += [piece[1:], piece[:2]]
+            else:
                 raise GeometryError(f"facet {facet_id}: not star-shaped about its barycenter")
-            out.append((pts, [n] + piece))
     return out
 
 
