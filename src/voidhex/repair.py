@@ -58,6 +58,9 @@ from .voronoi import VoronoiCellSet
 log = logging.getLogger(__name__)
 
 COLLAPSE_PASSES = 10  # scheduled collapse passes; cleanup passes follow
+# A loop state whose area is under this, in units of R^2, is flat: about the
+# rounding error of a shoelace sum over coordinates of size R.
+FLAT_LOOP_AREA = 1e-16
 
 
 @dataclass
@@ -308,8 +311,8 @@ def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.ndarray:
-    """Per loop state: is its polygon flat (area under 1e-16 R^2) or
-    self-intersecting?
+    """Per loop state: is its polygon flat (area under FLAT_LOOP_AREA R^2)
+    or self-intersecting?
 
     ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
     facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
@@ -318,7 +321,7 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.nda
     """
     x = (rel @ e1[:, :, None])[..., 0]
     y = (rel @ e2[:, :, None])[..., 0]
-    return (np.abs(polygon_areas(x, y)) < 1e-16 * R * R) | ~loops_are_simple(x, y)
+    return (np.abs(polygon_areas(x, y)) < FLAT_LOOP_AREA * R * R) | ~loops_are_simple(x, y)
 
 
 class _Repair:

@@ -7,7 +7,7 @@ them cut it into triangles and quads, each valid by construction or the
 split raises. The per-facet loop ends at `split_facet`; the rest are
 array passes over the pieces of all facets at once, and over the cell
 set's loop arrays (``loop_start``, ``loop_vertex``), which a corner label
-indexes. The area threshold is in units of R^2.
+indexes. The area threshold, `PIECE_AREA`, is in units of R^2.
 
 `number_patches` makes every patch all-quad by midside subdivision (quad
 to 4 quads, triangle to 3), one constant index template per piece size,
@@ -51,6 +51,9 @@ log = logging.getLogger(__name__)
 
 ANGLE_THRESHOLD = math.radians(155.0)  # a vertex over this angle is near-straight
 SMOOTH_ITERS = 20    # Jacobi sweeps of in-plane Laplacian smoothing
+# A valid piece has more area than this, in units of R^2: a hundred times
+# repair's `FLAT_LOOP_AREA`, so a piece is clear of the rounding of its area.
+PIECE_AREA = 1e-14
 
 
 @dataclass
@@ -103,9 +106,9 @@ def _centroid(pts: list) -> tuple:
 
 
 def _valid(pts: list, R: float) -> bool:
-    """A piece is valid when its area is over 1e-14 R^2 and every angle is
-    under 180 degrees less 1e-9 rad."""
-    return polygon_area(pts) > 1e-14 * R * R and max(interior_angles(pts)) < math.pi - 1e-9
+    """A piece is valid when its area is over PIECE_AREA R^2 and every angle
+    is under 180 degrees less 1e-9 rad."""
+    return polygon_area(pts) > PIECE_AREA * R * R and max(interior_angles(pts)) < math.pi - 1e-9
 
 
 def split_facet(uv, facet_id: int = -1, R: float = 1.0) -> list:

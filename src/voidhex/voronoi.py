@@ -40,6 +40,11 @@ from .geometry import norms, plane_basis, polygon_areas
 VERTEX_DEDUP_TOL = 1e-10
 PLANARITY_TOL = 1e-9
 VALIDATE_BLOCK = 64  # cells per array pass of _validate_cells
+# A ridge whose shoelace sum (twice its area) is under this, in units of
+# R^2, is degenerate: the square of VERTEX_DEDUP_TOL, the area of a ridge no
+# wider than the distance at which two vertices merge.
+DEGENERATE_RIDGE_AREA = 1e-20
+
 
 @dataclass(frozen=True)
 class GhostSet:
@@ -274,7 +279,7 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     # adds exact zero terms to each area
     at = starts[:, None] + np.minimum(np.arange(counts.max(initial=3)), counts[:, None] - 1)
     area = polygon_areas(x[order][at], y[order][at])
-    kept = ~(2.0 * np.abs(area) < 1e-20 * R * R)
+    kept = ~(2.0 * np.abs(area) < DEGENERATE_RIDGE_AREA * R * R)
     keep = np.flatnonzero(kept)
 
     sa, sb = sa[keep], sb[keep]
