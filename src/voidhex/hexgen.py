@@ -24,6 +24,14 @@ A mesh has one surface per sphere, one per container wall, one per wall
 for the facets that only face it, and one per duct top. A boundary facet's
 wall is read from the ghost behind it (`boundary_surfaces`), not from its
 plane, so no tolerance decides it.
+
+Each stage audits what it builds. `sweep` builds every face, so it ends
+with the audit of a whole mesh, `audit_conformal`. `_grow_layers` ends with
+an audit of its own growth, `_audit_growth`: the faces of its new elements
+and of the tag rows they replaced, which is all a growth can break. Both
+share one checking core over one sorted face table, keyed by one int64 per
+face (`_face_table`). So every mesh a stage returns passes
+`audit_conformal`, which stays public for callers that audit a final mesh.
 """
 
 from __future__ import annotations
@@ -148,31 +156,45 @@ def boundary_surfaces(cs) -> tuple[list, np.ndarray]:
     return surfaces, facet_surface
 
 
-def _face_table(elements: np.ndarray):
-    """The sorted face table of a hex mesh.
+def _face_table(loops: np.ndarray):
+    """The sorted face table of (R, 4) face loops.
 
-    Row r is local face r % 6 of element r // 6. Returns (loops, order,
-    starts, counts): the (E*6, 4) outward node loops; the row order in
-    which faces with the same node ids are adjacent, distinct faces in
-    ascending order of their sorted ids (their keys); and, per distinct
-    face, where its rows start in that order and how many there are (its
-    owners).
+    Returns (order, starts, counts): the row order in which rows with the
+    same node ids are adjacent, distinct faces in ascending order of their
+    sorted ids (their keys); and, per distinct face, where its rows start in
+    that order and how many there are (its owners).
+
+    Each row sorts by one int64 code of its key's three smallest ids, or of
+    its two smallest once the node count reaches 2^21, where three would
+    overflow. Runs of one code that hold different faces are then put in
+    key order by the rest of the key, over those rows only.
     """
-    loops = elements[:, _FACES].reshape(-1, 4)
-    # each row's key by a 5-comparator sorting network over the columns,
-    # as two exact int64 codes (k0, k1) and (k2, k3) that sort as the keys do
+    # each row's key by a 5-comparator sorting network over the columns
     k = list(loops.T)
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
         k[i], k[j] = np.minimum(k[i], k[j]), np.maximum(k[i], k[j])
     n = int(k[3].max(initial=0)) + 1
-    hi, lo = k[0] * n + k[1], k[2] * n + k[3]
+    if n < 1 << 21:
+        code, rest = (k[0] * n + k[1]) * n + k[2], k[3]
+    else:
+        code, rest = k[0] * n + k[1], k[2] * n + k[3]
     del k
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
+    order = np.argsort(code)
+    code, rest = code[order], rest[order]
+    same = code[1:] == code[:-1]
+    del code
+    tie = same & (rest[1:] != rest[:-1])
+    if tie.any():
+        run = np.concatenate([[0], np.cumsum(~same)])
+        mixed = np.zeros(run[-1] + 1, dtype=bool)
+        mixed[run[1:][tie]] = True
+        at = np.flatnonzero(mixed[run])
+        by = at[np.lexsort((rest[at], run[at]))]
+        order[at], rest[at] = order[by], rest[by]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    new[1:] = ~same | (rest[1:] != rest[:-1])
     starts = np.flatnonzero(new)
-    return loops, order, starts, np.diff(starts, append=len(order))
+    return order, starts, np.diff(starts, append=len(order))
 
 
 def _loops(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -244,34 +266,60 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
 
 
 def audit_conformal(mesh: HexMesh) -> dict:
-    """Conformality audit over the sorted face table.
+    """Conformality audit of a whole mesh over its sorted face table.
 
-    Sorting the node ids of every element face, and then the faces, brings
-    the copies of each face together, so a face's owner count is the length
-    of its run. Every interior face must be shared by exactly two elements
-    with opposite orientation (one loop is the other reversed, up to
-    rotation) and carry no tag; every boundary face by exactly one,
-    carrying exactly one tag; and every node must belong to an element.
-    Raises TopologyError on any violation.
+    Every interior face must be shared by exactly two elements with
+    opposite orientation and carry no tag; every boundary face by exactly
+    one, carrying exactly one tag; and every node must belong to an
+    element (`_check_faces`, `_check_used`). Raises TopologyError on any
+    violation. `sweep` runs it on the mesh it builds; each later layer is
+    audited where it grows (`_audit_growth`), so every mesh that hexgen
+    returns passes it.
     """
-    loops, order, starts, counts = _face_table(mesh.elements)
+    loops = mesh.elements[:, _FACES].reshape(-1, 4)
+    counts, shared = _check_faces(loops, _face_table(loops), mesh.faces, mesh.face_surface,
+                                  mesh.surfaces)
+    _check_used(mesh.elements, len(mesh.nodes), 0)
+    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": shared}
+
+
+def _key(loops: np.ndarray, order: np.ndarray, starts: np.ndarray, f: int) -> tuple:
+    """The sorted node ids of distinct face f of a face table."""
+    return tuple(sorted(loops[order[starts[f]]].tolist()))
+
+
+def _check_faces(loops: np.ndarray, table, tagged: np.ndarray, tag_surface: np.ndarray,
+                 surfaces):
+    """The face checks of a conformality audit, on the face rows ``loops``,
+    sorted into ``table`` by `_face_table`, of which rows ``tagged`` carry
+    the surfaces ``tag_surface``.
+
+    The sort brings the copies of each face together, so a face's owner
+    count is the length of its run. A face may have at most two owners,
+    which run oppositely (one loop is the other reversed, up to rotation);
+    a face of two carries no tag and a face of one exactly one. Raises
+    TopologyError at the first check that fails, in that order, naming its
+    first face in key order. Returns each face's owner count and the number
+    of faces with two.
+    """
+    order, starts, counts = table
 
     def key(f):
-        return tuple(sorted(loops[order[starts[f]]].tolist()))
+        return _key(loops, order, starts, f)
 
     over = np.flatnonzero(counts > 2)
     if len(over):
         raise TopologyError(f"face {key(over[0])} shared by {counts[over[0]]} elements")
-    face = np.empty(len(order), dtype=np.int64)  # distinct face of each row
+    face = np.empty(len(order), dtype=np.int64)
     face[order] = np.repeat(np.arange(len(starts)), counts)
-    tagged = face[mesh.faces]
+    tagged = face[tagged]
     tags = np.bincount(tagged, minlength=len(starts))
     untagged = np.flatnonzero((counts == 1) & (tags == 0))
     if len(untagged):
         raise TopologyError(f"untagged boundary face {key(untagged[0])}")
     stray = np.flatnonzero((counts == 2) & (tags > 0))
     if len(stray):
-        desc = mesh.surfaces[mesh.face_surface[np.flatnonzero(tagged == stray[0])[0]]]
+        desc = surfaces[tag_surface[np.flatnonzero(tagged == stray[0])[0]]]
         raise TopologyError(f"interior face {key(stray[0])} carries tag {surface_tag(desc)}")
     twice = np.flatnonzero(tags > 1)
     if len(twice):
@@ -293,12 +341,47 @@ def audit_conformal(mesh: HexMesh) -> dict:
     if len(flipped):
         raise TopologyError(
             f"face {key(shared[flipped[0]])} not oppositely oriented in its two owners")
-    used = np.bincount(mesh.elements.ravel(), minlength=len(mesh.nodes))
-    if len(used) > len(mesh.nodes) or not used.all():
+    return counts, len(shared)
+
+
+def _check_used(elements: np.ndarray, n_nodes: int, start: int) -> None:
+    """Raise TopologyError unless ``elements`` use every node from
+    ``start`` on, of ``n_nodes``, and no other node past them."""
+    used = np.bincount(elements.ravel(), minlength=n_nodes)[start:]
+    if len(used) > n_nodes - start or not used.all():
         raise TopologyError(
-            f"orphan nodes: {int((used[:len(mesh.nodes)] == 0).sum())} unreferenced"
+            f"orphan nodes: {int((used[:n_nodes - start] == 0).sum())} unreferenced"
         )
-    return {"boundary_faces": int((counts == 1).sum()), "interior_faces": len(shared)}
+
+
+def _audit_growth(mesh: HexMesh, n: int, first: int, replaced: np.ndarray, kept: int) -> None:
+    """Conformality audit of one growth of a conformal mesh.
+
+    The growth added the nodes from n on and the elements from ``first``
+    on, removed the tag rows of the old face-table rows ``replaced`` and
+    appended its own tag rows after the ``kept`` old ones. Only the new
+    elements' faces and the replaced faces can have changed, so the face
+    checks of `audit_conformal` run over those rows alone, against the new
+    tag rows. A new face whose nodes are all old is the one kind that could
+    coincide with an old face outside these rows, so it must be a replaced
+    face; that check comes first. Every new node must be used. Raises
+    TopologyError, with `audit_conformal`'s messages for its checks, so the
+    grown mesh passes `audit_conformal` whenever this audit passes.
+    """
+    grown = mesh.elements[first:, _FACES].reshape(-1, 4)
+    loops = np.vstack([grown, _loops(mesh.elements, replaced)])
+    order, starts, _ = table = _face_table(loops)
+    # the rows of a face hold the same ids, so one row tells if the face is
+    # of old nodes; its largest row number, if a replaced row holds it
+    top = np.maximum(np.maximum(grown[:, 0], grown[:, 1]), np.maximum(grown[:, 2], grown[:, 3]))
+    old = np.append(top < n, np.ones(len(replaced), dtype=bool))
+    alone = np.flatnonzero(old[order[starts]] & (np.maximum.reduceat(order, starts) < len(grown)))
+    if len(alone):
+        raise TopologyError(f"new face {_key(loops, order, starts, alone[0])} of old nodes "
+                            "is not a face the growth replaced")
+    _check_faces(loops, table, mesh.faces[kept:] - 6 * first, mesh.face_surface[kept:],
+                 mesh.surfaces)
+    _check_used(mesh.elements[first:], len(mesh.nodes), n)
 
 
 def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
@@ -318,7 +401,6 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
     nodes[p] = mesh.nodes[q] + split * (swept - mesh.nodes[q])
     out = replace(mesh, nodes=nodes)
     _grow_layers(out, at, rev, ids, swept[:, None], ["1"], mesh.face_surface[at], inward=True)
-    audit_conformal(out)
     return out
 
 
@@ -393,7 +475,9 @@ def _grow_layers(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, ids: np.ndarr
     Each new element takes its source element's cell and its layer's
     label. The face's tag moves to the far face of its last layer, on
     surface far[j], and the exposed sides take their donors' surfaces
-    (`_sides`); inward layers close a sphere and have none.
+    (`_sides`); inward layers close a sphere and have none. The growth
+    ends with its own audit (`_audit_growth`), so a conformal mesh stays
+    conformal.
     """
     n, first, nlayers = len(mesh.nodes), len(mesh.elements), len(labels)
     ring = [loops] + [n + ids * nlayers + k for k in range(nlayers)]
@@ -413,8 +497,10 @@ def _grow_layers(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, ids: np.ndarr
     keep = np.ones(len(mesh.faces), dtype=bool)
     keep[at] = False
     new = surface >= 0  # a side inside the new layers is not a boundary face
+    replaced = mesh.faces[at]
     mesh.faces = np.concatenate([mesh.faces[keep], rows[new]])
     mesh.face_surface = np.concatenate([mesh.face_surface[keep], surface[new]])
+    _audit_growth(mesh, n, first, replaced, int(keep.sum()))
 
 
 def _line_lengths(mesh: HexMesh, eid: np.ndarray) -> np.ndarray:
@@ -490,11 +576,10 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
         ids, first = first_seen(loops.ravel())
         column = np.repeat(out.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
         column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
+        out.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
         _grow_layers(out, at, loops, ids.reshape(-1, 4), column,
                      [f"{surface_tag(wall)}{k + 1}" for k in range(nlayers)],
-                     np.full(len(at), len(out.surfaces)))
-        out.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
-    audit_conformal(out)
+                     np.full(len(at), len(out.surfaces) - 1))
     return out
 
 

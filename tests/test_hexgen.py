@@ -18,11 +18,14 @@ from voidhex.bed import (
     rescale,
     separation_profile,
 )
+from voidhex import hexgen
 from voidhex.errors import GeometryError, TopologyError, ValidationError
 from voidhex.hexgen import (
     _FACES,
     ExtrusionSpec,
     HexMesh,
+    _audit_growth,
+    _face_table,
     _grow_layers,
     _loops,
     audit_conformal,
@@ -171,6 +174,45 @@ class TestAuditConformal:
         mesh = hand_mesh(STACK[:9], [LOWER])
         with pytest.raises(TopologyError, match="orphan nodes: 1 unreferenced"):
             audit_conformal(mesh)
+
+    @pytest.mark.parametrize("untag, expected", [
+        (False, {"boundary_faces": 16, "interior_faces": 1}),
+        (True, "untagged boundary face (4, 5, 6, 12)"),
+    ], ids=["valid", "tied_face_untagged"])
+    def test_faces_sharing_three_smallest_ids(self, untag, expected):
+        # a hex listed between the two stacked ones, whose base (4, 5, 6, 12)
+        # shares its three smallest ids with their shared face (4, 5, 6, 7):
+        # the three rows take one sort code, and only the tie step puts the
+        # two rows of (4, 5, 6, 7) next to each other
+        nodes = np.vstack([STACK, STACK[:1] + 9.0])
+        mesh = hand_mesh(nodes, [LOWER, [4, 5, 6, 12, 13, 14, 15, 16], UPPER])
+        if untag:
+            keep = mesh.faces != face_rows(mesh.elements, (4, 5, 6, 12))[0]
+            mesh.faces, mesh.face_surface = mesh.faces[keep], mesh.face_surface[keep]
+        assert verdict(audit_conformal, mesh) == verdict(audit_reference, mesh) == expected
+
+
+class TestFaceTable:
+    """`_face_table` orders the faces as a lexsort of their sorted keys,
+    with the three-id sort code and with the two-id one that node ids past
+    2^21 take."""
+
+    @pytest.mark.parametrize("ids", [
+        np.arange(9),
+        np.array([0, 1, 2, 3, 2**20, 2**21, 2**21 + 1, 2**22, 2**22 + 1]),
+    ], ids=["three_id_code", "two_id_code"])
+    def test_order_of_a_lexsort(self, ids):
+        # 400 rows of 4 distinct ids out of 9, each row in its own order:
+        # many rows share their two or three smallest ids without being one
+        # face; past 2^21 a three-id code would overflow int64
+        rng = np.random.default_rng(5)
+        loops = ids[np.array([rng.permutation(9)[:4] for _ in range(400)])]
+        order, starts, counts = _face_table(loops)
+        keys = np.sort(loops, axis=1)
+        assert (keys[order] == keys[np.lexsort(keys.T[::-1])]).all()
+        faces, owners = np.unique(keys, axis=0, return_counts=True)
+        assert (keys[order[starts]] == faces).all()
+        assert counts.tolist() == owners.tolist()
 
 
 def audit_reference(mesh):
@@ -635,6 +677,80 @@ class TestGrowLayers:
                            match=r"exposed wall side at edge \(4, 5\) has no donor tag"):
             _grow_layers(mesh, np.array([0]), loops, np.arange(4)[None],
                          (UNIT_CUBE[4:] + [0, 0, 1])[:, None], ["wall"], [0])
+
+
+@pytest.fixture(scope="module")
+def growths(cube_swept, random_swept):
+    """{last layer label: (grown mesh, growth audit arguments)} of each
+    growth of the cube extrusion, refine's layer '1', 'bl', inlet and
+    outlet, and of the cylinder fixture's wall layer, as the growth audit
+    receives them."""
+    found, real = {}, hexgen._audit_growth
+
+    def record(mesh, *args):
+        found.setdefault(str(mesh.elem_layer[-1]), (copy.deepcopy(mesh), args))
+        real(mesh, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hexgen, "_audit_growth", record)
+        extrude_layers(refine_radial(cube_swept[2]))
+        cube = dict(found)
+        extrude_layers(refine_radial(random_swept[2]))
+    return {**cube, "wall": found["wall"]}
+
+
+GROWTHS = ["1", "bl", "inlet3", "outlet7", "wall"]
+
+
+class TestGrowthAudit:
+    """The audit `_grow_layers` runs on its own growth raises whenever
+    `audit_conformal` raises on the grown mesh."""
+
+    def test_every_growth_passes(self, growths):
+        assert sorted(growths) == sorted(GROWTHS)
+        for mesh, args in growths.values():
+            assert _audit_growth(mesh, *args) is None
+            audit_conformal(mesh)
+
+    def test_new_face_of_old_nodes(self):
+        """A new hex over the top of the lower of two stacked hexes
+        duplicates the upper one: every face it adds of old nodes is the
+        top of the lower hex, which no tag row it replaced names."""
+        mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
+        first, kept = mesh.n_elements, len(mesh.faces)
+        mesh.elements = np.vstack([mesh.elements, UPPER])
+        with pytest.raises(TopologyError, match=r"^new face \(4, 5, 6, 7\) of old nodes is not "
+                                                r"a face the growth replaced$"):
+            _audit_growth(mesh, len(mesh.nodes), first, np.array([], dtype=np.int64), kept)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(GROWTHS),
+           st.sampled_from(["swap", "mirror", "duplicate", "drop_tag", "add_tag", "orphan"]),
+           st.integers(0, 2**31), st.integers(0, 7), st.integers(1, 7))
+    def test_corrupted_growth(self, growths, layer, how, pick, corner, offset):
+        grown, args = growths[layer]
+        _, first, _, kept = args
+        mesh = copy.deepcopy(grown)
+        e = first + pick % (mesh.n_elements - first)
+        if how == "swap":
+            other = (corner + offset) % 8
+            mesh.elements[e, [corner, other]] = mesh.elements[e, [other, corner]]
+        elif how == "mirror":
+            mesh.elements[e] = mesh.elements[e, MIRROR]
+        elif how == "duplicate":
+            mesh.elements = np.vstack([mesh.elements, mesh.elements[e]])
+        elif how == "drop_tag":
+            k = kept + pick % (len(mesh.faces) - kept)
+            mesh.faces = np.delete(mesh.faces, k)
+            mesh.face_surface = np.delete(mesh.face_surface, k)
+        elif how == "add_tag":
+            tag_row(mesh, 6 * first + pick % (6 * (mesh.n_elements - first)))
+        else:
+            mesh.nodes = np.vstack([mesh.nodes, mesh.nodes[:1]])
+        full = verdict(audit_conformal, mesh)
+        growth = verdict(lambda m: _audit_growth(m, *args), mesh)
+        if isinstance(full, str):
+            assert isinstance(growth, str)
 
 
 def _canon(x):

@@ -29,7 +29,9 @@ arrays and the ghosts' provenance is two index arrays, not lists, from
 mesh's `nodes`, `elements`, `elem_cell`, `elem_layer`, `faces` or
 `face_surface`, or to an item of one, and no `replace(...)` call passes
 any of them but `nodes`: `sweep` builds the first layer and `_grow_layers`
-every later one. No function in `src/voidhex/geometry.py` assigns to an
+every later one. In the same module only `sweep` calls `audit_conformal`, and
+only `_grow_layers` calls `_audit_growth`: each stage audits what it builds,
+and the audit of a whole mesh runs once, on the swept one. No function in `src/voidhex/geometry.py` assigns to an
 item or an attribute of one of its parameters, also after rebinding the
 name (`np.asarray` of an array is that array): its helpers return what
 they compute, and the guard stays a check that moves no point.
@@ -324,6 +326,29 @@ def test_one_routine_grows_the_mesh():
     assert {name for _, fn, name in writes if fn == "_grow_layers"} == MESH_ARRAYS
     assert [w for w in writes if w[1] != "_grow_layers"] == [], "a mesh array assigned elsewhere"
     assert replace_passes(source, MESH_ARRAYS - {"nodes"}) == [], "a layer built outside the routine"
+
+
+def calls(source: str, names) -> list:
+    """(line, function, name) of each call of a name in ``names``, as a
+    name or an attribute, with the top-level function or class whose body
+    makes it (None at module level)."""
+    return sorted((n.lineno, getattr(stmt, "name", None), name)
+                  for stmt in ast.parse(source).body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Call)
+                  and (name := getattr(n.func, "id", getattr(n.func, "attr", None))) in names)
+
+
+def test_finds_a_call():
+    src = ("def f(m):\n    audit(m)\n    x.audit(m)\n    y = audit\n"
+           "class C:\n    def g(self):\n        return [other(1), audit(2)]\naudit(3)\n")
+    assert calls(src, {"audit"}) == [(2, "f", "audit"), (3, "f", "audit"), (7, "C", "audit"),
+                                     (8, None, "audit")]
+
+
+def test_each_stage_audits_what_it_builds():
+    source = (ROOT / "src/voidhex/hexgen.py").read_text()
+    found = {(fn, name) for _, fn, name in calls(source, {"audit_conformal", "_audit_growth"})}
+    assert found == {("sweep", "audit_conformal"), ("_grow_layers", "_audit_growth")}
 
 
 def parameter_writes(source: str) -> list:
