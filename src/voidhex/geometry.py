@@ -7,11 +7,12 @@ such a list once. They loop in plain floats, because they are meant for
 small polygons (a Voronoi facet has 3 to about 16 vertices), where one
 numpy call costs more than the arithmetic it does: `tessellate.split_facet`
 takes the area and the interior angles of each facet and piece.
-`polygon_areas` and `loops_are_simple` are the row-wise forms of
-`polygon_area` and `loop_is_simple`, for many polygons of one size held as
-(S, m) coordinate arrays, as repair's collapse check holds them; each row
-gets the bits, or the answer, that the plain-float helper gives on that
-polygon alone.
+`polygon_areas` is the row-wise form of `polygon_area`, and
+`loops_are_simple` a row-wise crossing test, for many polygons of one size
+held as (S, m) coordinate arrays, as repair's collapse check holds them;
+each row gets the bits, or the answer, that a plain-float loop over that
+polygon alone gives (the tests keep that loop for the crossing test as
+their reference).
 
 `check_guard` is the one guard check, a pure one: repair runs it on its
 facet vertices at its end and tessellation on its nodes at its end, both
@@ -90,28 +91,6 @@ def polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * np.cumsum(x[:, prev] * y - y[:, prev] * x, axis=1)[:, -1]
 
 
-def loop_is_simple(uv) -> bool:
-    """True if no two non-adjacent polygon edges properly cross (touching
-    and collinear overlap do not count)."""
-    uv = as_pairs(uv)
-    m = len(uv)
-    for i in range(m):
-        px, py = uv[i]
-        qx, qy = uv[(i + 1) % m]
-        dx, dy = qx - px, qy - py
-        for j in range(i + 2, m):
-            if (j + 1) % m == i:
-                continue
-            rx, ry = uv[j]
-            sx, sy = uv[(j + 1) % m]
-            # orientations of r and s about pq, then of p and q about rs
-            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0:
-                ex, ey = sx - rx, sy - ry
-                if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0:
-                    return False
-    return True
-
-
 @cache
 def _edge_pairs(m: int):
     """Index arrays (i, i + 1, j, j + 1), all mod m, over the pairs of
@@ -122,8 +101,9 @@ def _edge_pairs(m: int):
 
 
 def loops_are_simple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`loop_is_simple` of each row of the (S, m) coordinates ``x``, ``y``,
-    over every pair of non-adjacent edges at once."""
+    """For each row of the (S, m) coordinates ``x``, ``y``: True if no two
+    non-adjacent edges of its loop properly cross (touching and collinear
+    overlap do not count), over every pair of them at once."""
     i, i1, j, j1 = _edge_pairs(x.shape[1])
     px, py, qx, qy = x[:, i], y[:, i], x[:, i1], y[:, i1]
     rx, ry, sx, sy = x[:, j], y[:, j], x[:, j1], y[:, j1]

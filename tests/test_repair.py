@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from voidhex import fixtures
 from voidhex.bed import RADIAL, Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError, ValidationError
-from voidhex.geometry import GUARD_RADIUS, check_guard, loop_is_simple, plane_basis, polygon_area
+from voidhex.geometry import GUARD_RADIUS, as_pairs, check_guard, plane_basis, polygon_area
 from voidhex.repair import (
     COLLAPSE_PASSES,
     RepairConfig,
@@ -194,6 +194,29 @@ def _squeeze(loop):
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return out
+
+
+def loop_is_simple(uv) -> bool:
+    """True if no two non-adjacent polygon edges properly cross (touching
+    and collinear overlap do not count): the plain-float reference for
+    `geometry.loops_are_simple`, one polygon at a time."""
+    uv = as_pairs(uv)
+    m = len(uv)
+    for i in range(m):
+        px, py = uv[i]
+        qx, qy = uv[(i + 1) % m]
+        dx, dy = qx - px, qy - py
+        for j in range(i + 2, m):
+            if (j + 1) % m == i:
+                continue
+            rx, ry = uv[j]
+            sx, sy = uv[(j + 1) % m]
+            # orientations of r and s about pq, then of p and q about rs
+            if (dx * (ry - py) - dy * (rx - px)) * (dx * (sy - py) - dy * (sx - px)) < 0:
+                ex, ey = sx - rx, sy - ry
+                if (ex * (py - ry) - ey * (px - rx)) * (ex * (qy - ry) - ey * (qx - rx)) < 0:
+                    return False
+    return True
 
 
 def reference_collapse_ok(cs, loops, u, v, mid, touched_fids) -> bool:

@@ -25,13 +25,14 @@ def cylinder(n, R_c, H, seed):
     return rescale(bed, separation_profile(bed))
 
 
-def case(name, make, guard_push=None):
-    """A bed; ``guard_push`` holds the (point, cells) of the tessellation's
-    guard push that cannot clear them, where two centers sit closer than
-    twice the guard radius (ROADMAP item 1)."""
-    if guard_push is None:
+def case(name, make, guard_stop=None):
+    """A bed; ``guard_stop`` holds the (point, cells) at which the
+    tessellation's guard check stops, the lowest-numbered point inside the
+    guard spheres of those cells, where two centers sit closer than twice
+    the guard radius (ROADMAP item 1)."""
+    if guard_stop is None:
         return pytest.param(make, None, id=name)
-    point, cells = guard_push
+    point, cells = guard_stop
     error = (f"point {point} cannot clear the guard spheres of cells {cells}; "
              "packing too tight for the guard radius")
     mark = pytest.mark.xfail(strict=True, raises=GeometryError,
@@ -39,12 +40,12 @@ def case(name, make, guard_push=None):
     return pytest.param(make, error, marks=mark, id=name)
 
 
-GUARD_PUSHES = {2: (9202, [30, 93]), 4: (5104, [70, 89]), 5: (8534, [8, 19]),
-                8: (9233, [23, 49]), 10: (6158, [16, 98]), 11: (7243, [7, 60])}
+GUARD_STOPS = {2: (9202, [30, 93]), 4: (5104, [70, 89]), 5: (8534, [8, 19]),
+               8: (9233, [23, 49]), 10: (6158, [16, 98]), 11: (7243, [7, 60])}
 
 
 @pytest.mark.parametrize("make, error", [
-    *(case(f"cylinder100_seed{s}", lambda s=s: cylinder(100, 4.0, 15.0, s), GUARD_PUSHES.get(s))
+    *(case(f"cylinder100_seed{s}", lambda s=s: cylinder(100, 4.0, 15.0, s), GUARD_STOPS.get(s))
       for s in range(1, 12)),
     case("cylinder300_seed3", lambda: cylinder(300, 6.0, 20.0, 3)),
     case("annulus100_unfitted", lambda: fixtures.random_annulus_bed(n=100)),

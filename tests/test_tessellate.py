@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_repair import csr, loops_of
+from test_repair import csr, loop_is_simple, loops_of
 
 from voidhex import fixtures
 from voidhex.bed import SphereBed
@@ -16,7 +16,6 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import (
     GUARD_RADIUS,
     interior_angles,
-    loop_is_simple,
     loops_are_simple,
     polygon_area,
     polygon_areas,
