@@ -604,6 +604,45 @@ def test_quad_count_independent_of_scale(k):
     assert len(tessellate_cells(cs).quads) == 5816
 
 
+def broken_cube(faults: dict):
+    """The raw `simple_cubic(3)` cell set with facets broken: ``faults``
+    maps a facet id to "reversed" (its loop runs backwards, so it projects
+    to a negative area), "L" (its loop is replaced by six new points in its
+    plane, an L whose barycenter lies outside it) or "reversed L" (both)."""
+    bed = fixtures.simple_cubic(3)
+    cs = build_cells(bed, generate_ghosts(bed))
+    loops = loops_of(cs)
+    L = 0.05 * np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 0.2), (0.2, 0.2), (0.2, 4.0), (0.0, 4.0)])
+    for fid, fault in faults.items():
+        if "L" in fault:
+            pts = cs.plane_point[fid] + L[:, :1] * cs.e1[fid] + L[:, 1:] * cs.e2[fid]
+            loops[fid] = list(range(len(cs.points), len(cs.points) + len(pts)))
+            cs.points = np.vstack([cs.points, pts])
+        if "reversed" in fault:
+            loops[fid] = loops[fid][::-1]
+    cs.loop_start, cs.loop_vertex = csr(loops)
+    return cs
+
+
+AREA_ERROR = "^facet {} projects to a non-positive area loop$"
+STAR_ERROR = "^facet {}: not star-shaped about its barycenter$"
+
+
+@pytest.mark.parametrize("faults, error", [
+    ({5: "reversed", 40: "L"}, AREA_ERROR.format(5)),
+    ({5: "L", 40: "reversed"}, STAR_ERROR.format(5)),
+    ({40: "reversed", 5: "L"}, STAR_ERROR.format(5)),
+    ({40: "L", 5: "reversed"}, AREA_ERROR.format(5)),
+    ({5: "reversed L"}, AREA_ERROR.format(5)),
+    ({40: "L"}, STAR_ERROR.format(40)),
+])
+def test_tessellate_error_order(faults, error):
+    """The error names the lowest broken facet id, whichever fault it has,
+    and on one facet the area check comes before the split."""
+    with pytest.raises(GeometryError, match=error):
+        tessellate_cells(broken_cube(faults))
+
+
 def interior_nodes(qm: FacetQuadMesh, fid: int) -> list:
     """The nodes that only facet fid's patch has, in node order: the new
     nodes of its quads that are not original-edge midpoints."""
