@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
+from .geometry import distinct
 
 log = logging.getLogger(__name__)
 
@@ -381,7 +382,7 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
             raise GeometryError(f"Delaunay triangulation failed twice: {exc}") from None
     edges = np.vstack([s[:, [a, b]] for a in range(4) for b in range(a + 1, 4)])
     edges.sort(axis=1)
-    code = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])
+    code = distinct(edges[:, 0].astype(np.int64) * n + edges[:, 1])
     return np.column_stack([code // n, code % n])
 
 

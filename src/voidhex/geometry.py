@@ -1,30 +1,25 @@
 """Small geometry helpers shared by voronoi, repair and tessellation.
 
 `plane_basis` works row by row: `voronoi.build_cells` calls it once on the
-(n, 3) array of all its facet normals. The polygon helpers take plain (x, y)
-pairs: a list of float pairs, or an (m, 2) array, which they turn into
-such a list once. They loop in plain floats, because they are meant for
-small polygons (a Voronoi facet has 3 to about 16 vertices), where one
-numpy call costs more than the arithmetic it does: `tessellate.split_facet`
-takes the area and the interior angles of each facet and piece.
-`polygon_areas` is the row-wise form of `polygon_area`, and
-`loops_are_simple` a row-wise crossing test, for many polygons of one size
-held as (S, m) coordinate arrays, as repair's collapse check holds them;
-each row gets the bits, or the answer, that a plain-float loop over that
-polygon alone gives (the tests keep that loop for the crossing test as
-their reference).
+(n, 3) array of all its facet normals. The polygon helpers work row-wise,
+on many polygons of one size held as (S, m) coordinate arrays, as repair's
+collapse check and the tessellation's split hold them: `polygon_areas`
+gives each row's signed area, `corner_angles` its interior angles and
+`loops_are_simple` a crossing test. Each row gets the bits, or the answer,
+that a plain-float loop over that polygon alone gives (the angles up to
+one ulp of ``atan2``); the tests keep those loops as their reference.
 
 `check_guard` is the one guard check, a pure one: repair runs it on its
 facet vertices at its end and tessellation on its nodes at its end, both
 with the guard sphere radius `GUARD_RADIUS`. Nothing moves a point to clear
 a guard. `norms` is the one array norm, for rows of vectors.
 `first_seen` numbers values in order of first use: the tessellation's new
-nodes, and hexgen's.
+nodes, and hexgen's. `distinct` gives the sorted distinct values of an
+array from one sort, where a plain `np.unique` would hash them.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache
 
 import numpy as np
@@ -53,6 +48,16 @@ def first_seen(values: np.ndarray):
     return rank[inverse], first[seen]
 
 
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of an array, flattened: what a plain
+    `np.unique` returns, from one sort and a mask. (numpy 2.4's plain
+    `np.unique` hashes integers: 20 times slower on 130k int64 codes.)"""
+    s = np.sort(values, axis=None)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def plane_basis(normals: np.ndarray):
     """Right-handed in-plane basis (e1, e2) with e1 x e2 = normal, row by
     row for an (n, 3) array of unit normals, or for a single normal."""
@@ -67,28 +72,23 @@ def plane_basis(normals: np.ndarray):
     return e1, e2
 
 
-def as_pairs(uv) -> list:
-    """The polygon as a list of (x, y) float pairs; a list passes as it is."""
-    return uv.tolist() if isinstance(uv, np.ndarray) else uv
-
-
-def polygon_area(uv) -> float:
-    """Signed area of a 2D polygon (positive for CCW)."""
-    uv = as_pairs(uv)
-    px, py = uv[-1]
-    s = 0.0
-    for x, y in uv:
-        s += px * y - py * x
-        px, py = x, y
-    return 0.5 * s
-
-
 def polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`polygon_area` of each row of the (S, m) coordinates ``x``, ``y``:
-    a running sum (`np.cumsum`, which adds left to right) of the same terms
-    in the same order, so only the sign of a zero area may differ."""
+    """Signed area (positive for CCW) of each row of the (S, m) coordinates
+    ``x``, ``y``: the shoelace terms from the edge (m - 1, 0) on, in a
+    running sum (`np.cumsum`, which adds left to right), so each row has the
+    bits of a plain-float loop over its polygon but for the sign of a zero
+    area."""
     prev = np.arange(-1, x.shape[1] - 1)
     return 0.5 * np.cumsum(x[:, prev] * y - y[:, prev] * x, axis=1)[:, -1]
+
+
+def corner_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Interior angle (radians) at each vertex of each row of the (S, m)
+    coordinates ``x``, ``y`` of CCW polygons: the CCW sweep from the
+    outgoing to the incoming edge."""
+    px, py = np.roll(x, 1, axis=1) - x, np.roll(y, 1, axis=1) - y
+    nx, ny = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    return np.mod(-np.arctan2(px * ny - py * nx, px * nx + py * ny), 2.0 * np.pi)
 
 
 @cache
@@ -115,23 +115,6 @@ def loops_are_simple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ~cross.any(axis=1)
 
 
-def corner_angle(prev, corner, nxt) -> float:
-    """Interior angle (radians) at ``corner`` of a CCW polygon whose
-    neighbouring vertices are ``prev`` and ``nxt``."""
-    (px, py), (x, y), (nx, ny) = prev, corner, nxt
-    v1x, v1y = px - x, py - y
-    v2x, v2y = nx - x, ny - y
-    ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
-    # interior angle = CCW sweep from the outgoing to the incoming edge
-    return -ang % (2.0 * math.pi)
-
-
-def interior_angles(uv) -> list:
-    """Interior angle (radians) at each vertex of a CCW polygon."""
-    uv = as_pairs(uv)
-    return [corner_angle(p, c, n) for p, c, n in zip(uv[-1:] + uv[:-1], uv, uv[1:] + uv[:1])]
-
-
 def check_guard(points: np.ndarray, pairs, centers: np.ndarray, guard: float) -> None:
     """Raise GeometryError if a point lies inside an owner's guard sphere.
 
@@ -143,7 +126,7 @@ def check_guard(points: np.ndarray, pairs, centers: np.ndarray, guard: float) ->
     inside = pairs[norms(points[pairs[:, 0]] - centers[pairs[:, 1]]) < guard, 0]
     if len(inside):
         p = int(inside.min())
-        cells = np.unique(pairs[pairs[:, 0] == p, 1]).tolist()
+        cells = distinct(pairs[pairs[:, 0] == p, 1]).tolist()
         raise GeometryError(
             f"point {p} cannot clear the guard spheres of cells {cells}; "
             "packing too tight for the guard radius"

@@ -1,13 +1,15 @@
 """All-quad tessellation of Voronoi facets.
 
-One Python loop over the facets projects each onto its bisecting plane and
-cuts it into pieces there, in `split_facet`: spokes from the facet's
-barycenter to its near-straight vertices and to every other corner between
-them cut it into triangles and quads, each valid by construction or the
-split raises. The per-facet loop ends at `split_facet`; the rest are
-array passes over the pieces of all facets at once, and over the cell
-set's loop arrays (``loop_start``, ``loop_vertex``), which a corner label
-indexes. The area threshold, `PIECE_AREA`, is in units of R^2.
+The facets are split in one array pass per loop length n, `split_loops`:
+the live facets of n vertices are projected onto their bisecting planes
+together, as (F, n) coordinates, and cut into pieces there. Spokes from a
+facet's barycenter to its near-straight vertices and to every other corner
+between them cut it into triangles and quads, each valid by construction
+or the facet is reported. The pieces of all loop lengths are merged by
+facet id; the rest are array passes over the pieces of all facets at once,
+and over the cell set's loop arrays (``loop_start``, ``loop_vertex``),
+which a corner label indexes. No Python loop runs over the facets or the
+pieces. The area threshold, `PIECE_AREA`, is in units of R^2.
 
 `number_patches` makes every patch all-quad by midside subdivision (quad
 to 4 quads, triangle to 3), one constant index template per piece size,
@@ -21,7 +23,8 @@ one pass per patch would: a patch's interior nodes are its own (no other
 patch uses them), and its boundary nodes, which patches share, never
 move, so no patch reads a node another patch writes. Each patch node is a
 slot holding its position in its own facet's plane, and a shared boundary
-node gets one slot per patch.
+node gets one slot per patch. Each Jacobi sweep is one sparse product, of
+a CSR matrix with a row per moving slot and a 1 at each of its neighbors.
 
 The tessellation ends with one guard check over every (node, real owner
 cell) row (`geometry.check_guard`); it moves no node.
@@ -34,17 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GeometryError
-from .geometry import (
-    GUARD_RADIUS,
-    as_pairs,
-    check_guard,
-    first_seen,
-    interior_angles,
-    polygon_area,
-    polygon_areas,
-)
+from .geometry import GUARD_RADIUS, check_guard, corner_angles, distinct, first_seen, polygon_areas
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -94,62 +90,85 @@ class FacetQuadMesh:
         return cell[order], facet[order], quads[order]
 
 
-def _centroid(pts: list) -> tuple:
-    """Mean of (x, y) pairs, summed left to right and then divided by the
-    count: the same bits as numpy's mean over the stacked rows."""
-    sx, sy = pts[0]
-    for x, y in pts[1:]:
-        sx += x
-        sy += y
-    m = len(pts)
-    return sx / m, sy / m
+def _valid(x: np.ndarray, y: np.ndarray, R: float) -> np.ndarray:
+    """Is each row of the (P, m) coordinates a valid piece: its area over
+    PIECE_AREA R^2 and every angle under 180 degrees less 1e-9 rad?"""
+    return ((polygon_areas(x, y) > PIECE_AREA * R * R)
+            & (corner_angles(x, y).max(axis=1) < math.pi - 1e-9))
 
 
-def _valid(pts: list, R: float) -> bool:
-    """A piece is valid when its area is over PIECE_AREA R^2 and every angle
-    is under 180 degrees less 1e-9 rad."""
-    return polygon_area(pts) > PIECE_AREA * R * R and max(interior_angles(pts)) < math.pi - 1e-9
+def split_loops(x: np.ndarray, y: np.ndarray, R: float):
+    """Divide polygons of one size n into quads and triangles about their
+    barycenters, all at once.
 
+    ``x``, ``y`` are the (F, n) coordinates of F CCW polygons, and R is the
+    bed's sphere radius. A vertex is near-straight when its interior angle
+    is over ANGLE_THRESHOLD. A valid polygon (`_valid`) of at most 4
+    vertices, none near-straight, is one piece. In any other polygon a
+    vertex is a spoke when its cyclic distance from the last near-straight
+    vertex at or before it is even, or, with no near-straight vertex, when
+    its index is even. Each span between consecutive spokes, from the first
+    near-straight vertex on (or from vertex 0), makes one piece with the
+    barycenter (the mean of the vertices, summed left to right): a
+    triangle, or a quad about the span's one corner, which splits at that
+    corner into two triangles, the first half first, if it is not valid.
 
-def split_facet(uv, facet_id: int = -1, R: float = 1.0) -> list:
-    """Divide a polygon into quads and triangles about its barycenter.
-
-    A vertex is near-straight when its interior angle is over
-    ANGLE_THRESHOLD. A valid polygon of at most 4 vertices, none
-    near-straight, is one piece. Otherwise spokes run from the barycenter
-    to every near-straight vertex and, in each run of corners between two
-    of them, to every other corner from the run's second on; with no
-    near-straight vertex, to vertices 0, 2, 4, ... Each span between
-    consecutive spokes makes one piece with the barycenter: a triangle, or
-    a quad about the span's one corner, which splits at that corner into
-    two triangles if it is not valid (`_valid`, with R the bed's sphere
-    radius). Returns a list of (points, labels) pieces: points are (x, y)
-    pairs, labels their indices into uv, or len(uv) for the barycenter.
-    Raises GeometryError if a piece is still not valid.
+    Returns (row, lab, pts, flat, not_star): the polygon of each piece, in
+    order of polygon and then of piece; the (P, 4) labels of each piece's
+    corners, a vertex index or n for the barycenter, a triangle's first
+    corner repeated as its fourth; their (P, 4, 2) points; and for each
+    polygon whether its area is not positive, and whether a piece is
+    still not valid (the polygon is not star-shaped about its barycenter).
     """
-    uv = as_pairs(uv)
-    n = len(uv)
-    straight = [k for k, a in enumerate(interior_angles(uv)) if a > ANGLE_THRESHOLD]
-    if n <= 4 and not straight and _valid(uv, R):
-        return [(uv, list(range(n)))]
-    spokes = [] if straight else list(range(0, n, 2))
-    for a, b in zip(straight, straight[1:] + straight[:1]):
-        spokes += [a] + [k % n for k in range(a + 1, b + n * (b <= a))][1::2]
-    bc = _centroid(uv)
-    out = []
-    for a, b in zip(spokes, spokes[1:] + spokes[:1]):
-        # the span's corners: two for a triangle, three for a quad
-        todo = [[k % n for k in range(a, b + n * (b <= a) + 1)]]
-        while todo:
-            piece = todo.pop()
-            pts = [bc] + [uv[k] for k in piece]
-            if _valid(pts, R):
-                out.append((pts, [n] + piece))
-            elif len(piece) == 3:   # the quad splits at its corner, first half first
-                todo += [piece[1:], piece[:2]]
-            else:
-                raise GeometryError(f"facet {facet_id}: not star-shaped about its barycenter")
-    return out
+    F, n = x.shape
+    j = np.arange(n)
+    area = polygon_areas(x, y)
+    # label n is the barycenter
+    ex = np.hstack([x, np.cumsum(x, axis=1)[:, -1:] / n])
+    ey = np.hstack([y, np.cumsum(y, axis=1)[:, -1:] / n])
+    straight = corner_angles(x, y) > ANGLE_THRESHOLD
+    has = straight.any(axis=1)
+    whole = ~has & _valid(x, y, R) if n <= 4 else np.zeros(F, dtype=bool)
+
+    # the last near-straight vertex at or before each vertex, one turn back
+    # before a row's first; 0 in a row with none
+    last = np.maximum.accumulate(np.where(straight, j, -1), axis=1)
+    last = np.where(last >= 0, last, last[:, -1:] - n) * has[:, None]
+    spoke = (j - last) % 2 == 0
+    rows = np.flatnonzero(~whole)
+    vert = (np.argmax(straight[rows], axis=1)[:, None] + j) % n   # from each row's first spoke
+    r, c = np.nonzero(spoke[rows[:, None], vert])
+    end = np.full(len(c), n)    # the column of the next spoke
+    same = r[1:] == r[:-1]
+    end[:-1][same] = c[1:][same]
+    row = rows[r]
+    s0, s1, s2 = vert[r, c], vert[r, (c + 1) % n], vert[r, (c + 2) % n]
+    bar = np.full(len(c), n)
+
+    def valid(span, lab):   # the pieces of these spans, with these corner labels
+        return _valid(ex[row[span, None], lab], ey[row[span, None], lab], R)
+
+    quads = np.flatnonzero(end - c == 2)
+    quad_lab = np.column_stack([bar, s0, s1, s2])[quads]
+    keep = valid(quads, quad_lab)
+    halves = quads[~keep]   # the quads that split at their corner
+    tri = np.concatenate([np.flatnonzero(end - c == 1), halves, halves])
+    tri_lab = np.column_stack([bar, s0, s1, bar])[tri]
+    tri_lab[len(tri) - len(halves):, 1:3] = np.column_stack([s1, s2])[halves]   # second halves
+    not_star = np.zeros(F, dtype=bool)
+    not_star[row[tri[~valid(tri, tri_lab[:, :3])]]] = True
+
+    # every piece, keyed by its polygon and its place there: 2 c for the
+    # span from column c, and 2 c + 1 for a split quad's second half
+    span = np.concatenate([quads[keep], tri])
+    second = np.arange(len(span)) >= len(span) - len(halves)
+    row = np.concatenate([np.flatnonzero(whole), row[span]])
+    place = np.concatenate([np.zeros(whole.sum(), dtype=np.int64), 2 * c[span] + second])
+    lab = np.vstack([np.tile(np.resize(j, 4), (whole.sum(), 1)), quad_lab[keep], tri_lab])
+    order = np.lexsort((place, row))
+    row, lab = row[order], lab[order]
+    pts = np.stack([ex[row[:, None], lab], ey[row[:, None], lab]], axis=-1)
+    return row, lab, pts, area <= 0, not_star
 
 
 # A piece's node list: corners 0-3, the midpoints 4-7 of its sides (side s
@@ -162,14 +181,15 @@ _TEMPLATES = np.array([
 ])
 
 
-def number_patches(pieces: list, facet: list, loop_start: np.ndarray,
-                   loop_vertex: np.ndarray, n_points: int):
+def number_patches(lab: np.ndarray, pts: np.ndarray, facet: np.ndarray,
+                   loop_start: np.ndarray, loop_vertex: np.ndarray, n_points: int):
     """Midside subdivision of split facets into quad patches, numbered.
 
-    ``pieces`` holds the (points, labels) pieces of `split_facet`, facet
-    after facet, ``facet`` the facet id of each piece, and ``loop_start``
-    and ``loop_vertex`` every facet's loop, as a cell set holds them. A corner labelled k is
-    vertex k of its loop. The barycenter (labelled with the loop length),
+    ``lab`` and ``pts`` hold the (P, 4) corner labels and the (P, 4, 2)
+    corner points of the pieces of `split_loops`, facet after facet,
+    ``facet`` the facet id of each piece, and ``loop_start`` and
+    ``loop_vertex`` every facet's loop, as a cell set holds them. A corner
+    labelled k is vertex k of its loop. The barycenter (labelled with the loop length),
     every side midpoint and every centroid is a new node, numbered from
     ``n_points`` in order of first use through the node lists. The midpoint
     of an original loop edge is keyed by its two vertices, so every facet
@@ -181,8 +201,6 @@ def number_patches(pieces: list, facet: list, loop_start: np.ndarray,
     slot in its facet's plane; and the (M, 3) rows (a, b, node) of the
     original-edge midpoints, a < b, in node order.
     """
-    lab = np.array([(list(lb) * 2)[:4] for _, lb in pieces], dtype=np.int64).reshape(-1, 4)
-    pts = np.array([(list(pt) * 2)[:4] for pt, _ in pieces], dtype=float).reshape(-1, 4, 2)
     tri = lab[:, 3] == lab[:, 0]    # a quad's four labels differ
     facet = np.asarray(facet, dtype=np.int64)
     size = np.diff(loop_start)
@@ -216,7 +234,7 @@ def number_patches(pieces: list, facet: list, loop_start: np.ndarray,
                             n_points + np.flatnonzero(on_edge)])
 
     # each node's position in its piece's plane; the centroid is summed
-    # left to right and then divided, as `_centroid` does
+    # left to right and then divided
     centroid = pts[:, 0] + pts[:, 1] + pts[:, 2]
     centroid[~tri] += pts[~tri, 3]
     centroid /= np.where(tri, 3.0, 4.0)[:, None]
@@ -253,27 +271,21 @@ def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
     n = len(xy)
     a, b = quads.ravel(), np.roll(quads, -1, axis=1).ravel()
     # the (slot, neighbor) pairs, sorted by slot and then by neighbor
-    pair = np.unique(np.concatenate([a * n + b, b * n + a]))
+    pair = distinct(np.concatenate([a * n + b, b * n + a]))
     src, dst = pair // n, pair % n
     deg = np.bincount(src, minlength=n)
-    start = np.concatenate([[0], np.cumsum(deg)[:-1]])
-    moving = np.flatnonzero(np.asarray(moving, dtype=bool) & (deg > 0))
-    groups = []    # (slots, (k, d) neighbor slots) per degree d
-    for d in np.unique(deg[moving]).tolist():
-        rows = moving[deg[moving] == d]
-        groups.append((rows, dst[start[rows, None] + np.arange(d)]))
+    moving = np.asarray(moving, dtype=bool) & (deg > 0)
+    # one row per moving slot, with a 1 at each of its neighbors: a CSR
+    # product adds a row's neighbors in column order
+    nb = dst[moving[src]]
+    start = np.concatenate([[0], np.cumsum(deg[moving])])
+    adjacency = sparse.csr_array((np.ones(len(nb)), nb, start), shape=(len(start) - 1, n))
+    count = deg[moving, None]
     cur = xy.copy()
     for _ in range(SMOOTH_ITERS):
-        moved = []
-        for rows, nb in groups:
-            acc = cur[nb[:, 0]]
-            for c in range(1, nb.shape[1]):
-                acc += cur[nb[:, c]]
-            moved.append(acc / nb.shape[1])
-        for (rows, _), new in zip(groups, moved):
-            cur[rows] = new
+        cur[moving] = (adjacency @ cur) / count
     area = polygon_areas(cur[quads, 0], cur[quads, 1])
-    reverted = np.unique(quad_patch[area <= 0]).tolist()
+    reverted = distinct(quad_patch[area <= 0]).tolist()
     for pid in reverted:
         log.warning("facet %s: patch smoothing inverted a quad; reverting", pid)
     back = quads[np.isin(quad_patch, reverted)].ravel()
@@ -284,28 +296,39 @@ def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
 def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     """Tessellate every live facet into a conformal all-quad patch.
 
-    Each facet is projected onto its bisecting plane once and split into
-    pieces there, on plain floats. `number_patches` turns the pieces of
+    The facets of each loop length are projected onto their bisecting
+    planes and split there by one `split_loops` call, and a stable sort by
+    facet id merges their pieces. `number_patches` turns the pieces of
     all facets into numbered quads, and every patch is smoothed in one
     `smooth_patches` pass, keyed by facet id, with each patch's slots in
     node id order. The interior nodes are lifted back to 3D in one array
-    expression. Raises GeometryError if a node lies inside the guard sphere
-    of a real cell its facet bounds (`geometry.check_guard`).
+    expression. Raises GeometryError for the lowest facet id that projects
+    to a non-positive area or is not star-shaped about its barycenter (the
+    area, if both), and after the smoothing if a node lies inside the guard
+    sphere of a real cell its facet bounds (`geometry.check_guard`).
     """
-    pieces: list = []
-    piece_facet: list = []
-    for fid in np.flatnonzero(np.diff(cs.loop_start) >= 3).tolist():
-        rel = cs.points[cs.loop(fid)] - cs.plane_point[fid]
-        uv = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
-        if polygon_area(uv) <= 0:
-            raise GeometryError(f"facet {fid} projects to a non-positive area loop")
-        split = split_facet(uv, facet_id=fid, R=cs.bed.radius_nominal)
-        pieces += split
-        piece_facet += [fid] * len(split)
+    size = np.diff(cs.loop_start)
+    fault = np.zeros(len(size), dtype=np.int8)   # 1: a non-positive area; 2: not star-shaped
+    parts = [(np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64), np.empty((0, 4, 2)))]
+    for n in distinct(size[size >= 3]).tolist():
+        fs = np.flatnonzero(size == n)
+        loops = cs.loop_vertex[cs.loop_start[fs, None] + np.arange(n)]
+        rel = cs.points[loops] - cs.plane_point[fs, None]
+        row, lab, pts, flat, not_star = split_loops(
+            np.matvec(rel, cs.e1[fs]), np.matvec(rel, cs.e2[fs]), cs.bed.radius_nominal)
+        fault[fs] = np.where(flat, 1, 2 * not_star)
+        parts.append((fs[row], lab, pts))
+    bad = np.flatnonzero(fault)[:1].tolist()
+    if bad and fault[bad[0]] == 1:
+        raise GeometryError(f"facet {bad[0]} projects to a non-positive area loop")
+    if bad:
+        raise GeometryError(f"facet {bad[0]}: not star-shaped about its barycenter")
+    piece_facet, lab, pts = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(piece_facet, kind="stable")
 
     n_points = len(cs.points)
     quads, quad_slots, slots, xy, mids = number_patches(
-        pieces, piece_facet, cs.loop_start, cs.loop_vertex, n_points)
+        lab[order], pts[order], piece_facet[order], cs.loop_start, cs.loop_vertex, n_points)
     quad_facet = slots[quad_slots[:, 0], 0]
     nodes = np.empty((int(slots[:, 1].max(initial=n_points - 1)) + 1, 3))
     nodes[:n_points] = cs.points
@@ -323,8 +346,8 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     site_a, site_b = cs.site_a[slots[:, 0]], cs.site_b[slots[:, 0]]
     real_b = site_b < cs.n_real
     m = len(cs.sites)
-    owned = np.unique(np.concatenate([slots[:, 1] * m + site_a,
-                                      slots[real_b, 1] * m + site_b[real_b]]))
+    owned = distinct(np.concatenate([slots[:, 1] * m + site_a,
+                                     slots[real_b, 1] * m + site_b[real_b]]))
     mesh = FacetQuadMesh(nodes=nodes, quads=quads, quad_facet=quad_facet,
                          owners=np.column_stack([owned // m, owned % m]),
                          edge_midpoints=mids, cellset=cs)

@@ -34,7 +34,11 @@ only `_grow_layers` calls `_audit_growth`: each stage audits what it builds,
 and the audit of a whole mesh runs once, on the swept one. No function in `src/voidhex/geometry.py` assigns to an
 item or an attribute of one of its parameters, also after rebinding the
 name (`np.asarray` of an array is that array): its helpers return what
-they compute, and the guard stays a check that moves no point.
+they compute, and the guard stays a check that moves no point. Every
+`np.unique` call in `src/voidhex/` passes ``return_index``,
+``return_inverse`` or ``return_counts``: numpy 2.4's plain `np.unique`
+hashes integers, many times slower than the one sort of
+`geometry.distinct`, which gives the same sorted distinct values.
 """
 
 import ast
@@ -389,3 +393,29 @@ def test_finds_a_parameter_write():
 def test_geometry_writes_no_parameter():
     source = (ROOT / "src/voidhex/geometry.py").read_text()
     assert parameter_writes(source) == [], "a geometry helper writes into its argument"
+
+
+UNIQUE_RETURNS = {"return_index", "return_inverse", "return_counts"}
+
+
+def plain_uniques(source: str) -> list:
+    """Line of each `np.unique` call that passes none of ``return_index``,
+    ``return_inverse`` and ``return_counts``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "unique" and getattr(n.func.value, "id", None) == "np"
+                  and not UNIQUE_RETURNS & {k.arg for k in n.keywords})
+
+
+def test_finds_a_plain_unique():
+    src = ("a = np.unique(x)\nb, i = np.unique(x, return_index=True)\n"
+           "c = np.unique(x, axis=0)\nd = distinct(x)\n"
+           "e, f, g = np.unique(x, return_inverse=True, return_counts=True)\n"
+           "h = np.unique(np.unique(x), return_counts=True)\n")
+    assert plain_uniques(src) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/voidhex/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_plain_unique(path):
+    assert plain_uniques(path.read_text()) == [], f"plain np.unique in {path.name}"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from voidhex import fixtures
 from voidhex.bed import RADIAL, Box, SphereBed, attach_domain, rescale, separation_profile
 from voidhex.errors import GeometryError, ValidationError
-from voidhex.geometry import GUARD_RADIUS, as_pairs, check_guard, plane_basis, polygon_area
+from voidhex.geometry import GUARD_RADIUS, check_guard, plane_basis
 from voidhex.repair import (
     COLLAPSE_PASSES,
     RepairConfig,
@@ -194,6 +194,23 @@ def _squeeze(loop):
     while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return out
+
+
+def as_pairs(uv) -> list:
+    """The polygon as a list of (x, y) float pairs; a list passes as it is."""
+    return uv.tolist() if isinstance(uv, np.ndarray) else uv
+
+
+def polygon_area(uv) -> float:
+    """Signed area of a 2D polygon (positive for CCW): the plain-float
+    reference for `geometry.polygon_areas`, one polygon at a time."""
+    uv = as_pairs(uv)
+    px, py = uv[-1]
+    s = 0.0
+    for x, y in uv:
+        s += px * y - py * x
+        px, py = x, y
+    return 0.5 * s
 
 
 def loop_is_simple(uv) -> bool:

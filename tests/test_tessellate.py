@@ -8,24 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_repair import csr, loop_is_simple, loops_of
+from test_repair import as_pairs, csr, loop_is_simple, loops_of, polygon_area
 
 from voidhex import fixtures
 from voidhex.bed import SphereBed
 from voidhex.errors import GeometryError
-from voidhex.geometry import (
-    GUARD_RADIUS,
-    interior_angles,
-    loops_are_simple,
-    polygon_area,
-    polygon_areas,
-)
+from voidhex.geometry import GUARD_RADIUS, corner_angles, loops_are_simple, polygon_areas
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
+    ANGLE_THRESHOLD,
+    PIECE_AREA,
     FacetQuadMesh,
     number_patches,
     smooth_patches,
-    split_facet,
+    split_loops,
     tessellate_cells,
 )
 from voidhex.voronoi import build_cells, generate_ghosts
@@ -36,16 +32,117 @@ def regular_polygon(n, radius=1.0):
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
 
 
+def corner_angle(prev, corner, nxt) -> float:
+    """Interior angle (radians) at ``corner`` of a CCW polygon whose
+    neighbouring vertices are ``prev`` and ``nxt``."""
+    (px, py), (x, y), (nx, ny) = prev, corner, nxt
+    v1x, v1y = px - x, py - y
+    v2x, v2y = nx - x, ny - y
+    ang = math.atan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
+    # interior angle = CCW sweep from the outgoing to the incoming edge
+    return -ang % (2.0 * math.pi)
+
+
+def interior_angles(uv) -> list:
+    """Interior angle (radians) at each vertex of a CCW polygon, in plain
+    floats: the reference for `geometry.corner_angles`."""
+    uv = as_pairs(uv)
+    return [corner_angle(p, c, n) for p, c, n in zip(uv[-1:] + uv[:-1], uv, uv[1:] + uv[:1])]
+
+
+def _centroid(pts: list) -> tuple:
+    """Mean of (x, y) pairs, summed left to right and then divided by the
+    count: the same bits as numpy's mean over the stacked rows."""
+    sx, sy = pts[0]
+    for x, y in pts[1:]:
+        sx += x
+        sy += y
+    m = len(pts)
+    return sx / m, sy / m
+
+
+def _valid(pts: list, R: float) -> bool:
+    """A piece is valid when its area is over PIECE_AREA R^2 and every angle
+    is under 180 degrees less 1e-9 rad."""
+    return polygon_area(pts) > PIECE_AREA * R * R and max(interior_angles(pts)) < math.pi - 1e-9
+
+
+def split_facet(uv, facet_id: int = -1, R: float = 1.0) -> list:
+    """The former split of one facet, in plain floats, kept as the reference
+    for `split_loops`.
+
+    A vertex is near-straight when its interior angle is over
+    ANGLE_THRESHOLD. A valid polygon of at most 4 vertices, none
+    near-straight, is one piece. Otherwise spokes run from the barycenter
+    to every near-straight vertex and, in each run of corners between two
+    of them, to every other corner from the run's second on; with no
+    near-straight vertex, to vertices 0, 2, 4, ... Each span between
+    consecutive spokes makes one piece with the barycenter: a triangle, or
+    a quad about the span's one corner, which splits at that corner into
+    two triangles if it is not valid (`_valid`, with R the bed's sphere
+    radius). Returns a list of (points, labels) pieces: points are (x, y)
+    pairs, labels their indices into uv, or len(uv) for the barycenter.
+    Raises GeometryError if a piece is still not valid.
+    """
+    uv = as_pairs(uv)
+    n = len(uv)
+    straight = [k for k, a in enumerate(interior_angles(uv)) if a > ANGLE_THRESHOLD]
+    if n <= 4 and not straight and _valid(uv, R):
+        return [(uv, list(range(n)))]
+    spokes = [] if straight else list(range(0, n, 2))
+    for a, b in zip(straight, straight[1:] + straight[:1]):
+        spokes += [a] + [k % n for k in range(a + 1, b + n * (b <= a))][1::2]
+    bc = _centroid(uv)
+    out = []
+    for a, b in zip(spokes, spokes[1:] + spokes[:1]):
+        # the span's corners: two for a triangle, three for a quad
+        todo = [[k % n for k in range(a, b + n * (b <= a) + 1)]]
+        while todo:
+            piece = todo.pop()
+            pts = [bc] + [uv[k] for k in piece]
+            if _valid(pts, R):
+                out.append((pts, [n] + piece))
+            elif len(piece) == 3:   # the quad splits at its corner, first half first
+                todo += [piece[1:], piece[:2]]
+            else:
+                raise GeometryError(f"facet {facet_id}: not star-shaped about its barycenter")
+    return out
+
+
+def as_pieces(lab, pts) -> list:
+    """The (P, 4) labels and (P, 4, 2) points of `split_loops` as a list of
+    (points, labels) pieces, the form of `split_facet`: a piece whose fourth
+    label repeats its first is a triangle."""
+    size = np.where(lab[:, 3] == lab[:, 0], 3, 4).tolist()
+    return [(p[:m], lb[:m]) for p, lb, m in zip(pts.tolist(), lab.tolist(), size)]
+
+
+def piece_arrays(pieces) -> tuple:
+    """A list of (points, labels) pieces as `number_patches` takes them: the
+    (P, 4) labels and (P, 4, 2) points, a triangle's first corner repeated."""
+    lab = np.array([(list(lb) * 2)[:4] for _, lb in pieces], dtype=np.int64).reshape(-1, 4)
+    pts = np.array([(list(pt) * 2)[:4] for pt, _ in pieces], dtype=float).reshape(-1, 4, 2)
+    return lab, pts
+
+
+def array_split(uv, R=1.0):
+    """`split_loops` on one polygon, as (points, labels) pieces, or None if
+    the polygon is not star-shaped about its barycenter."""
+    uv = np.asarray(uv, dtype=float)
+    _, lab, pts, _, not_star = split_loops(uv[None, :, 0], uv[None, :, 1], R)
+    return None if not_star[0] else as_pieces(lab, pts)
+
+
 class TestSplitFacet:
     def test_square_single_quad(self):
         uv = regular_polygon(4, radius=0.5)
-        pieces = split_facet(uv)
+        pieces = array_split(uv)
         assert len(pieces) == 1
         assert len(pieces[0][0]) == 4
 
     def test_pentagon_tri_plus_quad(self):
         uv = regular_polygon(5, radius=0.5)
-        pieces = split_facet(uv)
+        pieces = array_split(uv)
         sizes = sorted(len(p[0]) for p in pieces)
         assert sizes == [3, 4, 4]
 
@@ -54,7 +151,7 @@ class TestSplitFacet:
         for n in (5, 6, 7, 9, 12):
             base = regular_polygon(n)
             uv = base * (1.0 + 0.15 * rng.random((n, 1)))
-            pieces = split_facet(uv)
+            pieces = array_split(uv)
             total = sum(polygon_area(p[0]) for p in pieces)
             assert total == pytest.approx(polygon_area(uv), rel=1e-9)
             for pts, _ in pieces:
@@ -70,7 +167,7 @@ class TestSplitFacet:
             uv.append(hexa[k])
             uv.append(0.5 * (hexa[k] + hexa[(k + 1) % 6]))
         uv = np.array(uv)
-        pieces = split_facet(uv)
+        pieces = array_split(uv)
         labels = {lab for _, labs in pieces for lab in labs}
         assert len(uv) in labels  # the barycenter's label
 
@@ -78,15 +175,71 @@ class TestSplitFacet:
         # the barycenter lies inside triangle (0, 1, 2), so the quad
         # (bc, 0, 1, 2) has a reflex angle at bc and splits at corner 1
         uv = [(-1.0, -0.3), (3.0, 0.0), (-1.0, 0.3), (-1.2, 0.2), (-1.2, -0.2)]
-        pieces = split_facet(uv)
+        pieces = array_split(uv)
         assert [labels for _, labels in pieces] == [[5, 0, 1], [5, 1, 2], [5, 2, 3, 4], [5, 4, 0]]
         assert sum(polygon_area(pts) for pts, _ in pieces) == pytest.approx(polygon_area(uv))
 
     def test_not_star_shaped_raises(self):
         # an L whose barycenter (1.4, 1.4) lies outside it
         uv = [(0.0, 0.0), (4.0, 0.0), (4.0, 0.2), (0.2, 0.2), (0.2, 4.0), (0.0, 4.0)]
+        assert array_split(uv) is None
         with pytest.raises(GeometryError, match="^facet 7: not star-shaped about its barycenter$"):
             split_facet(uv, facet_id=7)
+
+
+@st.composite
+def loop_groups(draw):
+    """Groups of CCW polygons, each 1-4 polygons of one size n, 3 to 16,
+    and R, 1e-6 or 1. A polygon has 3 to n corners on rays from the origin
+    at angular gaps under pi, so it is star-shaped about the origin but not
+    always about its barycenter; its other vertices cut its edges into
+    equal collinear parts, as repair's inserted points do, each of them a
+    near-straight vertex."""
+    R = draw(st.sampled_from([1e-6, 1.0]))
+    groups = []
+    for n in draw(st.lists(st.integers(3, 16), min_size=1, max_size=3, unique=True)):
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            m = draw(st.integers(3, n))
+            gaps = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=m, max_size=m)))
+            radii = R * np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=m, max_size=m)))
+            theta = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+            corners = (radii[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])).tolist()
+            cuts = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+            uv = []
+            for k, (p, q) in enumerate(zip(corners, corners[1:] + corners[:1])):
+                c = cuts.count(k) + 1
+                uv += [(p[0] + j / c * (q[0] - p[0]), p[1] + j / c * (q[1] - p[1]))
+                       for j in range(c)]
+            rows.append(uv)
+        groups.append(np.array(rows))
+    return groups, R
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loop_groups())
+@example(([np.stack([regular_polygon(n, r) for r in (0.5, 1.0, 2.0)]) for n in (3, 4)], 1.0))
+def test_split_loops_matches_reference(case):
+    """`split_loops` on each group gives each polygon the pieces of the
+    plain-float `split_facet`, labels and point bytes, in order, and flags
+    the polygons on which it raises. The example is two groups in which
+    every polygon stays whole, so they have no spoke at all."""
+    groups, R = case
+    for uv in groups:
+        row, lab, pts, flat, not_star = split_loops(uv[:, :, 0], uv[:, :, 1], R)
+        assert (np.diff(row) >= 0).all()
+        for i, poly in enumerate(uv.tolist()):
+            assert flat[i] == (polygon_area(poly) <= 0)
+            try:
+                ref = split_facet(poly, R=R)
+            except GeometryError:
+                assert not_star[i]
+                continue
+            assert not not_star[i]
+            got = as_pieces(lab[row == i], pts[row == i])
+            assert [lb for _, lb in got] == [lb for _, lb in ref]
+            assert [np.array(p).tobytes() for p, _ in got] == \
+                [np.array(p, dtype=float).tobytes() for p, _ in ref]
 
 
 @st.composite
@@ -114,7 +267,7 @@ def test_split_facet_pieces_valid(case):
     1e-14 R^2 and every angle under pi - 1e-9, and the pieces cover the
     facet."""
     uv, R = case
-    pieces = split_facet(uv, facet_id=0, R=R)
+    pieces = array_split(uv, R=R)
     for pts, _ in pieces:
         assert len(pts) in (3, 4)
         assert polygon_area(pts) > 1e-14 * R * R
@@ -228,7 +381,7 @@ def ref_number_patches(pieces, facet, loops, n_points):
 
 @st.composite
 def split_facets(draw):
-    """The split_facet pieces of 1-4 convex polygons, each on a circle of
+    """The `split_loops` pieces of 1-4 convex polygons, each on a circle of
     radius 0.3-2, with points inserted along some edges (a facet of over 4
     vertices, or with a near-straight one, gets a barycenter). Their loops take
     vertex ids from a pool of 12, so that facets share edges."""
@@ -247,7 +400,7 @@ def split_facets(draw):
                 t = j / (split[k] + 1)
                 uv.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         uv = uv[:12]
-        got = split_facet(uv, facet_id=fid)
+        got = array_split(uv)
         loops.append(draw(st.permutations(range(12)))[:len(uv)])
         pieces += got
         facet += [fid] * len(got)
@@ -262,7 +415,8 @@ class TestNumberPatches:
         former get_node numbering."""
         pieces, facet, loops = case
         ref_quads, ref_slots, ref_xy, ref_mids = ref_number_patches(pieces, facet, loops, 12)
-        quads, quad_slots, slots, xy, mids = number_patches(pieces, facet, *csr(loops), 12)
+        quads, quad_slots, slots, xy, mids = number_patches(*piece_arrays(pieces), facet,
+                                                            *csr(loops), 12)
         assert quads.tolist() == [list(q) for q in ref_quads]
         assert slots.tolist() == [list(s) for s in ref_slots]
         assert xy.tobytes() == np.array(ref_xy, dtype=float).reshape(-1, 2).tobytes()
@@ -274,9 +428,9 @@ class TestNumberPatches:
         wedges share the barycenter and their cut edges."""
         hexa = regular_polygon(6, 1.5).tolist()
         uv = [tuple(p) for k in range(6) for p in (hexa[k], np.add(hexa[k], hexa[(k + 1) % 6]) / 2)]
-        pieces = split_facet(uv)
+        pieces = array_split(uv)
         assert any(12 in labels for _, labels in pieces)
-        quads, *_ = number_patches(pieces, [0] * len(pieces), *csr([range(12)]), 12)
+        quads, *_ = number_patches(*piece_arrays(pieces), [0] * len(pieces), *csr([range(12)]), 12)
         ref_quads, *_ = ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
         assert quads.tolist() == [list(q) for q in ref_quads]
 
@@ -286,7 +440,8 @@ class TestSubdivide:
         """The quads and slot positions of one facet's pieces, its loop the
         labels 0..n - 1 as vertex ids."""
         n = 1 + max(lab for _, labels in pieces for lab in labels)
-        quads, _, _, xy, _ = number_patches(pieces, [0] * len(pieces), *csr([range(n)]), n)
+        quads, _, _, xy, _ = number_patches(*piece_arrays(pieces), [0] * len(pieces),
+                                            *csr([range(n)]), n)
         return quads, xy
 
     def test_quad_becomes_four(self):
@@ -334,12 +489,13 @@ def smooth_one(uv_nodes, quads, interior):
 
 
 def facet_patch(uv):
-    """A polygon's quad patch as split_facet and number_patches make it:
+    """A polygon's quad patch as split_loops and number_patches make it:
     ({node: (x, y)}, quads, interior nodes). Interior nodes are the
     barycenter, the midpoints of cut edges and the piece centroids."""
     n = len(uv)
-    pieces = split_facet(uv)
-    quads, _, slots, xy, mids = number_patches(pieces, [0] * len(pieces), *csr([range(n)]), n)
+    pieces = array_split(uv)
+    quads, _, slots, xy, mids = number_patches(*piece_arrays(pieces), [0] * len(pieces),
+                                               *csr([range(n)]), n)
     nodes = slots[:, 1].tolist()
     interior = [v for v in nodes if v >= n and v not in mids[:, 2]]
     return (dict(zip(nodes, map(tuple, xy.tolist()))), [tuple(q) for q in quads.tolist()],
@@ -497,6 +653,8 @@ class TestPolygonHelpers:
             assert np.allclose(interior_angles(pts), old_interior_angles(uv), rtol=0, atol=1e-12)
             assert loop_is_simple(pts)
         assert old_loop_is_simple(uv.tolist())
+        angles = corner_angles(uv[None, :, 0], uv[None, :, 1])[0]
+        assert np.allclose(angles, old_interior_angles(uv), rtol=0, atol=1e-12)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(grid_loops())
@@ -513,13 +671,18 @@ class TestPolygonHelpers:
         """polygon_areas and loops_are_simple give, row by row, what
         polygon_area and loop_is_simple give on each loop (the area to the
         bit), also with the loops padded to one size by repeating their
-        last vertex."""
+        last vertex; corner_angles gives each loop's interior_angles, each
+        within an ulp of 2 pi (``np.arctan2`` for ``math.atan2``)."""
         m = max(map(len, loops)) + pad
         rows = np.array([loop + loop[-1:] * (m - len(loop)) for loop in loops])
         areas = polygon_areas(rows[:, :, 0], rows[:, :, 1])
         simple = loops_are_simple(rows[:, :, 0], rows[:, :, 1])
         assert areas.tolist() == [polygon_area(loop) for loop in loops]
         assert simple.tolist() == [loop_is_simple(loop) for loop in loops]
+        for loop in loops:
+            xy = np.array([loop])
+            assert np.allclose(corner_angles(xy[:, :, 0], xy[:, :, 1])[0], interior_angles(loop),
+                               rtol=0, atol=np.spacing(2.0 * np.pi))
 
     def test_loop_is_simple_cases(self):
         assert not loop_is_simple([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # crossing

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError, Voronoi, cKDTree
-from test_repair import cells_digest, cells_of, csr, ghost_tag, loops_of, set_cells, set_loops
+from test_repair import (
+    cells_digest,
+    cells_of,
+    csr,
+    ghost_tag,
+    loops_of,
+    polygon_area,
+    set_cells,
+    set_loops,
+)
 
 from voidhex import fixtures, voronoi
 from voidhex.bed import (
@@ -23,7 +32,7 @@ from voidhex.bed import (
     separation_profile,
 )
 from voidhex.errors import GeometryError
-from voidhex.geometry import norms, plane_basis, polygon_area
+from voidhex.geometry import norms, plane_basis
 from voidhex.repair import repair
 from voidhex.voronoi import (
     PLANARITY_TOL,
