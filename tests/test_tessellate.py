@@ -52,7 +52,8 @@ def interior_angles(uv) -> list:
 
 def _centroid(pts: list) -> tuple:
     """Mean of (x, y) pairs, summed left to right and then divided by the
-    count: the same bits as numpy's mean over the stacked rows."""
+    count: the same bits as the last entry of `np.cumsum` over the stacked
+    rows, divided by the count (`np.mean` sums pairwise, in another order)."""
     sx, sy = pts[0]
     for x, y in pts[1:]:
         sx += x
