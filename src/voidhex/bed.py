@@ -9,6 +9,10 @@ clearance and the inside test here and the ghost reflections in `voronoi`
 loop over that list. Each ghost records the index of its wall in it, and
 `hexgen` gives each wall its own surface, so no other module needs to know
 which shape a container is.
+
+Importing this module loads no scipy: `load_centers`, `delaunay_pairs`
+and `rescale` load `scipy.spatial` on their first call, and `fit_cylinder`
+loads `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import GeometryError, ParseError, ValidationError
 from .geometry import distinct
@@ -261,6 +264,8 @@ def load_centers(path, fmt: str = "xyz_whitespace") -> SphereBed:
             rows.append(xyz)
     centers = np.array(rows, dtype=float).reshape(-1, 3)
     if len(centers) > 1:
+        from scipy.spatial import cKDTree
+
         pairs = cKDTree(centers).query_pairs(_DUP_TOL)
         if pairs:
             i, j = sorted(next(iter(pairs)))
@@ -285,8 +290,6 @@ def fit_cylinder(bed: SphereBed) -> Cylinder:
     The wall radius is the largest pass-2 radial distance plus R, and the
     height spans the z extent of the centers extended by R each way.
     """
-    # imported here, where it is used: scipy.optimize takes longer to import
-    # than the rest of the package, and only the cylinder fit needs it
     from scipy.optimize import minimize
 
     if bed.n_spheres < 3:
@@ -370,6 +373,8 @@ def delaunay_pairs(centers: np.ndarray) -> np.ndarray:
     if n < 5:
         i, j = np.triu_indices(n, k=1)
         return np.column_stack([i, j])
+    from scipy.spatial import Delaunay, QhullError
+
     extent = float(np.ptp(centers, axis=0).max())
     try:
         s = Delaunay(centers).simplices
@@ -422,6 +427,8 @@ def rescale(bed: SphereBed, profile: SeparationProfile) -> SphereBed:
         source_label=bed.source_label,
     )
     if len(out.centers) > 1:
+        from scipy.spatial import cKDTree
+
         # the closest pair: the smallest nearest-neighbour distance
         dmin = cKDTree(out.centers).query(out.centers, k=2)[0][:, 1].min()
         if dmin < 2.0 * 0.95:

@@ -4,6 +4,10 @@ These are geometry fixtures, not a DEM simulator: random beds are built by
 seeding points in the container and iteratively pushing overlapping pairs
 apart until the contact-distance plateau is tight. Every generator is
 seeded, so repeated calls are bitwise reproducible.
+
+Importing this module loads no scipy, and neither do the lattices:
+`_relax`, which the random beds call, loads `scipy.spatial` on its first
+call.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 
@@ -58,6 +61,8 @@ def solid_fraction_bed(n: int = 100, fraction: float = 0.641) -> SphereBed:
 
 def _relax(centers: np.ndarray, clamp, target: float = 2.0, iters: int = 600) -> np.ndarray:
     """Push overlapping pairs apart (Jacobi sweeps) until near-contact."""
+    from scipy.spatial import cKDTree
+
     pts = centers.copy()
     n = len(pts)
     for _ in range(iters):

@@ -28,6 +28,9 @@ a CSR matrix with a row per moving slot and a 1 at each of its neighbors.
 
 The tessellation ends with one guard check over every (node, real owner
 cell) row (`geometry.check_guard`); it moves no node.
+
+Importing this module loads no scipy: `smooth_patches` loads
+`scipy.sparse` on its first call.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GeometryError
 from .geometry import GUARD_RADIUS, check_guard, corner_angles, distinct, first_seen, polygon_areas
@@ -265,6 +267,8 @@ def smooth_patches(xy: np.ndarray, quads: np.ndarray, quad_patch: np.ndarray,
     quad inverts keeps its input positions. Returns the new (S, 2)
     positions and the sorted ids of the patches that reverted.
     """
+    from scipy import sparse
+
     xy = np.asarray(xy, dtype=float)
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     quad_patch = np.asarray(quad_patch)

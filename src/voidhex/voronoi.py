@@ -19,6 +19,9 @@ facet, and only its loop; a facet whose loop has fewer than 3 vertices is
 deleted (repair empties it), and no flag is stored. `VoronoiCellSet.facets`
 is a read-only view of the table, one record per facet, for code outside
 the package.
+
+Importing this module loads no scipy: `build_cells` loads `scipy.spatial`
+on its first call, and `_dedup_vertices` `scipy.sparse` too.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import QhullError, Voronoi, cKDTree
 
 from .bed import RADIAL, SphereBed
 from .errors import GeometryError, ValidationError
@@ -188,6 +188,10 @@ def _dedup_vertices(verts: np.ndarray, tol: float):
     """Merge the vertices chained by distances within tol. The connected
     components of the within-tol pairs are labelled in order of their
     lowest index, so the labels are the remap and each keeps its lowest."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     i, j = cKDTree(verts).query_pairs(tol, output_type="ndarray").T
     graph = coo_array((np.ones(len(i)), (i, j)), shape=(len(verts), len(verts)))
     _, remap = connected_components(graph, directed=False)
@@ -239,6 +243,8 @@ def build_cells(bed: SphereBed, ghosts: GhostSet) -> VoronoiCellSet:
     arrays are the facet table. Raises GeometryError if any real cell is
     unbounded (insufficient ghosts), and if Qhull fails on the sites.
     """
+    from scipy.spatial import QhullError, Voronoi, cKDTree
+
     R = bed.radius_nominal
     n = bed.n_spheres
     sites = np.vstack([bed.centers, ghosts.ghost_centers.reshape(-1, 3)])

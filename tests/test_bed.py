@@ -79,31 +79,63 @@ class TestLoadCenters:
             load_centers(p)
 
 
+def run_fresh(code: str):
+    """The JSON value of the last line ``code`` prints, run in a fresh
+    interpreter that imports voidhex from the tree under test."""
+    src = str(Path(voidhex.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+IMPORT_ALL = (
+    "import importlib, json, pkgutil, sys\n"
+    "import numpy as np\n"
+    "import voidhex\n"
+    "names = [m.name for m in pkgutil.iter_modules(voidhex.__path__)]\n"
+    "for name in names:\n"
+    "    importlib.import_module('voidhex.' + name)\n"
+    "def scipy_loaded():\n"
+    "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+)
+
+
 class TestImports:
     def test_scipy_optimize_deferred_to_fit_cylinder(self):
         """Importing voidhex and every module of it leaves scipy.optimize
         unimported; the first `fit_cylinder` imports it."""
-        code = (
-            "import importlib, json, pkgutil, sys\n"
-            "import numpy as np\n"
-            "import voidhex\n"
-            "names = [m.name for m in pkgutil.iter_modules(voidhex.__path__)]\n"
-            "for name in names:\n"
-            "    importlib.import_module('voidhex.' + name)\n"
+        code = IMPORT_ALL + (
             "before = 'scipy.optimize' in sys.modules\n"
             "ring = [(3 * np.cos(a), 3 * np.sin(a), 1.0) for a in np.linspace(0, 6, 7)]\n"
             "voidhex.fit_cylinder(voidhex.SphereBed(centers=np.array(ring)))\n"
             "print(json.dumps([names, before, 'scipy.optimize' in sys.modules]))\n"
         )
-        src = str(Path(voidhex.__file__).resolve().parent.parent)
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        names, before, after = json.loads(out.splitlines()[-1])
+        names, before, after = run_fresh(code)
         assert {"bed", "geometry", "hexgen", "repair", "tessellate", "voronoi"} <= set(names)
         assert not before
         assert after
+
+    def test_no_scipy_until_a_call_needs_it(self, tmp_path):
+        """Importing voidhex and every module of it loads no scipy module,
+        nor does writing a lattice bed, the lattice set-up; the first
+        `build_cells` loads scipy.spatial."""
+        code = IMPORT_ALL + (
+            "from voidhex import fixtures\n"
+            "from voidhex.voronoi import build_cells, generate_ghosts\n"
+            "imported = scipy_loaded()\n"
+            "bed = fixtures.simple_cubic(4)\n"
+            f"fixtures.write_xyz(bed, {str(tmp_path / 'sc4.xyz')!r})\n"
+            "written = scipy_loaded()\n"
+            "build_cells(bed, generate_ghosts(bed))\n"
+            "print(json.dumps([names, imported, written, 'scipy.spatial' in sys.modules]))\n"
+        )
+        names, imported, written, built = run_fresh(code)
+        assert {"bed", "fixtures", "tessellate", "voronoi"} <= set(names)
+        assert imported == []
+        assert written == []
+        assert built
 
 
 class TestFitCylinder:

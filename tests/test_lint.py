@@ -38,7 +38,10 @@ they compute, and the guard stays a check that moves no point. Every
 `np.unique` call in `src/voidhex/` passes ``return_index``,
 ``return_inverse`` or ``return_counts``: numpy 2.4's plain `np.unique`
 hashes integers, many times slower than the one sort of
-`geometry.distinct`, which gives the same sorted distinct values.
+`geometry.distinct`, which gives the same sorted distinct values. No
+module in `src/voidhex/` imports scipy, or a module of it, outside a
+function body: each function that needs scipy imports it, so importing
+voidhex loads none of it and the lattice set-up never does.
 """
 
 import ast
@@ -419,3 +422,42 @@ def test_finds_a_plain_unique():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_plain_unique(path):
     assert plain_uniques(path.read_text()) == [], f"plain np.unique in {path.name}"
+
+
+def _is_scipy(name) -> bool:
+    return name is not None and (name == "scipy" or name.startswith("scipy."))
+
+
+def module_scipy_imports(source: str) -> list:
+    """Line of each import of scipy or a module of it that runs when the
+    module is imported: one outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import) and any(_is_scipy(a.name) for a in child.names):
+                found.append(child.lineno)
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and _is_scipy(child.module)):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_finds_a_module_scipy_import():
+    src = ("import scipy\nimport numpy as np, scipy.sparse as sp\n"
+           "from scipy.spatial import cKDTree\nfrom scipyx import y\nfrom .scipy import z\n"
+           "if True:\n    from scipy import optimize\n"
+           "def f():\n    from scipy.spatial import Voronoi\n    import scipy\n"
+           "class C:\n    import scipy.linalg\n    def g(self):\n        import scipy.optimize\n")
+    assert module_scipy_imports(src) == [1, 2, 3, 7, 12]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/voidhex/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_scipy_import(path):
+    assert module_scipy_imports(path.read_text()) == [], f"scipy imported at import of {path.name}"

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError, Voronoi, cKDTree
@@ -235,7 +236,7 @@ class TestBuildCells:
             calls.append(sites)
             raise QhullError("degenerate")
 
-        monkeypatch.setattr(voronoi, "Voronoi", degenerate)
+        monkeypatch.setattr(scipy.spatial, "Voronoi", degenerate)
         bed = fixtures.simple_cubic(2)
         with pytest.raises(GeometryError, match="^Voronoi construction failed: degenerate$"):
             build_cells(bed, generate_ghosts(bed))
@@ -468,11 +469,12 @@ def reference_build_cells(bed, ghosts):
     """The former `build_cells` from the Voronoi diagram on: one Python
     loop over the ridges, and a `polygon_area` per facet for the
     degenerate-area test; kept as the reference for the array passes.
-    The diagram comes from ``voronoi.Voronoi``, so a test can hand it one."""
+    The diagram comes from ``scipy.spatial.Voronoi``, looked up at the call
+    as `build_cells` looks it up, so a test can hand both the same one."""
     R = bed.radius_nominal
     n = bed.n_spheres
     sites = np.vstack([bed.centers, ghosts.ghost_centers.reshape(-1, 3)])
-    vor = voronoi.Voronoi(sites)
+    vor = scipy.spatial.Voronoi(sites)
     verts, remap = _dedup_vertices(vor.vertices, VERTEX_DEDUP_TOL * R)
 
     ridges = []
@@ -597,7 +599,7 @@ class TestBuildCellsReference:
                 ridge_points=np.vstack([[[0, 1]] * 3, vor.ridge_points]),
                 ridge_vertices=extra + rv)
 
-        monkeypatch.setattr(voronoi, "Voronoi", diagram)
+        monkeypatch.setattr(scipy.spatial, "Voronoi", diagram)
         got = _build_outcome(build_cells, bed, ghosts)
         assert got == _build_outcome(reference_build_cells, bed, ghosts)
         plain.points = np.vstack([plain.points, line])
@@ -610,7 +612,7 @@ class TestBuildCellsReference:
         bed = fixtures.simple_cubic(2)
         ghosts = generate_ghosts(bed)
         g = bed.n_spheres
-        monkeypatch.setattr(voronoi, "Voronoi", with_ridges([
+        monkeypatch.setattr(scipy.spatial, "Voronoi", with_ridges([
             ((g, g + 1), [-1, 0, 1]),
             ((5, 2), [0, 1, 2]),
             ((6, 3), [0, -1, 2]),
