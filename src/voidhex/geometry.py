@@ -41,11 +41,21 @@ def first_seen(values: np.ndarray):
     Returns (ids, first): ids[k] is the number of values[k], and first[j]
     is the position where the value numbered j first appears.
     """
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    return rank[inverse], first[seen]
+    n = len(values)
+    if n == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    # one sort; a run of equal values first appears at its least position
+    order = np.argsort(values)
+    s = values[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
+    mark = np.zeros(n, dtype=bool)
+    mark[firsts] = True
+    rank = np.cumsum(mark) - 1   # at a first position, the number of its value
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = rank[firsts][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(mark)
 
 
 def distinct(values) -> np.ndarray:

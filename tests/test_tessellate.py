@@ -13,7 +13,13 @@ from test_repair import as_pairs, csr, loop_is_simple, loops_of, polygon_area
 from voidhex import fixtures
 from voidhex.bed import SphereBed
 from voidhex.errors import GeometryError
-from voidhex.geometry import GUARD_RADIUS, corner_angles, loops_are_simple, polygon_areas
+from voidhex.geometry import (
+    GUARD_RADIUS,
+    corner_angles,
+    first_seen,
+    loops_are_simple,
+    polygon_areas,
+)
 from voidhex.repair import RepairConfig, repair
 from voidhex.tessellate import (
     ANGLE_THRESHOLD,
@@ -689,6 +695,33 @@ class TestPolygonHelpers:
         assert not loop_is_simple([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # crossing
         assert loop_is_simple([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 0.0), (0.0, 2.0)])  # touching
         assert loop_is_simple([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])  # collinear
+
+
+def old_first_seen(values):
+    """The former `first_seen`, from `np.unique` with its first indices and
+    inverse, kept as the reference."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return rank[inverse], first[seen]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.integers(-5, 5), max_size=60),
+    st.lists(st.integers(-2**62, 2**62), max_size=60),
+    st.tuples(st.integers(-3, 3), st.integers(0, 60)).map(lambda vn: [vn[0]] * vn[1]),
+))
+@example([])
+@example([7] * 5)
+def test_first_seen_matches_reference(values):
+    """`first_seen` numbers int64 values as the former formula does, with
+    the same dtypes: also when empty and when all are equal."""
+    values = np.array(values, dtype=np.int64)
+    got, ref = first_seen(values), old_first_seen(values)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 @pytest.fixture(scope="module")
