@@ -445,21 +445,25 @@ def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, labels)
     others[at] = False
     others = np.flatnonzero(others)
     mine = edges(loops)
-    _, inv, count = np.unique(mine, return_inverse=True, return_counts=True)
-    exposed = count[inv].reshape(mine.shape) != 2
-    theirs = edges(_loops(mesh.elements, mesh.faces[others]))
-    by = np.argsort(theirs.ravel(), kind="stable")
-    srt = theirs.ravel()[by]
-    pos = np.searchsorted(srt, mine)
-    found = np.zeros(mine.shape, dtype=bool)
-    valid = pos < len(srt)
-    found[valid] = srt[pos[valid]] == mine[valid]
-    missing = np.argwhere(exposed & ~found)
-    if len(missing):
-        e = int(mine[tuple(missing[0])])
+    edge, inv, count = np.unique(mine, return_inverse=True, return_counts=True)
+    # the other faces' edges are looked up among the sorted distinct
+    # exposed edges; an edge's first match in table order is its donor
+    bare = count != 2
+    edge = edge[bare]
+    theirs = edges(_loops(mesh.elements, mesh.faces[others])).ravel()
+    pos = np.searchsorted(edge, theirs)
+    hit = np.flatnonzero(pos < len(edge))
+    hit = hit[edge[pos[hit]] == theirs[hit]]
+    matched, at_first = np.unique(pos[hit], return_index=True)
+    face = np.full(len(edge), -1)
+    face[matched] = hit[at_first] // 4
+    side = np.flatnonzero(bare[inv])   # the exposed sides, row by row
+    face = face[(np.cumsum(bare) - 1)[inv.ravel()[side]]]
+    if (face < 0).any():
+        e = int(mine.flat[side[np.argmax(face < 0)]])
         raise TopologyError(f"exposed {labels[0]} side at edge {(e // n, e % n)} has no donor tag")
     donor = np.full(mine.shape, -1)
-    donor[exposed] = mesh.face_surface[others[by[pos[exposed]] // 4]]
+    donor.flat[side] = mesh.face_surface[others[face]]
     e = first + np.arange(len(at))[:, None] * nlayers + np.arange(nlayers)
     return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(at), -1), np.tile(donor, nlayers)
 

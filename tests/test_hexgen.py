@@ -28,6 +28,7 @@ from voidhex.hexgen import (
     _face_table,
     _grow_layers,
     _loops,
+    _sides,
     audit_conformal,
     boundary_surfaces,
     corner_dets,
@@ -677,6 +678,91 @@ class TestGrowLayers:
                            match=r"exposed wall side at edge \(4, 5\) has no donor tag"):
             _grow_layers(mesh, np.array([0]), loops, np.arange(4)[None],
                          (UNIT_CUBE[4:] + [0, 0, 1])[:, None], ["wall"], [0])
+
+
+def reference_sides(mesh, at, loops, first, labels):
+    """The former `_sides`: each side's edge is searched among the edges of
+    every other tagged face, in a stable argsort; kept as the reference."""
+    n, nlayers = len(mesh.nodes), len(labels)
+
+    def edges(lp):
+        b = np.roll(lp, -1, axis=1)
+        return np.minimum(lp, b) * n + np.maximum(lp, b)
+
+    others = np.ones(len(mesh.faces), dtype=bool)
+    others[at] = False
+    others = np.flatnonzero(others)
+    mine = edges(loops)
+    _, inv, count = np.unique(mine, return_inverse=True, return_counts=True)
+    exposed = count[inv].reshape(mine.shape) != 2
+    theirs = edges(_loops(mesh.elements, mesh.faces[others]))
+    by = np.argsort(theirs.ravel(), kind="stable")
+    srt = theirs.ravel()[by]
+    pos = np.searchsorted(srt, mine)
+    found = np.zeros(mine.shape, dtype=bool)
+    valid = pos < len(srt)
+    found[valid] = srt[pos[valid]] == mine[valid]
+    missing = np.argwhere(exposed & ~found)
+    if len(missing):
+        e = int(mine[tuple(missing[0])])
+        raise TopologyError(f"exposed {labels[0]} side at edge {(e // n, e % n)} has no donor tag")
+    donor = np.full(mine.shape, -1)
+    donor[exposed] = mesh.face_surface[others[by[pos[exposed]] // 4]]
+    e = first + np.arange(len(at))[:, None] * nlayers + np.arange(nlayers)
+    return (6 * e[:, :, None] + 2 + np.arange(4)).reshape(len(at), -1), np.tile(donor, nlayers)
+
+
+def sides_outcome(sides, mesh, args):
+    """The arrays `sides` returns, as dtypes and lists, or the message of
+    the TopologyError it raised."""
+    try:
+        return [(a.dtype.str, a.tolist()) for a in sides(mesh, *args)]
+    except TopologyError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def side_calls(cube_swept, random_swept):
+    """The arguments of every `_sides` call of the cube's and the cylinder
+    fixture's extrusions."""
+    found, real = [], hexgen._sides
+
+    def record(mesh, *args):
+        found.append((copy.deepcopy(mesh), args))
+        return real(mesh, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hexgen, "_sides", record)
+        extrude_layers(refine_radial(cube_swept[2]))
+        extrude_layers(refine_radial(random_swept[2]))
+    return found
+
+
+class TestSides:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(0, 4), st.integers(0, 2**31), st.sampled_from([0.0, 0.02, 0.3]),
+           st.sampled_from([0.0, 0.002]))
+    def test_matches_reference(self, side_calls, call, seed, dup, drop):
+        """The sides and donors equal the former stable-argsort lookup's, or
+        both raise the same error, on a growth's tag table shuffled, with
+        random surfaces, some rows tagged twice (an edge with several
+        donors takes the first in table order) and some dropped (a side
+        with none raises)."""
+        assert len(side_calls) == 5
+        mesh, (at, loops, first, labels) = side_calls[call]
+        rng = np.random.default_rng(seed)
+        mesh = copy.copy(mesh)
+        mine = np.zeros(len(mesh.faces), dtype=bool)
+        mine[at] = True
+        keep = np.flatnonzero(mine | (rng.random(len(mine)) >= drop))
+        extra = np.flatnonzero(~mine & (rng.random(len(mine)) < dup))
+        rows = np.concatenate([keep, extra])[rng.permutation(len(keep) + len(extra))]
+        mesh.faces = mesh.faces[rows]
+        mesh.face_surface = rng.integers(0, 6, len(rows))
+        where = np.full(len(mine), -1)
+        where[rows[mine[rows]]] = np.flatnonzero(mine[rows])
+        args = (where[at], loops, first, labels)
+        assert sides_outcome(_sides, mesh, args) == sides_outcome(reference_sides, mesh, args)
 
 
 @pytest.fixture(scope="module")
