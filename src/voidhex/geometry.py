@@ -42,8 +42,6 @@ def first_seen(values: np.ndarray):
     is the position where the value numbered j first appears.
     """
     n = len(values)
-    if n == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # one sort; a run of equal values first appears at its least position
     order = np.argsort(values)
     s = values[order]

@@ -455,10 +455,10 @@ def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, labels)
     hit = np.flatnonzero(pos < len(edge))
     hit = hit[edge[pos[hit]] == theirs[hit]]
     matched, at_first = np.unique(pos[hit], return_index=True)
-    face = np.full(len(edge), -1)
-    face[matched] = hit[at_first] // 4
+    edge_face = np.full(len(edge), -1)
+    edge_face[matched] = hit[at_first] // 4
     side = np.flatnonzero(bare[inv])   # the exposed sides, row by row
-    face = face[(np.cumsum(bare) - 1)[inv.ravel()[side]]]
+    face = edge_face[(np.cumsum(bare) - 1)[inv.ravel()[side]]]
     if (face < 0).any():
         e = int(mine.flat[side[np.argmax(face < 0)]])
         raise TopologyError(f"exposed {labels[0]} side at edge {(e // n, e % n)} has no donor tag")
