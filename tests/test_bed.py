@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -491,6 +492,29 @@ class TestRelax:
         bed = fixtures.random_annulus_bed()
         d, _ = cKDTree(bed.centers).query(bed.centers, k=2)
         assert d[:, 1].min() >= 1.9 * bed.radius_nominal
+
+
+# sha256 of the centers' little-endian float64 bytes, per bed: the
+# benchmark's (cells_large turns and shuffles the third) and the default
+# annulus bed. A change to the fixtures that keeps these keeps the
+# benchmark's inputs.
+BED_DIGESTS = {
+    "cylinder_mesh": (lambda: fixtures.random_cylinder_bed(n=100, R_c=4.0, H=15.0, seed=7),
+                      "6dc5a2fed4c53c3500e17587e4750cf654f51f24279b797c4aced6266b88d276"),
+    "lattice_box": (lambda: fixtures.simple_cubic(4),
+                    "99fe8b44f4ba25462e4f9cb57d3e2f9b6426acb59b1a0171552201cea86f6cb6"),
+    "cells_large": (lambda: fixtures.random_cylinder_bed(n=1000, R_c=9.0, H=30.0, seed=7),
+                    "2f62d6b8a4865029600e805fdde211e7fa79f176fca3409e51c01a523c47933d"),
+    "annulus": (fixtures.random_annulus_bed,
+                "f1cee84760c833fa1c662232189dedc45afc80f6f60f388acf4e469b98b9c2e1"),
+}
+
+
+@pytest.mark.parametrize("name", list(BED_DIGESTS))
+def test_bed_digest(name):
+    make, digest = BED_DIGESTS[name]
+    centers = np.ascontiguousarray(make().centers, dtype="<f8")
+    assert hashlib.sha256(centers.tobytes()).hexdigest() == digest
 
 
 COPLANAR_GRID = np.array([(x, y, 0.0) for x in range(4) for y in range(4)])
