@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voidhex import fixtures
-from voidhex.bed import RADIAL, Box, SphereBed, attach_domain, rescale, separation_profile
+from voidhex.bed import (
+    RADIAL,
+    Box,
+    SphereBed,
+    attach_domain,
+    fit_cylinder,
+    rescale,
+    separation_profile,
+)
 from voidhex.errors import GeometryError, ValidationError
 from voidhex.geometry import GUARD_RADIUS, check_guard, plane_basis
 from voidhex.repair import (
@@ -892,6 +900,25 @@ class TestFullRepair:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert {r["op"] for r in oplog} == {"collapse", "insert"}
         assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a collapse reverses facet 3070's loop, "
+                                       "and tessellate_cells stops on it")
+def test_repair_keeps_loop_orientation():
+    """After a repair, every live loop of a preconditioned n=500 bed has a
+    positive area in its facet's plane basis: no collapse reverses a loop."""
+    bed = fixtures.random_cylinder_bed(500, 7.2, 24.0, seed=12)
+    bed = attach_domain(bed, fit_cylinder(bed), fitted=True)
+    bed = rescale(bed, separation_profile(bed))
+    cs = build_cells(bed, generate_ghosts(bed))
+    repair(cs, RepairConfig())
+    reversed_loops = []
+    for fid, f in enumerate(cs.facets):
+        if not f.deleted:
+            rel = cs.points[f.loop] - f.plane_point
+            if polygon_area(np.column_stack([rel @ f.e1, rel @ f.e2])) <= 0:
+                reversed_loops.append(fid)
+    assert reversed_loops == []
 
 
 @pytest.mark.parametrize("k", [1e-7, 1.0])
