@@ -1,9 +1,10 @@
 """Deterministic test packings: lattices and relaxed random beds.
 
-These are geometry fixtures, not a DEM simulator: random beds are built by
-seeding points in the container and iteratively pushing overlapping pairs
-apart until the contact-distance plateau is tight. Every generator is
-seeded, so repeated calls are bitwise reproducible.
+These are geometry fixtures, not a DEM simulator: a random bed draws its
+first centers with the `sample` of the container shrunk by one radius at
+each wall, then pushes pairs nearer than RELAX_CONTACT apart until the
+contact-distance plateau is tight. Every generator is seeded, so repeated
+calls are bitwise reproducible.
 
 Importing this module loads no scipy, and neither do the lattices:
 `_relax`, which the random beds call, loads `scipy.spatial` on its first
@@ -19,6 +20,8 @@ import numpy as np
 from .bed import Annulus, Box, Cylinder, SphereBed, attach_domain
 
 _SQRT3 = math.sqrt(3.0)
+RELAX_CONTACT = 2.0  # the center distance _relax pushes pairs apart to: unit spheres touching
+RELAX_SWEEPS = 600   # the most Jacobi sweeps _relax runs
 
 
 def simple_cubic(n: int = 3, spacing: float = 2.0) -> SphereBed:
@@ -59,14 +62,15 @@ def solid_fraction_bed(n: int = 100, fraction: float = 0.641) -> SphereBed:
     return attach_domain(bed, Box((0.0, 0.0, 0.0), (side, side, side)))
 
 
-def _relax(centers: np.ndarray, clamp, target: float = 2.0, iters: int = 600) -> np.ndarray:
-    """Push overlapping pairs apart (Jacobi sweeps) until near-contact."""
+def _relax(centers: np.ndarray, clamp) -> np.ndarray:
+    """Push pairs nearer than RELAX_CONTACT apart (Jacobi sweeps, at most
+    RELAX_SWEEPS of them) until near-contact."""
     from scipy.spatial import cKDTree
 
     pts = centers.copy()
     n = len(pts)
-    for _ in range(iters):
-        pairs = cKDTree(pts).query_pairs(target, output_type="ndarray")
+    for _ in range(RELAX_SWEEPS):
+        pairs = cKDTree(pts).query_pairs(RELAX_CONTACT, output_type="ndarray")
         if len(pairs) == 0:
             break
         # rows (i, j), i < j, in lexicographic order; each node's pushes
@@ -75,7 +79,7 @@ def _relax(centers: np.ndarray, clamp, target: float = 2.0, iters: int = 600) ->
         d = pts[pairs[:, 1]] - pts[pairs[:, 0]]
         dist = np.linalg.norm(d, axis=1)
         dist = np.maximum(dist, 1e-9)
-        push = 0.55 * (target - dist) / dist
+        push = 0.55 * (RELAX_CONTACT - dist) / dist
         step = d * push[:, None]
         idx = pairs.T.ravel()
         pushes = np.vstack([-step, step])
@@ -83,7 +87,7 @@ def _relax(centers: np.ndarray, clamp, target: float = 2.0, iters: int = 600) ->
                                 for k in range(3)])
         pts = clamp(pts)
         worst = float(dist.min())
-        if worst > target - 1e-9:
+        if worst > RELAX_CONTACT - 1e-9:
             break
     return pts
 
@@ -92,6 +96,8 @@ def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
                         seed: int = 7) -> SphereBed:
     """Relaxed random packing of n unit spheres in a cylinder.
 
+    The first centers are uniform in the cylinder one radius in from each
+    wall, so a cylinder with R_c <= 1 or H <= 2 raises ValidationError.
     The output is in raw (pre-rescale) units with contacts at distance
     ~2; run the separation/rescale preconditioning on it like any input.
     """
@@ -106,18 +112,15 @@ def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
         pts[:, 2] = np.clip(pts[:, 2], 1.0, H - 1.0)
         return pts
 
-    rho = (R_c - 1.0) * np.sqrt(rng.random(n))
-    ang = 2 * np.pi * rng.random(n)
-    z = 1.0 + (H - 2.0) * rng.random(n)
-    pts = np.column_stack([rho * np.cos(ang), rho * np.sin(ang), z])
-    pts = _relax(pts, clamp)
+    pts = _relax(Cylinder((0.0, 0.0), R_c - 1.0, H - 2.0, 1.0).sample(n, rng), clamp)
     bed = SphereBed(centers=pts, source_label=f"randcyl{n}")
     return attach_domain(bed, Cylinder((0.0, 0.0), R_c, H))
 
 
 def random_annulus_bed(n: int = 150, R_i: float = 2.5, R_o: float = 5.5,
                        H: float = 14.0, seed: int = 11) -> SphereBed:
-    """Relaxed random packing of n unit spheres in an annulus."""
+    """Relaxed random packing of n unit spheres in an annulus, from first
+    centers uniform in the annulus one radius in from each wall."""
     rng = np.random.default_rng(seed)
 
     def clamp(pts):
@@ -129,11 +132,7 @@ def random_annulus_bed(n: int = 150, R_i: float = 2.5, R_o: float = 5.5,
         pts[:, 2] = np.clip(pts[:, 2], 1.0, H - 1.0)
         return pts
 
-    rho = np.sqrt(rng.uniform((R_i + 1.0) ** 2, (R_o - 1.0) ** 2, n))
-    ang = 2 * np.pi * rng.random(n)
-    z = 1.0 + (H - 2.0) * rng.random(n)
-    pts = np.column_stack([rho * np.cos(ang), rho * np.sin(ang), z])
-    pts = _relax(pts, clamp)
+    pts = _relax(Annulus((0.0, 0.0), R_i + 1.0, R_o - 1.0, H - 2.0, 1.0).sample(n, rng), clamp)
     bed = SphereBed(centers=pts, source_label=f"randann{n}")
     return attach_domain(bed, Annulus((0.0, 0.0), R_i, R_o, H))
 

@@ -493,6 +493,17 @@ class TestRelax:
         d, _ = cKDTree(bed.centers).query(bed.centers, k=2)
         assert d[:, 1].min() >= 1.9 * bed.radius_nominal
 
+    @pytest.mark.parametrize("make", [
+        lambda: fixtures.random_cylinder_bed(5, R_c=1.0, H=10.0),
+        lambda: fixtures.random_cylinder_bed(5, R_c=3.0, H=2.0),
+        lambda: fixtures.random_annulus_bed(5, R_i=2.0, R_o=4.0),
+    ], ids=["cylinder_radius", "cylinder_height", "annulus_width"])
+    def test_no_room_for_a_sphere_raises(self, make):
+        """A container with no room for a unit sphere has no shrunk
+        container to sample the first centers in."""
+        with pytest.raises(ValidationError, match="needs"):
+            make()
+
 
 # sha256 of the centers' little-endian float64 bytes, per bed: the
 # benchmark's (cells_large turns and shuffles the third) and the default
