@@ -238,21 +238,20 @@ def attach_domain(bed: SphereBed, domain: DomainShape, fitted: bool = False) -> 
     return replace(bed, domain=domain)
 
 
-def load_centers(path, fmt: str = "xyz_whitespace") -> SphereBed:
-    """Read one sphere center per line; '#' starts a comment.
+def load_centers(path) -> SphereBed:
+    """Read one sphere center per line, as three whitespace-separated
+    numbers; '#' starts a comment.
 
-    fmt is 'xyz_whitespace' or 'csv'. Rows must have exactly three finite
-    numeric fields. Duplicate points (closer than 1e-12) are rejected.
+    Rows must have exactly three finite numeric fields. Duplicate points
+    (closer than 1e-12) are rejected.
     """
-    if fmt not in ("xyz_whitespace", "csv"):
-        raise ValidationError(f"unknown format {fmt!r}")
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            parts = text.split(",") if fmt == "csv" else text.split()
+            parts = text.split()
             if len(parts) != 3:
                 raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
             try:

@@ -50,11 +50,6 @@ class TestLoadCenters:
         p = write(tmp_path, "# header\n\n1 2 3  # trailing\n")
         assert load_centers(p).n_spheres == 1
 
-    def test_csv(self, tmp_path):
-        p = write(tmp_path, "1,2,3\n4,5,6\n")
-        b = load_centers(p, fmt="csv")
-        assert np.allclose(b.centers, [[1, 2, 3], [4, 5, 6]])
-
     def test_bad_arity_reports_line(self, tmp_path):
         p = write(tmp_path, "0 0 0\n0 0\n")
         with pytest.raises(ParseError, match="line 2"):
