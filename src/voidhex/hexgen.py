@@ -609,7 +609,3 @@ def corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
         for k in range(3):
             J[:, c, :, k] = -sign[c, k] * (x[:, adj[c, k], :] - x[:, c, :]) / 2.0
     return J
-
-
-def corner_dets(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    return np.linalg.det(corner_jacobians(nodes, elements))

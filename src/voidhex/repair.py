@@ -605,11 +605,3 @@ def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -
                     fh.write(json.dumps(rec) + "\n")
     return cs
 
-
-def edge_lengths(cs: VoronoiCellSet, cfg: RepairConfig | None = None):
-    """(length, base tolerance) per unique live edge, with the base
-    tolerances of ``cfg`` (default: `RepairConfig()`); for audits."""
-    cfg = cfg or RepairConfig()
-    edges = _edge_table(cs.points, _loop_rows(cs))
-    tol = _base_tolerance(edges, _facet_zone(cs), cfg)
-    return list(zip(edges.length.tolist(), tol.tolist()))

@@ -52,10 +52,6 @@ class GhostSet:
     parent: np.ndarray  # (G,) int64 site reflected: a center i < n, or n + j for radial ghost j
     wall: np.ndarray    # (G,) int64 index in domain.walls of the wall it was reflected across
 
-    @property
-    def n_ghosts(self) -> int:
-        return len(self.ghost_centers)
-
 
 class FacetRecord(NamedTuple):
     """One row of a `VoronoiCellSet` facet table; ``deleted`` is derived

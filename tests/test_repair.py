@@ -31,7 +31,6 @@ from voidhex.repair import (
     _loop_rows,
     boundary_zone,
     collapse_edges,
-    edge_lengths,
     insert_vertices,
     repair,
 )
@@ -749,6 +748,14 @@ class TestMovedOnlyGuard:
         assert recs[0]["edge"] == [0, 1] and recs[0]["new_vertices"] == [4, 5, 6]
         assert {r["op"] for r in recs} == {"insert"}
         assert np.array_equal(cs.points, np.array(pts))
+
+
+def edge_lengths(cs, cfg=None):
+    """(length, base tolerance) per unique live edge, with the base
+    tolerances of ``cfg`` (default: `RepairConfig()`)."""
+    edges = _edge_table(cs.points, _loop_rows(cs))
+    tol = _base_tolerance(edges, _facet_zone(cs), cfg or RepairConfig())
+    return list(zip(edges.length.tolist(), tol.tolist()))
 
 
 @pytest.fixture(scope="module")

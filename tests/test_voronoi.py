@@ -58,7 +58,7 @@ class TestGhosts:
             Cylinder((0.0, 0.0), 10.0, 20.0),
         )
         g = generate_ghosts(bed)
-        assert g.n_ghosts == 1
+        assert len(g.ghost_centers) == 1
         assert np.allclose(g.ghost_centers[0], [10.5, 0.0, 10.0])
         assert (g.parent.tolist(), g.wall.tolist()) == ([0], [2])  # walls[2] is the cylinder
 
@@ -67,7 +67,7 @@ class TestGhosts:
             SphereBed(centers=np.array([[0.0, 0.0, 10.0]])),
             Cylinder((0.0, 0.0), 10.0, 20.0),
         )
-        assert generate_ghosts(bed).n_ghosts == 0
+        assert len(generate_ghosts(bed).ghost_centers) == 0
 
     def test_corner_center_chains_z_reflection(self):
         bed = attach_domain(
@@ -97,7 +97,7 @@ class TestGhosts:
     def test_all_ghosts_outside(self):
         bed = fixtures.random_cylinder_bed(n=40, R_c=3.5, H=10.0, seed=2)
         g = generate_ghosts(bed)
-        assert g.n_ghosts > 0
+        assert len(g.ghost_centers) > 0
         assert not bed.domain.contains(g.ghost_centers).any()
 
     def test_annulus_inner_reflection_preserves_distance(self):
@@ -114,7 +114,7 @@ class TestGhosts:
     def test_box_reflections(self):
         bed = fixtures.simple_cubic(2)  # 8 spheres, every one in a corner
         g = generate_ghosts(bed)
-        assert g.n_ghosts == 8 * 3
+        assert len(g.ghost_centers) == 8 * 3
 
 
 class TestBuildCells:
