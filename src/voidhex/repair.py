@@ -23,10 +23,10 @@ where no two of its collapses share an end. It walks its sorted
 candidates speculatively, window by window (`_walk`): a Python scan
 picks the candidates whose ends are free, and array passes over their
 (facet, candidate) pairs give each loop state its length and its pinch
-test. The states are checked for a flat or self-intersecting polygon in
-one array pass per padded loop size (`_breaks`), from their rows in one
-position table per pass (pass-start positions, then candidate
-midpoints). The collapses before the first one that would pinch or break
+test. The states are checked for a flat, reversed or self-intersecting
+polygon in one array pass per padded loop size (`_breaks`), from their
+rows in one position table per pass (pass-start positions, then
+candidate midpoints). The collapses before the first one that would pinch or break
 a loop are applied, that one is skipped, and the walk resumes after it
 and checks all its loop states again.
 
@@ -311,8 +311,11 @@ def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.ndarray:
-    """Per loop state: is its polygon flat (area under FLAT_LOOP_AREA R^2)
-    or self-intersecting?
+    """Per loop state: is its polygon flat or reversed (signed area under
+    FLAT_LOOP_AREA R^2), or self-intersecting?
+
+    A live loop runs counterclockwise in its facet's plane basis, so a
+    state of negative area is the loop turned over.
 
     ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
     facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
@@ -321,7 +324,7 @@ def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.nda
     """
     x = (rel @ e1[:, :, None])[..., 0]
     y = (rel @ e2[:, :, None])[..., 0]
-    return (np.abs(polygon_areas(x, y)) < FLAT_LOOP_AREA * R * R) | ~loops_are_simple(x, y)
+    return (polygon_areas(x, y) < FLAT_LOOP_AREA * R * R) | ~loops_are_simple(x, y)
 
 
 class _Repair:
@@ -560,11 +563,10 @@ def collapse_edges(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = N
 
     Shortest edges go first; a collapse fuses both endpoints at the edge
     midpoint across every facet that shares the edge; facets left with
-    fewer than 3 edges are deleted. A collapse that would pinch, flatten or
-    self-intersect a facet loop is skipped, and tried again in later
-    passes; its first skip is logged. Cleanup passes at
-    the full tolerance run after the schedule until no edge is left
-    below it.
+    fewer than 3 edges are deleted. A collapse that would pinch, flatten,
+    reverse or self-intersect a facet loop is skipped, and tried again in
+    later passes; its first skip is logged. Cleanup passes at the full
+    tolerance run after the schedule until no edge is left below it.
     """
     run = _Repair(cs, cfg, oplog)
     run.collapse_edges()

@@ -63,7 +63,9 @@ def set_cells(cs, cells) -> None:
 
 
 def make_synthetic(points, loops, n_centers=1):
-    """Single-cell cell set around center(s) at the origin-ish for unit tests."""
+    """Single-cell cell set around center(s) at the origin-ish for unit tests.
+    Each facet's normal is that of its loop order (Newell's sum), so every
+    loop has a positive area in its plane basis, as `build_cells` gives."""
     centers = np.zeros((n_centers, 3))
     centers[:, 2] = np.arange(n_centers) * 4.0
     lo = centers.min(axis=0) - 3.0
@@ -72,10 +74,8 @@ def make_synthetic(points, loops, n_centers=1):
     plane_points, normals = [], []
     for loop in loops:
         pts = np.asarray(points)[loop]
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+        n = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
         n = n / np.linalg.norm(n)
-        if np.dot(pts.mean(axis=0) - centers[0], n) < 0:
-            n = -n
         plane_points.append(pts.mean(axis=0))
         normals.append(n)
     normals = np.array(normals)
@@ -256,7 +256,7 @@ def reference_collapse_ok(cs, loops, u, v, mid, touched_fids) -> bool:
             return False  # pinched loop
         rel = np.array([mid if w == u else cs.points[w] for w in loop]) - cs.plane_point[fid]
         pts2 = list(zip((rel @ cs.e1[fid]).tolist(), (rel @ cs.e2[fid]).tolist()))
-        if abs(polygon_area(pts2)) < 1e-16 * R * R:
+        if polygon_area(pts2) < 1e-16 * R * R:
             return False
         if not loop_is_simple(pts2):
             return False
@@ -909,11 +909,11 @@ class TestFullRepair:
         assert p.read_text() == "".join(json.dumps(r) + "\n" for r in oplog)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a collapse reverses facet 3070's loop, "
-                                       "and tessellate_cells stops on it")
 def test_repair_keeps_loop_orientation():
     """After a repair, every live loop of a preconditioned n=500 bed has a
-    positive area in its facet's plane basis: no collapse reverses a loop."""
+    positive area in its facet's plane basis: no collapse reverses a loop.
+    Facet 3070 was reversed while the collapse check took the absolute
+    area, and `tessellate_cells` stopped on it (ROADMAP item 15)."""
     bed = fixtures.random_cylinder_bed(500, 7.2, 24.0, seed=12)
     bed = attach_domain(bed, fit_cylinder(bed), fitted=True)
     bed = rescale(bed, separation_profile(bed))
