@@ -219,6 +219,8 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     tagged with its sphere, and its facet face, if the facet is on the
     container, with the facet's surface from `boundary_surfaces`.
     """
+    if not (0.0 < R0 < 1.0):
+        raise ValidationError("R0 must lie in (0, 1)")
     cs = patches.cellset
     R = cs.bed.radius_nominal
     centers = cs.bed.centers

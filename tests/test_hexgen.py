@@ -438,6 +438,14 @@ class TestSweep:
         _, _, mesh = cube_swept
         assert (np.linalg.det(corner_jacobians(mesh.nodes, mesh.elements)) > 0).all()
 
+    @pytest.mark.parametrize("R0", [0.0, -0.5, 1.0])
+    def test_R0_outside_unit_interval_rejected(self, cube_swept, R0):
+        """R0 = 0 collapses every inner corner onto the center, and R0 < 0
+        puts it on the far side: inverted hexes, not an error."""
+        _, cs, _ = cube_swept
+        with pytest.raises(ValidationError, match=r"R0 must lie in \(0, 1\)"):
+            sweep(tessellate_cells(cs), R0)
+
     def test_conformal(self, random_swept):
         _, _, mesh = random_swept
         stats = audit_conformal(mesh)
