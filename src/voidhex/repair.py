@@ -364,19 +364,12 @@ class _Repair:
     def collapse_edges(self) -> None:
         cs, cfg = self.cs, self.cfg
         facet_zone = _facet_zone(cs)
-        k = 0
-        extra = 0
-        while True:
-            k += 1
-            if k > COLLAPSE_PASSES:
-                extra += 1
-                if extra > 40:
-                    log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
-                    break
-            factor = cfg.pass_tolerance(k)
-            changed = self.collapse_pass(facet_zone, factor, k)
+        for k in range(1, COLLAPSE_PASSES + 41):
+            changed = self.collapse_pass(facet_zone, cfg.pass_tolerance(k), k)
             if k >= COLLAPSE_PASSES and not changed:
                 break
+        else:
+            log.warning("edge collapse did not reach a fixpoint after 40 cleanup passes")
 
     def collapse_pass(self, facet_zone, factor, pass_no) -> int:
         cs = self.cs
