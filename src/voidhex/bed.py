@@ -240,10 +240,8 @@ def attach_domain(bed: SphereBed, domain: DomainShape, fitted: bool = False) -> 
 
 def load_centers(path) -> SphereBed:
     """Read one sphere center per line, as three whitespace-separated
-    numbers; '#' starts a comment.
-
-    Rows must have exactly three finite numeric fields. Duplicate points
-    (closer than 1e-12) are rejected.
+    finite numbers; '#' starts a comment. Duplicate points (closer than
+    1e-12) are rejected.
     """
     rows = []
     with open(path) as fh:

@@ -1,10 +1,9 @@
 """Deterministic test packings: lattices and relaxed random beds.
 
 These are geometry fixtures, not a DEM simulator: a random bed draws its
-first centers with the `sample` of the container shrunk by one radius at
-each wall, then pushes pairs nearer than RELAX_CONTACT apart until the
-contact-distance plateau is tight. Every generator is seeded, so repeated
-calls are bitwise reproducible.
+first centers with its container's `sample`, one radius in from each wall,
+then pushes pairs nearer than RELAX_CONTACT apart until the plateau is tight.
+Every generator is seeded, so repeated calls are bitwise reproducible.
 
 Importing this module loads no scipy, and neither do the lattices:
 `_relax`, which the random beds call, loads `scipy.spatial` on its first
@@ -94,12 +93,11 @@ def _relax(centers: np.ndarray, clamp) -> np.ndarray:
 
 def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
                         seed: int = 7) -> SphereBed:
-    """Relaxed random packing of n unit spheres in a cylinder.
-
-    The first centers are uniform in the cylinder one radius in from each
-    wall, so a cylinder with R_c <= 1 or H <= 2 raises ValidationError.
-    The output is in raw (pre-rescale) units with contacts at distance
-    ~2; run the separation/rescale preconditioning on it like any input.
+    """Relaxed random packing of n unit spheres in a cylinder, from first
+    centers uniform one radius in from each wall (R_c <= 1 or H <= 2 raises
+    ValidationError). The output is in raw (pre-rescale) units with contacts
+    at distance ~2; run the separation/rescale preconditioning on it like
+    any input.
     """
     rng = np.random.default_rng(seed)
 
@@ -119,8 +117,7 @@ def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
 
 def random_annulus_bed(n: int = 150, R_i: float = 2.5, R_o: float = 5.5,
                        H: float = 14.0, seed: int = 11) -> SphereBed:
-    """Relaxed random packing of n unit spheres in an annulus, from first
-    centers uniform in the annulus one radius in from each wall."""
+    """Relaxed random packing of n unit spheres in an annulus."""
     rng = np.random.default_rng(seed)
 
     def clamp(pts):

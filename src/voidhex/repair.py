@@ -26,9 +26,9 @@ picks the candidates whose ends are free, and array passes over their
 test. The states are checked for a flat, reversed or self-intersecting
 polygon in one array pass per padded loop size (`_breaks`), from their
 rows in one position table per pass (pass-start positions, then
-candidate midpoints). The collapses before the first one that would pinch or break
-a loop are applied, that one is skipped, and the walk resumes after it
-and checks all its loop states again.
+candidate midpoints). The collapses before the first one that would
+pinch or break a loop are applied, that one is skipped, and the walk
+resumes after it and checks all its loop states again.
 
 Vertex insertion is one array pass per round: the new ids, their edge
 parameters and points come from `cumsum` and `repeat` over the long
@@ -311,11 +311,9 @@ def _state_rows(p: _Pass, w: _Walk, state: np.ndarray) -> np.ndarray:
 
 
 def _breaks(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray, R: float) -> np.ndarray:
-    """Per loop state: is its polygon flat or reversed (signed area under
-    FLAT_LOOP_AREA R^2), or self-intersecting?
-
-    A live loop runs counterclockwise in its facet's plane basis, so a
-    state of negative area is the loop turned over.
+    """Per loop state: is its polygon flat or turned over (signed area under
+    FLAT_LOOP_AREA R^2; a live loop runs counterclockwise in its facet's
+    plane basis), or self-intersecting?
 
     ``rel`` holds S loops of m vertices each, (S, m, 3), relative to their
     facet's plane point; ``e1`` and ``e2`` are the (S, 3) plane bases. The
@@ -599,4 +597,3 @@ def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -
                 for rec in run.oplog:
                     fh.write(json.dumps(rec) + "\n")
     return cs
-
