@@ -440,8 +440,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("R0", [0.0, -0.5, 1.0])
     def test_R0_outside_unit_interval_rejected(self, cube_swept, R0):
-        """R0 = 0 collapses every inner corner onto the center, and R0 < 0
-        puts it on the far side: inverted hexes, not an error."""
+        """R0 = 0 collapses every inner corner onto the center and R0 < 0
+        puts it on the far side, which gave inverted hexes, not an error.
+        R0 is a fraction of R, checked like refine_radial's split."""
         _, cs, _ = cube_swept
         with pytest.raises(ValidationError, match=r"R0 must lie in \(0, 1\)"):
             sweep(tessellate_cells(cs), R0)
