@@ -202,9 +202,16 @@ class SphereBed:
     source_label: str = ""
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float).reshape(-1, 3)
+        try:
+            c = np.asarray(self.centers, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sphere centers: {exc}") from None
+        if c.ndim != 2 or c.shape[1] != 3:
+            raise ValidationError(f"need an (n, 3) array of sphere centers, got shape {c.shape}")
         if not np.isfinite(c).all():
             raise ValidationError("non-finite sphere center")
+        if not 0 < self.radius_nominal < np.inf:
+            raise ValidationError(f"need a finite radius_nominal > 0, got {self.radius_nominal}")
         object.__setattr__(self, "centers", c)
 
     @property

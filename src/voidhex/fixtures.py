@@ -91,6 +91,21 @@ def _relax(centers: np.ndarray, clamp) -> np.ndarray:
     return pts
 
 
+def _clamp(r_lo: float, r_hi: float, H: float):
+    """The clamp `_relax` applies after each sweep: centers move radially
+    into r_lo <= rho <= r_hi about the z axis, and into 1 <= z <= H - 1."""
+
+    def clamp(pts):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        scale = np.clip(rho, r_lo, r_hi) / np.maximum(rho, 1e-12)
+        pts[:, 0] *= scale
+        pts[:, 1] *= scale
+        pts[:, 2] = np.clip(pts[:, 2], 1.0, H - 1.0)
+        return pts
+
+    return clamp
+
+
 def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
                         seed: int = 7) -> SphereBed:
     """Relaxed random packing of n unit spheres in a cylinder, from first
@@ -100,17 +115,8 @@ def random_cylinder_bed(n: int = 100, R_c: float = 4.0, H: float = 15.0,
     any input.
     """
     rng = np.random.default_rng(seed)
-
-    def clamp(pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        over = rho > R_c - 1.0
-        scale = np.where(over, (R_c - 1.0) / np.maximum(rho, 1e-12), 1.0)
-        pts[:, 0] *= scale
-        pts[:, 1] *= scale
-        pts[:, 2] = np.clip(pts[:, 2], 1.0, H - 1.0)
-        return pts
-
-    pts = _relax(Cylinder((0.0, 0.0), R_c - 1.0, H - 2.0, 1.0).sample(n, rng), clamp)
+    pts = _relax(Cylinder((0.0, 0.0), R_c - 1.0, H - 2.0, 1.0).sample(n, rng),
+                 _clamp(0.0, R_c - 1.0, H))
     bed = SphereBed(centers=pts, source_label=f"randcyl{n}")
     return attach_domain(bed, Cylinder((0.0, 0.0), R_c, H))
 
@@ -119,17 +125,8 @@ def random_annulus_bed(n: int = 150, R_i: float = 2.5, R_o: float = 5.5,
                        H: float = 14.0, seed: int = 11) -> SphereBed:
     """Relaxed random packing of n unit spheres in an annulus."""
     rng = np.random.default_rng(seed)
-
-    def clamp(pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        rho_c = np.clip(rho, R_i + 1.0, R_o - 1.0)
-        scale = rho_c / np.maximum(rho, 1e-12)
-        pts[:, 0] *= scale
-        pts[:, 1] *= scale
-        pts[:, 2] = np.clip(pts[:, 2], 1.0, H - 1.0)
-        return pts
-
-    pts = _relax(Annulus((0.0, 0.0), R_i + 1.0, R_o - 1.0, H - 2.0, 1.0).sample(n, rng), clamp)
+    pts = _relax(Annulus((0.0, 0.0), R_i + 1.0, R_o - 1.0, H - 2.0, 1.0).sample(n, rng),
+                 _clamp(R_i + 1.0, R_o - 1.0, H))
     bed = SphereBed(centers=pts, source_label=f"randann{n}")
     return attach_domain(bed, Annulus((0.0, 0.0), R_i, R_o, H))
 

@@ -12,10 +12,13 @@ one ulp of ``atan2``); the tests keep those loops as their reference.
 `check_guard` is the one guard check, a pure one: repair runs it on its
 facet vertices at its end and tessellation on its nodes at its end, both
 with the guard sphere radius `GUARD_RADIUS`. Nothing moves a point to clear
-a guard. `norms` is the one array norm, for rows of vectors.
-`first_seen` numbers values in order of first use: the tessellation's new
-nodes, and hexgen's. `distinct` gives the sorted distinct values of an
-array from one sort, where a plain `np.unique` would hash them.
+a guard. `norms` is the array norm for rows of vectors, but for
+`bed.separation_profile` and `fixtures._relax`: they keep
+`np.linalg.norm(..., axis=1)`, whose bits differ from `norms` on about one
+row in ten, since a switch would move Delta* and the beds. `first_seen`
+numbers values in order of first use: the tessellation's new nodes.
+`distinct` gives the sorted distinct values of an array from one sort,
+where a plain `np.unique` would hash them.
 """
 
 from __future__ import annotations

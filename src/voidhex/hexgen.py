@@ -9,6 +9,9 @@ and grows layer '1' from there back to the sphere. Then one layer grows
 inward on every sphere, one outward on curved container walls, and
 inlet/outlet duct layers on the z planes.
 
+Each growth takes its base faces in tag-table order and numbers the nodes
+it adds in the order of the nodes they grow from, by one `np.unique`.
+
 The elements are the one record of the sweep lines: corners k + 4 -> k of
 a hex in layer 0, 1 or 'bl' step inward along one line, from the facet
 node q through the split node m and the swept node p to the sphere-layer
@@ -42,7 +45,7 @@ import numpy as np
 
 from .bed import RADIAL, Wall
 from .errors import GeometryError, TopologyError, ValidationError
-from .geometry import first_seen, norms
+from .geometry import norms
 from .tessellate import FacetQuadMesh
 
 R0_DEFAULT = 0.8889  # sweep target radius, fraction of R
@@ -60,7 +63,7 @@ _FACES = np.array([
 ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtrusionSpec:
     t_bl: float = 0.25      # boundary-layer thickness, fraction of local layer
     inlet_layers: int = 3
@@ -86,10 +89,6 @@ class HexMesh:
     elem_layer: np.ndarray             # (E,) str layer label: '0', '1', 'bl', 'wall', ...
     sphere_centers: np.ndarray
     radius: float                      # the bed's sphere radius R
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.elements)
 
     @property
     def columns(self) -> list:
@@ -203,11 +202,9 @@ def _loops(elements: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _select(mesh: HexMesh, keep) -> np.ndarray:
-    """Positions in the tag table of the rows whose surface descriptor
-    passes keep, in the order of their sorted node keys."""
-    at = np.flatnonzero(np.array([keep(d) for d in mesh.surfaces], dtype=bool)[mesh.face_surface])
-    keys = np.sort(_loops(mesh.elements, mesh.faces[at]), axis=1)
-    return at[np.lexsort(keys.T[::-1])]
+    """Positions in the tag table, in table order, of the rows whose
+    surface descriptor passes keep."""
+    return np.flatnonzero(np.array([keep(d) for d in mesh.surfaces], dtype=bool)[mesh.face_surface])
 
 
 def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
@@ -229,9 +226,10 @@ def sweep(patches: FacetQuadMesh, R0: float = R0_DEFAULT) -> HexMesh:
     cell, facet, quads = patches.outward_quads()
     used_tess, outer = np.unique(quads.ravel(), return_inverse=True)
 
-    # one inner node per (cell, tess node), numbered in order of first use
-    ids, first = first_seen(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel())
-    ci, t = cell[first // 4], quads.ravel()[first]
+    # one inner node per (cell, tess node), numbered in the order of that pair
+    key, ids = np.unique(np.repeat(cell, 4) * len(patches.nodes) + quads.ravel(),
+                         return_inverse=True)
+    ci, t = np.divmod(key, len(patches.nodes))
     ray = patches.nodes[t] - centers[ci]
     d = norms(ray)
     low = np.flatnonzero(d < r_sweep)
@@ -408,21 +406,21 @@ def refine_radial(mesh: HexMesh, split: float = 0.55) -> HexMesh:
 
 def _sphere_faces(mesh: HexMesh):
     """(at, rev, ids, p, up, cell) of the sphere faces, each face 0 of its
-    element: their positions in the tag table (`_select`), their reversed
-    loops over corners (1, 2, 3, 0), those loops' first-use ids and nodes
-    p, the node at corner k + 4 above each p and each p's sphere. Raises
-    ValidationError unless there is one sphere face per layer-0 element."""
+    element: their tag-table positions (`_select`), their reversed loops
+    over corners (1, 2, 3, 0), those loops' nodes p in id order and each
+    corner's number among them, the node at corner k + 4 above each p and
+    each p's sphere. Raises ValidationError unless there is one sphere face
+    per layer-0 element."""
     at = _select(mesh, lambda d: d[0] == "sphere")
     n0 = int((mesh.elem_layer == "0").sum())
     if len(at) != n0:
         raise ValidationError(
             f"need one sphere face per layer-0 element, got {len(at)} for {n0}")
-    eid = mesh.faces[at] // 6
-    corner = _FACES[0][::-1]
-    rev = mesh.elements[eid[:, None], corner]
-    ids, first = first_seen(rev.ravel())
-    up = mesh.elements[eid[:, None], corner + 4].ravel()[first]
-    return at, rev, ids.reshape(-1, 4), rev.ravel()[first], up, mesh.face_surface[at][first // 4]
+    el = mesh.elements[mesh.faces[at] // 6][:, [1, 2, 3, 0, 5, 6, 7, 4]]
+    p, ids = np.unique(el[:, :4], return_inverse=True)
+    up, cell = np.empty_like(p), np.empty_like(p)
+    up[ids], cell[ids] = el[:, 4:], mesh.face_surface[at][:, None]
+    return at, el[:, :4], ids, p, up, cell
 
 
 def _sides(mesh: HexMesh, at: np.ndarray, loops: np.ndarray, first: int, labels):
@@ -559,18 +557,18 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
         pts = out.nodes[loops]
         normal = np.cross(pts[:, 1] - pts[:, 0], pts[:, 3] - pts[:, 0])
         normal /= norms(normal)[:, None]
-        # per node, the mean of its faces' normals summed in face order
-        v, inv = np.unique(loops.ravel(), return_inverse=True)
+        # per node, the mean of its faces' normals summed in table order
+        v, ids, count = np.unique(loops, return_inverse=True, return_counts=True)
         mean = np.zeros((len(v), 3))
-        np.add.at(mean, inv, np.repeat(normal, 4, axis=0))
-        mean /= np.bincount(inv)[:, None]
+        np.add.at(mean, ids, normal[:, None])
+        mean /= count[:, None]
         mean /= norms(mean)[:, None]
-        _grow_layers(out, at, loops, inv.reshape(-1, 4), (out.nodes[v] + t_w * mean)[:, None],
+        _grow_layers(out, at, loops, ids, (out.nodes[v] + t_w * mean)[:, None],
                      ["wall"], out.face_surface[at])
 
     # --- inlet / outlet ducts ------------------------------------------------
     # nlayers along z from the z wall facing zdir, a column of nodes above each
-    # surface node in order of first use; the last top is on a new, moved wall
+    # surface node in id order; the last top is on a new, moved wall
     for zdir, nlayers in ((-1.0, spec.inlet_layers), (1.0, spec.outlet_layers)):
         wall = next((d for d in out.surfaces
                      if isinstance(d, Wall) and d.axis == 2 and d.sign == zdir), None)
@@ -579,11 +577,11 @@ def extrude_layers(mesh: HexMesh, spec: ExtrusionSpec | None = None) -> HexMesh:
             continue
         loops = _loops(out.elements, out.faces[at])
         t = float(np.mean(_line_lengths(out, out.faces[at] // 6).ravel()))
-        ids, first = first_seen(loops.ravel())
-        column = np.repeat(out.nodes[loops.ravel()[first]][:, None, :], nlayers, axis=1)
+        v, ids = np.unique(loops, return_inverse=True)
+        column = np.repeat(out.nodes[v][:, None, :], nlayers, axis=1)
         column[:, :, 2] += [zdir * k * t for k in range(1, nlayers + 1)]
         out.surfaces.append(wall._replace(value=wall.value + zdir * nlayers * t))
-        _grow_layers(out, at, loops, ids.reshape(-1, 4), column,
+        _grow_layers(out, at, loops, ids, column,
                      [f"{surface_tag(wall)}{k + 1}" for k in range(nlayers)],
                      np.full(len(at), len(out.surfaces) - 1))
     return out

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -63,7 +62,7 @@ COLLAPSE_PASSES = 10  # scheduled collapse passes; cleanup passes follow
 FLAT_LOOP_AREA = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepairConfig:
     tol_inf: float = 0.35       # interior collapse tolerance, units of R
     tol_boundary: float = 0.25  # collapse tolerance within 2R of the boundary
@@ -500,8 +499,9 @@ class _Repair:
         cs = self.cs
         u, v = edges.u[long_edges], edges.v[long_edges]
         lengths = edges.length[long_edges].tolist()
-        pieces = np.array([2 ** max(1, math.ceil(math.log2(L / limit))) for L in lengths],
-                          dtype=np.int64)
+        # ratio = frac * 2**exp, 0.5 <= frac < 1, so ceil(log2(ratio)) = exp - (frac == 0.5)
+        frac, exp = np.frexp(edges.length[long_edges] / limit)
+        pieces = 2 ** np.maximum(1, exp - (frac == 0.5))
         k = pieces - 1   # new vertices per long edge, numbered in (u, v) order
         base = len(cs.points)
         first = base + np.cumsum(k) - k

@@ -134,6 +134,21 @@ class TestImports:
         assert built
 
 
+class TestSphereBed:
+    @pytest.mark.parametrize("centers", [np.zeros((6, 2)), np.zeros(7), np.zeros(6),
+                                         np.zeros((2, 3, 1)), np.zeros((0, 2)),
+                                         [[0.0, 0.0, 0.0], [1.0, 2.0]], [["a", "b", "c"]]])
+    def test_malformed_centers_raise(self, centers):
+        # not n rows of three numbers; a reshape would make (6, 2) four spheres
+        with pytest.raises(ValidationError, match="centers"):
+            SphereBed(centers=centers)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_radius_raises(self, radius):
+        with pytest.raises(ValidationError, match="radius_nominal"):
+            SphereBed(centers=np.zeros((1, 3)), radius_nominal=radius)
+
+
 class TestFitCylinder:
     def test_symmetric_cross(self):
         z = 5.0

@@ -1,6 +1,6 @@
 import copy
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -298,7 +298,7 @@ class TestAuditAgainstReference:
            st.integers(0, 2**31), st.integers(0, 7), st.integers(1, 7))
     def test_corrupted_mesh(self, cube_extruded, how, pick, corner, offset):
         mesh = copy.deepcopy(cube_extruded)
-        e = pick % mesh.n_elements
+        e = pick % len(mesh.elements)
         if how == "swap":
             other = (corner + offset) % 8
             mesh.elements[e, [corner, other]] = mesh.elements[e, [other, corner]]
@@ -311,7 +311,7 @@ class TestAuditAgainstReference:
             mesh.faces = np.delete(mesh.faces, k)
             mesh.face_surface = np.delete(mesh.face_surface, k)
         elif how == "add_tag":
-            tag_row(mesh, pick % (6 * mesh.n_elements))
+            tag_row(mesh, pick % (6 * len(mesh.elements)))
         else:
             mesh.nodes = np.vstack([mesh.nodes, mesh.nodes[:1]])
         got = verdict(audit_conformal, mesh)
@@ -465,7 +465,7 @@ class TestRefine:
     def test_doubles_elements(self, cube_swept):
         _, _, mesh = cube_swept
         ref = refine_radial(mesh, 0.55)
-        assert ref.n_elements == 2 * mesh.n_elements
+        assert len(ref.elements) == 2 * len(mesh.elements)
 
     def test_split_thickness(self, cube_swept):
         _, _, mesh = cube_swept
@@ -524,6 +524,12 @@ class TestExtrusionSpec:
         spec = ExtrusionSpec(inlet_layers=0, outlet_layers=0)
         assert (spec.inlet_layers, spec.outlet_layers) == (0, 0)
 
+    def test_frozen(self):
+        # validated once, in __post_init__, so no later assignment may undo it
+        spec = ExtrusionSpec()
+        with pytest.raises(FrozenInstanceError):
+            spec.t_bl = -1.0
+
 
 def lattice_extruded(spacing, spec=None):
     bed = fixtures.simple_cubic(3, spacing=spacing)
@@ -561,9 +567,9 @@ class TestExtrude:
         base, ref, ext = extruded
         n_bl = sum(1 for l in ext.elem_layer if l == "bl")
         # one boundary-layer element per base sweep element: 1.5x growth
-        assert n_bl == base.n_elements
+        assert n_bl == len(base.elements)
         bed_like = [l for l in ext.elem_layer if l in ("0", "1", "bl")]
-        assert len(bed_like) == 3 * base.n_elements
+        assert len(bed_like) == 3 * len(base.elements)
 
     def test_three_layers_facet_to_sphere(self, extruded):
         _, _, ext = extruded
@@ -811,7 +817,7 @@ class TestGrowthAudit:
         duplicates the upper one: every face it adds of old nodes is the
         top of the lower hex, which no tag row it replaced names."""
         mesh = hand_mesh(STACK[:12], [LOWER, UPPER])
-        first, kept = mesh.n_elements, len(mesh.faces)
+        first, kept = len(mesh.elements), len(mesh.faces)
         mesh.elements = np.vstack([mesh.elements, UPPER])
         with pytest.raises(TopologyError, match=r"^new face \(4, 5, 6, 7\) of old nodes is not "
                                                 r"a face the growth replaced$"):
@@ -825,7 +831,7 @@ class TestGrowthAudit:
         grown, args = growths[layer]
         _, first, _, kept = args
         mesh = copy.deepcopy(grown)
-        e = first + pick % (mesh.n_elements - first)
+        e = first + pick % (len(mesh.elements) - first)
         if how == "swap":
             other = (corner + offset) % 8
             mesh.elements[e, [corner, other]] = mesh.elements[e, [other, corner]]
@@ -838,7 +844,7 @@ class TestGrowthAudit:
             mesh.faces = np.delete(mesh.faces, k)
             mesh.face_surface = np.delete(mesh.face_surface, k)
         elif how == "add_tag":
-            tag_row(mesh, 6 * first + pick % (6 * (mesh.n_elements - first)))
+            tag_row(mesh, 6 * first + pick % (6 * (len(mesh.elements) - first)))
         else:
             mesh.nodes = np.vstack([mesh.nodes, mesh.nodes[:1]])
         full = verdict(audit_conformal, mesh)
@@ -910,10 +916,12 @@ def canonical_digest(mesh) -> str:
 
 
 # Digests of the final meshes (sweep, refine_radial, extrude_layers) of the
-# two fixtures. A change to hexgen that keeps behaviour keeps these.
+# two fixtures, node and element numbering included: each growth's faces in
+# table order, new nodes numbered by the ids they grow from. A change to
+# hexgen that keeps behaviour and numbering keeps these.
 GOLDEN = {
-    "cube_raw": "2da496b0e581dd80f1bc612a2e875248c97101c062c79dccdd58a9cb47b5b2db",
-    "cylinder_repaired": "0461ba9c312fa100358055e6eeef08e67b58feee03a811ecafa15adb56eed689",
+    "cube_raw": "ad50d7dac867c130105ca520d1ee80266cda969b76c682f28dcbed33b222b123",
+    "cylinder_repaired": "d58d05cb31b1abc2c3be9097735007656c62897f3f34861cefe1ef23b153e4c1",
 }
 
 
@@ -933,7 +941,7 @@ def renumbered(mesh, seed=0):
     another numbering."""
     rng = np.random.default_rng(seed)
     new_id = rng.permutation(len(mesh.nodes))
-    order = rng.permutation(mesh.n_elements)
+    order = rng.permutation(len(mesh.elements))
     new_pos = np.argsort(order)
     nodes = np.empty_like(mesh.nodes)
     nodes[new_id] = mesh.nodes

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import FrozenInstanceError
 from functools import cache
 
 import numpy as np
@@ -114,6 +115,12 @@ class TestRepairConfig:
     def test_bad_tol_inf_raises(self, tol):
         with pytest.raises(ValidationError, match="tol_inf"):
             RepairConfig(tol_inf=tol)
+
+    def test_frozen(self):
+        # validated once, in __post_init__, so no later assignment may undo it
+        cfg = RepairConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.tol_inf = 1.0
 
 
 class TestToleranceSchedule:
