@@ -15,10 +15,9 @@ with the guard sphere radius `GUARD_RADIUS`. Nothing moves a point to clear
 a guard. `norms` is the array norm for rows of vectors, but for
 `bed.separation_profile` and `fixtures._relax`: they keep
 `np.linalg.norm(..., axis=1)`, whose bits differ from `norms` on about one
-row in ten, since a switch would move Delta* and the beds. `first_seen`
-numbers values in order of first use: the tessellation's new nodes.
-`distinct` gives the sorted distinct values of an array from one sort,
-where a plain `np.unique` would hash them.
+row in ten, since a switch would move Delta* and the beds. `distinct`
+gives the sorted distinct values of an array from one sort, where a plain
+`np.unique` would hash them.
 """
 
 from __future__ import annotations
@@ -36,27 +35,6 @@ def norms(v: np.ndarray) -> np.ndarray:
     """Norms along the last axis, each bit-identical to np.linalg.norm of
     that one vector (which takes the BLAS dot product)."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def first_seen(values: np.ndarray):
-    """Number the distinct entries of a 1-D array in order of first use.
-
-    Returns (ids, first): ids[k] is the number of values[k], and first[j]
-    is the position where the value numbered j first appears.
-    """
-    n = len(values)
-    # one sort; a run of equal values first appears at its least position
-    order = np.argsort(values)
-    s = values[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = s[1:] != s[:-1]
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new))
-    mark = np.zeros(n, dtype=bool)
-    mark[firsts] = True
-    rank = np.cumsum(mark) - 1   # at a first position, the number of its value
-    ids = np.empty(n, dtype=np.intp)
-    ids[order] = rank[firsts][np.cumsum(new) - 1]
-    return ids, np.flatnonzero(mark)
 
 
 def distinct(values) -> np.ndarray:

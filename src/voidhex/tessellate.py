@@ -13,10 +13,11 @@ pieces. The area threshold, `PIECE_AREA`, is in units of R^2.
 
 `number_patches` makes every patch all-quad by midside subdivision (quad
 to 4 quads, triangle to 3), one constant index template per piece size,
-and numbers the new nodes in one first-use pass over their keys. An
-original edge's midpoint is keyed by its two vertices, so patches stay
-conformal across facets and cells. Interior points live on the facet's
-original bisecting plane and are Laplacian-smoothed there.
+and numbers the new nodes by one `np.unique` of their keys. An original
+edge's midpoint is keyed by its two vertices, so patches stay conformal
+across facets and cells, and these midpoints are the first new nodes.
+Interior points live on the facet's original bisecting plane and are
+Laplacian-smoothed there.
 
 The smoothing is one array pass over every patch at once. That does what
 one pass per patch would: a patch's interior nodes are its own (no other
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import GUARD_RADIUS, check_guard, corner_angles, distinct, first_seen, polygon_areas
+from .geometry import GUARD_RADIUS, check_guard, corner_angles, distinct, polygon_areas
 from .voronoi import VoronoiCellSet
 
 log = logging.getLogger(__name__)
@@ -68,7 +69,7 @@ class FacetQuadMesh:
     quads: np.ndarray          # (Q, 4) node ids, by facet id, then in patch order
     quad_facet: np.ndarray     # (Q,) facet id of each quad
     owners: np.ndarray         # (O, 2) unique (node, real cell) rows, sorted
-    edge_midpoints: np.ndarray  # (M, 3) rows (a, b, node): the midpoint of edge a < b
+    edge_midpoints: np.ndarray  # (M, 3) rows (a, b, n_points + i), a < b, in (a, b) order
     cellset: VoronoiCellSet
 
     @property
@@ -191,17 +192,20 @@ def number_patches(lab: np.ndarray, pts: np.ndarray, facet: np.ndarray,
     corner points of the pieces of `split_loops`, facet after facet,
     ``facet`` the facet id of each piece, and ``loop_start`` and
     ``loop_vertex`` every facet's loop, as a cell set holds them. A corner
-    labelled k is vertex k of its loop. The barycenter (labelled with the loop length),
-    every side midpoint and every centroid is a new node, numbered from
-    ``n_points`` in order of first use through the node lists. The midpoint
-    of an original loop edge is keyed by its two vertices, so every facet
-    with that edge shares it; the other new nodes belong to one facet.
+    labelled k is vertex k of its loop. The barycenter (labelled with the
+    loop length), every side midpoint and every centroid is a new node,
+    numbered from ``n_points`` by one `np.unique` of their keys. The
+    midpoint of an original loop edge is keyed by its two vertices, so
+    every facet with that edge shares it, and these come first, in (a, b)
+    order; then each facet's cut-edge midpoints and barycenter, by facet
+    and label pair; then the centroids, piece by piece.
 
     Returns (quads, quad_slots, slots, xy, mids): the (Q, 4) quads as node
     ids, piece by piece, and as slot ids; the sorted (S, 2) slots
     (facet, node), one per node of each patch; the (S, 2) position of each
     slot in its facet's plane; and the (M, 3) rows (a, b, node) of the
-    original-edge midpoints, a < b, in node order.
+    original-edge midpoints, a < b, in (a, b) order: nodes ``n_points`` to
+    ``n_points + M - 1``.
     """
     tri = lab[:, 3] == lab[:, 0]    # a quad's four labels differ
     facet = np.asarray(facet, dtype=np.int64)
@@ -228,12 +232,12 @@ def number_patches(lab: np.ndarray, pts: np.ndarray, facet: np.ndarray,
     key = n_points * n_points + (facet[:, None] * w + lo) * w + hi
     key[:, 8] = n_points * n_points + len(size) * w * w + np.arange(len(lab))
     key[edge] = a[edge] * n_points + b[edge]
-    ids, first = first_seen(key[new])
+    uniq, ids = np.unique(key[new], return_inverse=True)
     node = va.copy()
     node[new] = n_points + ids
-    on_edge = edge[new][first]
-    mids = np.column_stack([a[new][first][on_edge], b[new][first][on_edge],
-                            n_points + np.flatnonzero(on_edge)])
+    # the original-edge midpoints, keyed below n_points**2, come first
+    m = uniq[:uniq.searchsorted(n_points * n_points)]
+    mids = np.column_stack([*np.divmod(m, n_points), n_points + np.arange(len(m))])
 
     # each node's position in its piece's plane; the centroid is summed
     # left to right and then divided
@@ -242,7 +246,7 @@ def number_patches(lab: np.ndarray, pts: np.ndarray, facet: np.ndarray,
     centroid /= np.where(tri, 3.0, 4.0)[:, None]
     xy = np.concatenate([pts, 0.5 * (pts + np.roll(pts, -1, axis=1)), centroid[:, None]], axis=1)
 
-    n_nodes = n_points + len(first)
+    n_nodes = n_points + len(uniq)
     slots, where, inverse = np.unique((facet[:, None] * n_nodes + node)[valid],
                                       return_index=True, return_inverse=True)
     slot = np.full(valid.shape, -1)
@@ -337,9 +341,7 @@ def tessellate_cells(cs: VoronoiCellSet) -> FacetQuadMesh:
     nodes = np.empty((int(slots[:, 1].max(initial=n_points - 1)) + 1, 3))
     nodes[:n_points] = cs.points
     nodes[mids[:, 2]] = 0.5 * (cs.points[mids[:, 0]] + cs.points[mids[:, 1]])
-    interior = np.ones(len(nodes), dtype=bool)
-    interior[:n_points] = interior[mids[:, 2]] = False
-    moving = interior[slots[:, 1]]
+    moving = slots[:, 1] >= n_points + len(mids)
     smoothed, _reverted = smooth_patches(xy, quad_slots, quad_facet, moving)
     # the lift, plane_point + u e1 + v e2, of every interior node at once
     facet, nid = slots[moving].T

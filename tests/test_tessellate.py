@@ -16,7 +16,6 @@ from voidhex.errors import GeometryError
 from voidhex.geometry import (
     GUARD_RADIUS,
     corner_angles,
-    first_seen,
     loops_are_simple,
     polygon_areas,
 )
@@ -329,11 +328,17 @@ def ref_subdivide_to_quads(pieces: list, get_node) -> list:
 def ref_number_patches(pieces, facet, loops, n_points):
     """The former numbering: tessellate_cells' get_node callback, facet by
     facet, over `ref_subdivide_to_quads`, with the barycenter labelled
-    'bc'. Returns what `number_patches` does, as lists: the quads, the
-    (facet, node) slots, their (x, y) and the (a, b, node) midpoints."""
+    'bc'. Returns the numbering's outputs, as lists: the quads, the
+    (facet, node) slots, their (x, y) and the (a, b, node) midpoints, each
+    new node numbered in order of first use; and the {node: key} of the new
+    nodes, a key being (0, a, b) for the midpoint of edge a < b, (1, facet,
+    lo, hi) for a facet's barycenter or cut-edge midpoint by label pair
+    (the barycenter's label is the loop length), or (2, piece) for a
+    centroid."""
     n_new = 0
     edge_midpoint = {}
-    all_quads, slots, xy = [], [], []
+    all_quads, slots, xy, keys = [], [], [], {}
+    n_pieces = 0
     for fid, group in itertools.groupby(zip(facet, pieces), key=lambda t: t[0]):
         loop = loops[fid]
         bc = len(loop)
@@ -341,9 +346,10 @@ def ref_number_patches(pieces, facet, loops, n_points):
                         for _, (pts, labels) in group]
         local_uv, local_mid, local_centroid = {}, {}, {}
 
-        def new_interior():
+        def new_interior(key):
             nonlocal n_new
             n_new += 1
+            keys[n_points + n_new - 1] = key
             return n_points + n_new - 1
 
         def get_node(kind, key, uv_pt):
@@ -351,7 +357,7 @@ def ref_number_patches(pieces, facet, loops, n_points):
             if kind == "corner":
                 if key == "bc":
                     if "bc" not in local_centroid:
-                        local_centroid["bc"] = new_interior()
+                        local_centroid["bc"] = new_interior((1, fid, bc, bc))
                     nid = local_centroid["bc"]
                 else:
                     nid = loop[key]
@@ -364,26 +370,40 @@ def ref_number_patches(pieces, facet, loops, n_points):
                     if adjacent:
                         if gkey not in edge_midpoint:
                             edge_midpoint[gkey] = n_points + n_new
+                            keys[n_points + n_new] = (0, *gkey)
                             n_new += 1
                         nid = edge_midpoint[gkey]
                         local_uv[nid] = uv_pt
                         return nid
                 if key not in local_mid:
-                    local_mid[key] = new_interior()
+                    local_mid[key] = new_interior((1, fid, a, bc if b == "bc" else b))
                 nid = local_mid[key]
             else:
                 if key not in local_centroid:
-                    local_centroid[key] = new_interior()
+                    local_centroid[key] = new_interior((2, n_pieces + key))
                 nid = local_centroid[key]
             local_uv[nid] = uv_pt
             return nid
 
         all_quads += ref_subdivide_to_quads(local_pieces, get_node)
+        n_pieces += len(local_pieces)
         for nid in sorted(local_uv):
             slots.append((fid, nid))
             xy.append(local_uv[nid])
     mids = sorted(((a, b, n) for (a, b), n in edge_midpoint.items()), key=lambda r: r[2])
-    return all_quads, slots, xy, mids
+    return all_quads, slots, xy, mids, keys
+
+
+def by_key_rank(ref, n_points):
+    """The outputs of `ref_number_patches` with its new nodes renumbered
+    from ``n_points`` by the rank of their keys, the slots sorted again."""
+    quads, slots, xy, mids, keys = ref
+    new = {nid: n_points + r for r, nid in enumerate(sorted(keys, key=keys.get))}
+    quads = [[new.get(n, n) for n in q] for q in quads]
+    order = sorted(range(len(slots)), key=lambda i: (slots[i][0], new.get(slots[i][1], slots[i][1])))
+    slots = [[slots[i][0], new.get(slots[i][1], slots[i][1])] for i in order]
+    mids = sorted([a, b, new[n]] for a, b, n in mids)
+    return quads, slots, [xy[i] for i in order], mids
 
 
 @st.composite
@@ -418,16 +438,20 @@ class TestNumberPatches:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(split_facets())
     def test_matches_reference(self, case):
-        """Node ids, quads, slots and slot (x, y) bits are those of the
-        former get_node numbering."""
+        """Quads, slots and slot (x, y) bits are those of the former
+        get_node numbering, its new nodes renumbered by the rank of their
+        keys; the edge midpoints are the first new nodes, in (a, b) order."""
         pieces, facet, loops = case
-        ref_quads, ref_slots, ref_xy, ref_mids = ref_number_patches(pieces, facet, loops, 12)
+        ref_quads, ref_slots, ref_xy, ref_mids = by_key_rank(
+            ref_number_patches(pieces, facet, loops, 12), 12)
         quads, quad_slots, slots, xy, mids = number_patches(*piece_arrays(pieces), facet,
                                                             *csr(loops), 12)
-        assert quads.tolist() == [list(q) for q in ref_quads]
-        assert slots.tolist() == [list(s) for s in ref_slots]
+        assert quads.tolist() == ref_quads
+        assert slots.tolist() == ref_slots
         assert xy.tobytes() == np.array(ref_xy, dtype=float).reshape(-1, 2).tobytes()
-        assert mids.tolist() == [list(m) for m in ref_mids]
+        assert mids.tolist() == ref_mids
+        assert (mids[:, 2] == 12 + np.arange(len(mids))).all()
+        assert mids[:, :2].tolist() == sorted(mids[:, :2].tolist())
         assert (slots[quad_slots, 1] == quads).all()
 
     def test_barycenter_facet(self):
@@ -438,8 +462,9 @@ class TestNumberPatches:
         pieces = array_split(uv)
         assert any(12 in labels for _, labels in pieces)
         quads, *_ = number_patches(*piece_arrays(pieces), [0] * len(pieces), *csr([range(12)]), 12)
-        ref_quads, *_ = ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12)
-        assert quads.tolist() == [list(q) for q in ref_quads]
+        ref_quads, *_ = by_key_rank(
+            ref_number_patches(pieces, [0] * len(pieces), [list(range(12))], 12), 12)
+        assert quads.tolist() == ref_quads
 
 
 class TestSubdivide:
@@ -695,33 +720,6 @@ class TestPolygonHelpers:
         assert not loop_is_simple([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # crossing
         assert loop_is_simple([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (2.0, 0.0), (0.0, 2.0)])  # touching
         assert loop_is_simple([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)])  # collinear
-
-
-def old_first_seen(values):
-    """The former `first_seen`, from `np.unique` with its first indices and
-    inverse, kept as the reference."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    return rank[inverse], first[seen]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(
-    st.lists(st.integers(-5, 5), max_size=60),
-    st.lists(st.integers(-2**62, 2**62), max_size=60),
-    st.tuples(st.integers(-3, 3), st.integers(0, 60)).map(lambda vn: [vn[0]] * vn[1]),
-))
-@example([])
-@example([7] * 5)
-def test_first_seen_matches_reference(values):
-    """`first_seen` numbers int64 values as the former formula does, with
-    the same dtypes: also when empty and when all are equal."""
-    values = np.array(values, dtype=np.int64)
-    got, ref = first_seen(values), old_first_seen(values)
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 @pytest.fixture(scope="module")
