@@ -917,11 +917,12 @@ def canonical_digest(mesh) -> str:
 
 # Digests of the final meshes (sweep, refine_radial, extrude_layers) of the
 # two fixtures, node and element numbering included: each growth's faces in
-# table order, new nodes numbered by the ids they grow from. A change to
-# hexgen that keeps behaviour and numbering keeps these.
+# table order, new nodes numbered by the ids they grow from, on a
+# tessellation that numbers its new nodes by key. A change to hexgen or
+# tessellate that keeps behaviour and numbering keeps these.
 GOLDEN = {
-    "cube_raw": "ad50d7dac867c130105ca520d1ee80266cda969b76c682f28dcbed33b222b123",
-    "cylinder_repaired": "d58d05cb31b1abc2c3be9097735007656c62897f3f34861cefe1ef23b153e4c1",
+    "cube_raw": "7875ea70070001795b8df8ca95fbdd866b7446c39b0c53f5fb2045d179db9bf4",
+    "cylinder_repaired": "2c833a11eeacd7d53e8f5bad79316340d2f1e98337bb8e05114a9492bd77c263",
 }
 
 

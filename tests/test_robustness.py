@@ -40,8 +40,8 @@ def case(name, make, guard_stop=None):
     return pytest.param(make, error, marks=mark, id=name)
 
 
-GUARD_STOPS = {2: (9202, [30, 93]), 4: (5104, [70, 89]), 5: (8534, [8, 19]),
-               8: (9233, [23, 49]), 10: (6158, [16, 98]), 11: (7243, [7, 60])}
+GUARD_STOPS = {2: (7571, [30, 93]), 4: (5676, [70, 89]), 5: (7499, [8, 19]),
+               8: (7594, [23, 49]), 10: (6329, [16, 98]), 11: (6779, [7, 60])}
 
 
 @pytest.mark.parametrize("make, error", [

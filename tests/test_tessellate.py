@@ -916,12 +916,14 @@ def test_patches_partition_their_facets(name):
             dict.fromkeys(uses.keys() - boundary, 2), fid
 
 
-# Digests of the tessellations of two fixtures. A change to tessellate that
-# keeps behaviour keeps these; node coordinates are compared bit for bit.
+# Digests of the tessellations of three fixtures, node numbering included:
+# new nodes by the rank of their keys. A change to tessellate that keeps
+# behaviour and numbering keeps these; node coordinates are compared bit
+# for bit.
 GOLDEN = {
-    "cube_raw": "7e329dd29c8fbada3fa8bf68efa3d609acd05e4c87b0971226d837588828c66f",
-    "cylinder_repaired": "0886cf9debdcf8b6b2afaa55e9228ee3c7a4fbf5ea56b967d08376f9df7f090a",
-    "lattice_repaired": "f6c90a00d2f4a7fea94ec27ccaf56617cc0e9d94d921a12f0d427e238f8a4d0e",
+    "cube_raw": "feff07c7abc2cf9117cd84cd02e78ac62e72603ce1976854c260f583d7e0ec86",
+    "cylinder_repaired": "3883ee4471a29224a4dd7367cef403348b82682e15185e4386950ffbc568e95c",
+    "lattice_repaired": "87e13059a2427823b137c81b998acb2a736076c75c5488c6922a4da36810ddc2",
 }
 
 
