@@ -1,10 +1,12 @@
-"""Cell repair: sliver removal, long-edge splitting, guard check.
+"""Cell repair: sliver removal, loop check, long-edge splitting, guard check.
 
 Edge collapse runs in several passes with a geometric tolerance ramp so the
-shortest edges disappear first, and no vertex moves twice in one pass. Long
-edges are then bisected until they drop under the maximum. A repair ends
-with one guard check: every vertex must lie outside the guard sphere,
-slightly larger than the sweep radius, of each real cell its facets bound.
+shortest edges disappear first, and no vertex moves twice in one pass. One
+loop check (`_breaks`) over every live loop follows. Long edges are then
+bisected until they drop under the maximum, which adds no area and no
+crossing to a loop. A repair ends with one guard check: every vertex must
+lie outside the guard sphere, slightly larger than the sweep radius, of each
+real cell its facets bound.
 
 A repair reads the cell set's loop arrays once, into (facet, vertex, next
 vertex) loop rows of the live facets, each facet's rows together and in
@@ -50,7 +52,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .geometry import GUARD_RADIUS, check_guard, loops_are_simple, norms, polygon_areas
 from .voronoi import VoronoiCellSet
 
@@ -537,6 +539,17 @@ class _Repair:
         hit_fids = fid[sel[starts]]
         self._replace_rows(hit_fids, _rows(hit_fids, np.add.reduceat(count, starts), out))
 
+    def check_loops(self) -> None:
+        """Raise GeometryError for the lowest facet whose live loop is flat,
+        reversed or self-intersecting (`_breaks`)."""
+        fid, vertex, _ = self.rows
+        start = np.flatnonzero(np.diff(fid, prepend=-1))
+        f = fid[start]
+        broken = f[self._check(f, np.diff(start, append=len(fid)), vertex, self.cs.points)]
+        if len(broken):
+            raise GeometryError(
+                f"facet {broken.min()}: loop is flat, reversed or self-intersecting after repair")
+
     def check_guard(self) -> None:
         """Raise GeometryError if a loop vertex lies inside the guard sphere
         of a real cell its facet bounds (`geometry.check_guard`)."""
@@ -577,14 +590,15 @@ def insert_vertices(cs: VoronoiCellSet, cfg: RepairConfig, oplog: list | None = 
 
 
 def repair(cs: VoronoiCellSet, cfg: RepairConfig | None = None, log_path=None) -> VoronoiCellSet:
-    """Full repair: collapse passes, vertex insertion, then the guard check.
-    A repair that raises, also in the guard check, leaves the cell set as it
-    was given. ``log_path`` gets the oplog as JSON lines, also the records
-    made before a failure."""
+    """Full repair: collapse passes, the loop check, vertex insertion, then
+    the guard check. A repair that raises, also in a check, leaves the cell
+    set as it was given. ``log_path`` gets the oplog as JSON lines, also the
+    records made before a failure."""
     given = cs.points.copy()  # the loop arrays are written only at the end
     run = _Repair(cs, cfg or RepairConfig(), None)
     try:
         run.collapse_edges()
+        run.check_loops()   # inserted points lie on edges of loops that passed
         run.insert_vertices()
         run.check_guard()
         run.store()

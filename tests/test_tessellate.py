@@ -821,6 +821,7 @@ def broken_cube(faults: dict):
 
 AREA_ERROR = "^facet {} projects to a non-positive area loop$"
 STAR_ERROR = "^facet {}: not star-shaped about its barycenter$"
+LOOP_ERROR = "^facet {}: loop is flat, reversed or self-intersecting after repair$"
 
 
 @pytest.mark.parametrize("faults, error", [
@@ -836,6 +837,18 @@ def test_tessellate_error_order(faults, error):
     and on one facet the area check comes before the split."""
     with pytest.raises(GeometryError, match=error):
         tessellate_cells(broken_cube(faults))
+
+
+def test_repair_checks_its_loops():
+    """Repair's loop check, after the collapses, raises for the lowest
+    broken facet (5 runs backwards; 40, an L, is a valid loop) and leaves
+    the points and loops as given."""
+    cs = broken_cube({5: "reversed", 40: "L"})
+    given = cs.points.copy(), cs.loop_start.copy(), cs.loop_vertex.copy()
+    with pytest.raises(GeometryError, match=LOOP_ERROR.format(5)):
+        repair(cs, RepairConfig())
+    for a, b in zip(given, (cs.points, cs.loop_start, cs.loop_vertex)):
+        assert a.tobytes() == b.tobytes()
 
 
 def interior_nodes(qm: FacetQuadMesh, fid: int) -> list:
